@@ -122,10 +122,9 @@ from repro.pworlds import (
 )
 from repro.serve import (
     Collection,
-    CollectionResultSet,
+    FanoutResultSet,
     ProcessCollection,
     SessionPool,
-    ShardRow,
     connect_collection,
 )
 from repro.tpwj import (
@@ -164,10 +163,9 @@ __all__ = [
     # serving layer (collections)
     "connect_collection",
     "Collection",
-    "CollectionResultSet",
+    "FanoutResultSet",
     "ProcessCollection",
     "SessionPool",
-    "ShardRow",
     # errors
     "ReproError",
     "TreeError",

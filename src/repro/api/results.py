@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import random
 import weakref
-from sys import intern as _intern_str
 from time import perf_counter
 
-from repro.api.options import QueryOptions
+from repro.api.builders import compile_pattern
+from repro.api.options import QueryOptions, QueryOptionsError
 from repro.core.montecarlo import AnswerEstimate, estimate_answers
 from repro.core.query import (
     FuzzyAnswer,
     QueryRow,
+    group_by_tree,
     group_rows,
     iter_bounded_rows,
     iter_query_rows,
@@ -54,11 +55,15 @@ class Row:
         The underlying :class:`~repro.tpwj.match.Match`.
     dnf:
         The disjoint conditions under which the match holds.
+    document:
+        The document key of the shard the row matched in, set by a
+        collection's fan-out; ``None`` on a single-document session.
     """
 
-    __slots__ = ("_inner", "_source", "_events", "_obs")
+    __slots__ = ("_inner", "_source", "_events", "_obs", "document")
 
     def __init__(self, inner: QueryRow, source, events, obs=None) -> None:
+        self.document: str | None = None
         self._inner = inner
         self._source = source
         # The event table of the document generation this row was
@@ -124,97 +129,166 @@ class Row:
         return f"Row(p={self.probability:.6g}, tree={self.tree.canonical()})"
 
 
-class ResultSet:
-    """A lazy, re-iterable stream of query rows.
+_DEFAULT_OPTIONS = QueryOptions()
+_FIXED_PLAN_OPTIONS = QueryOptions(plan="fixed")
 
-    Each ``iter()`` re-executes the query against the source's current
-    document (snapshots pin theirs, so re-iteration there is stable);
-    repeated executions hit the source's plan cache.  A result set is
-    immutable — every refinement (:meth:`limit`,
-    :meth:`order_by_probability`, :meth:`min_probability`) returns a
-    new one; all of them are sugar over the set's frozen
-    :class:`~repro.api.options.QueryOptions`, the same object every
-    serving layer threads through unchanged.
+
+def resolve_query(query, options=None, keys=None, *, planner: bool = True):
+    """Normalize ``query()`` arguments: ``(pattern, options, keys)``.
+
+    Shared by every query surface (session, snapshot, both collection
+    engines).  *query* is a string, Pattern or builder and may be
+    omitted when *options* — a :class:`~repro.api.options.QueryOptions`
+    — carries a ``pattern``; without *options*, *planner* picks the
+    plan (``False`` is the fixed-strategy ablation baseline, which
+    materializes matches, so limits truncate but do not stream).
+    *keys* (collections) defaults to ``[options.document]`` when that
+    routing field is set and comes back sorted and deduplicated — the
+    shard order every merge uses.
+    """
+    if options is None:
+        options = _DEFAULT_OPTIONS if planner else _FIXED_PLAN_OPTIONS
+    elif not isinstance(options, QueryOptions):
+        raise QueryError(f"options must be a QueryOptions, got {options!r}")
+    if query is None:
+        query = options.pattern
+        if query is None:
+            raise QueryError(
+                "query() needs a pattern: pass one (string, Pattern or "
+                "builder) or set options.pattern"
+            )
+    if keys is None and options.document is not None:
+        keys = [options.document]
+    return (
+        compile_pattern(query),
+        options,
+        None if keys is None else sorted(set(keys)),
+    )
+
+
+class BaseResultSet:
+    """What every result set shares: a compiled pattern, one frozen
+    :class:`~repro.api.options.QueryOptions`, the refinements over it
+    and the materializers over ``iter()``.
+
+    A result set is immutable — every refinement returns a new one
+    (subclasses say how through :meth:`_with_options`); the values are
+    validated by :class:`QueryOptions` itself.
     """
 
-    __slots__ = ("_source", "_pattern", "_options")
+    __slots__ = ("_pattern", "_options")
 
-    def __init__(
-        self,
-        source,
-        pattern,
-        limit: int | None = None,
-        planner: bool = True,
-        *,
-        options: QueryOptions | None = None,
-    ) -> None:
-        self._source = source
-        self._pattern = pattern
-        if options is None:
-            # planner=False falls back to the fixed-strategy matcher
-            # (the E9 ablation baseline); it materializes matches, so
-            # limits truncate but do not stream.
-            options = QueryOptions(
-                limit=limit, plan="auto" if planner else "fixed"
-            )
-        self._options = options
+    def _with_options(self, options: QueryOptions):
+        raise NotImplementedError
+
+    def _summary(self) -> str:
+        return repr(str(self._pattern))
 
     @property
     def options(self) -> QueryOptions:
         """The frozen execution envelope this set describes."""
         return self._options
 
-    # ------------------------------------------------------------------
-    # Refinement
-    # ------------------------------------------------------------------
+    def _refined(self, field: str, value):
+        """A copy with ``options.<field> = value``; :class:`QueryOptions`
+        validates the value (``None`` would *unset* the field, which is
+        not a refinement)."""
+        if value is None:
+            raise QueryError(f"{field} needs a value, got None")
+        try:
+            return self._with_options(self._options.replace(**{field: value}))
+        except QueryOptionsError as exc:
+            raise QueryError(f"{field} {exc.errors[0]['message']}") from None
 
-    def _replace(self, **changes) -> "ResultSet":
-        return ResultSet(
-            self._source, self._pattern, options=self._options.replace(**changes)
-        )
-
-    def limit(self, n: int) -> "ResultSet":
+    def limit(self, n: int):
         """At most *n* rows, computed by early termination.
 
         The cap is pushed into the engine's streaming protocol: the
         backtracking enumeration stops as soon as *n* rows have been
         emitted, so a small limit on a large document does a fraction
-        of the full query's work.  In document order the limited stream
-        is a prefix of the unlimited one (same plan, same deterministic
-        order); combined with :meth:`order_by_probability` it is
-        top-k, executed as branch-and-bound inside the join.
+        of the full query's work (a collection pushes it into every
+        shard and short-circuits the fan-out).  In document order the
+        limited stream is a prefix of the unlimited one (same plan,
+        same deterministic order); combined with
+        :meth:`order_by_probability` it is top-k, executed as
+        branch-and-bound inside the join.  Chaining keeps the smallest
+        limit.
         """
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise QueryError(f"limit must be a non-negative int, got {n!r}")
+        refined = self._refined("limit", n)
         current = self._options.limit
-        capped = n if current is None else min(current, n)
-        return self._replace(limit=capped)
+        return refined if current is None or n < current else self
 
-    def order_by_probability(self) -> "ResultSet":
+    def order_by_probability(self):
         """Rows in decreasing-probability order, ties in document order.
 
         With a :meth:`limit` this executes as branch-and-bound top-k:
         partial matches whose probability upper bound (the product of
         their bound nodes' closed conditions) cannot beat the current
         k-th best are pruned inside the backtracking join, never
-        enumerated.
+        enumerated.  Across a collection each shard runs its own top-k
+        and the merge re-sorts by ``(probability desc, shard key,
+        per-shard rank)`` — a barrier: every shard reports before the
+        first row is emitted.
         """
-        return self._replace(order="probability")
+        return self._refined("order", "probability")
 
-    def min_probability(self, p) -> "ResultSet":
+    def min_probability(self, p):
         """Only rows with probability >= *p*.
 
         The threshold is pushed into the join: partial matches whose
         upper bound is already below *p* are pruned.  Chaining keeps
         the strictest threshold.
         """
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise QueryError(
-                f"min_probability must be a number in [0, 1], got {p!r}"
-            )
+        refined = self._refined("min_probability", p)
         current = self._options.min_probability
-        floor = float(p) if current is None else max(current, float(p))
-        return self._replace(min_probability=floor)
+        return refined if current is None or p > current else self
+
+    def all(self) -> list:
+        """Materialize every row (honoring :meth:`limit`)."""
+        return list(self)
+
+    def first(self):
+        """The first row, computed without enumerating the rest."""
+        stream = iter(self.limit(1))
+        try:
+            return next(stream, None)
+        finally:
+            # Close explicitly so pins and shard tasks are released
+            # now, not whenever the abandoned iterator is collected.
+            stream.close()
+
+    def count(self) -> int:
+        """Number of rows (honoring :meth:`limit`)."""
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        extras = self._options.to_json()
+        extras.pop("pattern", None)
+        rendered = "".join(f", {k}={v!r}" for k, v in sorted(extras.items()))
+        return f"{type(self).__name__}({self._summary()}{rendered})"
+
+
+class ResultSet(BaseResultSet):
+    """A lazy, re-iterable stream of query rows.
+
+    Each ``iter()`` re-executes the query against the source's current
+    document (snapshots pin theirs, so re-iteration there is stable);
+    repeated executions hit the source's plan cache.  The refinements
+    (:meth:`limit`, :meth:`order_by_probability`,
+    :meth:`min_probability`) are sugar over the set's frozen
+    :class:`~repro.api.options.QueryOptions`, the same object every
+    serving layer threads through unchanged.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, source, pattern, options: QueryOptions) -> None:
+        self._source = source
+        self._pattern = pattern
+        self._options = options
+
+    def _with_options(self, options: QueryOptions) -> "ResultSet":
+        return ResultSet(self._source, self._pattern, options)
 
     # ------------------------------------------------------------------
     # Consumption
@@ -285,18 +359,12 @@ class ResultSet:
         fuzzy, engine, config, release, obs = self._source._iter_context()
         engine = engine if opts.use_planner else None
         try:
-            grouped: dict[str, tuple] = {}
-            for row in iter_query_rows(
+            rows = iter_query_rows(
                 fuzzy, self._pattern, config, engine=engine, limit=opts.limit
-            ):
-                key = _intern_str(row.tree.canonical())
-                entry = grouped.get(key)
-                if entry is not None:
-                    entry[1].extend(row.dnf.terms)
-                else:
-                    grouped[key] = (row.tree, list(row.dnf.terms))
+            )
+            groups = group_by_tree((row.tree, row.dnf.terms) for row in rows)
             estimates = estimate_answers(
-                [(tree, Dnf(terms)) for tree, terms in grouped.values()],
+                [(tree, Dnf(terms)) for tree, terms in groups],
                 fuzzy.events,
                 epsilon=epsilon,
                 deadline=None if deadline_ms is None else deadline_ms / 1000.0,
@@ -310,32 +378,14 @@ class ResultSet:
             estimates = [e for e in estimates if e.probability >= floor]
         return estimates
 
-    def all(self) -> list[Row]:
-        """Materialize every row (honoring :meth:`limit`)."""
-        return list(self)
-
-    def first(self) -> Row | None:
-        """The first row, computed without enumerating the rest."""
-        stream = iter(self)
-        try:
-            return next(stream, None)
-        finally:
-            # Close explicitly so the iteration pin is released now,
-            # not whenever the abandoned generator is collected.
-            stream.close()
-
-    def count(self) -> int:
-        """Number of rows (honoring :meth:`limit`)."""
-        return sum(1 for _ in self)
-
     def answers(self) -> list[FuzzyAnswer]:
         """Classic aggregation: rows grouped per answer tree, ranked.
 
         Matches inducing the same answer tree are merged (their
         conditions disjoined) and the aggregates ranked by decreasing
-        probability — identical to the historical
-        historical per-answer aggregation when no limit is set; with a
-        limit, the aggregation covers the streamed prefix only.
+        probability — :func:`~repro.core.query.query_fuzzy_tree`'s
+        result when no limit is set; with a limit, the aggregation
+        covers the streamed prefix only.
         """
         options = self._options
         if options.limit == 0:
@@ -352,28 +402,17 @@ class ResultSet:
         t0 = perf_counter()
         answers: list[FuzzyAnswer] | None = None
         try:
-            if options.is_bounded:
-                # Aggregate exactly the rows the bounded stream would
-                # emit (top-k / thresholded enumeration).
-                rows = _row_iter(fuzzy, engine, config, self._pattern, options, None)
-                answers = group_rows(
-                    rows,
-                    fuzzy.events,
-                    cache=engine.shannon if engine is not None else None,
-                )
-            elif options.limit is None:
-                # No cap: the classic aggregation prices each answer
-                # group once; rows never compute their own probability
-                # (it is lazy), so nothing is paid twice.
+            if options.limit is None and not options.is_bounded:
+                # No cap: group matches directly — no row is ever built
+                # and each answer group is priced exactly once.
                 answers = query_fuzzy_tree(
                     fuzzy, self._pattern, config, engine=engine
                 )
             else:
-                rows = iter_query_rows(
-                    fuzzy, self._pattern, config, engine=engine, limit=options.limit
-                )
+                # Aggregate exactly the rows the stream would emit
+                # (limited prefix / top-k / thresholded enumeration).
                 answers = group_rows(
-                    rows,
+                    _row_iter(fuzzy, engine, config, self._pattern, options, None),
                     fuzzy.events,
                     cache=engine.shannon if engine is not None else None,
                 )
@@ -394,12 +433,6 @@ class ResultSet:
                     span,
                     engine,
                 )
-
-    def __repr__(self) -> str:
-        extras = self._options.to_json()
-        extras.pop("pattern", None)
-        rendered = "".join(f", {k}={v!r}" for k, v in sorted(extras.items()))
-        return f"ResultSet({str(self._pattern)!r}{rendered})"
 
 
 def _plan_text(engine, pattern) -> str | None:

@@ -47,12 +47,11 @@ from pathlib import Path
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.core.simplify import SimplifyReport
 from repro.core.update import UpdateReport
-from repro.errors import QueryError, SessionClosedError, WarehouseError
+from repro.errors import SessionClosedError, WarehouseError
 from repro.events.table import EventTable
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 from repro.api.builders import compile_pattern, compile_transaction
-from repro.api.options import QueryOptions
-from repro.api.results import ResultSet
+from repro.api.results import ResultSet, resolve_query
 from repro.warehouse.warehouse import (
     USE_DEFAULT_OBSERVABILITY,
     CommitPolicy,
@@ -61,35 +60,6 @@ from repro.warehouse.warehouse import (
 )
 
 __all__ = ["Session", "Snapshot", "SessionBatch", "connect"]
-
-
-def _result_set(source, query, planner, options) -> ResultSet:
-    """Build a :class:`ResultSet` from either calling convention.
-
-    The legacy form passes *query* (string / Pattern / builder) plus
-    the *planner* flag; the v2 form passes a
-    :class:`~repro.api.options.QueryOptions` whose ``plan`` field
-    governs planner selection (the *planner* kwarg is ignored then)
-    and whose ``pattern`` field substitutes for an omitted *query*.
-    """
-    if options is not None:
-        if not isinstance(options, QueryOptions):
-            raise QueryError(
-                f"options must be a QueryOptions, got {options!r}"
-            )
-        if query is None:
-            if options.pattern is None:
-                raise QueryError(
-                    "query() needs a pattern: pass one positionally or "
-                    "set options.pattern"
-                )
-            query = options.pattern
-        return ResultSet(source, compile_pattern(query), options=options)
-    if query is None:
-        raise QueryError(
-            "query() needs a pattern (string, Pattern or builder) or options="
-        )
-    return ResultSet(source, compile_pattern(query), planner=planner)
 
 
 def connect(
@@ -206,7 +176,8 @@ class Session:
         Nothing runs until the result set is iterated; iteration goes
         through the warehouse's cost-based planner and plan cache, and
         ``.limit(n)`` streams — see :class:`ResultSet`.
-        ``planner=False`` is the fixed-strategy ablation baseline.
+        ``planner=False`` is the fixed-strategy ablation baseline
+        (ignored when *options* is given: its ``plan`` field governs).
 
         *options*, a :class:`~repro.api.QueryOptions`, carries the full
         execution envelope (limit, order, ``min_probability``, anytime
@@ -215,7 +186,8 @@ class Session:
         options' ``pattern`` field is compiled instead.
         """
         self._check_open()
-        return _result_set(self, query, planner, options)
+        pattern, options, _keys = resolve_query(query, options, planner=planner)
+        return ResultSet(self, pattern, options)
 
     def explain(self, query) -> str:
         """The engine's statistics and chosen plan for *query*, rendered."""
@@ -415,7 +387,8 @@ class Snapshot:
         :meth:`Session.query`.
         """
         self._check_open()
-        return _result_set(self, query, planner, options)
+        pattern, options, _keys = resolve_query(query, options, planner=planner)
+        return ResultSet(self, pattern, options)
 
     def _iter_context(self):
         # Already pinned for the snapshot's whole lifetime — no

@@ -23,16 +23,14 @@ conditions it satisfies) — validated by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.fuzzy_tree import FuzzyTree
-from repro.core.query import match_conditions, query_fuzzy_tree
+from repro.core.query import _consistent_matches, query_fuzzy_tree
 from repro.core.semantics import MAX_ENUMERATED_EVENTS
 from repro.errors import ReproError
 from repro.events.assignment import assignment_weight, enumerate_assignments
 from repro.events.condition import Condition
 from repro.events.dnf import dnf_probability
-from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig, find_matches
+from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 from repro.tpwj.pattern import Pattern
 
 __all__ = [
@@ -46,16 +44,11 @@ __all__ = [
 def _match_pieces(
     fuzzy: FuzzyTree, pattern: Pattern, config: MatchConfig
 ) -> list[list[Condition]]:
-    """Per-match disjoint condition pieces (empty lists dropped)."""
-    structural_config = (
-        replace(config, honor_negation=False) if pattern.has_negation() else config
-    )
-    pieces: list[list[Condition]] = []
-    for match in find_matches(pattern, fuzzy.root, structural_config):
-        conditions = match_conditions(match)
-        if conditions:
-            pieces.append(conditions)
-    return pieces
+    """Per-match disjoint condition pieces (inconsistent matches dropped)."""
+    return [
+        conditions
+        for _match, conditions in _consistent_matches(fuzzy, pattern, config, None)
+    ]
 
 
 def expected_matches(

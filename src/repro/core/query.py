@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
+from itertools import islice
 from sys import intern as _intern_str
 from time import perf_counter
 
@@ -38,6 +39,7 @@ from repro.events.condition import Condition
 from repro.events.dnf import Dnf, complement_as_disjoint_conditions, dnf_probability
 from repro.events.table import EventTable
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
+from repro.errors import QueryCancelledError
 from repro.tpwj.match import (
     DEFAULT_CONFIG,
     Match,
@@ -88,34 +90,35 @@ class FuzzyAnswer:
         return f"FuzzyAnswer(p={self.probability:.6g}, tree={self.tree.canonical()})"
 
 
-def match_condition(match: Match, *, index=None) -> Condition | None:
+class _AncestorWalk:
+    """Stand-in for the engine's
+    :class:`~repro.engine.conditions.AncestorConditionIndex` on a tree
+    no engine has walked: the same ``closed_condition`` contract,
+    computed by walking the ancestor chain on every lookup."""
+
+    @staticmethod
+    def closed_condition(node: FuzzyNode) -> Condition:
+        literals: frozenset = frozenset()
+        for walk in node.ancestors(include_self=True):
+            literals |= walk.condition.literals
+        return Condition(literals, allow_inconsistent=True)
+
+
+def match_condition(match: Match, *, index=_AncestorWalk) -> Condition | None:
     """Existence condition of a match: the conjunction over the mapped
     nodes *and their ancestors* of the node conditions.
 
     Returns None when the conjunction is inconsistent (the match can
-    fire in no world).  *index*, when given, is the engine's
-    :class:`~repro.engine.conditions.AncestorConditionIndex`: the
-    per-node closures are precomputed, so the conjunction is a union of
-    a handful of frozensets instead of a walk over every ancestor
-    chain.
+    fire in no world).  *index* supplies each node's closed condition:
+    the engine's :class:`~repro.engine.conditions.AncestorConditionIndex`
+    (precomputed, so the conjunction is a union of a handful of
+    frozensets) or, by default, the ancestor-walking stand-in.
     """
-    if index is not None:
-        return _closed_union(index, match.iter_images())
-    literals: set = set()
-    seen: set[int] = set()
-    for node in match.nodes():
-        for walk in node.ancestors(include_self=True):
-            if id(walk) in seen:
-                continue
-            seen.add(id(walk))
-            assert isinstance(walk, FuzzyNode), "match must be over a fuzzy tree"
-            literals |= walk.condition.literals
-    combined = Condition(frozenset(literals), allow_inconsistent=True)
-    return combined if combined.is_consistent else None
+    return _closed_union(index, match.iter_images())
 
 
 def _closed_union(index, nodes) -> Condition | None:
-    """Union the precomputed closures of *nodes*; None when inconsistent.
+    """Union the closed conditions of *nodes*; None when inconsistent.
 
     *nodes* may repeat (raw match images): closures are deduplicated by
     identity/equality before any set union, and the single-closure case
@@ -142,25 +145,7 @@ def _closed_union(index, nodes) -> Condition | None:
     return first if first.is_consistent else None
 
 
-def _embedding_condition(embedding: dict, index=None) -> Condition | None:
-    """Existence condition of a negated-subpattern embedding."""
-    if index is not None:
-        nodes = list(embedding.values())
-        return _closed_union(index, nodes)
-    literals: set = set()
-    seen: set[int] = set()
-    for node in embedding.values():
-        for walk in node.ancestors(include_self=True):
-            if id(walk) in seen:
-                continue
-            seen.add(id(walk))
-            assert isinstance(walk, FuzzyNode)
-            literals |= walk.condition.literals
-    combined = Condition(frozenset(literals), allow_inconsistent=True)
-    return combined if combined.is_consistent else None
-
-
-def match_conditions(match: Match, *, index=None) -> list[Condition]:
+def match_conditions(match: Match, *, index=_AncestorWalk) -> list[Condition]:
     """Disjoint conjunctive conditions under which *match* holds.
 
     For a pattern without negation this is the singleton
@@ -182,7 +167,7 @@ def match_conditions(match: Match, *, index=None) -> list[Condition]:
     for constraint in constraints:
         parent_image = match[constraint.parent]
         for embedding in find_embeddings(constraint, parent_image):
-            delta = _embedding_condition(embedding, index)
+            delta = _closed_union(index, embedding.values())
             if delta is not None:
                 violations.append(delta)
 
@@ -299,6 +284,93 @@ class QueryRow:
         return f"QueryRow(p={self.probability:.6g}, tree={self.tree.canonical()})"
 
 
+def _consistent_matches(
+    fuzzy, pattern, config, engine, *, plan=None, prune=None, abort=None
+):
+    """Yield ``(match, disjoint conditions)`` for every consistent match.
+
+    The one loop behind every evaluation in this module (and
+    :mod:`repro.core.aggregates`): slide 13's definition, run once.
+
+    * Negated subpatterns are handled through conditions, not
+      structure (their presence varies across worlds), so matching runs
+      with ``honor_negation=False`` for them.
+    * Matches come from *engine*'s streaming protocol when given — told
+      to evaluate *fuzzy*'s own root rather than whatever its provider
+      currently points at: a concurrent commit may swap the live
+      document (copy-on-write) between the caller pinning this
+      generation and the first match being pulled, and evaluating the
+      new root against the pinned tree would tear the read.  With
+      *prune* the engine runs its branch-and-bound join: partial
+      assignments are priced through a
+      :class:`~repro.engine.executor.ProbabilityBound` over the
+      ancestor-condition index and ``prune(upper)`` decides, from the
+      upper bound alone, whether a branch can still contribute.
+    * Without an engine (the E9 ablation baseline) the fixed matcher
+      enumerates (*plan* is forwarded to it) and *prune* is ignored —
+      same matches, no pruning.
+
+    *abort* is the serving layers' cancellation hook, polled once per
+    enumerated match.  Matches whose conjunction is inconsistent (they
+    fire in no world) are counted and skipped.
+    """
+    if pattern.has_negation():
+        config = replace(config, honor_negation=False)
+    if engine is None:
+        index = _AncestorWalk
+        matches = find_matches(pattern, fuzzy.root, config, plan=plan)
+    else:
+        index = engine.condition_index(fuzzy.root)
+        bound = None
+        if prune is not None:
+            from repro.engine.executor import ProbabilityBound
+
+            bound = ProbabilityBound(index.closed_condition, fuzzy.events.probability)
+        matches = engine.iter_matches(
+            pattern, config, root=fuzzy.root, bound=bound, prune=prune
+        )
+    track = counters.enabled
+    for match in matches:
+        if abort is not None and abort():
+            raise QueryCancelledError("query cancelled by its abort hook")
+        if track:
+            counters.incr("core.query.matches")
+        conditions = match_conditions(match, index=index)
+        if conditions:
+            yield match, conditions
+        elif track:
+            counters.incr("core.query.inconsistent_matches")
+
+
+def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None):
+    """One :class:`QueryRow` per consistent, *possible* match.
+
+    With *floor* (a probability) rows are priced eagerly and those
+    below it — or at zero — are dropped; without it pricing stays lazy
+    and only the per-literal possibility test runs.
+    """
+    events = fuzzy.events
+    cache = engine.shannon if engine is not None else None
+    for match, conditions in _consistent_matches(
+        fuzzy, pattern, config, engine, prune=prune, abort=abort
+    ):
+        if not _possibly_nonzero(conditions, events):
+            continue
+        dnf = Dnf(conditions)
+        p = None
+        if floor is not None:
+            p = dnf_probability(dnf, events, cache=cache)
+            if p == 0.0 or p < floor:
+                continue
+        yield QueryRow(
+            match, answer_tree(fuzzy.root, match), dnf, events, cache=cache, probability=p
+        )
+
+
+def _capped(rows, limit: int | None):
+    return rows if limit is None else islice(rows, max(limit, 0))
+
+
 def iter_query_rows(
     fuzzy: FuzzyTree,
     pattern: Pattern,
@@ -320,78 +392,32 @@ def iter_query_rows(
     skipped and do not count against *limit*; row probabilities are
     computed lazily on first access.
     """
-    if limit is not None and limit <= 0:
-        return
-    structural_config = (
-        replace(config, honor_negation=False) if pattern.has_negation() else config
-    )
-    if engine is not None:
-        # The engine is told which root to evaluate — *fuzzy*'s own —
-        # rather than whatever its provider currently points at: a
-        # concurrent commit may swap the live document (copy-on-write)
-        # between the caller pinning this generation and the first row
-        # being pulled, and evaluating the new root against the pinned
-        # tree would tear the read.
-        matches = engine.iter_matches(pattern, structural_config, root=fuzzy.root)
-        index = engine.condition_index(fuzzy.root)
-        cache = engine.shannon
-    else:
-        matches = iter(find_matches(pattern, fuzzy.root, structural_config))
-        index = cache = None
-    events = fuzzy.events
-    track = counters.enabled
-    emitted = 0
-    for match in matches:
-        if track:
-            counters.incr("core.query.matches")
-        conditions = match_conditions(match, index=index)
-        if not conditions:
-            if track:
-                counters.incr("core.query.inconsistent_matches")
-            continue
-        if not _possibly_nonzero(conditions, events):
-            continue
-        dnf = Dnf(conditions)
-        yield QueryRow(match, answer_tree(fuzzy.root, match), dnf, events, cache=cache)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    return _capped(_rows(fuzzy, pattern, config, engine), limit)
 
 
-def _bounded_matches(fuzzy, pattern, structural_config, engine, prune):
-    """The match stream for a probability-bounded evaluation.
+def iter_bounded_rows(
+    fuzzy: FuzzyTree,
+    pattern: Pattern,
+    config: MatchConfig = DEFAULT_CONFIG,
+    *,
+    engine=None,
+    min_probability: float = 0.0,
+    limit: int | None = None,
+):
+    """Document-order rows with ``probability >= min_probability``.
 
-    Engine-backed and on a fuzzy document, the engine runs its
-    branch-and-bound join: partial assignments are priced through a
-    :class:`~repro.engine.executor.ProbabilityBound` over the
-    ancestor-condition index and *prune* decides, from the upper bound
-    alone, whether a branch can still contribute.  Without an engine
-    (the E9 ablation baseline) or without an index (plain documents)
-    the stream degrades to the unbounded enumeration — same rows, no
-    pruning.
-
-    Returns ``(matches, index, cache)``.
+    Like :func:`iter_query_rows` but the threshold is pushed *into*
+    the join: engine-backed, a partial assignment whose probability
+    upper bound is already below *min_probability* is pruned without
+    ever being completed.  Rows are priced eagerly (the threshold needs
+    the exact value); *limit* counts qualifying rows only.
     """
-    if engine is None:
-        return (
-            iter(find_matches(pattern, fuzzy.root, structural_config)),
-            None,
-            None,
-        )
-    index = engine.condition_index(fuzzy.root)
-    cache = engine.shannon
-    if index is None:
-        matches = engine.iter_matches(
-            pattern, structural_config, root=fuzzy.root
-        )
-        return matches, index, cache
-    from repro.engine.executor import ProbabilityBound
 
-    bound = ProbabilityBound(index.closed_condition, fuzzy.events.probability)
-    matches = engine.iter_matches(
-        pattern, structural_config, root=fuzzy.root, bound=bound, prune=prune
-    )
-    return matches, index, cache
+    def prune(upper: float) -> bool:
+        return upper < min_probability
+
+    rows = _rows(fuzzy, pattern, config, engine, floor=min_probability, prune=prune)
+    return _capped(rows, limit)
 
 
 def topk_rows(
@@ -425,10 +451,6 @@ def topk_rows(
     """
     if k is not None and k <= 0:
         return []
-    events = fuzzy.events
-    structural_config = (
-        replace(config, honor_negation=False) if pattern.has_negation() else config
-    )
     heap: list = []  # (probability, -emission_index, row): root = evictee
 
     def prune(upper: float) -> bool:
@@ -436,39 +458,11 @@ def topk_rows(
             return True
         return k is not None and len(heap) == k and upper <= heap[0][0]
 
-    matches, index, cache = _bounded_matches(
-        fuzzy, pattern, structural_config, engine, prune
+    rows = _rows(
+        fuzzy, pattern, config, engine, floor=min_probability, prune=prune, abort=abort
     )
-    track = counters.enabled
-    emitted = 0
-    for match in matches:
-        if abort is not None and abort():
-            from repro.errors import QueryCancelledError
-
-            raise QueryCancelledError("query cancelled by its abort hook")
-        if track:
-            counters.incr("core.query.matches")
-        conditions = match_conditions(match, index=index)
-        if not conditions:
-            if track:
-                counters.incr("core.query.inconsistent_matches")
-            continue
-        if not _possibly_nonzero(conditions, events):
-            continue
-        dnf = Dnf(conditions)
-        p = dnf_probability(dnf, events, cache=cache)
-        if p == 0.0 or p < min_probability:
-            continue
-        row = QueryRow(
-            match,
-            answer_tree(fuzzy.root, match),
-            dnf,
-            events,
-            cache=cache,
-            probability=p,
-        )
-        entry = (p, -emitted, row)
-        emitted += 1
+    for emitted, row in enumerate(rows):
+        entry = (row.probability, -emitted, row)
         if k is None:
             heap.append(entry)
         elif len(heap) < k:
@@ -482,63 +476,31 @@ def topk_rows(
     return [row for _, _, row in heap]
 
 
-def iter_bounded_rows(
-    fuzzy: FuzzyTree,
-    pattern: Pattern,
-    config: MatchConfig = DEFAULT_CONFIG,
-    *,
-    engine=None,
-    min_probability: float = 0.0,
-    limit: int | None = None,
-):
-    """Document-order rows with ``probability >= min_probability``.
+def group_by_tree(pairs) -> list[tuple[Node, list[Condition]]]:
+    """Merge ``(answer tree, conditions)`` pairs inducing the same
+    answer tree (canonical form), concatenating their conditions;
+    groups keep first-seen order."""
+    grouped: dict[str, tuple[Node, list[Condition]]] = {}
+    for tree, conditions in pairs:
+        key = _intern_str(tree.canonical())
+        entry = grouped.get(key)
+        if entry is not None:
+            entry[1].extend(conditions)
+        else:
+            grouped[key] = (tree, list(conditions))
+    return list(grouped.values())
 
-    Like :func:`iter_query_rows` but the threshold is pushed *into*
-    the join: engine-backed, a partial assignment whose probability
-    upper bound is already below *min_probability* is pruned without
-    ever being completed.  Rows are priced eagerly (the threshold needs
-    the exact value); *limit* counts qualifying rows only.
-    """
-    if limit is not None and limit <= 0:
-        return
-    events = fuzzy.events
-    structural_config = (
-        replace(config, honor_negation=False) if pattern.has_negation() else config
-    )
 
-    def prune(upper: float) -> bool:
-        return upper < min_probability
-
-    matches, index, cache = _bounded_matches(
-        fuzzy, pattern, structural_config, engine, prune
-    )
-    track = counters.enabled
-    emitted = 0
-    for match in matches:
-        if track:
-            counters.incr("core.query.matches")
-        conditions = match_conditions(match, index=index)
-        if not conditions:
-            if track:
-                counters.incr("core.query.inconsistent_matches")
-            continue
-        if not _possibly_nonzero(conditions, events):
-            continue
+def _rank_answers(groups, events, cache) -> list[FuzzyAnswer]:
+    """Price each group's disjunction; drop impossible ones; rank."""
+    answers: list[FuzzyAnswer] = []
+    for tree, conditions in groups:
         dnf = Dnf(conditions)
-        p = dnf_probability(dnf, events, cache=cache)
-        if p == 0.0 or p < min_probability:
-            continue
-        yield QueryRow(
-            match,
-            answer_tree(fuzzy.root, match),
-            dnf,
-            events,
-            cache=cache,
-            probability=p,
-        )
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+        probability = dnf_probability(dnf, events, cache=cache)
+        if probability != 0.0:
+            answers.append(FuzzyAnswer(tree, dnf, probability))
+    answers.sort(key=lambda a: (-a.probability, a.tree.canonical()))
+    return answers
 
 
 def group_rows(rows, events, *, cache=None) -> list[FuzzyAnswer]:
@@ -553,23 +515,8 @@ def group_rows(rows, events, *, cache=None) -> list[FuzzyAnswer]:
     expansions (rows carry one from their engine already; this applies
     to the group-level disjunctions).
     """
-    grouped: dict[str, tuple[Node, list[Condition]]] = {}
-    for row in rows:
-        key = _intern_str(row.tree.canonical())
-        entry = grouped.get(key)
-        if entry is not None:
-            entry[1].extend(row.dnf.terms)
-        else:
-            grouped[key] = (row.tree, list(row.dnf.terms))
-    answers: list[FuzzyAnswer] = []
-    for tree, conditions in grouped.values():
-        dnf = Dnf(conditions)
-        probability = dnf_probability(dnf, events, cache=cache)
-        if probability == 0.0:
-            continue
-        answers.append(FuzzyAnswer(tree, dnf, probability))
-    answers.sort(key=lambda a: (-a.probability, a.tree.canonical()))
-    return answers
+    groups = group_by_tree((row.tree, row.dnf.terms) for row in rows)
+    return _rank_answers(groups, events, cache)
 
 
 def query_fuzzy_tree(
@@ -584,8 +531,7 @@ def query_fuzzy_tree(
 
     Returns the answers sorted by decreasing probability (ties broken
     by canonical form), mirroring the normalized possible-worlds
-    result.  Negated subpatterns are handled through conditions, not
-    structure: their presence varies across worlds.
+    result.
 
     Matching can be routed through the cost-based engine: *engine* (a
     :class:`~repro.engine.QueryEngine` bound to this document — the
@@ -595,63 +541,33 @@ def query_fuzzy_tree(
     answers are identical on every path; the engine path additionally
     reuses the ancestor-condition index and the shared Shannon memo.
     """
-    structural_config = (
-        replace(config, honor_negation=False) if pattern.has_negation() else config
-    )
-    if engine is not None:
-        # Evaluate against *fuzzy*'s root explicitly (see
-        # iter_query_rows: the provider's live root may have moved on).
-        matches = engine.iter_matches(pattern, structural_config, root=fuzzy.root)
-        index = engine.condition_index(fuzzy.root)
-        cache = engine.shannon
-    else:
-        matches = find_matches(pattern, fuzzy.root, structural_config, plan=plan)
-        index = cache = None
     # Phase boundaries for the warehouse's instrument panel: one
     # match_enumeration emit for the whole enumerate-and-group loop,
     # one probability_evaluation emit for the pricing loop.  Off, this
     # costs two attribute reads per query.
     obs = engine.observability if engine is not None else None
     tracing = obs is not None and obs.tracer.enabled
-    track = counters.enabled
-    grouped: dict[str, tuple[Node, list[Condition]]] = {}
     t_phase = perf_counter() if tracing else 0.0
-    for match in matches:
-        if track:
-            counters.incr("core.query.matches")
-        conditions = match_conditions(match, index=index)
-        if not conditions:
-            if track:
-                counters.incr("core.query.inconsistent_matches")
-            continue
-        answer = answer_tree(fuzzy.root, match)
-        key = _intern_str(answer.canonical())
-        entry = grouped.get(key)
-        if entry is not None:
-            entry[1].extend(conditions)
-        else:
-            grouped[key] = (answer, list(conditions))
-
+    root = fuzzy.root
+    groups = group_by_tree(
+        (answer_tree(root, match), conditions)
+        for match, conditions in _consistent_matches(
+            fuzzy, pattern, config, engine, plan=plan
+        )
+    )
     if tracing:
         now = perf_counter()
-        obs.tracer.emit(
-            "match_enumeration", now - t_phase, groups=len(grouped)
-        )
+        obs.tracer.emit("match_enumeration", now - t_phase, groups=len(groups))
         t_phase = now
     elif obs is not None:
         t_phase = perf_counter()
-    answers: list[FuzzyAnswer] = []
-    for tree, conditions in grouped.values():
-        dnf = Dnf(conditions)
-        probability = dnf_probability(dnf, fuzzy.events, cache=cache)
-        if probability == 0.0:
-            continue
-        answers.append(FuzzyAnswer(tree, dnf, probability))
+    answers = _rank_answers(
+        groups, fuzzy.events, engine.shannon if engine is not None else None
+    )
     if obs is not None:
         priced = perf_counter() - t_phase
         if tracing:
             obs.tracer.emit("probability_evaluation", priced)
         if obs.metrics.enabled:
             obs.metrics.observe("query.probability_seconds", priced)
-    answers.sort(key=lambda a: (-a.probability, a.tree.canonical()))
     return answers

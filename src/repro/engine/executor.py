@@ -79,7 +79,8 @@ class _Intervals:
     The constructor makes the engine's **single** document pass: it
     numbers the tree *and* collects the node list and the label index
     the scan operators draw from, so executing a plan walks the
-    document exactly once (the fixed matcher walks it twice).
+    document exactly once (as the fixed matcher's own
+    ``_walk_document`` does).
 
     *yield_every*, when set, cooperatively yields the GIL every that
     many visited nodes (``time.sleep(0)``): the serving layer rebuilds

@@ -35,7 +35,6 @@ piece that puts threads on top of the storage and session layers:
 
 from repro.serve.cluster import (
     ChaosMonkey,
-    ClusterResultSet,
     ClusterRow,
     FaultPlan,
     HashRing,
@@ -44,8 +43,7 @@ from repro.serve.cluster import (
 )
 from repro.serve.collection import (
     Collection,
-    CollectionResultSet,
-    ShardRow,
+    FanoutResultSet,
     connect_collection,
 )
 from repro.serve.pool import SessionPool, default_workers
@@ -53,15 +51,13 @@ from repro.serve.pool import SessionPool, default_workers
 __all__ = [
     "ChaosMonkey",
     "Collection",
-    "CollectionResultSet",
-    "ClusterResultSet",
     "ClusterRow",
+    "FanoutResultSet",
     "FaultPlan",
     "HashRing",
     "ProcessCollection",
     "RetryPolicy",
     "SessionPool",
-    "ShardRow",
     "connect_collection",
     "default_workers",
 ]

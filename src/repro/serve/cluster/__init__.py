@@ -26,14 +26,12 @@ from repro.serve.cluster.retry import (
 )
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.supervisor import (
-    ClusterResultSet,
     ClusterRow,
     ProcessCollection,
 )
 from repro.serve.cluster.wire import (
     FRAME_FORMAT_VERSION,
     PipeTransport,
-    SocketTransport,
     Verb,
     WireError,
     decode_frame,
@@ -44,7 +42,6 @@ from repro.serve.cluster.worker import worker_main
 __all__ = [
     "ChaosMonkey",
     "ChaosTransport",
-    "ClusterResultSet",
     "ClusterRow",
     "DEFAULT_POLICY",
     "FAULT_KINDS",
@@ -55,7 +52,6 @@ __all__ = [
     "PipeTransport",
     "ProcessCollection",
     "RetryPolicy",
-    "SocketTransport",
     "Verb",
     "WireError",
     "call_with_retry",

@@ -59,13 +59,14 @@ from pathlib import Path
 from time import monotonic, perf_counter, sleep
 
 import repro.errors as errors_module
-from repro.api.options import QueryOptions
+from repro.api.results import resolve_query
 from repro.core.update import UpdateReport
 from repro.errors import QueryError, ShardUnavailableError, WarehouseError
 from repro.serve.cluster.retry import RetryPolicy, call_with_retry
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import PipeTransport, Verb, WireError
 from repro.serve.cluster.worker import worker_main
+from repro.serve.collection import FanoutResultSet
 from repro.warehouse.warehouse import (
     USE_DEFAULT_OBSERVABILITY,
     _resolve_observability,
@@ -73,7 +74,7 @@ from repro.warehouse.warehouse import (
 from repro.xmlio.parse import plain_from_string
 from repro.xmlio.serialize import fuzzy_to_string
 
-__all__ = ["ClusterEstimate", "ClusterResultSet", "ClusterRow", "ProcessCollection"]
+__all__ = ["ClusterEstimate", "ClusterRow", "ProcessCollection"]
 
 #: Seconds a freshly spawned worker gets to import, recover its shards
 #: and answer READY (spawn pays interpreter start + module imports).
@@ -97,21 +98,16 @@ def _reconstruct_error(payload: dict) -> Exception:
     return WarehouseError(f"{family}: {message}")
 
 
-class ClusterRow:
-    """One merged query row from a worker process.
+class _WireItem:
+    """A row or estimate decoded from a worker's reply: the shard's
+    ``document`` key plus the payload's fields; the answer tree crossed
+    the pipe as compact XML and is parsed lazily on first access."""
 
-    The same reading surface as
-    :class:`~repro.serve.collection.ShardRow` (``document``,
-    ``probability``, ``tree``, ``bindings()``): the answer tree crossed
-    the pipe as compact XML and is parsed lazily on first access.
-    """
-
-    __slots__ = ("document", "probability", "_bindings", "_tree_xml", "_tree")
+    __slots__ = ("document", "probability", "_tree_xml", "_tree")
 
     def __init__(self, document: str, payload: dict) -> None:
         self.document = document
         self.probability = payload["probability"]
-        self._bindings = payload["bindings"]
         self._tree_xml = payload["tree_xml"]
         self._tree = None
 
@@ -120,6 +116,18 @@ class ClusterRow:
         if self._tree is None:
             self._tree = plain_from_string(self._tree_xml)
         return self._tree
+
+
+class ClusterRow(_WireItem):
+    """One merged query row from a worker process — the reading surface
+    of a thread collection's rows (``document``, ``probability``,
+    ``tree``, ``bindings()``)."""
+
+    __slots__ = ("_bindings",)
+
+    def __init__(self, document: str, payload: dict) -> None:
+        super().__init__(document, payload)
+        self._bindings = payload["bindings"]
 
     def bindings(self) -> dict[str, str | None]:
         return dict(self._bindings)
@@ -128,203 +136,23 @@ class ClusterRow:
         return f"ClusterRow({self.document!r}, p={self.probability:.4f})"
 
 
-class ClusterEstimate:
-    """One anytime Monte-Carlo answer from a worker process.
+class ClusterEstimate(_WireItem):
+    """One anytime Monte-Carlo answer from a worker process — the
+    reading surface of :class:`~repro.core.montecarlo.AnswerEstimate`
+    plus the shard's ``document`` key."""
 
-    The same reading surface as
-    :class:`~repro.core.montecarlo.AnswerEstimate` plus the shard's
-    ``document`` key; the answer tree crossed the pipe as compact XML
-    and is parsed lazily on first access.
-    """
-
-    __slots__ = (
-        "document",
-        "probability",
-        "stderr",
-        "samples",
-        "occurrences",
-        "_tree_xml",
-        "_tree",
-    )
+    __slots__ = ("stderr", "samples", "occurrences")
 
     def __init__(self, document: str, payload: dict) -> None:
-        self.document = document
-        self.probability = payload["probability"]
+        super().__init__(document, payload)
         self.stderr = payload["stderr"]
         self.samples = payload["samples"]
         self.occurrences = payload["occurrences"]
-        self._tree_xml = payload["tree_xml"]
-        self._tree = None
-
-    @property
-    def tree(self):
-        if self._tree is None:
-            self._tree = plain_from_string(self._tree_xml)
-        return self._tree
 
     def __repr__(self) -> str:
         return (
             f"ClusterEstimate({self.document!r}, p={self.probability:.4f}"
             f"±{self.stderr:.4f})"
-        )
-
-
-class ClusterResultSet:
-    """Lazy fan-out query over a process collection's workers.
-
-    Mirrors :class:`~repro.serve.collection.CollectionResultSet`:
-    immutable, each refinement (``limit``, ``order_by_probability``,
-    ``min_probability``) returns a new set, iteration yields rows in
-    deterministic (shard key, row) order — or globally by descending
-    probability once ordered.  The options are pushed to every worker
-    (a shard contributes at most n rows, already branch-and-bound
-    pruned) and capped again at the merge.
-    """
-
-    __slots__ = ("_collection", "_pattern", "_keys", "_options")
-
-    def __init__(
-        self, collection, pattern: str, keys, limit=None, *, options=None
-    ) -> None:
-        self._collection = collection
-        self._pattern = pattern
-        self._keys = keys
-        self._options = (
-            options if options is not None else QueryOptions(limit=limit)
-        )
-
-    @property
-    def options(self) -> QueryOptions:
-        return self._options
-
-    @property
-    def _limit(self):
-        return self._options.limit
-
-    def _replace(self, **changes) -> "ClusterResultSet":
-        return ClusterResultSet(
-            self._collection,
-            self._pattern,
-            self._keys,
-            options=self._options.replace(**changes),
-        )
-
-    def limit(self, n: int) -> "ClusterResultSet":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise QueryError(f"limit must be a non-negative int, got {n!r}")
-        capped = n if self._limit is None else min(self._limit, n)
-        return self._replace(limit=capped)
-
-    def order_by_probability(self) -> "ClusterResultSet":
-        return self._replace(order="probability")
-
-    def min_probability(self, p) -> "ClusterResultSet":
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise QueryError(
-                f"min_probability must be a number in [0, 1], got {p!r}"
-            )
-        current = self._options.min_probability
-        floor = float(p) if current is None else max(current, float(p))
-        return self._replace(min_probability=floor)
-
-    def _wire_options(self):
-        """The options to ship, or None to keep the legacy frame shape.
-
-        A plain query (document order, no floor, no estimate) stays on
-        the pattern+limit payload so its wire frames — and therefore
-        the PR-7 byte-parity contract — are unchanged.  The pattern
-        travels in its own frame field, so it is stripped here."""
-        options = self._options.replace(pattern=None, document=None)
-        if options == QueryOptions(limit=options.limit):
-            return None
-        return options
-
-    def __iter__(self):
-        if self._limit == 0:
-            return iter(())
-        rows_by_key = self._collection._fanout_query(
-            self._pattern, self._keys, self._limit, options=self._wire_options()
-        )
-        if self._options.order == "probability":
-            return self._merge_probability(rows_by_key)
-        return self._merge(rows_by_key)
-
-    def _merge(self, rows_by_key: dict[str, list[ClusterRow]]):
-        emitted = 0
-        for key in sorted(rows_by_key):
-            for row in rows_by_key[key]:
-                yield row
-                emitted += 1
-                if self._limit is not None and emitted >= self._limit:
-                    return
-
-    def _merge_probability(self, rows_by_key: dict[str, list[ClusterRow]]):
-        """Global probability order across shards, ties by (key, rank).
-
-        Each worker already returned its rows in descending probability
-        with ties broken by local emission order, so sorting on
-        ``(-probability, key, rank)`` reproduces exactly the order a
-        single session over the union would produce."""
-        merged = []
-        for key in sorted(rows_by_key):
-            for rank, row in enumerate(rows_by_key[key]):
-                merged.append((-row.probability, key, rank, row))
-        merged.sort(key=lambda entry: entry[:3])
-        yield from (entry[3] for entry in merged[: self._limit])
-
-    def estimate(
-        self, *, epsilon=None, deadline_ms=None, seed: int = 0
-    ) -> list[tuple[str, "ClusterEstimate"]]:
-        """Anytime Monte-Carlo estimates fanned out to every shard.
-
-        Returns ``(document, estimate)`` pairs merged by descending
-        probability (ties by shard key then per-shard order) and capped
-        at the limit — the same merge discipline as the exact
-        probability-ordered path."""
-        if epsilon is None:
-            epsilon = self._options.epsilon
-        if deadline_ms is None:
-            deadline_ms = self._options.deadline_ms
-        if self._limit == 0:
-            return []
-        wire = self._options.replace(
-            pattern=None, document=None, epsilon=epsilon, deadline_ms=deadline_ms
-        )
-        if not wire.is_estimate:
-            # Match estimate_answers' default target so the worker-side
-            # sampler actually converges instead of running forever.
-            wire = wire.replace(epsilon=0.05)
-        rows_by_key = self._collection._fanout_query(
-            self._pattern,
-            self._keys,
-            self._limit,
-            options=wire,
-            seed=seed,
-            wrap=ClusterEstimate,
-        )
-        merged = []
-        for key in sorted(rows_by_key):
-            for rank, estimate in enumerate(rows_by_key[key]):
-                merged.append((-estimate.probability, key, rank, estimate))
-        merged.sort(key=lambda entry: entry[:3])
-        return [(entry[3].document, entry[3]) for entry in merged[: self._limit]]
-
-    def all(self) -> list[ClusterRow]:
-        return list(self)
-
-    def first(self) -> ClusterRow | None:
-        for row in self.limit(1):
-            return row
-        return None
-
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:
-        limit = "" if self._limit is None else f", limit={self._limit}"
-        return (
-            f"ClusterResultSet({self._pattern!r}, "
-            f"{len(self._keys)} shards{limit})"
         )
 
 
@@ -958,92 +786,65 @@ class ProcessCollection:
 
     def query(
         self, query=None, keys: list[str] | None = None, *, options=None
-    ) -> ClusterResultSet:
+    ) -> FanoutResultSet:
         """A lazy fan-out query over every shard (or just *keys*).
 
-        Accepts the same :class:`~repro.api.options.QueryOptions`
-        surface as :meth:`Collection.query`: the pattern may live on
-        the options object, and ``options.document`` narrows the query
-        to one shard when *keys* is not given.
+        The same arguments and the same
+        :class:`~repro.serve.collection.FanoutResultSet` as
+        :meth:`Collection.query`; the rows it streams are
+        :class:`ClusterRow` objects and ``answers()`` is not served.
         """
         self._check_open()
-        from repro.api.builders import compile_pattern
-
-        if options is not None:
-            if not isinstance(options, QueryOptions):
-                raise QueryError(
-                    f"options must be a QueryOptions, got {options!r}"
-                )
-            if query is None:
-                if options.pattern is None:
-                    raise QueryError(
-                        "query(options=...) needs options.pattern "
-                        "when no pattern argument is given"
-                    )
-                query = options.pattern
-            if keys is None and options.document is not None:
-                keys = [options.document]
-        elif query is None:
-            raise QueryError("query() needs a pattern or options")
-
-        pattern = str(compile_pattern(query))
+        pattern, options, keys = resolve_query(query, options, keys)
         if keys is None:
             keys = self.keys()
         else:
-            keys = list(keys)
-            known = set(self.keys())
             for key in keys:
-                if key not in known:
-                    raise WarehouseError(
-                        f"no document {key!r} in collection {self._path}"
-                    )
-        return ClusterResultSet(self, pattern, keys, options=options)
+                self._placement_for(key)  # validate early, before the fan-out
+        return FanoutResultSet(self, pattern, keys, options)
 
-    def _fanout_query(
-        self,
-        pattern: str,
-        keys,
-        limit: int | None,
-        options: QueryOptions | None = None,
-        seed: int = 0,
-        wrap=ClusterRow,
-    ) -> dict[str, list[ClusterRow]]:
-        """Run *pattern* on every worker owning one of *keys*; returns
-        rows grouped by document key (each worker's shards answered by
-        one QUERY frame, workers in parallel threads).  A worker whose
-        batch fails retryably degrades to per-key replica failover.
+    def _shard_results(self, pattern, keys, options, what, seed):
+        """:class:`FanoutResultSet`'s hook: one QUERY frame per worker
+        owning some of *keys* (workers in parallel threads), ``(key,
+        items)`` yielded in sorted key order.  A worker whose batch
+        fails retryably degrades to per-key replica failover.
 
-        *options* (when not None) ships the QueryOptions wire form so
-        workers run the bounded/estimate execution paths; *wrap* builds
-        the per-row object (:class:`ClusterRow` for exact rows,
-        :class:`ClusterEstimate` for Monte-Carlo answers)."""
+        The payload is always ``{"pattern", "keys", "options"}`` —
+        *options* in its :meth:`QueryOptions.to_json` wire form, so
+        workers run exactly the local-query semantics — plus ``seed``
+        for estimates (and ``replica`` on a failover attempt).  Items
+        are :class:`ClusterRow` or :class:`ClusterEstimate` objects.
+        """
+        if what == "answers":
+            raise QueryError(
+                "answers() is not served by a process collection (answer "
+                "aggregates do not cross the process boundary); read rows, "
+                "or open the collection in thread mode"
+            )
         self._check_open()
-        wanted = set(keys)
         with self._routing_lock:
             by_worker: dict[str, list[str]] = {}
-            for key in wanted & self._all_keys_locked():
+            for key in set(keys) & self._all_keys_locked():
                 by_worker.setdefault(self._ring.route(key), []).append(key)
             handles = {name: self._handles[name] for name in by_worker}
         if not by_worker:
-            return {}
+            return
         obs = self._obs
         if obs is not None and obs.metrics.enabled:
             obs.metrics.incr("serve.fanout_queries")
         t0 = perf_counter()
         deadline = monotonic() + self._query_deadline
-        wire_options = None if options is None else options.to_json()
+        payload = {"pattern": str(pattern), "options": options.to_json()}
+        if what == "estimates":
+            payload["seed"] = seed
 
         def run_worker(name: str) -> dict:
             batch = sorted(by_worker[name])
-            payload = {"pattern": pattern, "keys": batch, "limit": limit}
-            if wire_options is not None:
-                payload["options"] = wire_options
-                payload["seed"] = seed
             try:
                 reply = self._request(
                     handles[name],
                     Verb.QUERY,
-                    payload,
+                    dict(payload, keys=batch),
                     timeout=self._attempt_timeout,
                 )
                 return reply.get("rows", {})
@@ -1051,19 +852,10 @@ class ProcessCollection:
                 if self._replication <= 1:
                     raise
                 return {
-                    key: self._query_key_failover(
-                        key,
-                        pattern,
-                        limit,
-                        deadline,
-                        first_error=exc,
-                        wire_options=wire_options,
-                        seed=seed,
-                    )
+                    key: self._query_key_failover(key, payload, deadline, exc)
                     for key in batch
                 }
 
-        rows_by_key: dict[str, list[ClusterRow]] = {}
         if len(by_worker) == 1:
             (name,) = by_worker
             replies = [run_worker(name)]
@@ -1072,22 +864,15 @@ class ProcessCollection:
                 max_workers=len(by_worker), thread_name_prefix="repro-cluster-fanout"
             ) as pool:
                 replies = list(pool.map(run_worker, sorted(by_worker)))
-        for reply in replies:
-            for key, rows in reply.items():
-                rows_by_key[key] = [wrap(key, row) for row in rows]
         if obs is not None and obs.metrics.enabled:
             obs.metrics.observe("serve.fanout_seconds", perf_counter() - t0)
-        return rows_by_key
+        wrap = ClusterEstimate if what == "estimates" else ClusterRow
+        rows_by_key = {key: rows for reply in replies for key, rows in reply.items()}
+        for key in sorted(rows_by_key):
+            yield key, [wrap(key, row) for row in rows_by_key[key]]
 
     def _query_key_failover(
-        self,
-        key: str,
-        pattern: str,
-        limit,
-        deadline: float,
-        first_error=None,
-        wire_options=None,
-        seed: int = 0,
+        self, key: str, payload: dict, deadline: float, first_error
     ) -> list[dict]:
         """One key's rows from whichever copy answers first.
 
@@ -1119,20 +904,11 @@ class ProcessCollection:
                     if self._attempt_timeout is not None
                     else remaining
                 )
-                payload = {
-                    "pattern": pattern,
-                    "keys": [key],
-                    "limit": limit,
-                    "replica": position > 0,
-                }
-                if wire_options is not None:
-                    payload["options"] = wire_options
-                    payload["seed"] = seed
                 try:
                     reply = self._request(
                         handle,
                         Verb.QUERY,
-                        payload,
+                        dict(payload, keys=[key], replica=position > 0),
                         timeout=timeout,
                     )
                 except (ShardUnavailableError, WireError) as exc:

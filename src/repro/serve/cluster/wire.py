@@ -24,10 +24,10 @@ table; real dicts that happen to use a reserved key are escaped as
     u32  JSON length, then the UTF-8 JSON bytes
     u32  blob count, then per blob: u32 length + raw bytes
 
-Frames travel over either a :class:`multiprocessing.Pipe` connection
+Frames travel over a :class:`multiprocessing.Pipe` connection
 (:class:`PipeTransport` — the connection's own message framing carries
-whole frames, the length prefix is kept for uniformity) or a stream
-socket (:class:`SocketTransport` — the length prefix *is* the framing).
+whole frames; the length prefix is kept so a frame is self-delimiting
+on any byte stream).
 A checksum mismatch, a truncated frame, a version mismatch or an
 unknown verb raises :class:`WireError`; EOF on the underlying channel
 raises plain :class:`EOFError` so the supervisor can tell "peer died"
@@ -47,7 +47,6 @@ from repro.errors import WarehouseError
 __all__ = [
     "FRAME_FORMAT_VERSION",
     "PipeTransport",
-    "SocketTransport",
     "Verb",
     "WireError",
     "decode_frame",
@@ -258,33 +257,3 @@ class PipeTransport:
     @property
     def closed(self) -> bool:
         return self._conn.closed
-
-
-class SocketTransport:
-    """Frames over a stream socket; the length prefix is the framing."""
-
-    __slots__ = ("_sock",)
-
-    def __init__(self, sock) -> None:
-        self._sock = sock
-
-    def send(self, verb: Verb, request_id: int, payload: object) -> None:
-        self._sock.sendall(encode_frame(verb, request_id, payload))
-
-    def recv(self, timeout: float | None = None) -> tuple[Verb, int, object]:
-        self._sock.settimeout(timeout)
-        prefix = self._read_exact(_LENGTH.size)
-        (length,) = _LENGTH.unpack(prefix)
-        return decode_frame(prefix + self._read_exact(length))
-
-    def _read_exact(self, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = self._sock.recv(n - len(chunks))
-            if not chunk:
-                raise EOFError("socket closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
-
-    def close(self) -> None:
-        self._sock.close()

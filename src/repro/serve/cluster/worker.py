@@ -21,6 +21,11 @@ has not been synced yet answers with the retryable
 :class:`~repro.errors.ShardUnavailableError` so the supervisor's
 failover sweep moves on to the next candidate.
 
+A QUERY payload is ``{"pattern", "keys", "options"}`` — *options* the
+:meth:`~repro.api.options.QueryOptions.to_json` wire form — plus
+``seed`` for estimates and ``replica`` on a failover attempt; the reply
+maps each key to its encoded rows (or estimates).
+
 Workers run with ``observability=None`` sessions: the supervisor's
 ``cluster.*`` metrics are the cluster's instrument panel, and a child
 process's registry would be invisible to the parent anyway.
@@ -131,32 +136,18 @@ class _Worker:
     # ------------------------------------------------------------------
 
     def handle_query(self, payload: dict) -> dict:
-        pattern = payload["pattern"]
-        limit = payload.get("limit")
-        replica = bool(payload.get("replica"))
-        keys = payload.get("keys")
-        wire_options = payload.get("options")
         # The supervisor ships the QueryOptions wire form verbatim; the
         # worker reconstructs the identical object, so per-shard
         # execution follows exactly the local-query semantics (same
         # branch-and-bound, same estimator seed).
-        options = (
-            QueryOptions.from_json(wire_options, require_pattern=False).replace(
-                document=None
-            )
-            if wire_options is not None
-            else None
-        )
-        if keys is None:
-            keys = sorted(self.replicas if replica else self.sessions)
-        else:
-            keys = sorted(keys)
-        if options is not None and options.is_estimate:
-            seed = int(payload.get("seed", 0))
-            estimates: dict[str, list[dict]] = {}
-            for key in keys:
-                session = self._session(key, replica)
-                estimates[key] = [
+        pattern = payload["pattern"]
+        options = QueryOptions.from_json(payload["options"], require_pattern=False)
+        replica = bool(payload.get("replica"))
+        if "seed" in payload:  # shipped for estimates only
+            seed = int(payload["seed"])
+
+            def encode(results) -> list[dict]:
+                return [
                     {
                         "probability": estimate.probability,
                         "stderr": estimate.stderr,
@@ -164,29 +155,26 @@ class _Worker:
                         "occurrences": estimate.occurrences,
                         "tree_xml": plain_to_string(estimate.tree, indent=False),
                     }
-                    for estimate in session.query(
-                        pattern, options=options
-                    ).estimate(seed=seed)
+                    for estimate in results.estimate(seed=seed)
                 ]
-            return {"rows": estimates, "estimate": True}
-        rows: dict[str, list[dict]] = {}
-        for key in keys:
-            session = self._session(key, replica)
-            if options is not None:
-                results = session.query(pattern, options=options)
-            else:
-                results = session.query(pattern)
-                if limit is not None:
-                    results = results.limit(limit)
-            rows[key] = [
-                {
-                    "probability": row.probability,
-                    "tree_xml": plain_to_string(row.tree, indent=False),
-                    "bindings": row.bindings(),
-                }
-                for row in results
-            ]
-        return {"rows": rows}
+        else:
+
+            def encode(results) -> list[dict]:
+                return [
+                    {
+                        "probability": row.probability,
+                        "tree_xml": plain_to_string(row.tree, indent=False),
+                        "bindings": row.bindings(),
+                    }
+                    for row in results
+                ]
+
+        return {
+            "rows": {
+                key: encode(self._session(key, replica).query(pattern, options=options))
+                for key in sorted(payload["keys"])
+            }
+        }
 
     def handle_update(self, payload: dict) -> dict:
         key = payload["key"]

@@ -17,6 +17,10 @@ served through a shared :class:`~repro.serve.pool.SessionPool`:
   once n rows have been emitted, shards that have not started are
   cancelled.
 
+:class:`FanoutResultSet` is that merge, written once: the process
+engine (:class:`~repro.serve.cluster.ProcessCollection`) serves the
+same class through its own ``_shard_results`` hook.
+
 On disk a collection is::
 
     my-collection/
@@ -42,14 +46,16 @@ import json
 import os
 import re
 import threading
+from contextlib import closing
 from pathlib import Path
 from time import perf_counter
 
 from repro.api.options import QueryOptions
+from repro.api.results import BaseResultSet, resolve_query
 from repro.api.session import Session, connect
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.core.update import UpdateReport
-from repro.errors import QueryError, WarehouseError
+from repro.errors import WarehouseError
 from repro.serve.pool import SessionPool
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 from repro.warehouse.warehouse import (
@@ -57,7 +63,7 @@ from repro.warehouse.warehouse import (
     _resolve_observability,
 )
 
-__all__ = ["Collection", "CollectionResultSet", "ShardRow", "connect_collection"]
+__all__ = ["Collection", "FanoutResultSet", "connect_collection"]
 
 _MANIFEST = "collection.json"
 _FORMAT = "repro-collection-v1"
@@ -189,302 +195,91 @@ def connect_collection(
     return collection
 
 
-class ShardRow:
-    """One merged query row: a shard's :class:`~repro.api.results.Row`
-    plus the document key it came from."""
-
-    __slots__ = ("document", "row")
-
-    def __init__(self, document: str, row) -> None:
-        #: The document key of the shard this row matched in.
-        self.document = document
-        #: The underlying per-shard row (probability, tree, bindings…).
-        self.row = row
-
-    @property
-    def probability(self) -> float:
-        return self.row.probability
-
-    @property
-    def tree(self):
-        return self.row.tree
-
-    def bindings(self) -> dict[str, str | None]:
-        return self.row.bindings()
-
-    def explain(self) -> list[dict]:
-        return self.row.explain()
-
-    def __repr__(self) -> str:
-        return f"ShardRow({self.document!r}, {self.row!r})"
-
-
-class CollectionResultSet:
+class FanoutResultSet(BaseResultSet):
     """A lazy, re-iterable fan-out query over a collection's shards.
 
-    Immutable like :class:`~repro.api.results.ResultSet`
-    (:meth:`limit` returns a new one).  Iteration submits one task per
-    shard to the collection's pool (bounded concurrency), then yields
-    :class:`ShardRow` objects in deterministic (shard, row) order:
+    Immutable like :class:`~repro.api.results.ResultSet` (same
+    refinements, each returning a new set).  The one merge both
+    collection engines share: the collection supplies each shard's
+    items through its ``_shard_results(pattern, keys, options, what,
+    seed)`` hook — ``(key, items)`` pairs in sorted key order, *what*
+    one of ``"rows"``, ``"answers"``, ``"estimates"`` — and this class
+    owns everything above it.  Rows carry their shard's key as
+    ``row.document`` and stream in deterministic (shard, row) order:
     shards in sorted key order, each shard's rows in its engine's
-    deterministic match order.  The global limit is pushed into every
-    shard (a shard can contribute at most n of the first n rows) and
-    short-circuits the fan-out: once n rows have been emitted, shard
-    tasks that have not started are cancelled.
+    deterministic match order.  The limit is pushed into every shard (a
+    shard can contribute at most n of the first n rows) and
+    short-circuits the fan-out: once n rows have been emitted the hook
+    is closed, which cancels shard work that has not started.
     """
 
-    __slots__ = ("_collection", "_pattern", "_keys", "_options")
+    __slots__ = ("_collection", "_keys")
 
-    def __init__(
-        self,
-        collection: "Collection",
-        pattern,
-        keys,
-        limit=None,
-        *,
-        options: QueryOptions | None = None,
-    ) -> None:
+    def __init__(self, collection, pattern, keys, options: QueryOptions) -> None:
         self._collection = collection
         self._pattern = pattern
         self._keys = keys
-        self._options = options if options is not None else QueryOptions(limit=limit)
+        self._options = options
 
-    @property
-    def options(self) -> QueryOptions:
-        """The frozen execution envelope every shard receives."""
-        return self._options
+    def _with_options(self, options: QueryOptions) -> "FanoutResultSet":
+        return FanoutResultSet(self._collection, self._pattern, self._keys, options)
 
-    @property
-    def _limit(self):
-        return self._options.limit
+    def _summary(self) -> str:
+        return f"{str(self._pattern)!r}, {len(self._keys)} shards"
 
-    def _replace(self, **changes) -> "CollectionResultSet":
-        return CollectionResultSet(
-            self._collection,
-            self._pattern,
-            self._keys,
-            options=self._options.replace(**changes),
-        )
-
-    def limit(self, n: int) -> "CollectionResultSet":
-        """At most *n* merged rows (early termination in every shard)."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise QueryError(f"limit must be a non-negative int, got {n!r}")
-        current = self._options.limit
-        capped = n if current is None else min(current, n)
-        return self._replace(limit=capped)
-
-    def order_by_probability(self) -> "CollectionResultSet":
-        """Merged rows in decreasing-probability order.
-
-        Each shard runs its own branch-and-bound top-k (the global
-        top-k rows are necessarily within their shard's top-k), then
-        the merge re-sorts deterministically by ``(probability desc,
-        shard key, per-shard rank)`` and caps at the limit.  Unlike
-        document order this is a barrier: every shard must report
-        before the first row can be emitted.
-        """
-        return self._replace(order="probability")
-
-    def min_probability(self, p) -> "CollectionResultSet":
-        """Only rows with probability >= *p*, pruned inside every shard."""
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise QueryError(
-                f"min_probability must be a number in [0, 1], got {p!r}"
+    def _shards(self, what: str, seed: int = 0, **overrides):
+        """The collection's hook for this query (``limit(0)`` runs
+        nothing).  The routing field stays at this layer and the
+        pattern travels compiled — shards get the rest of the options.
+        Closing this generator closes the hook."""
+        if self._options.limit != 0:
+            options = self._options.replace(document=None, pattern=None, **overrides)
+            yield from self._collection._shard_results(
+                self._pattern, self._keys, options, what, seed
             )
-        current = self._options.min_probability
-        floor = float(p) if current is None else max(current, float(p))
-        return self._replace(min_probability=floor)
 
-    def _shard_options(self) -> QueryOptions:
-        # The routing field stays at this layer; shards get the rest.
-        return self._options.replace(document=None)
+    def _by_probability(self, shards) -> list[tuple[str, object]]:
+        """``(key, item)`` pairs by decreasing probability, capped.
 
-    def _iter_probability(self):
-        """The decreasing-probability merge (a fan-out barrier)."""
-        collection = self._collection
-        options = self._shard_options()
-        limit = options.limit
-        obs = collection._obs
-        metrics = obs is not None and obs.metrics.enabled
-        if metrics:
-            obs.metrics.incr("serve.fanout_queries")
-        t0 = perf_counter()
-
-        def run_shard(session: Session):
-            return session.query(self._pattern, options=options).all()
-
-        futures = [
-            (key, collection._pool.submit(run_shard, collection.document(key)))
-            for key in self._keys
+        A barrier: every shard reports first.  Each shard already
+        ranked its own items (ties in its emission order), so sorting
+        on ``(-probability, key, rank)`` reproduces exactly the order a
+        single session over the union would produce."""
+        merged = [
+            (-item.probability, key, rank, item)
+            for key, items in shards
+            for rank, item in enumerate(items)
         ]
-        merged = []
-        for key, future in futures:
-            merged.extend(
-                (-row.probability, key, rank, row)
-                for rank, row in enumerate(future.result())
-            )
         merged.sort(key=lambda entry: entry[:3])
-        if metrics:
-            obs.metrics.observe("serve.fanout_seconds", perf_counter() - t0)
-        for _neg, key, _rank, row in merged[:limit]:
-            yield ShardRow(key, row)
+        return [(key, item) for _p, key, _rank, item in merged[: self._options.limit]]
 
     def __iter__(self):
-        collection = self._collection
-        options = self._options
-        limit = options.limit
-        if limit == 0:
-            return
-        if options.order == "probability":
-            yield from self._iter_probability()
-            return
-        sessions = [
-            (key, collection.document(key)) for key in self._keys
-        ]
-        shard_options = self._shard_options()
-        obs = collection._obs
-        tracing = obs is not None and obs.tracer.enabled
-        metrics = obs is not None and obs.metrics.enabled
-
-        # Flipped when the merge ends early (limit hit, consumer
-        # abandoned the iterator, deadline cancel).  future.cancel()
-        # only stops tasks the executor has not picked up; a task that
-        # starts *after* the cancel decision — cancel() raced the
-        # worker's pickup and lost — sees the flag at entry and returns
-        # without touching its shard (no pin, no query, no rows).
-        abandoned = threading.Event()
-
-        if not tracing and not metrics:
-            def run_shard(session: Session):
-                if abandoned.is_set():
-                    return []
-                return session.query(self._pattern, options=shard_options).all()
-
-            futures = [
-                (key, collection._pool.submit(run_shard, session))
-                for key, session in sessions
-            ]
+        limit = self._options.limit
+        with closing(self._shards("rows")) as shards:
+            if self._options.order == "probability":
+                for _key, row in self._by_probability(shards):
+                    yield row
+                return
             emitted = 0
-            try:
-                for key, future in futures:
-                    for row in future.result():
-                        yield ShardRow(key, row)
-                        emitted += 1
-                        if limit is not None and emitted >= limit:
-                            return
-            finally:
-                # Short-circuited (or the consumer stopped pulling):
-                # shard tasks that have not started yet need not run.
-                abandoned.set()
-                for _key, future in futures:
-                    future.cancel()
-            return
-
-        registry = obs.metrics
-        if metrics:
-            registry.incr("serve.fanout_queries")
-        span = (
-            obs.tracer.start(
-                "fanout", pattern=self._pattern, shards=len(sessions)
-            )
-            if tracing
-            else None
-        )
-        t0 = perf_counter()
-
-        def run_shard(session: Session):
-            # Worker-side timestamps: shard wall time excludes queue
-            # wait (the pool's own histogram covers that) and the
-            # merge-side blocking below.
-            started = perf_counter()
-            if abandoned.is_set():
-                return [], started, started
-            rows = session.query(self._pattern, options=shard_options).all()
-            return rows, started, perf_counter()
-
-        futures = [
-            (key, collection._pool.submit(run_shard, session))
-            for key, session in sessions
-        ]
-        emitted = 0
-        waited = 0.0
-        try:
-            for key, future in futures:
-                t_wait = perf_counter()
-                rows, started, ended = future.result()
-                waited += perf_counter() - t_wait
-                shard_seconds = ended - started
-                if span is not None:
-                    span.record(
-                        "shard", shard_seconds, document=key, rows=len(rows)
-                    )
-                if metrics:
-                    registry.observe("serve.shard_seconds", shard_seconds)
+            for _key, rows in shards:
                 for row in rows:
-                    yield ShardRow(key, row)
+                    yield row
                     emitted += 1
                     if limit is not None and emitted >= limit:
                         return
-        finally:
-            abandoned.set()
-            for _key, future in futures:
-                future.cancel()
-            total = perf_counter() - t0
-            if span is not None:
-                # Merge-side time the consumer spent outside shard
-                # waits: yielding rows, bookkeeping, downstream work.
-                span.record("merge", max(0.0, total - waited))
-                span.attributes["rows"] = emitted
-                obs.tracer.finish(span)
-            if metrics:
-                registry.observe("serve.fanout_seconds", total)
-
-    def all(self) -> list[ShardRow]:
-        """Materialize every merged row (honoring :meth:`limit`)."""
-        return list(self)
-
-    def first(self) -> ShardRow | None:
-        """The first merged row, short-circuiting the rest."""
-        for row in self.limit(1):
-            return row
-        return None
-
-    def count(self) -> int:
-        """Number of merged rows (honoring :meth:`limit`)."""
-        return sum(1 for _ in self)
 
     def answers(self) -> list[tuple[str, object]]:
         """Per-shard ranked answers as ``(document key, FuzzyAnswer)``.
 
         Aggregation never crosses shards: each document has its own
         independent event table, so only rows *within* one shard can be
-        disjoined.  Shards are fanned out on the pool exactly like row
-        iteration; results come back in sorted key order, ranked within
-        each shard.  A set limit bounds each shard's streamed prefix.
+        disjoined.  Results come back in sorted key order, ranked
+        within each shard; a set limit bounds each shard's streamed
+        prefix.  (Thread collections only: answer aggregates do not
+        cross the process boundary.)
         """
-        collection = self._collection
-        obs = collection._obs
-        metrics = obs is not None and obs.metrics.enabled
-        if metrics:
-            obs.metrics.incr("serve.fanout_queries")
-        t0 = perf_counter()
-
-        shard_options = self._shard_options()
-
-        def run_shard(session: Session):
-            return session.query(self._pattern, options=shard_options).answers()
-
-        futures = [
-            (key, collection._pool.submit(run_shard, collection.document(key)))
-            for key in self._keys
-        ]
-        merged: list[tuple[str, object]] = []
-        for key, future in futures:
-            merged.extend((key, answer) for answer in future.result())
-        if metrics:
-            obs.metrics.observe("serve.fanout_seconds", perf_counter() - t0)
-        return merged
+        with closing(self._shards("answers")) as shards:
+            return [(key, answer) for key, answers in shards for answer in answers]
 
     def estimate(
         self,
@@ -498,47 +293,18 @@ class CollectionResultSet:
         Fans out :meth:`~repro.api.results.ResultSet.estimate` to every
         shard (each samples its own event table — estimates, like
         answers, never cross shards) and returns ``(document key,
-        AnswerEstimate)`` pairs sorted by decreasing estimated
-        probability, ties by shard key then the shard's own order.
+        estimate)`` pairs by decreasing estimated probability, ties by
+        shard key then the shard's own order, capped at the limit.
         """
-        if self._options.limit == 0:
-            return []
-        collection = self._collection
-        shard_options = self._shard_options()
-        obs = collection._obs
-        metrics = obs is not None and obs.metrics.enabled
-        if metrics:
-            obs.metrics.incr("serve.fanout_queries")
-        t0 = perf_counter()
-
-        def run_shard(session: Session):
-            return session.query(self._pattern, options=shard_options).estimate(
-                epsilon=epsilon, deadline_ms=deadline_ms, seed=seed
-            )
-
-        futures = [
-            (key, collection._pool.submit(run_shard, collection.document(key)))
-            for key in self._keys
-        ]
-        merged = []
-        for key, future in futures:
-            merged.extend(
-                (-estimate.probability, key, rank, estimate)
-                for rank, estimate in enumerate(future.result())
-            )
-        merged.sort(key=lambda entry: entry[:3])
-        if metrics:
-            obs.metrics.observe("serve.fanout_seconds", perf_counter() - t0)
-        return [(key, estimate) for _neg, key, _rank, estimate in merged]
-
-    def __repr__(self) -> str:
-        extras = self._options.to_json()
-        extras.pop("pattern", None)
-        rendered = "".join(f", {k}={v!r}" for k, v in sorted(extras.items()))
-        return (
-            f"CollectionResultSet({str(self._pattern)!r}, "
-            f"{len(self._keys)} shards{rendered})"
-        )
+        options = self._options
+        if epsilon is None:
+            epsilon = options.epsilon
+        if deadline_ms is None:
+            deadline_ms = options.deadline_ms
+        with closing(
+            self._shards("estimates", seed, epsilon=epsilon, deadline_ms=deadline_ms)
+        ) as shards:
+            return self._by_probability(shards)
 
 
 class Collection:
@@ -695,48 +461,101 @@ class Collection:
         keys: list[str] | None = None,
         *,
         options: QueryOptions | None = None,
-    ) -> CollectionResultSet:
+    ) -> FanoutResultSet:
         """A lazy fan-out query over every shard (or just *keys*).
 
-        Returns a :class:`CollectionResultSet`; nothing runs until it
-        is iterated.  *options* carries the full execution envelope
-        (and may substitute for *query* via its ``pattern`` field);
-        its ``document`` field, when set, restricts the fan-out to
-        that one shard.
+        Returns a :class:`FanoutResultSet`; nothing runs until it is
+        iterated.  *options* carries the full execution envelope (and
+        may substitute for *query* via its ``pattern`` field); its
+        ``document`` field, when set, restricts the fan-out to that one
+        shard.  The pattern is compiled once and shared across shards:
+        patterns are immutable and every shard engine re-keys matches
+        onto its own plan anyway.
         """
         self._check_open()
-        if options is not None:
-            if not isinstance(options, QueryOptions):
-                raise QueryError(
-                    f"options must be a QueryOptions, got {options!r}"
-                )
-            if query is None:
-                if options.pattern is None:
-                    raise QueryError(
-                        "query() needs a pattern: pass one positionally "
-                        "or set options.pattern"
-                    )
-                query = options.pattern
-            if options.document is not None and keys is None:
-                keys = [options.document]
-        elif query is None:
-            raise QueryError(
-                "query() needs a pattern (string, Pattern or builder) "
-                "or options="
-            )
+        pattern, options, keys = resolve_query(query, options, keys)
         if keys is None:
             keys = self.keys()
         else:
-            keys = list(keys)
             for key in keys:
                 self.document(key)  # validate early, before the fan-out
-        # Compile once, share across shards: patterns are immutable and
-        # every shard engine re-keys matches onto its own plan anyway.
-        from repro.api.builders import compile_pattern
+        return FanoutResultSet(self, pattern, keys, options)
 
-        return CollectionResultSet(
-            self, compile_pattern(query), keys, options=options
+    def _shard_results(self, pattern, keys, options, what, seed):
+        """:class:`FanoutResultSet`'s hook: one pool task per shard
+        (bounded concurrency), ``(key, items)`` yielded in *keys* order.
+
+        Closing the generator — limit hit, consumer abandoned the
+        iterator, deadline cancel — cancels the tasks the executor has
+        not picked up; a task that starts *after* that decision
+        (``cancel()`` raced the worker's pickup and lost) sees the flag
+        at entry and returns without touching its shard (no pin, no
+        query, no rows).
+        """
+        sessions = [(key, self.document(key)) for key in keys]
+        obs = self._obs
+        tracing = obs is not None and obs.tracer.enabled
+        metrics = obs is not None and obs.metrics.enabled
+        abandoned = threading.Event()
+
+        def run_shard(key: str, session: Session):
+            # Worker-side timestamps: shard wall time excludes queue
+            # wait (the pool's own histogram covers that) and the
+            # merge-side blocking below.
+            started = perf_counter()
+            if abandoned.is_set():
+                return [], 0.0
+            results = session.query(pattern, options=options)
+            if what == "rows":
+                items = results.all()
+                for row in items:
+                    row.document = key
+            elif what == "answers":
+                items = results.answers()
+            else:
+                items = results.estimate(seed=seed)
+            return items, perf_counter() - started
+
+        if metrics:
+            obs.metrics.incr("serve.fanout_queries")
+        span = (
+            obs.tracer.start("fanout", pattern=pattern, shards=len(sessions))
+            if tracing
+            else None
         )
+        t0 = perf_counter()
+        futures = [
+            (key, self._pool.submit(run_shard, key, session))
+            for key, session in sessions
+        ]
+        items_seen = 0
+        waited = 0.0
+        try:
+            for key, future in futures:
+                t_wait = perf_counter()
+                items, shard_seconds = future.result()
+                waited += perf_counter() - t_wait
+                if span is not None:
+                    span.record(
+                        "shard", shard_seconds, document=key, rows=len(items)
+                    )
+                if metrics:
+                    obs.metrics.observe("serve.shard_seconds", shard_seconds)
+                items_seen += len(items)
+                yield key, items
+        finally:
+            abandoned.set()
+            for _key, future in futures:
+                future.cancel()
+            total = perf_counter() - t0
+            if span is not None:
+                # Merge-side time the consumer spent outside shard
+                # waits: yielding rows, bookkeeping, downstream work.
+                span.record("merge", max(0.0, total - waited))
+                span.attributes["rows"] = items_seen
+                obs.tracer.finish(span)
+            if metrics:
+                obs.metrics.observe("serve.fanout_seconds", total)
 
     # ------------------------------------------------------------------
     # Introspection

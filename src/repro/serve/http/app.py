@@ -74,9 +74,8 @@ def canonical_json(payload) -> bytes:
 def encode_row(row) -> dict:
     """One streamed row as a JSON-ready record.
 
-    Works for both per-session :class:`~repro.api.results.Row` and
-    fan-out :class:`~repro.serve.collection.ShardRow` (which adds the
-    ``document`` key of the shard the row matched in).  Reading
+    Works for session rows, fan-out rows (whose ``document`` is the
+    key of the shard the row matched in) and bare core rows.  Reading
     ``probability`` here forces the lazy computation on the worker
     thread — never on the event loop.
     """

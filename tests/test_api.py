@@ -313,16 +313,6 @@ class TestResultSet:
         limited_assignments = counters.prefixed("match.")["match.assignments"]
         assert limited_assignments < full_assignments
 
-    def test_limit_validation_and_composition(self, session):
-        _populate(session)
-        results = session.query("//person")
-        with pytest.raises(errors.QueryError):
-            results.limit(-1)
-        with pytest.raises(errors.QueryError):
-            results.limit(True)
-        assert results.limit(5).limit(2).count() == 2
-        assert results.limit(0).all() == []
-
     def test_live_iteration_survives_a_commit(self, session):
         # A live-session iterator pins its document generation: a
         # commit landing between two rows copies-on-write instead of

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ShardUnavailableError, WarehouseError
+from repro.errors import QueryError, ShardUnavailableError, WarehouseError
 from repro.serve import Collection, ProcessCollection, connect_collection
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import (
@@ -231,6 +231,96 @@ def seeded(tmp_path_factory):
     return path
 
 
+@pytest.fixture(params=["session", "thread", "process"])
+def surface(request, seeded):
+    """One query surface over the seeded data, plus a probe counting
+    the read work it has started (pins / pool tasks / QUERY frames)."""
+    if request.param == "session":
+        with repro.connect(seeded / "alice") as session:
+            pins = []
+            pin = session.warehouse.pin
+            session.warehouse.pin = lambda: pins.append(1) or pin()
+            yield session, lambda: len(pins)
+    elif request.param == "thread":
+        with connect_collection(seeded, workers=2) as threads:
+            yield threads, lambda: threads.stats()["pool"]["submitted_tasks"]
+    else:
+        with ProcessCollection(
+            seeded, shard_processes=2, observability=None
+        ) as cluster:
+            frames = []
+            send = cluster._request
+
+            def counting(handle, verb, payload, timeout=None):
+                if verb is Verb.QUERY:
+                    frames.append(payload)
+                return send(handle, verb, payload, timeout)
+
+            cluster._request = counting
+            yield cluster, lambda: len(frames)
+
+
+class TestResultSetContract:
+    """The refinement surface is one base class: Session, thread
+    collection and process collection must behave identically."""
+
+    @pytest.mark.timeout(180)
+    def test_refinements_and_materializers(self, surface):
+        source, reads_started = surface
+        results = source.query(_PATTERN)
+
+        # Chaining keeps the strictest value, in either order.
+        assert results.limit(5).limit(2).options.limit == 2
+        assert results.limit(2).limit(5).options.limit == 2
+        assert results.min_probability(0.3).min_probability(0.6).options.min_probability == 0.6
+        assert results.min_probability(0.6).min_probability(0.3).options.min_probability == 0.6
+        assert results.options.limit is None  # refinements never mutate
+
+        for bad in (-1, True, 1.5, "3", None):
+            with pytest.raises(QueryError, match="limit"):
+                results.limit(bad)
+        for bad in (-0.1, 1.5, True, "0.5", None):
+            with pytest.raises(QueryError, match="min_probability"):
+                results.min_probability(bad)
+
+        # repr renders every non-default option.
+        shaped = results.order_by_probability().limit(2).min_probability(0.5)
+        for fragment in ("limit=2", "order_by='probability'", "min_probability=0.5"):
+            assert fragment in repr(shaped)
+
+        # limit(0) runs nothing at all.
+        before = reads_started()
+        empty = results.order_by_probability().limit(0)
+        assert empty.all() == [] and empty.first() is None and empty.count() == 0
+        assert empty.estimate(epsilon=0.1) == []
+        assert reads_started() == before
+
+        # first()/count() agree with all().
+        def key(row):
+            return (row.document, row.probability, row.tree.canonical())
+
+        rows = results.all()
+        assert rows and reads_started() > before
+        assert results.count() == len(rows)
+        assert key(results.first()) == key(rows[0])
+        assert [key(row) for row in results.limit(2)] == [key(row) for row in rows[:2]]
+        assert results.limit(2).count() == 2
+        assert source.query("//missing").first() is None
+
+    @pytest.mark.timeout(180)
+    def test_answers_is_typed_everywhere(self, surface):
+        from repro.serve.http import status_for
+
+        source, _reads_started = surface
+        results = source.query(_PATTERN)
+        if isinstance(source, ProcessCollection):
+            with pytest.raises(QueryError, match="process collection") as excinfo:
+                results.answers()
+            assert status_for(excinfo.value) == 400
+        else:
+            assert len(results.answers()) == len(results.all())
+
+
 class TestProcessCollection:
     @pytest.mark.timeout(180)
     def test_parity_with_thread_engine(self, seeded):
@@ -285,6 +375,12 @@ class TestProcessCollection:
                 (key, e.probability, e.stderr, e.samples, e.tree.canonical())
                 for key, e in threads.query(_PATTERN).estimate(epsilon=0.05)
             ]
+            # A limit smaller than the shard count caps the *merged*
+            # pairs on both engines, not each shard's contribution.
+            capped = [
+                (key, e.probability, e.tree.canonical())
+                for key, e in threads.query(_PATTERN).limit(3).estimate(epsilon=0.05)
+            ]
         with ProcessCollection(
             seeded, shard_processes=2, observability=None
         ) as cluster:
@@ -292,7 +388,13 @@ class TestProcessCollection:
                 (key, e.probability, e.stderr, e.samples, e.tree.canonical())
                 for key, e in cluster.query(_PATTERN).estimate(epsilon=0.05)
             ]
+            got_capped = [
+                (key, e.probability, e.tree.canonical())
+                for key, e in cluster.query(_PATTERN).limit(3).estimate(epsilon=0.05)
+            ]
         assert got == expected
+        assert len(KEYS) > 3 and len(capped) == 3
+        assert got_capped == capped
 
     @pytest.mark.timeout(180)
     def test_limit_first_count_and_key_scoping(self, seeded):

@@ -220,6 +220,31 @@ class TestQueryByteIdentity:
         )
         assert body == expected
 
+    def test_collection_estimate_honours_limit_across_shards(self, served_collection):
+        """A limit below the shard count caps the merged estimates, not
+        each shard's contribution (thread mode used to return up to
+        shards x limit pairs; process mode capped)."""
+        collection, handle = served_collection
+        assert len(collection.keys()) > 2
+        status, _, body = _request(
+            handle.port,
+            "POST",
+            "/query",
+            {"pattern": "//email", "epsilon": 0.05, "limit": 2},
+        )
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["estimate"] is True and payload["count"] == 2
+        expected = estimate_response_body(
+            [
+                encode_estimate_row(e, document=key)
+                for key, e in collection.query("//email").limit(2).estimate(
+                    epsilon=0.05
+                )
+            ]
+        )
+        assert body == expected
+
 
 class TestUpdateAndStats:
     def test_update_and_stats_roundtrip(self, tmp_path):

@@ -19,7 +19,16 @@ from repro import Condition, EventTable, FuzzyNode, FuzzyTree
 from repro.analysis.instrumentation import counters
 from repro.core.montecarlo import estimate_query
 from repro.core.update import apply_update
-from repro.core.query import iter_query_rows, match_conditions, query_fuzzy_tree
+from repro.core.aggregates import expected_matches
+from repro.core.query import (
+    _AncestorWalk,
+    group_rows,
+    iter_bounded_rows,
+    iter_query_rows,
+    match_conditions,
+    query_fuzzy_tree,
+    topk_rows,
+)
 from repro.engine import AncestorConditionIndex, QueryEngine, StatsDelta
 from repro.events import Dnf, Literal, ShannonCache, dnf_probability
 from repro.tpwj.parser import parse_pattern
@@ -407,6 +416,77 @@ class TestFastPathEquivalence:
         rows = list(iter_query_rows(fuzzy, parse_pattern("//B"), engine=engine))
         assert len(rows) == 1
         assert rows[0].probability == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# One row path: every consumer of the shared match→conditions loop agrees
+# ----------------------------------------------------------------------
+
+
+def _row_key(row):
+    return (row.tree.canonical(), row.dnf, row.probability)
+
+
+class TestOneRowPath:
+    @given(seed=seeds, negated=st.booleans(), planned=st.booleans())
+    @relaxed
+    def test_consumers_of_the_shared_loop_agree(self, seed, negated, planned):
+        rng = random.Random(seed)
+        fuzzy = random_fuzzy_tree(rng, SMALL_DOCS)
+        if negated:
+            labels = sorted({node.label for node in fuzzy.root.iter()})
+            pattern = parse_pattern(
+                f"{fuzzy.root.label} {{ //{rng.choice(labels)}, "
+                f"!//{rng.choice(labels)} }}"
+            )
+        else:
+            pattern = random_query_for(rng, fuzzy.root)
+        engine = _engine_for(fuzzy) if planned else None
+
+        rows = list(iter_query_rows(fuzzy, pattern, engine=engine))
+        keys = [_row_key(row) for row in rows]
+        for limit in (0, 1, 3):
+            limited = iter_query_rows(fuzzy, pattern, engine=engine, limit=limit)
+            assert [_row_key(row) for row in limited] == keys[:limit]
+
+        # Grouping matches directly == grouping the streamed rows.
+        direct = query_fuzzy_tree(fuzzy, pattern, engine=engine)
+        folded = group_rows(rows, fuzzy.events)
+        assert [(a.tree.canonical(), a.dnf) for a in direct] == [
+            (a.tree.canonical(), a.dnf) for a in folded
+        ]
+        assert [a.probability for a in direct] == pytest.approx(
+            [a.probability for a in folded], abs=1e-12
+        )
+
+        # Top-k == prefix of the stable sort by decreasing probability.
+        ranked = sorted(keys, key=lambda key: -key[2])
+        for k in (None, 1, 2, len(keys) + 1):
+            top = topk_rows(fuzzy, pattern, engine=engine, k=k)
+            assert [_row_key(row) for row in top] == ranked[:k]
+
+        # Threshold == filter of the document-order stream.
+        floor = rng.choice([0.0, 0.2, 0.5])
+        bounded = iter_bounded_rows(
+            fuzzy, pattern, engine=engine, min_probability=floor
+        )
+        assert [_row_key(row) for row in bounded] == [
+            key for key in keys if key[2] >= floor
+        ]
+
+        # Linearity of expectation over the same per-match pieces.
+        assert expected_matches(fuzzy, pattern) == pytest.approx(
+            sum(key[2] for key in keys), abs=1e-12
+        )
+
+    @given(seed=seeds)
+    @relaxed
+    def test_ancestor_walk_matches_the_index(self, seed):
+        fuzzy = random_fuzzy_tree(random.Random(seed), MEDIUM_DOCS)
+        index = AncestorConditionIndex.build(fuzzy.root)
+        for node in fuzzy.root.iter():
+            walked = _AncestorWalk.closed_condition(node)
+            assert walked.literals == index.closed_condition(node).literals
 
 
 # ----------------------------------------------------------------------
