@@ -31,9 +31,7 @@ of slide 14 closes (benchmark E3, property tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.instrumentation import counters
 from repro.errors import UpdateError
@@ -122,14 +120,22 @@ def apply_update(
         report.notes.append("confidence 0; document unchanged")
         return report
 
+    # All-or-nothing: reject before minting the confidence event or
+    # touching the tree, so a refused transaction leaves every world as
+    # it was.
+    for op in transaction.deletions:
+        for match, _ in match_infos:
+            if match.node_for(op.target) is fuzzy.root:
+                raise UpdateError("cannot delete the document root")
+
     confidence_literal: Literal | None = None
     if transaction.confidence < 1.0:
         name = fuzzy.events.fresh(transaction.confidence)
         confidence_literal = Literal(name, True)
         report.confidence_event = name
 
-    _apply_insertions(fuzzy, transaction, match_infos, confidence_literal, report, delta)
-    _apply_deletions(fuzzy, transaction, match_infos, confidence_literal, report, delta)
+    _apply_insertions(transaction, match_infos, confidence_literal, report, delta)
+    _apply_deletions(transaction, match_infos, confidence_literal, report, delta)
     report.applied = True
     return report
 
@@ -139,7 +145,6 @@ def _with_confidence(condition: Condition, literal: Literal | None) -> Condition
 
 
 def _apply_insertions(
-    fuzzy: FuzzyTree,
     transaction,
     match_infos: list[tuple],
     confidence_literal: Literal | None,
@@ -171,7 +176,6 @@ def _apply_insertions(
 
 
 def _apply_deletions(
-    fuzzy: FuzzyTree,
     transaction,
     match_infos: list[tuple],
     confidence_literal: Literal | None,
@@ -185,8 +189,6 @@ def _apply_deletions(
         for op in transaction.deletions:
             target = match.node_for(op.target)
             assert isinstance(target, FuzzyNode)
-            if target is fuzzy.root:
-                raise UpdateError("cannot delete the document root")
             full = _with_confidence(gamma, confidence_literal)
             entry = grouped.get(id(target))
             if entry is None:
@@ -203,7 +205,7 @@ def _apply_deletions(
         _, deletion_conditions = grouped[id(target)]
         report.deletion_targets += 1
         parent = target.parent
-        assert parent is not None  # root deletions rejected above
+        assert parent is not None  # apply_update rejected root deletions
         pieces = complement_as_disjoint_conditions(deletion_conditions)
         target_depth = target.depth()
         children_before = len(parent.children)

@@ -494,15 +494,6 @@ class ProcessCollection:
             raise WireError(f"unexpected response verb {reply_verb!r}")
         return reply if isinstance(reply, dict) else {}
 
-    def _handle_for_key(self, key: str) -> _WorkerHandle:
-        with self._routing_lock:
-            self._check_open()
-            if key not in self._all_keys_locked():
-                raise WarehouseError(
-                    f"no document {key!r} in collection {self._path}"
-                )
-            return self._handles[self._ring.route(key)]
-
     def _placement_for(self, key: str) -> list[str]:
         """``[primary worker, *replica workers]`` for *key*."""
         with self._routing_lock:
@@ -568,9 +559,7 @@ class ProcessCollection:
 
     def _replicate(self, key: str, replicas: list[str], payload: dict, sequence) -> None:
         """Write *payload* through to each replica; divergence → stale."""
-        obs = self._obs
-        replica_payload = {k: v for k, v in payload.items() if k != "fault"}
-        replica_payload["replica"] = True
+        replica_payload = {**payload, "replica": True}
         for name in replicas:
             handle = self._handles.get(name)
             fresh = False
@@ -582,7 +571,7 @@ class ProcessCollection:
                     )
                     # The replica must land on the same commit sequence
                     # as the primary; anything else is divergence.
-                    fresh = sequence is not None and reply.get("sequence") == sequence
+                    fresh = reply["sequence"] == sequence
                 except (ShardUnavailableError, WireError):
                     fresh = False
             if fresh:
@@ -592,25 +581,37 @@ class ProcessCollection:
                 self._mark_stale([(key, name)])
         self._set_replication_gauges()
 
-    def _write(self, key: str, payload: dict) -> dict:
-        """Primary-acknowledged write with replica write-through."""
+    def _write(
+        self, key: str, transactions, batch: bool, confidence, fault=None
+    ) -> list[UpdateReport]:
+        """Primary-acknowledged write with replica write-through.
+
+        The one UPDATE frame: a single update is a list of one with
+        ``batch`` false (which only picks the commit's record kind).
+        """
+        payload = {
+            "key": key,
+            "transactions": [_serialize_transaction(t) for t in transactions],
+            "batch": batch,
+            "confidence": confidence,
+        }
+        # The (test-only) fault rides on the primary's frame alone.
+        primary_payload = payload if fault is None else {**payload, "fault": fault}
         with self._key_lock(key):
             placement = self._placement_for(key)
             handle = self._handles[placement[0]]
             try:
-                reply = self._request(handle, Verb.UPDATE, payload)
+                reply = self._request(handle, Verb.UPDATE, primary_payload)
             except ShardUnavailableError:
                 # The primary died inside the commit window: the commit
                 # may be durable in its WAL without any replica having
                 # seen it.  Resync them all once it is back.
                 self._mark_stale((key, name) for name in placement[1:])
                 raise
-            sequence = reply.get("sequence")
-            if sequence is not None:
-                self._commit_seq[key] = sequence
+            sequence = self._commit_seq[key] = reply["sequence"]
             if len(placement) > 1:
                 self._replicate(key, placement[1:], payload, sequence)
-        return reply
+        return [UpdateReport(**report) for report in reply["reports"]]
 
     def _resync_pair(self, key: str, name: str) -> bool:
         """Heal worker *name*'s replica of *key* from the primary's
@@ -762,27 +763,13 @@ class ProcessCollection:
         *fault* is the test-only injection point (ignored unless the
         collection was opened with ``fault_injection=True``).
         """
-        payload = {
-            "key": key,
-            "transaction": _serialize_transaction(transaction),
-            "confidence": confidence,
-        }
-        if fault is not None:
-            payload["fault"] = fault
-        reply = self._write(key, payload)
-        return UpdateReport(**reply["report"])
+        return self._write(key, [transaction], False, confidence, fault)[0]
 
     def update_many(
         self, key: str, transactions, confidence: float | None = None
     ) -> list[UpdateReport]:
         """Apply a batch to document *key* as one commit."""
-        payload = {
-            "key": key,
-            "transactions": [_serialize_transaction(t) for t in transactions],
-            "confidence": confidence,
-        }
-        reply = self._write(key, payload)
-        return [UpdateReport(**r) for r in reply["reports"]]
+        return self._write(key, transactions, True, confidence)
 
     def query(
         self, query=None, keys: list[str] | None = None, *, options=None
@@ -1077,21 +1064,16 @@ class ProcessCollection:
         self._check_open()
         documents: dict[str, dict] = {}
         workers: dict[str, dict] = {}
-        for name in sorted(self._handles):
-            handle = self._handles[name]
-            info = {
-                "alive": handle.alive,
-                "respawns": handle.respawns,
-                "keys": sorted(handle.keys),
-                "replica_keys": sorted(handle.replica_keys),
-            }
+        for handle, info in self._worker_snapshot():
+            if handle.draining:
+                continue  # left the ring mid-call: its shards answer elsewhere
             if handle.alive:
                 try:
                     reply = self._request(handle, Verb.STATS, {})
                     documents.update(reply.get("documents", {}))
                 except ShardUnavailableError:
                     info["alive"] = False
-            workers[name] = info
+            workers[handle.name] = info
         totals = {"nodes": 0, "declared_events": 0, "read_sessions": 0, "sequence": 0}
         for info in documents.values():
             for field in totals:
@@ -1105,7 +1087,7 @@ class ProcessCollection:
             "cluster": {
                 "mode": "process",
                 "workers": workers,
-                "processes": len(self._handles),
+                "processes": len(workers),
                 "replication": {
                     "factor": self._replication,
                     "stale_replicas": stale,
@@ -1122,8 +1104,9 @@ class ProcessCollection:
         """
         self._check_open()
         shards: dict[str, dict] = {}
-        for name in sorted(self._handles):
-            handle = self._handles[name]
+        for handle, info in self._worker_snapshot():
+            if handle.draining:
+                continue  # left the ring mid-call: its shards answer elsewhere
             reply = None
             if handle.alive:
                 try:
@@ -1131,14 +1114,14 @@ class ProcessCollection:
                 except ShardUnavailableError:
                     reply = None
             if reply is not None:
-                for key, info in reply.get("shards", {}).items():
+                for key, shard in reply.get("shards", {}).items():
                     shards[key] = {
-                        "alive": bool(info.get("alive")),
-                        "wal_depth": info.get("wal_depth"),
+                        "alive": bool(shard.get("alive")),
+                        "wal_depth": shard.get("wal_depth"),
                         "respawns": handle.respawns,
                     }
             else:
-                for key in sorted(handle.keys):
+                for key in info["keys"]:
                     shards[key] = {
                         "alive": False,
                         "wal_depth": None,
@@ -1146,18 +1129,27 @@ class ProcessCollection:
                     }
         return {"shards": shards}
 
+    def _worker_snapshot(self) -> list[tuple[_WorkerHandle, dict]]:
+        """``(handle, accounting)`` per worker, name-ordered, copied under
+        the routing lock: a concurrent ring change must not tear an
+        introspection call."""
+        with self._routing_lock:
+            return [
+                (
+                    handle,
+                    {
+                        "alive": handle.alive,
+                        "respawns": handle.respawns,
+                        "keys": sorted(handle.keys),
+                        "replica_keys": sorted(handle.replica_keys),
+                    },
+                )
+                for _name, handle in sorted(self._handles.items())
+            ]
+
     def workers(self) -> dict[str, dict]:
         """Live worker accounting: name → alive/respawns/keys."""
-        with self._routing_lock:
-            return {
-                name: {
-                    "alive": handle.alive,
-                    "respawns": handle.respawns,
-                    "keys": sorted(handle.keys),
-                    "replica_keys": sorted(handle.replica_keys),
-                }
-                for name, handle in sorted(self._handles.items())
-            }
+        return {handle.name: info for handle, info in self._worker_snapshot()}
 
     def __repr__(self) -> str:
         state = (

@@ -30,6 +30,11 @@ Workers run with ``observability=None`` sessions: the supervisor's
 ``cluster.*`` metrics are the cluster's instrument panel, and a child
 process's registry would be invisible to the parent anyway.
 
+An UPDATE payload is always ``{"key", "transactions": [xupdate, ...],
+"batch": bool, "confidence"}`` — a single update is a list of one with
+``batch`` false, which only selects the commit's record kind — and the
+reply is always ``{"reports": [...], "sequence"}``.
+
 Fault injection (tests only): when the supervisor enabled
 ``allow_faults``, an UPDATE payload may carry ``fault:
 "before_commit" | "after_commit"`` and the worker SIGKILLs itself at
@@ -64,16 +69,6 @@ REPLICA_DIR = ".replicas"
 SYNC_FILES = ("document.xml", "document.bin", "meta.json")
 
 
-def _session_options(options: dict) -> dict:
-    return {
-        "snapshot_every": options.get("snapshot_every", 64),
-        "wal_bytes_limit": options.get("wal_bytes_limit", 4 * 1024 * 1024),
-        "compact_on_close": options.get("compact_on_close", True),
-        "auto_simplify_factor": options.get("auto_simplify_factor"),
-        "observability": None,
-    }
-
-
 def _kill_self() -> None:
     """Die exactly like an external ``kill -9``: no atexit, no flush."""
     os.kill(os.getpid(), signal.SIGKILL)
@@ -82,9 +77,11 @@ def _kill_self() -> None:
 class _Worker:
     def __init__(self, root: Path, options: dict) -> None:
         self.root = root
-        self.options = options
-        self.name = str(options.get("worker_name", "w"))
-        self.allow_faults = bool(options.get("allow_faults"))
+        self.name = str(options.pop("worker_name", "w"))
+        self.allow_faults = bool(options.pop("allow_faults", False))
+        # What is left is the caller's commit policy, handed to
+        # connect() as shipped: its signature owns the defaults.
+        self.session_options = {**options, "observability": None}
         self.sessions: dict[str, Session] = {}
         self.replicas: dict[str, Session] = {}
         self.replica_root = root / REPLICA_DIR / self.name
@@ -96,9 +93,7 @@ class _Worker:
     def open_shard(self, key: str) -> None:
         if key in self.sessions:
             return
-        self.sessions[key] = connect(
-            self.root / key, **_session_options(self.options)
-        )
+        self.sessions[key] = connect(self.root / key, **self.session_options)
 
     def close_shard(self, key: str) -> None:
         session = self.sessions.pop(key, None)
@@ -177,31 +172,22 @@ class _Worker:
         }
 
     def handle_update(self, payload: dict) -> dict:
-        key = payload["key"]
         replica = bool(payload.get("replica"))
-        session = self._session(key, replica)
-        confidence = payload.get("confidence")
+        session = self._session(payload["key"], replica)
         fault = payload.get("fault") if self.allow_faults and not replica else None
         if fault == "before_commit":
             _kill_self()
-        if "transactions" in payload:
-            reports = session.update_many(
-                payload["transactions"], confidence=confidence
-            )
-            if fault == "after_commit":
-                _kill_self()
-            return {
-                "reports": [dataclasses.asdict(r) for r in reports],
-                "sequence": session.warehouse.sequence,
-            }
-        report = session.update(payload["transaction"], confidence)
+        if payload["batch"]:
+            reports = session.update_many(payload["transactions"], payload["confidence"])
+        else:  # a list of exactly one
+            reports = [session.update(*payload["transactions"], payload["confidence"])]
         if fault == "after_commit":
             # The commit is durable (WAL fsynced) — dying here is the
             # "acknowledged on disk, never acknowledged to the client"
             # window recovery must close.
             _kill_self()
         return {
-            "report": dataclasses.asdict(report),
+            "reports": [dataclasses.asdict(r) for r in reports],
             "sequence": session.warehouse.sequence,
         }
 
@@ -217,7 +203,7 @@ class _Worker:
             document=(
                 fuzzy_from_string(document_xml) if document_xml is not None else None
             ),
-            **_session_options(self.options),
+            **self.session_options,
         )
         return {"key": key}
 
@@ -285,7 +271,7 @@ class _Worker:
         directory.mkdir(parents=True)
         for name, data in files.items():
             (directory / name).write_bytes(data)
-        session = connect(directory, **_session_options(self.options))
+        session = connect(directory, **self.session_options)
         self.replicas[key] = session
         return {"key": key, "sequence": session.warehouse.sequence}
 

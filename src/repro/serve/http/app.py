@@ -211,8 +211,7 @@ class Application:
 
     def __init__(self, target, *, own_target: bool = False) -> None:
         self._target = target
-        self._is_process = isinstance(target, ProcessCollection)
-        self._is_collection = isinstance(target, Collection) or self._is_process
+        self._is_collection = isinstance(target, (Collection, ProcessCollection))
         self._own_target = own_target
 
     @property
@@ -312,31 +311,20 @@ class Application:
                 )
             if document not in self._target:
                 raise BadRequest(f"no document {document!r} in the collection")
-            if self._is_process:
-                # No local session: route through the supervisor, which
-                # ships the transaction to the owning worker process.
-                parsed = updates_from_string(text)
-                if isinstance(parsed, TransactionBatch):
-                    reports = self._target.update_many(
-                        document, list(parsed), confidence
-                    )
-                    return canonical_json(
-                        {"batch": True, "reports": [asdict(r) for r in reports]}
-                    )
-                report = self._target.update(document, parsed, confidence)
-                return canonical_json({"batch": False, "report": asdict(report)})
-            session = self._target.document(document)
+            # Both collection engines route by key; a served session
+            # takes the same calls un-keyed.
+            route = (document,)
         else:
             if document is not None:
                 raise BadRequest("field 'document' only applies to collections")
-            session = self._target
+            route = ()
         parsed = updates_from_string(text)
         if isinstance(parsed, TransactionBatch):
-            reports = session.update_many(parsed, confidence=confidence)
+            reports = self._target.update_many(*route, list(parsed), confidence)
             return canonical_json(
                 {"batch": True, "reports": [asdict(r) for r in reports]}
             )
-        report = session.update(parsed, confidence=confidence)
+        report = self._target.update(*route, parsed, confidence)
         return canonical_json({"batch": False, "report": asdict(report)})
 
     def stats(self) -> bytes:

@@ -12,16 +12,10 @@
 
 from repro.warehouse.log import TransactionLog, WriteAheadLog
 from repro.warehouse.storage import Storage
-from repro.warehouse.warehouse import (
-    CommitPolicy,
-    DocumentPin,
-    Warehouse,
-    WarehouseBatch,
-)
+from repro.warehouse.warehouse import CommitPolicy, DocumentPin, Warehouse
 
 __all__ = [
     "Warehouse",
-    "WarehouseBatch",
     "CommitPolicy",
     "DocumentPin",
     "Storage",

@@ -7,14 +7,13 @@ with confidences.  This class wires the fuzzy-tree engine to the
 storage substrate:
 
 * ``Warehouse.create(path, document)`` / ``Warehouse.open(path)``;
-* :meth:`query` / :meth:`update` — deprecated shims over the shared
-  query/commit paths; the public surface is the session facade
+* the public query/update surface is the session facade
   (:func:`repro.connect` → :class:`~repro.api.session.Session`), which
   layers fluent builders, lazy streaming result sets and
   snapshot-isolated reads (:meth:`pin`) over this class;
-* :meth:`update_many` / :meth:`begin_batch` — batched ingestion: many
-  transactions applied in order, persisted as **one** commit (one WAL
-  append, one fsync);
+* :meth:`update_many` — batched ingestion: many transactions applied in
+  order, persisted as **one** commit (one WAL append, one fsync); a
+  single update runs the same routine as a batch of one;
 * :meth:`simplify` — on-demand fuzzy-data simplification (also
   triggered automatically when the document grows past
   ``auto_simplify_factor`` times its size at open);
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -93,7 +93,6 @@ __all__ = [
     "DocumentPin",
     "USE_DEFAULT_OBSERVABILITY",
     "Warehouse",
-    "WarehouseBatch",
 ]
 
 #: Sentinel default for ``observability=`` parameters: attach the
@@ -672,53 +671,7 @@ class Warehouse:
         transaction's own confidence (the paper's modules attach their
         confidence at submission time).
         """
-        with self._write_lock:
-            self._check_open()
-            obs = self._obs
-            span = (
-                obs.tracer.start("commit", kind="update")
-                if obs is not None and obs.tracer.enabled
-                else None
-            )
-            try:
-                return self._commit_update_locked(transaction, confidence, obs)
-            finally:
-                if span is not None:
-                    obs.tracer.finish(span)
-
-    def _commit_update_locked(self, transaction, confidence, obs) -> UpdateReport:
-        tracing = obs is not None and obs.tracer.enabled
-        transaction = self._normalize_transaction(transaction, confidence)
-        delta = StatsDelta()
-        t0 = perf_counter() if tracing else 0.0
-        report = self._apply_in_place(
-            lambda: apply_update(
-                self._document, transaction, self._match_config, delta=delta
-            )
-        )
-        if tracing:
-            obs.tracer.emit("apply", perf_counter() - t0)
-        serialized = transaction_to_string(transaction, indent=False)
-        self._commit(
-            "update",
-            {
-                "transaction": serialized,
-                "confidence": transaction.confidence,
-                "confidence_event": report.confidence_event,
-                "matches": report.matches,
-                "applied": report.applied,
-                "inserted_nodes": report.inserted_nodes,
-                "survivor_copies": report.survivor_copies,
-            },
-            wal_payload={
-                "transaction": serialized,
-                "confidence_event": report.confidence_event,
-                **self._match_semantics(),
-            },
-            delta=delta,
-        )
-        self._maybe_auto_simplify()
-        return report
+        return self._commit_transactions("update", [transaction], confidence)[0]
 
     def update_many(
         self,
@@ -735,77 +688,54 @@ class Warehouse:
         makes high-rate ingestion affordable.  An empty iterable is a
         no-op.
         """
-        with self._write_lock:
-            self._check_open()
-            members = [
-                self._normalize_transaction(transaction, confidence)
-                for transaction in transactions
-            ]
-            if not members:
-                return []
-            obs = self._obs
-            span = (
-                obs.tracer.start("commit", kind="batch", transactions=len(members))
-                if obs is not None and obs.tracer.enabled
-                else None
-            )
-            try:
-                return self._update_many_locked(members, obs)
-            finally:
-                if span is not None:
-                    obs.tracer.finish(span)
+        return self._commit_transactions("batch", transactions, confidence)
 
-    def _update_many_locked(self, members, obs) -> list[UpdateReport]:
-        tracing = obs is not None and obs.tracer.enabled
-        batch = TransactionBatch(members)
-        delta = StatsDelta()
-        t0 = perf_counter() if tracing else 0.0
-        reports = self._apply_in_place(
-            lambda: [
-                apply_update(
-                    self._document, transaction, self._match_config, delta=delta
-                )
-                for transaction in batch
-            ]
-        )
-        if tracing:
-            obs.tracer.emit("apply", perf_counter() - t0)
-        self._commit(
-            "batch",
-            {
-                "transactions": len(batch),
-                "applied": sum(1 for r in reports if r.applied),
-                "matches": sum(r.matches for r in reports),
-                "inserted_nodes": sum(r.inserted_nodes for r in reports),
-                "survivor_copies": sum(r.survivor_copies for r in reports),
-                "reports": [
-                    _batch_subrecord(transaction, report)
-                    for transaction, report in zip(batch, reports)
-                ],
-            },
-            wal_payload={
-                "batch": batch_to_string(batch, indent=False),
-                "confidence_events": [r.confidence_event for r in reports],
-                **self._match_semantics(),
-            },
-            delta=delta,
-        )
-        self._maybe_auto_simplify()
-        return reports
+    def _commit_transactions(
+        self, kind: str, transactions, confidence: float | None
+    ) -> list[UpdateReport]:
+        """The one write path: a single update is a batch of one.
 
-    def begin_batch(self) -> "WarehouseBatch":
-        """A context manager buffering updates into one batched commit.
-
-        ::
-
-            with warehouse.begin_batch() as batch:
-                batch.update(tx1)
-                batch.update(tx2, confidence=0.8)
-            # exiting commits both as a single WAL append
-            reports = batch.reports
+        *kind* (``"update"`` | ``"batch"``) only picks the shape of the
+        WAL and audit records; apply, append and auto-simplify are the
+        same routine.
         """
-        self._check_open()
-        return WarehouseBatch(self)
+        self._check_open()  # a closed handle outranks a malformed transaction
+        members = []
+        for transaction in transactions:
+            if isinstance(transaction, str):
+                transaction = transaction_from_string(transaction)
+            if confidence is not None:
+                transaction = transaction.with_confidence(confidence)
+            members.append(transaction)
+        if not members:
+            return []
+        attributes = {"transactions": len(members)} if kind == "batch" else {}
+        with self._committing(kind, **attributes):
+            texts = [transaction_to_string(t, indent=False) for t in members]
+            delta = StatsDelta()
+            config = self._match_config
+            outcomes = self._apply_in_place(
+                lambda: _apply_members(self._document, members, texts, config, delta)
+            )
+            events = [report.confidence_event for _, _, report in outcomes]
+            if kind == "update":
+                wal_payload = {"transaction": texts[0], "confidence_event": events[0]}
+            else:
+                wal_payload = {
+                    "batch": batch_to_string(TransactionBatch(members), indent=False),
+                    "confidence_events": events,
+                }
+            # The config fields that change *which* matches an update
+            # sees: replay must apply the record under the semantics of
+            # the session that wrote it, whatever config the recovering
+            # handle opened with.
+            wal_payload["max_matches"] = config.max_matches
+            wal_payload["honor_negation"] = config.honor_negation
+            self._commit(kind, _audit_entry(kind, outcomes), wal_payload, delta)
+            factor = self._auto_simplify_factor
+            if factor is not None and self._document.size() > factor * self._baseline_size:
+                self.simplify()
+            return [report for _, _, report in outcomes]
 
     def simplify(self) -> SimplifyReport:
         """Run fuzzy-data simplification and commit the smaller document.
@@ -813,30 +743,19 @@ class Warehouse:
         Simplification rewrites the document wholesale, so its commit is
         always a fresh snapshot — a natural compaction point.
         """
-        with self._write_lock:
-            self._check_open()
-            obs = self._obs
-            tracing = obs is not None and obs.tracer.enabled
-            span = obs.tracer.start("commit", kind="simplify") if tracing else None
-            try:
-                t0 = perf_counter() if tracing else 0.0
-                report = self._apply_in_place(lambda: simplify(self._document))
-                if tracing:
-                    obs.tracer.emit("apply", perf_counter() - t0)
-                self._commit(
-                    "simplify",
-                    {
-                        "nodes_before": report.nodes_before,
-                        "nodes_after": report.nodes_after,
-                        "merged_siblings": report.merged_siblings,
-                        "collected_events": report.collected_events,
-                    },
-                )
-                self._baseline_size = max(1, self._document.size())
-                return report
-            finally:
-                if span is not None:
-                    obs.tracer.finish(span)
+        with self._committing("simplify"):
+            report = self._apply_in_place(lambda: simplify(self._document))
+            self._commit(
+                "simplify",
+                {
+                    "nodes_before": report.nodes_before,
+                    "nodes_after": report.nodes_after,
+                    "merged_siblings": report.merged_siblings,
+                    "collected_events": report.collected_events,
+                },
+            )
+            self._baseline_size = max(1, self._document.size())
+            return report
 
     def compact(self) -> dict:
         """Fold the WAL into a fresh snapshot now; returns a summary."""
@@ -855,6 +774,24 @@ class Warehouse:
                 "wal_bytes": self._wal.size_bytes(),
             }
 
+    @contextmanager
+    def _committing(self, kind: str, **attributes):
+        """What every mutating commit runs under: the write lock, the
+        open check and (when tracing) the ``commit`` span."""
+        with self._write_lock:
+            self._check_open()
+            obs = self._obs
+            span = (
+                obs.tracer.start("commit", kind=kind, **attributes)
+                if obs is not None and obs.tracer.enabled
+                else None
+            )
+            try:
+                yield
+            finally:
+                if span is not None:
+                    obs.tracer.finish(span)
+
     def _apply_in_place(self, mutate):
         """Run an in-place document mutation, healing on failure.
 
@@ -867,17 +804,23 @@ class Warehouse:
         full-rewrite path did) and the engine drops possibly-stale
         statistics.
         """
+        obs = self._obs
+        tracing = obs is not None and obs.tracer.enabled
+        t0 = perf_counter() if tracing else 0.0
         self._detach_pinned_readers()
         try:
             # The engine guard serializes the mutation against a
             # concurrent reader's statistics recollection, which walks
             # the live root (see QueryEngine.mutating).
             with self._engine.mutating():
-                return mutate()
+                result = mutate()
         except BaseException:
             self._snapshot_due = True
             self._engine.invalidate()
             raise
+        if tracing:
+            obs.tracer.emit("apply", perf_counter() - t0)
+        return result
 
     def _detach_pinned_readers(self) -> None:
         """Copy-on-write: clone the live document if snapshot pins hold it.
@@ -894,33 +837,6 @@ class Warehouse:
         with self._pins_lock:
             if self._pin_counts.get(id(self._document), 0):
                 self._document = self._document.clone()
-
-    def _match_semantics(self) -> dict:
-        """The config fields that change *which* matches an update sees.
-
-        Recorded in every WAL record: replay must apply the transaction
-        under the semantics of the session that wrote it, whatever
-        config the recovering handle opened with.
-        """
-        return {
-            "max_matches": self._match_config.max_matches,
-            "honor_negation": self._match_config.honor_negation,
-        }
-
-    def _normalize_transaction(
-        self, transaction: UpdateTransaction | str, confidence: float | None
-    ) -> UpdateTransaction:
-        if isinstance(transaction, str):
-            transaction = transaction_from_string(transaction)
-        if confidence is not None:
-            transaction = transaction.with_confidence(confidence)
-        return transaction
-
-    def _maybe_auto_simplify(self) -> None:
-        if self._auto_simplify_factor is None:
-            return
-        if self._document.size() > self._auto_simplify_factor * self._baseline_size:
-            self.simplify()
 
     def _commit(
         self,
@@ -1053,99 +969,71 @@ class Warehouse:
             return
         last_logged = self._log.last_sequence()
         for record, outcomes in replayed:
-            if record["sequence"] <= last_logged:
-                continue
-            if record["kind"] == "update":
-                serialized, confidence, report = outcomes[0]
-                entry = {
-                    "transaction": serialized,
-                    "confidence": confidence,
-                    "confidence_event": report.confidence_event,
-                    "matches": report.matches,
-                    "applied": report.applied,
-                    "inserted_nodes": report.inserted_nodes,
-                    "survivor_copies": report.survivor_copies,
-                    "replayed": True,
-                }
-            else:  # batch
-                entry = {
-                    "transactions": len(outcomes),
-                    "applied": sum(1 for _, _, r in outcomes if r.applied),
-                    "matches": sum(r.matches for _, _, r in outcomes),
-                    "inserted_nodes": sum(r.inserted_nodes for _, _, r in outcomes),
-                    "survivor_copies": sum(r.survivor_copies for _, _, r in outcomes),
-                    "reports": [
-                        _batch_subrecord_serialized(serialized, confidence, report)
-                        for serialized, confidence, report in outcomes
-                    ],
-                    "replayed": True,
-                }
-            self._log.append(record["kind"], record["sequence"], entry, fsync=False)
+            if record["sequence"] > last_logged:
+                self._log.append(
+                    record["kind"],
+                    record["sequence"],
+                    _audit_entry(record["kind"], outcomes, replayed=True),
+                    fsync=False,
+                )
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"seq={self._sequence}"
         return f"Warehouse({self._storage.path}, {state})"
 
 
-class WarehouseBatch:
-    """Buffers update transactions for one batched commit (see
-    :meth:`Warehouse.begin_batch`)."""
+#: The :class:`UpdateReport` counters an audit entry carries (summed
+#: over the members for a batch).
+_AUDIT_COUNTS = ("matches", "applied", "inserted_nodes", "survivor_copies")
 
-    def __init__(self, warehouse: Warehouse) -> None:
-        self._warehouse = warehouse
-        self._pending: list[UpdateTransaction] = []
-        #: The per-transaction reports, populated when the batch commits.
-        self.reports: list[UpdateReport] | None = None
 
-    def update(
-        self,
-        transaction: UpdateTransaction | str,
-        confidence: float | None = None,
-    ) -> None:
-        """Buffer a transaction (validated now, applied at commit)."""
-        self._pending.append(
-            self._warehouse._normalize_transaction(transaction, confidence)
+def _apply_members(
+    document: FuzzyTree, members, texts, match_config: MatchConfig, delta=None
+) -> list[tuple]:
+    """Apply *members* (whose XUpdate serializations are *texts*) to
+    *document* in order: the one place a commit, live or replayed,
+    meets the update semantics.  Returns one ``(text, confidence,
+    report)`` outcome per member.
+    """
+    return [
+        (
+            text,
+            transaction.confidence,
+            apply_update(document, transaction, match_config, delta=delta),
         )
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __enter__(self) -> "WarehouseBatch":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self._pending:
-            self.reports = self._warehouse.update_many(self._pending)
-            self._pending = []
+        for transaction, text in zip(members, texts)
+    ]
 
 
-def _batch_subrecord(transaction: UpdateTransaction, report: UpdateReport) -> dict:
-    return _batch_subrecord_serialized(
-        transaction_to_string(transaction, indent=False),
-        transaction.confidence,
-        report,
-    )
-
-
-def _batch_subrecord_serialized(
-    serialized: str, confidence: float, report: UpdateReport
-) -> dict:
-    return {
-        "transaction": serialized,
-        "confidence": confidence,
-        "confidence_event": report.confidence_event,
-        "matches": report.matches,
-        "applied": report.applied,
-        "inserted_nodes": report.inserted_nodes,
-        "survivor_copies": report.survivor_copies,
-    }
+def _audit_entry(kind: str, outcomes: list[tuple], replayed: bool = False) -> dict:
+    """The ``log.jsonl`` payload of an update or batch commit."""
+    records = [
+        {
+            "transaction": text,
+            "confidence": confidence,
+            "confidence_event": report.confidence_event,
+            **{name: getattr(report, name) for name in _AUDIT_COUNTS},
+        }
+        for text, confidence, report in outcomes
+    ]
+    if kind == "update":
+        (entry,) = records
+    else:
+        entry = {
+            "transactions": len(records),
+            **{name: sum(r[name] for r in records) for name in _AUDIT_COUNTS},
+            "reports": records,
+        }
+    if replayed:
+        entry["replayed"] = True
+    return entry
 
 
 def _replay_record(
     document: FuzzyTree, record: dict, match_config: MatchConfig
 ) -> list[tuple]:
-    """Re-apply one WAL record to *document*; returns (serialized tx,
-    report) pairs.
+    """Re-apply one WAL record to *document*; returns the members'
+    ``(text, confidence, report)`` outcomes (see :func:`_apply_members`).
 
     Replay must reproduce the original commit bit for bit; in
     particular the confidence events it mints must carry the names the
@@ -1168,19 +1056,14 @@ def _replay_record(
         )
     try:
         if kind == "update":
-            serialized = payload["transaction"]
+            texts = [payload["transaction"]]
+            members = [transaction_from_string(texts[0])]
             expected = [payload.get("confidence_event")]
-            transactions = [transaction_from_string(serialized)]
-            serializeds = [serialized]
         elif kind == "batch":
-            batch = batch_from_string(payload["batch"])
-            transactions = list(batch)
-            serializeds = [
-                transaction_to_string(transaction, indent=False)
-                for transaction in batch
-            ]
-            expected = list(payload.get("confidence_events") or [None] * len(batch))
-            if len(expected) != len(transactions):
+            members = list(batch_from_string(payload["batch"]))
+            texts = [transaction_to_string(t, indent=False) for t in members]
+            expected = list(payload.get("confidence_events") or [None] * len(members))
+            if len(expected) != len(members):
                 raise WarehouseCorruptError(
                     f"WAL record {sequence} confidence_events/batch length mismatch"
                 )
@@ -1188,22 +1071,18 @@ def _replay_record(
             raise WarehouseCorruptError(
                 f"unreplayable WAL record kind {kind!r} at sequence {sequence}"
             )
-        outcomes: list[tuple] = []
-        for serialized, transaction, expected_event in zip(
-            serializeds, transactions, expected
-        ):
-            report = apply_update(document, transaction, match_config)
-            if report.confidence_event != expected_event:
-                raise WarehouseCorruptError(
-                    f"WAL replay diverged at sequence {sequence}: minted "
-                    f"confidence event {report.confidence_event!r}, the "
-                    f"original commit recorded {expected_event!r}"
-                )
-            outcomes.append((serialized, transaction.confidence, report))
-        return outcomes
+        outcomes = _apply_members(document, members, texts, match_config)
     except WarehouseCorruptError:
         raise
     except (ReproError, KeyError, TypeError) as exc:
         raise WarehouseCorruptError(
             f"WAL replay failed at sequence {sequence}: {exc}"
         ) from exc
+    for (_, _, report), expected_event in zip(outcomes, expected):
+        if report.confidence_event != expected_event:
+            raise WarehouseCorruptError(
+                f"WAL replay diverged at sequence {sequence}: minted "
+                f"confidence event {report.confidence_event!r}, the "
+                f"original commit recorded {expected_event!r}"
+            )
+    return outcomes

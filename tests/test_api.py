@@ -590,9 +590,27 @@ class TestErrorsAndShims:
                 warehouse.query  # noqa: B018
             with pytest.raises(AttributeError):
                 warehouse.update  # noqa: B018
+            with pytest.raises(AttributeError):  # Session.batch() is the one
+                warehouse.begin_batch  # noqa: B018
 
     def test_version_is_2(self):
         assert repro.__version__.startswith("2.")
+
+    def test_setup_py_reports_the_package_version(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        setup_py = Path(__file__).resolve().parent.parent / "setup.py"
+        result = subprocess.run(
+            [sys.executable, str(setup_py), "--version"],
+            cwd=setup_py.parent,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.split()[-1] == repro.__version__
 
 
 # ----------------------------------------------------------------------

@@ -11,15 +11,17 @@ the runner.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.errors import QueryError, ShardUnavailableError, WarehouseError
+from repro.errors import QueryError, ShardUnavailableError, UpdateError, WarehouseError
 from repro.serve import Collection, ProcessCollection, connect_collection
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import (
@@ -231,33 +233,49 @@ def seeded(tmp_path_factory):
     return path
 
 
-@pytest.fixture(params=["session", "thread", "process"])
+SURFACES = ("session", "thread", "process")
+
+
+@contextmanager
+def _open_surface(kind: str, path, key: str):
+    """One of the three engines over the collection at *path* (the
+    session surface serves document *key* of it)."""
+    if kind == "session":
+        with repro.connect(path / key) as session:
+            yield session
+    elif kind == "thread":
+        with connect_collection(path, workers=2) as threads:
+            yield threads
+    else:
+        with ProcessCollection(
+            path, shard_processes=2, observability=None
+        ) as cluster:
+            yield cluster
+
+
+@pytest.fixture(params=SURFACES)
 def surface(request, seeded):
     """One query surface over the seeded data, plus a probe counting
     the read work it has started (pins / pool tasks / QUERY frames)."""
-    if request.param == "session":
-        with repro.connect(seeded / "alice") as session:
+    with _open_surface(request.param, seeded, "alice") as source:
+        if request.param == "session":
             pins = []
-            pin = session.warehouse.pin
-            session.warehouse.pin = lambda: pins.append(1) or pin()
-            yield session, lambda: len(pins)
-    elif request.param == "thread":
-        with connect_collection(seeded, workers=2) as threads:
-            yield threads, lambda: threads.stats()["pool"]["submitted_tasks"]
-    else:
-        with ProcessCollection(
-            seeded, shard_processes=2, observability=None
-        ) as cluster:
+            pin = source.warehouse.pin
+            source.warehouse.pin = lambda: pins.append(1) or pin()
+            yield source, lambda: len(pins)
+        elif request.param == "thread":
+            yield source, lambda: source.stats()["pool"]["submitted_tasks"]
+        else:
             frames = []
-            send = cluster._request
+            send = source._request
 
             def counting(handle, verb, payload, timeout=None):
                 if verb is Verb.QUERY:
                     frames.append(payload)
                 return send(handle, verb, payload, timeout)
 
-            cluster._request = counting
-            yield cluster, lambda: len(frames)
+            source._request = counting
+            yield source, lambda: len(frames)
 
 
 class TestResultSetContract:
@@ -319,6 +337,121 @@ class TestResultSetContract:
             assert status_for(excinfo.value) == 400
         else:
             assert len(results.answers()) == len(results.all())
+
+
+def _fresh_store(path):
+    """A collection holding one document ``doc`` = ``a(b)``, no events."""
+    document = repro.FuzzyTree(
+        repro.FuzzyNode("a", children=[repro.FuzzyNode("b")]), repro.EventTable()
+    )
+    with connect_collection(path, create=True, workers=1) as seed:
+        seed.create_document("doc", document=document)
+    return path
+
+
+def _insert_under_a(label: str, confidence: float = 0.5):
+    return (
+        repro.update(repro.pattern("a", variable="x", anchored=True))
+        .insert("x", repro.tree(label))
+        .confidence(confidence)
+    )
+
+
+def _disk_state(path) -> dict:
+    """What a fresh open of the ``doc`` shard recovers."""
+    with repro.connect(path / "doc") as session:
+        return {
+            "document": session.document.root.canonical(),
+            "events": dict(session.document.events.items()),
+            "fresh_counter": session.document.events.fresh_counter,
+            "sequence": session.sequence,
+            "history": [
+                (entry["kind"], entry.get("confidence_event"))
+                for entry in session.history()
+            ],
+        }
+
+
+class TestWriteContract:
+    """One write path: the three surfaces commit, report and reject
+    identically."""
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_rejected_update_leaves_the_document_untouched(self, kind, tmp_path):
+        path = _fresh_store(tmp_path / "coll")
+        before = _disk_state(path)
+        route = () if kind == "session" else ("doc",)
+        # Inserts, then asks to delete the root: refused as a whole.
+        rejected = _insert_under_a("phantom").delete("x")
+        with _open_surface(kind, path, "doc") as source:
+            if kind == "session":
+                shard = source
+            elif kind == "thread":
+                shard = source.document("doc")
+            else:
+                shard = None  # lives in a worker process: checked on disk below
+
+            def live():
+                return (
+                    shard.document.root.canonical(),
+                    dict(shard.document.events.items()),
+                    shard.document.events.fresh_counter,
+                    shard.sequence,
+                    shard.history(),
+                )
+
+            untouched = live() if shard else None
+            with pytest.raises(UpdateError, match="document root"):
+                source.update(*route, rejected)
+            if shard:
+                assert live() == untouched
+            rows = source.query("//*").all()
+            assert rows and not any("phantom" in row.tree.canonical() for row in rows)
+            good = source.update(*route, _insert_under_a("real"))
+            assert good.confidence_event == "w1"  # the refused update minted nothing
+        assert _disk_state(path) == {
+            "document": "a(b,real[w1])",
+            "events": {"w1": 0.5},
+            "fresh_counter": before["fresh_counter"] + 1,
+            "sequence": before["sequence"] + 1,
+            "history": before["history"] + [("update", "w1")],
+        }
+
+    @pytest.mark.timeout(180)
+    def test_single_batch_and_empty_batch_agree_everywhere(self, tmp_path):
+        outcomes = {}
+        for kind in SURFACES:
+            path = _fresh_store(tmp_path / kind)
+            route = () if kind == "session" else ("doc",)
+            with _open_surface(kind, path, "doc") as source:
+
+                def shard_stats():
+                    stats = source.stats()
+                    stats = stats if kind == "session" else stats["documents"]["doc"]
+                    return stats["sequence"], stats["wal_depth"]
+
+                start = shard_stats()
+                single = source.update(*route, _insert_under_a("one", 0.9))
+                batch = source.update_many(
+                    *route,
+                    [_insert_under_a("two"), _insert_under_a("three", 1.0)],
+                    confidence=0.25,
+                )
+                committed = shard_stats()
+                assert source.update_many(*route, []) == []  # a no-op ...
+                assert shard_stats() == committed  # ... that commits nothing
+                assert committed == (start[0] + 2, start[1] + 2)
+            outcomes[kind] = (
+                [dataclasses.asdict(report) for report in [single, *batch]],
+                _disk_state(path),
+            )
+        reports, state = outcomes["session"]
+        assert [r["confidence_event"] for r in reports] == ["w1", "w2", "w3"]
+        assert state["events"] == {"w1": 0.9, "w2": 0.25, "w3": 0.25}
+        assert state["history"][-2:] == [("update", "w1"), ("batch", None)]
+        assert outcomes["thread"] == outcomes["session"]
+        assert outcomes["process"] == outcomes["session"]
 
 
 class TestProcessCollection:
@@ -465,6 +598,34 @@ class TestProcessCollection:
                 assert shard["alive"] is True
                 assert shard["respawns"] == 0
                 assert isinstance(shard["wal_depth"], int)
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("verb", [Verb.STATS, Verb.HEALTH], ids=["stats", "health"])
+    def test_stats_and_health_survive_a_concurrent_ring_change(self, seeded, verb):
+        """A worker removed while an introspection call is polling the
+        others must not tear it (was: ``KeyError: 'w2'``)."""
+        with ProcessCollection(
+            seeded, shard_processes=3, observability=None
+        ) as cluster:
+            send = cluster._request
+            removed = []
+
+            def racing(handle, request_verb, payload, timeout=None):
+                if request_verb is verb and not removed:
+                    removed.append("w2")
+                    cluster.remove_worker("w2")
+                return send(handle, request_verb, payload, timeout)
+
+            cluster._request = racing
+            if verb is Verb.STATS:
+                stats = cluster.stats()
+                assert stats["document_count"] == len(KEYS)
+                assert sorted(stats["cluster"]["workers"]) == ["w0", "w1"]
+            else:
+                health = cluster.health()
+                assert set(health["shards"]) == set(KEYS)
+                assert all(shard["alive"] for shard in health["shards"].values())
+            assert removed == ["w2"]
 
 
 class TestCrashRecovery:

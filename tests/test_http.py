@@ -268,6 +268,35 @@ class TestUpdateAndStats:
         with repro.connect(path) as session:
             assert session.query("//email").limit(1).all()
 
+    def test_rejected_update_is_a_400_and_a_no_op(self, tmp_path):
+        path = tmp_path / "wh"
+        repro.connect(path, create=True, root="person").close()
+        # Inserts, then asks to delete the root: refused as a whole.
+        rejected = (
+            '<xu:modifications xmlns:xu="urn:repro:xupdate" '
+            'query="/person[$p]" confidence="0.5">'
+            '<xu:insert anchor="p"><phantom /></xu:insert>'
+            '<xu:delete target="p" /></xu:modifications>'
+        )
+        with ServerThread(path) as handle:
+            status, _, body = _request(
+                handle.port, "POST", "/update", {"xupdate": rejected}
+            )
+            assert status == 400
+            assert json.loads(body)["error"]["family"] == "UpdateError"
+            status, _, body = _request(
+                handle.port, "POST", "/query", {"pattern": "//*"}
+            )
+            assert [row["tree"] for row in json.loads(body)["rows"]] == ["person"]
+            status, _, body = _request(
+                handle.port, "POST", "/update", {"xupdate": _insert_email_xml("a@x")}
+            )
+            # The refused transaction minted no confidence event.
+            assert json.loads(body)["report"]["confidence_event"] == "w1"
+        with repro.connect(path) as session:
+            assert session.document.root.canonical() == "person(email='a@x'[w1])"
+            assert [entry["kind"] for entry in session.history()] == ["create", "update"]
+
     def test_collection_update_routes_by_document(self, tmp_path):
         path = tmp_path / "coll"
         with repro.connect_collection(path, create=True) as collection:

@@ -229,6 +229,30 @@ class TestCrashBeforeAuditAppend:
             assert last["replayed"] is True
             assert last["kind"] == "update"
 
+    def test_replayed_entries_equal_the_live_ones(self, tmp_path, slide12_doc):
+        """Live commit and recovery build audit entries with one
+        routine: losing the whole log tail rebuilds the same entries
+        (update and batch kinds), marked replayed."""
+        path = tmp_path / "wh"
+        wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
+        wh._commit_update(_insert_tx())
+        wh.update_many([_insert_tx(1.0), _insert_tx(0.3)], confidence=0.25)
+        live = wh.history()
+        assert [entry["kind"] for entry in live] == ["create", "update", "batch"]
+        _kill(wh)
+        log_path = path / "log.jsonl"
+        log_path.write_text(log_path.read_text().splitlines(keepends=True)[0])
+
+        def comparable(entry):
+            return {k: v for k, v in entry.items() if k not in ("timestamp", "replayed")}
+
+        with Warehouse.open(path) as recovered:
+            rebuilt = recovered.history()
+        assert [comparable(entry) for entry in rebuilt] == [
+            comparable(entry) for entry in live
+        ]
+        assert [entry.get("replayed") for entry in rebuilt] == [None, True, True]
+
 
 class TestReplayDivergenceGuard:
     def test_foreign_confidence_event_detected(self, tmp_path, slide12_doc):

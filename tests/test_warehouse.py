@@ -12,6 +12,7 @@ from repro.errors import (
 from repro import (
     DeleteOperation,
     InsertOperation,
+    Session,
     UpdateTransaction,
 )
 from repro.tpwj.parser import parse_pattern
@@ -527,8 +528,8 @@ class TestBatchedUpdates:
         assert reports[1].applied  # Fresh existed by the time it ran
         assert len(warehouse._query_answers("//Nested")) == 1
 
-    def test_begin_batch_context_manager(self, warehouse):
-        with warehouse.begin_batch() as batch:
+    def test_session_batch_context_manager(self, warehouse):
+        with Session(warehouse).batch() as batch:
             batch.update(self._insert_tx())
             batch.update(self._insert_tx("M"), confidence=0.5)
             assert len(batch) == 2
@@ -537,9 +538,9 @@ class TestBatchedUpdates:
         assert len(batch.reports) == 2
         assert batch.reports[1].confidence_event is not None
 
-    def test_begin_batch_aborts_on_exception(self, warehouse):
+    def test_session_batch_aborts_on_exception(self, warehouse):
         with pytest.raises(RuntimeError):
-            with warehouse.begin_batch() as batch:
+            with Session(warehouse).batch() as batch:
                 batch.update(self._insert_tx())
                 raise RuntimeError("boom")
         assert warehouse.sequence == 1
@@ -565,3 +566,79 @@ class TestBatchedUpdates:
             expected = wh.document.root.canonical()
         with Warehouse.open(path) as reopened:
             assert reopened.document.root.canonical() == expected
+
+
+# Captured from the commit before single and batch commits shared one
+# routine: the on-disk record formats are frozen, existing stores must
+# reopen unchanged.
+_XU = 'xmlns:xu=\\"urn:repro:xupdate\\"'
+_GOLDEN_TX = (
+    f'<xu:modifications {_XU} query=\\"C[$c]\\" confidence=\\"0.5\\">'
+    f'<xu:insert anchor=\\"c\\"><N>v</N></xu:insert></xu:modifications>'
+)
+_GOLDEN_MEMBERS = (
+    '<xu:modifications {ns}query=\\"C[$c]\\" confidence=\\"0.25\\">'
+    '<xu:insert anchor=\\"c\\"><M /></xu:insert></xu:modifications>',
+    '<xu:modifications {ns}query=\\"A[$a] {{ B[$b] }}\\" confidence=\\"0.25\\">'
+    '<xu:delete target=\\"b\\" /></xu:modifications>',
+)
+_GOLDEN_WAL = [
+    '{"kind": "update", "payload": {"confidence_event": "w3", '
+    '"honor_negation": true, "max_matches": null, "transaction": "'
+    + _GOLDEN_TX
+    + '"}, "sequence": 2, "sha256": '
+    '"57bd264ff22cb0fcabb5b57ec935c91ef7fdf543cfca6ac3bc540845b4590110"}',
+    '{"kind": "batch", "payload": {"batch": "<xu:batch '
+    + _XU
+    + ">"
+    + "".join(member.format(ns="") for member in _GOLDEN_MEMBERS)
+    + '</xu:batch>", "confidence_events": ["w4", "w5"], '
+    '"honor_negation": true, "max_matches": null}, "sequence": 3, "sha256": '
+    '"ae55c2a31d6c411bbf27a2596eb41a2c48af33daaa9aeb37ad809dac32510991"}',
+]
+_GOLDEN_LOG = [
+    '{"kind": "create", "sequence": 1, "timestamp": 1143504000.0}',
+    '{"applied": true, "confidence": 0.5, "confidence_event": "w3", '
+    '"inserted_nodes": 1, "kind": "update", "matches": 1, "sequence": 2, '
+    '"survivor_copies": 0, "timestamp": 1143504000.0, "transaction": "'
+    + _GOLDEN_TX
+    + '"}',
+    '{"applied": 2, "inserted_nodes": 1, "kind": "batch", "matches": 2, '
+    '"reports": [{"applied": true, "confidence": 0.25, "confidence_event": '
+    '"w4", "inserted_nodes": 1, "matches": 1, "survivor_copies": 0, '
+    '"transaction": "'
+    + _GOLDEN_MEMBERS[0].format(ns=_XU + " ")
+    + '"}, {"applied": true, "confidence": 0.25, "confidence_event": "w5", '
+    '"inserted_nodes": 0, "matches": 1, "survivor_copies": 1, "transaction": "'
+    + _GOLDEN_MEMBERS[1].format(ns=_XU + " ")
+    + '"}], "sequence": 3, "survivor_copies": 1, "timestamp": 1143504000.0, '
+    '"transactions": 2}',
+]
+
+
+def test_record_formats_are_frozen(tmp_path, slide12_doc, monkeypatch):
+    """One single update + one batch of two write exactly the WAL and
+    audit bytes the pre-merge commit wrote."""
+    monkeypatch.setattr("time.time", lambda: 1143504000.0)
+    path = tmp_path / "wh"
+    warehouse = Warehouse.create(path, slide12_doc, observability=None)
+    warehouse._commit_update(
+        UpdateTransaction(
+            parse_pattern("C[$c]"), [InsertOperation("c", tree("N", "v"))], 0.5
+        )
+    )
+    warehouse.update_many(
+        [
+            UpdateTransaction(
+                parse_pattern("C[$c]"), [InsertOperation("c", tree("M"))], 1.0
+            ),
+            UpdateTransaction(
+                parse_pattern("A[$a] { B[$b] }"), [DeleteOperation("b")], 0.9
+            ),
+        ],
+        confidence=0.25,
+    )
+    # Read before close(): compact_on_close folds the WAL away.
+    assert (path / "wal.jsonl").read_text().splitlines() == _GOLDEN_WAL
+    assert (path / "log.jsonl").read_text().splitlines() == _GOLDEN_LOG
+    warehouse.close()
