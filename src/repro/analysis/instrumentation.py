@@ -93,6 +93,9 @@ class Counters:
         ``engine.estimated_candidates`` and
         ``engine.actual_candidates`` — so ``prefixed("engine.")``
         returns the planner's whole dashboard in one call.
+        ``engine.plans_executed`` and ``engine.actual_candidates``
+        count every execution, fixed-plan runs included (update-target
+        location, WAL replay, ``planner=False``): there is one executor.
         """
         # Snapshot under the lock: a concurrent incr inserting a new
         # key mid-iteration would otherwise raise "dictionary changed

@@ -35,8 +35,8 @@ __all__ = ["QueryOptions", "QueryOptionsError", "ORDERS", "PLANS"]
 #: Row orderings: the engine's deterministic match order, or decreasing
 #: probability (ties broken by that same match order).
 ORDERS = ("document", "probability")
-#: Plan selection: the cost-based planner, or the fixed-strategy
-#: matcher (the E9 ablation baseline).
+#: Plan selection: the cost-based planner, or the fixed pre-order plan
+#: of the handle's ``MatchConfig`` (the E9 ablation baseline).
 PLANS = ("auto", "fixed")
 
 #: json key -> dataclass field for the wire form (everything else maps

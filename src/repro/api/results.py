@@ -140,8 +140,9 @@ def resolve_query(query, options=None, keys=None, *, planner: bool = True):
     engines).  *query* is a string, Pattern or builder and may be
     omitted when *options* — a :class:`~repro.api.options.QueryOptions`
     — carries a ``pattern``; without *options*, *planner* picks the
-    plan (``False`` is the fixed-strategy ablation baseline, which
-    materializes matches, so limits truncate but do not stream).
+    plan (``False`` is the fixed pre-order plan of the ablation baseline,
+    whose matches are materialized, so limits truncate but do not
+    stream).
     *keys* (collections) defaults to ``[options.document]`` when that
     routing field is set and comes back sorted and deduplicated — the
     shard order every merge uses.

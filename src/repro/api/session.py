@@ -176,8 +176,10 @@ class Session:
         Nothing runs until the result set is iterated; iteration goes
         through the warehouse's cost-based planner and plan cache, and
         ``.limit(n)`` streams — see :class:`ResultSet`.
-        ``planner=False`` is the fixed-strategy ablation baseline
-        (ignored when *options* is given: its ``plan`` field governs).
+        ``planner=False`` runs the same operators under the fixed
+        pre-order plan the handle's ``MatchConfig`` spells out, on a
+        fresh document walk — the ablation baseline (ignored when
+        *options* is given: its ``plan`` field governs).
 
         *options*, a :class:`~repro.api.QueryOptions`, carries the full
         execution envelope (limit, order, ``min_probability``, anytime

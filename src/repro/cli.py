@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--no-planner",
         action="store_true",
-        help="bypass the cost-based engine (fixed-strategy matcher)",
+        help="bypass the cost-based planner and its caches (fixed pre-order plan)",
     )
     query.add_argument(
         "--top-k",

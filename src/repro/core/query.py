@@ -306,9 +306,10 @@ def _consistent_matches(
       :class:`~repro.engine.executor.ProbabilityBound` over the
       ancestor-condition index and ``prune(upper)`` decides, from the
       upper bound alone, whether a branch can still contribute.
-    * Without an engine (the E9 ablation baseline) the fixed matcher
-      enumerates (*plan* is forwarded to it) and *prune* is ignored —
-      same matches, no pruning.
+    * Without an engine (the E9 ablation baseline) ``find_matches``
+      runs the same operators on a throw-away walk — under the fixed
+      pre-order plan of *config* unless *plan* says otherwise — and
+      *prune* is ignored: same matches, no pruning.
 
     *abort* is the serving layers' cancellation hook, polled once per
     enumerated match.  Matches whose conjunction is inconsistent (they
@@ -383,8 +384,9 @@ def iter_query_rows(
     consistent, possible match.
 
     The streaming counterpart of :func:`query_fuzzy_tree`: matching is
-    pulled one match at a time (through *engine*'s streaming protocol
-    when given, the fixed matcher otherwise), each match's condition is
+    pulled one match at a time through *engine*'s streaming protocol
+    when given (materialized by ``find_matches``' fixed pre-order plan
+    otherwise), each match's condition is
     computed immediately — through the engine's ancestor-condition
     index when available — and iteration stops after *limit* emitted
     rows, aborting the remaining backtracking.  Matches that can fire

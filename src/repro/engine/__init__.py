@@ -1,17 +1,20 @@
-"""Cost-based query engine for TPWJ evaluation.
+"""Query engine for TPWJ evaluation: one executor, two planners.
 
-The fixed-strategy matcher (:mod:`repro.tpwj.match`) evaluates every
-query the same way, with hand-set ablation toggles.  This subsystem
-chooses the strategy *per query* from data statistics, the way a
-database optimizer does:
+Every match in the system is enumerated by this subsystem's operators.
+``find_matches(pattern, root)`` runs them under the *fixed* plan a
+:class:`~repro.tpwj.match.MatchConfig` spells out (pre-order visit,
+hand-set ablation toggles, a throw-away document walk); the rest of
+this package chooses the strategy *per query* from data statistics, the
+way a database optimizer does:
 
 * :mod:`repro.engine.stats` — one-pass document statistics with
   versioned invalidation;
 * :mod:`repro.engine.cardinality` — selectivity and cardinality
   estimates for pattern nodes, axes and value joins;
 * :mod:`repro.engine.planner` — cost-based choice of visit order and
-  physical operators, producing an explainable :class:`Plan`;
-* :mod:`repro.engine.executor` — the physical operators that run a
+  physical operators, producing an explainable :class:`Plan` (and
+  :func:`~repro.engine.planner.fixed_plan`, the toggle-driven one);
+* :mod:`repro.engine.executor` — the physical operators that run any
   plan and return ordinary :class:`~repro.tpwj.match.Match` objects;
 * :mod:`repro.engine.cache` — an LRU plan cache keyed by
   (pattern fingerprint, statistics version).
@@ -67,7 +70,6 @@ from repro.engine.executor import (
     execute_plan,
     iter_plan,
     iter_rekeyed,
-    rekey_matches,
 )
 from repro.engine.planner import Plan, PlanStep, build_plan, pattern_fingerprint
 from repro.engine.stats import DocumentStats, StatsDelta, TreeStats, collect_stats
@@ -92,7 +94,6 @@ __all__ = [
     "execute_plan",
     "iter_plan",
     "iter_rekeyed",
-    "rekey_matches",
     "pattern_fingerprint",
     "estimate_candidates",
     "estimate_enumeration_cost",

@@ -1,9 +1,10 @@
 """Physical operators executing a :class:`~repro.engine.planner.Plan`.
 
-The fixed-strategy matcher in :mod:`repro.tpwj.match` fuses candidate
-computation, pruning and enumeration into one class with boolean
-toggles.  The engine splits the same work into explicit operators so a
-plan can pick and order them:
+The one place matches are enumerated: :func:`iter_plan` runs under every
+caller — planned queries, and (through ``find_matches(plan=None)``'s
+fixed pre-order plan) update-target location, WAL replay, the
+possible-worlds oracle and Monte-Carlo sampling.  The work is split
+into explicit operators so a plan can pick and order them:
 
 * :class:`LabelIndexScan` / :class:`FullScan` — produce the per-pattern-
   node candidate lists (one document pass builds the label index,
@@ -15,12 +16,12 @@ plan can pick and order them:
   visit order, checking join variables eagerly or at the end as the
   plan decided.
 
-The operators reproduce the matcher's semantics exactly — the
-equivalence property test (``tests/test_engine_equivalence.py``) checks
-the match *set* is identical to the naive matcher on random instances —
-but the *order* of matches follows the plan's visit order, so callers
+Whatever the plan, the match *set* is the definition's —
+``tests/test_engine_equivalence.py`` compares every plan shape against
+a definitional reference that shares no code with the operators — but
+the *order* of matches follows the plan's visit order, so callers
 needing a canonical order must sort (the fuzzy query path already
-does).
+does) or run the fixed pre-order plan.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "execute_plan",
     "iter_plan",
     "iter_rekeyed",
-    "rekey_matches",
     "LabelIndexScan",
     "FullScan",
     "SemiJoinPrune",
@@ -66,21 +66,14 @@ def iter_rekeyed(plan: Plan, pattern, matches) -> Iterator[Match]:
         yield Match(pattern, {mine: match[theirs] for theirs, mine in pairs})
 
 
-def rekey_matches(plan: Plan, pattern, matches: list[Match]) -> list[Match]:
-    """Materializing wrapper around :func:`iter_rekeyed`."""
-    if plan.pattern is pattern:
-        return matches
-    return list(iter_rekeyed(plan, pattern, matches))
-
-
 class _Intervals:
     """Pre-order interval numbering for O(1) ancestor/descendant tests.
 
-    The constructor makes the engine's **single** document pass: it
-    numbers the tree *and* collects the node list and the label index
-    the scan operators draw from, so executing a plan walks the
-    document exactly once (as the fixed matcher's own
-    ``_walk_document`` does).
+    The constructor makes the **single** document pass of an execution:
+    it numbers the tree *and* collects the node list and the label index
+    the scan operators draw from.  The walk keeps its own stack — it
+    runs under every matcher caller, so document depth must not be
+    bounded by the interpreter's recursion limit.
 
     *yield_every*, when set, cooperatively yields the GIL every that
     many visited nodes (``time.sleep(0)``): the serving layer rebuilds
@@ -110,9 +103,16 @@ class _Intervals:
         # its ancestor-condition index's ``observe`` so per-node closed
         # conditions are gathered in the same walk (pre-order — a
         # node's parent is always observed first).
-
-        def visit(node: Node) -> None:
-            nonlocal clock
+        #
+        # An internal node is re-pushed under a None marker below its
+        # children, so it is closed once its whole subtree has been
+        # numbered; leaves close on the spot.
+        stack: list[Node | None] = [root]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                exit_[id(stack.pop())] = clock
+                continue
             enter[id(node)] = clock
             clock += 1
             if yield_every is not None and clock % yield_every == 0:
@@ -125,11 +125,13 @@ class _Intervals:
                 index[node.label] = [node]
             else:
                 bucket.append(node)
-            for child in node.children:
-                visit(child)
-            exit_[id(node)] = clock
-
-        visit(root)
+            children = node.children
+            if children:
+                stack.append(node)
+                stack.append(None)
+                stack.extend(reversed(children))
+            else:
+                exit_[id(node)] = clock
 
     def is_descendant(self, node: Node, ancestor: Node) -> bool:
         return (
@@ -316,15 +318,17 @@ class BacktrackJoin:
     def __init__(
         self,
         plan: Plan,
-        intervals: _Intervals,
+        intervals: _Intervals | None,
         candidates: dict[PatternNode, list[Node]],
         runtime: MatchConfig,
+        join_groups: dict[str, list[PatternNode]],
     ) -> None:
         self._plan = plan
         self._intervals = intervals
         self._candidates = candidates
         self._runtime = runtime
-        self._join_groups = plan.pattern.join_variables()
+        #: ``plan.pattern.join_variables()`` — the scans already needed it.
+        self._join_groups = join_groups
 
     def iter_matches(self, *, bound=None, prune=None) -> Iterator[Match]:
         """Lazily yield matches in the plan's deterministic visit order.
@@ -391,12 +395,6 @@ class BacktrackJoin:
 
         yield from assign(0)
 
-    def run(self) -> list[Match]:
-        matches = self.iter_matches()
-        if self._runtime.max_matches is not None:
-            return list(islice(matches, self._runtime.max_matches))
-        return list(matches)
-
     def _options(
         self, pattern_node: PatternNode, mapping: dict[PatternNode, Node]
     ) -> list[Node]:
@@ -441,39 +439,53 @@ def iter_plan(
     come from the plan.  *intervals* lets a long-lived caller
     (:class:`~repro.engine.QueryEngine`) reuse the document walk across
     executions; it must have been built for *root* in its current state.
+    Without it a throw-away walk is made — except for an anchored
+    single-node pattern, which needs none.
     *bound*/*prune* switch on probability-bounded enumeration — see
     :meth:`BacktrackJoin.iter_matches`.
     """
     counters.incr("engine.plans_executed")
     pattern = plan.pattern
     join_vars = pattern.join_variables()
-    if intervals is None:
-        intervals = _Intervals(root)
-
-    scan = (
-        LabelIndexScan(intervals) if plan.use_label_index else FullScan(intervals)
-    )
     candidates: dict[PatternNode, list[Node]] = {}
-    positive = pattern.positive_nodes()
-    for pattern_node in positive:
-        kept = scan.scan(pattern_node, join_vars)
-        if not kept:
-            return
-        candidates[pattern_node] = kept
 
-    if pattern.anchored:
-        anchored = [n for n in candidates[pattern.root] if n is root]
-        if not anchored:
+    if intervals is None and pattern.anchored and len(plan.steps) == 1:
+        # An anchored single-node pattern (one step: plans visit every
+        # positive node) can only map to the document root — the shape
+        # of root-targeted updates, hence of most WAL records: a
+        # constant-time probe, no walk.  The join below never consults
+        # the walk for a parentless pattern node.
+        if not _local_ok(pattern.root, root, join_vars):
             return
-        candidates[pattern.root] = anchored
+        counters.incr("engine.actual_candidates")
+        counters.incr("match.candidates")
+        candidates[pattern.root] = [root]
+    else:
+        if intervals is None:
+            intervals = _Intervals(root)
+        positive = pattern.positive_nodes()
+        scan = (
+            LabelIndexScan(intervals) if plan.use_label_index else FullScan(intervals)
+        )
+        for pattern_node in positive:
+            kept = scan.scan(pattern_node, join_vars)
+            if not kept:
+                return
+            candidates[pattern_node] = kept
 
-    if plan.use_semijoin_pruning:
-        if not SemiJoinPrune(intervals).prune(positive, candidates):
-            return
+        if pattern.anchored:
+            anchored = [n for n in candidates[pattern.root] if n is root]
+            if not anchored:
+                return
+            candidates[pattern.root] = anchored
 
-    matches = BacktrackJoin(plan, intervals, candidates, runtime).iter_matches(
-        bound=bound, prune=prune
-    )
+        if plan.use_semijoin_pruning:
+            if not SemiJoinPrune(intervals).prune(positive, candidates):
+                return
+
+    matches = BacktrackJoin(
+        plan, intervals, candidates, runtime, join_vars
+    ).iter_matches(bound=bound, prune=prune)
     if runtime.max_matches is not None:
         matches = islice(matches, runtime.max_matches)
     yield from matches

@@ -1,7 +1,7 @@
-"""Cost-based planning for TPWJ evaluation.
+"""Planning for TPWJ evaluation: cost-based, or fixed from the toggles.
 
-A :class:`Plan` fixes, ahead of execution, everything the fixed-strategy
-matcher used to hard-code or leave to hand-set ablation flags:
+A :class:`Plan` fixes, ahead of execution, every strategy decision the
+one executor (:mod:`repro.engine.executor`) takes:
 
 * the **visit order** of the pattern nodes — any topological order of
   the pattern tree is legal (a node's parent must be bound before the
@@ -15,6 +15,11 @@ matcher used to hard-code or leave to hand-set ablation flags:
   costs more than the enumeration it saves);
 * where **join checks** run — eagerly during enumeration when the
   pattern has join variables, at the end otherwise.
+
+Two planners produce one: :func:`build_plan` chooses all four from
+document statistics, :func:`fixed_plan` copies them from a
+:class:`~repro.tpwj.match.MatchConfig` (pre-order visit, the caller's
+toggles) — what ``find_matches(plan=None)`` / ``planner=False`` run.
 
 Plans are explainable: :meth:`Plan.explain` renders the decisions with
 the estimates that drove them, and ``repro explain`` surfaces it on the
@@ -33,10 +38,11 @@ from repro.engine.cardinality import (
     join_selectivity,
 )
 from repro.engine.stats import TreeStats
+from repro.tpwj.match import MatchConfig
 from repro.tpwj.parser import format_pattern
 from repro.tpwj.pattern import Pattern, PatternNode
 
-__all__ = ["Plan", "PlanStep", "build_plan", "pattern_fingerprint"]
+__all__ = ["Plan", "PlanStep", "build_plan", "fixed_plan", "pattern_fingerprint"]
 
 #: Below this estimated total candidate volume the semi-join prepass
 #: costs more than the enumeration it could save.
@@ -283,4 +289,35 @@ def build_plan(
         fingerprint=pattern_fingerprint(pattern)
         + (" [bounded]" if bounded else ""),
         reasons=tuple(reasons),
+    )
+
+
+def fixed_plan(pattern: Pattern, config: MatchConfig) -> Plan:
+    """The plan a :class:`~repro.tpwj.match.MatchConfig` spells out.
+
+    Declaration pre-order visit (so matches come out in document order,
+    the order ``max_matches`` truncation — hence WAL replay — depends
+    on) and the operators named by *config*'s three strategy toggles.
+    Nothing is estimated or formatted: Monte-Carlo builds one of these
+    per sampled world, every update one per transaction.
+    """
+    indexed = config.use_label_index
+    return Plan(
+        pattern=pattern,
+        steps=tuple(
+            PlanStep(
+                node,
+                "label-index" if indexed and node.label is not None else "full-scan",
+                0.0,
+                0.0,
+            )
+            for node in pattern.positive_nodes()
+        ),
+        use_label_index=indexed,
+        use_semijoin_pruning=config.use_semijoin_pruning,
+        early_join_check=config.early_join_check,
+        estimated_cost=0.0,
+        baseline_cost=0.0,
+        stats_version=0,
+        fingerprint="[fixed pre-order]",
     )

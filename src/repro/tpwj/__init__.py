@@ -2,7 +2,8 @@
 
 * :class:`Pattern` / :class:`PatternNode` — the query AST;
 * :func:`parse_pattern` / :func:`format_pattern` — text syntax;
-* :func:`find_matches` with :class:`MatchConfig` — the matcher;
+* :func:`find_matches` with :class:`MatchConfig` — the matcher's entry
+  point (enumeration runs in :mod:`repro.engine.executor`);
 * :func:`answer_tree` / :func:`distinct_answers` — minimal-subtree
   answers.
 """

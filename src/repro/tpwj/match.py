@@ -9,10 +9,14 @@ A *match* is a homomorphism from pattern nodes to data nodes that
 * satisfies the value joins (all nodes sharing a join variable map to
   leaves carrying equal values).
 
-The matcher enumerates homomorphisms by backtracking over per-pattern-
-node candidate lists.  Three optimizations — each individually
-toggleable through :class:`MatchConfig` for the E9 ablation — keep the
-enumeration tractable:
+This module owns the definition's vocabulary — :class:`Match`,
+:class:`MatchConfig`, the :func:`find_matches` entry point — and
+:func:`find_embeddings`, the small direct search used for negated
+subpatterns.  Enumeration itself lives in one place, the operators of
+:mod:`repro.engine.executor`; :func:`find_matches` only decides which
+:class:`~repro.engine.planner.Plan` they run.  The three optimizations
+the plan selects — each individually toggleable through
+:class:`MatchConfig` for the E9 ablation:
 
 1. **label-index candidate pre-filtering**: candidates are drawn from a
    label -> nodes index instead of scanning the document per pattern
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.instrumentation import counters
 from repro.errors import QueryError
 from repro.tpwj.pattern import Pattern, PatternNode
 from repro.trees.node import Node
@@ -94,6 +97,8 @@ class MatchConfig:
     structurally (the plain-tree semantics).  The fuzzy evaluator turns
     it off and accounts for negated subpatterns through event
     conditions instead (their presence is world-dependent).
+    ``max_matches`` caps the enumeration: ``None`` (no cap) or a
+    non-negative ``int`` — ``0`` yields no match.
     """
 
     use_label_index: bool = True
@@ -101,6 +106,15 @@ class MatchConfig:
     early_join_check: bool = True
     max_matches: int | None = None
     honor_negation: bool = True
+
+    def __post_init__(self) -> None:
+        # Checked here, not at the cap: configs arrive from WAL payloads
+        # and wire options, and a bad one must be a typed error.
+        cap = self.max_matches
+        if cap is not None and not (isinstance(cap, int) and cap >= 0):
+            raise QueryError(
+                f"max_matches must be None or a non-negative int, got {cap!r}"
+            )
 
 
 #: Default configuration shared by all callers that do not customise.
@@ -172,266 +186,36 @@ def find_matches(
 ) -> list[Match]:
     """All matches of *pattern* in the tree rooted at *root*.
 
-    With the default ``plan=None`` the fixed-strategy matcher runs with
-    the toggles in *config* and the result order is deterministic
-    (pre-order of candidate data nodes, pattern children in declaration
-    order).  ``plan="auto"`` delegates to the cost-based engine
-    (:mod:`repro.engine`): statistics are collected, a plan is built
-    and executed; *config* then only supplies the runtime semantics
-    (``max_matches``, ``honor_negation``) while the engine chooses the
-    strategy.  Passing a prebuilt :class:`~repro.engine.planner.Plan`
-    executes it directly (the warehouse does this through its plan
-    cache); match order then follows the plan's visit order.
+    Every call runs the engine's operators
+    (:func:`repro.engine.executor.iter_plan`); *plan* says under which
+    plan.  With the default ``plan=None`` it is the fixed plan *config*
+    spells out (:func:`~repro.engine.planner.fixed_plan`): the three
+    strategy toggles pick the operators and the result order is
+    deterministic (pre-order of candidate data nodes, pattern children
+    in declaration order).  ``plan="auto"`` plans by cost: statistics
+    are collected, a plan is built and executed; *config* then only
+    supplies the runtime semantics (``max_matches``,
+    ``honor_negation``).  Passing a prebuilt
+    :class:`~repro.engine.planner.Plan` executes it directly (the
+    warehouse does this through its plan cache); match order then
+    follows the plan's visit order.
     """
-    if plan is not None:
-        # Imported here: the engine builds on this module.
-        from repro.engine.executor import execute_plan, rekey_matches
-        from repro.engine.planner import Plan, build_plan, pattern_fingerprint
+    # Imported here: the engine builds on this module.
+    from repro.engine.executor import iter_plan, iter_rekeyed
+    from repro.engine.planner import Plan, build_plan, fixed_plan, pattern_fingerprint
+
+    if plan is None:
+        return list(iter_plan(fixed_plan(pattern, config), root, config))
+    if plan == "auto":
         from repro.engine.stats import collect_stats
 
-        if plan == "auto":
-            plan = build_plan(pattern, collect_stats(root))
-        elif not isinstance(plan, Plan):
-            raise QueryError(
-                f"plan must be None, 'auto' or a Plan, got {plan!r}"
-            )
-        if plan.pattern is not pattern and plan.fingerprint != pattern_fingerprint(
-            pattern
-        ):
-            raise QueryError(
-                f"plan was built for {plan.fingerprint!r}, not for {pattern!s}"
-            )
-        matches = execute_plan(plan, root, config)
-        return rekey_matches(plan, pattern, matches)
-    matcher = _Matcher(pattern, root, config)
-    return matcher.run()
-
-
-class _Matcher:
-    # NOTE: the engine's physical operators (repro.engine.executor)
-    # implement the same matching semantics as separate operators.  Any
-    # change to the local test, the join rules or the negation check
-    # here must be mirrored there; tests/test_engine_equivalence.py
-    # guards the two against drifting apart.
-    def __init__(self, pattern: Pattern, root: Node, config: MatchConfig) -> None:
-        self.pattern = pattern
-        self.root = root
-        self.config = config
-        self.join_groups = pattern.join_variables()
-        # Pre-order interval numbering for O(1) ancestor/descendant
-        # tests, plus the node list / label index for the candidate
-        # scan — all gathered in one walk of the document (the walk is
-        # the dominant cost of matching on small patterns, so it is
-        # paid once, not per concern).
-        self.enter: dict[int, int] = {}
-        self.exit: dict[int, int] = {}
-        self.all_nodes: list[Node] = []
-        self.label_index: dict[str, list[Node]] = {}
-        # An anchored single-node pattern can only map to the document
-        # root: matching is a constant-time root probe, so the walk is
-        # skipped entirely (the shape of root-targeted updates).
-        self._root_probe = pattern.anchored and len(pattern.nodes()) == 1
-        if not self._root_probe:
-            self._walk_document()
-        self.candidates: dict[PatternNode, list[Node]] = {}
-
-    def _walk_document(self) -> None:
-        enter = self.enter
-        exit_ = self.exit
-        all_nodes = self.all_nodes
-        index = self.label_index
-        build_index = self.config.use_label_index
-        clock = 0
-        stack: list[tuple[Node, bool]] = [(self.root, False)]
-        while stack:
-            node, closing = stack.pop()
-            if closing:
-                exit_[id(node)] = clock
-                continue
-            enter[id(node)] = clock
-            clock += 1
-            all_nodes.append(node)
-            if build_index:
-                bucket = index.get(node.label)
-                if bucket is None:
-                    index[node.label] = [node]
-                else:
-                    bucket.append(node)
-            stack.append((node, True))
-            children = node.children
-            for child in reversed(children):
-                stack.append((child, False))
-
-    def _is_descendant(self, node: Node, ancestor: Node) -> bool:
-        return (
-            self.enter[id(ancestor)] < self.enter[id(node)]
-            and self.enter[id(node)] < self.exit[id(ancestor)]
+        plan = build_plan(pattern, collect_stats(root))
+    elif not isinstance(plan, Plan):
+        raise QueryError(f"plan must be None, 'auto' or a Plan, got {plan!r}")
+    if plan.pattern is not pattern and plan.fingerprint != pattern_fingerprint(
+        pattern
+    ):
+        raise QueryError(
+            f"plan was built for {plan.fingerprint!r}, not for {pattern!s}"
         )
-
-    # ------------------------------------------------------------------
-    # Candidate computation
-    # ------------------------------------------------------------------
-
-    def _local_ok(self, pattern_node: PatternNode, data_node: Node) -> bool:
-        if pattern_node.label is not None and pattern_node.label != data_node.label:
-            return False
-        if pattern_node.value is not None and data_node.value != pattern_node.value:
-            return False
-        # Positive children require an internal image; negated children
-        # do not (a leaf trivially has no embedding of the subpattern).
-        if data_node.is_leaf and any(not c.negated for c in pattern_node.children):
-            return False
-        # A join variable can only bind a valued leaf.
-        variable = pattern_node.variable
-        if variable is not None and variable in self.join_groups:
-            if data_node.value is None:
-                return False
-        return True
-
-    def _compute_candidates(self) -> bool:
-        """Fill per-pattern-node candidate lists; False when one is empty."""
-        if self._root_probe:
-            pattern_root = self.pattern.root
-            if not self._local_ok(pattern_root, self.root):
-                return False
-            counters.incr("match.candidates")
-            self.candidates[pattern_root] = [self.root]
-            return True
-        all_nodes = self.all_nodes
-        index = self.label_index
-
-        for pattern_node in self.pattern.positive_nodes():
-            if self.config.use_label_index and pattern_node.label is not None:
-                base = index.get(pattern_node.label, [])
-            else:
-                base = all_nodes
-            kept = [node for node in base if self._local_ok(pattern_node, node)]
-            counters.incr("match.candidates", len(kept))
-            if not kept:
-                return False
-            self.candidates[pattern_node] = kept
-
-        if self.pattern.anchored:
-            anchored = [n for n in self.candidates[self.pattern.root] if n is self.root]
-            if not anchored:
-                return False
-            self.candidates[self.pattern.root] = anchored
-        return True
-
-    def _semijoin_prune(self) -> bool:
-        """Bottom-up structural pruning; False when a list empties."""
-        order = self.pattern.positive_nodes()
-        order.reverse()  # children before parents
-        for pattern_node in order:
-            required = [c for c in pattern_node.children if not c.negated]
-            if not required:
-                continue
-            survivors: list[Node] = []
-            for data_node in self.candidates[pattern_node]:
-                if all(
-                    self._has_axis_candidate(child, data_node)
-                    for child in required
-                ):
-                    survivors.append(data_node)
-            counters.incr(
-                "match.semijoin_pruned",
-                len(self.candidates[pattern_node]) - len(survivors),
-            )
-            if not survivors:
-                return False
-            self.candidates[pattern_node] = survivors
-        return True
-
-    def _has_axis_candidate(self, pattern_child: PatternNode, data_node: Node) -> bool:
-        child_candidates = self.candidates[pattern_child]
-        if pattern_child.descendant:
-            return any(self._is_descendant(c, data_node) for c in child_candidates)
-        return any(c.parent is data_node for c in child_candidates)
-
-    # ------------------------------------------------------------------
-    # Enumeration
-    # ------------------------------------------------------------------
-
-    def run(self) -> list[Match]:
-        if not self._compute_candidates():
-            return []
-        if self.config.use_semijoin_pruning and not self._semijoin_prune():
-            return []
-
-        matches: list[Match] = []
-        mapping: dict[PatternNode, Node] = {}
-        bindings: dict[str, str] = {}
-        # One flag read per query, not one per partial assignment.
-        track = counters.enabled
-
-        def assign(pending: list[PatternNode]) -> bool:
-            """Backtracking over pattern nodes; True to stop (limit hit)."""
-            if not pending:
-                if not self.config.early_join_check and not self._joins_ok(mapping):
-                    return False
-                matches.append(Match(self.pattern, dict(mapping)))
-                if track:
-                    counters.incr("match.found")
-                return (
-                    self.config.max_matches is not None
-                    and len(matches) >= self.config.max_matches
-                )
-            pattern_node = pending[0]
-            rest = pending[1:]
-            for data_node in self._options(pattern_node, mapping):
-                if track:
-                    counters.incr("match.assignments")
-                if self.config.honor_negation and any(
-                    child.negated and find_embeddings(child, data_node)
-                    for child in pattern_node.children
-                ):
-                    if track:
-                        counters.incr("match.negation_pruned")
-                    continue
-                variable = pattern_node.variable
-                joined = (
-                    self.config.early_join_check
-                    and variable is not None
-                    and variable in self.join_groups
-                )
-                if joined:
-                    value = data_node.value
-                    bound = bindings.get(variable)
-                    if bound is not None and bound != value:
-                        continue
-                    fresh_binding = bound is None
-                    if fresh_binding:
-                        bindings[variable] = value  # value is non-None (candidate filter)
-                mapping[pattern_node] = data_node
-                stop = assign(rest)
-                del mapping[pattern_node]
-                if joined and fresh_binding:
-                    del bindings[variable]
-                if stop:
-                    return True
-            return False
-
-        # Process pattern nodes in pre-order so a node's parent is always
-        # assigned before the node itself.  Negated subpatterns are not
-        # part of the mapping; they are checked as parents get assigned.
-        assign(self.pattern.positive_nodes())
-        return matches
-
-    def _options(
-        self, pattern_node: PatternNode, mapping: dict[PatternNode, Node]
-    ) -> list[Node]:
-        candidates = self.candidates[pattern_node]
-        parent = pattern_node.parent
-        if parent is None:
-            return candidates
-        anchor = mapping[parent]
-        if pattern_node.descendant:
-            return [c for c in candidates if self._is_descendant(c, anchor)]
-        return [c for c in candidates if c.parent is anchor]
-
-    def _joins_ok(self, mapping: dict[PatternNode, Node]) -> bool:
-        for nodes in self.join_groups.values():
-            values = {mapping[p].value for p in nodes}
-            if len(values) != 1 or None in values:
-                return False
-        return True
+    return list(iter_rekeyed(plan, pattern, iter_plan(plan, root, config)))

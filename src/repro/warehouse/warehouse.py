@@ -469,8 +469,10 @@ class Warehouse:
         Matching runs through the cost-based engine with the
         warehouse's plan cache (a handle's ``max_matches`` is pushed
         into the engine's streaming protocol, which stops the
-        enumeration at the cap); ``planner=False`` falls back to the
-        fixed-strategy matcher with the handle's :class:`MatchConfig`.
+        enumeration at the cap); ``planner=False`` runs the same
+        operators under the fixed pre-order plan the handle's
+        :class:`MatchConfig` spells out, on a throw-away walk, without
+        the condition index or the Shannon memo.
 
         Thread safety: the evaluation runs against a pinned generation
         (released on return), so a concurrent commit copies-on-write
@@ -1045,16 +1047,18 @@ def _replay_record(
     sequence = record["sequence"]
     payload = record.get("payload") or {}
     kind = record["kind"]
-    # Replay under the match semantics of the session that wrote the
-    # record, not the recovering handle's (a different max_matches or
-    # negation setting would silently rebuild a different document).
-    if "max_matches" in payload or "honor_negation" in payload:
-        match_config = dataclasses.replace(
-            match_config,
-            max_matches=payload.get("max_matches"),
-            honor_negation=payload.get("honor_negation", True),
-        )
     try:
+        # Replay under the match semantics of the session that wrote the
+        # record, not the recovering handle's (a different max_matches
+        # or negation setting would silently rebuild a different
+        # document).  Inside the guard: MatchConfig rejects a malformed
+        # recorded value.
+        if "max_matches" in payload or "honor_negation" in payload:
+            match_config = dataclasses.replace(
+                match_config,
+                max_matches=payload.get("max_matches"),
+                honor_negation=payload.get("honor_negation", True),
+            )
         if kind == "update":
             texts = [payload["transaction"]]
             members = [transaction_from_string(texts[0])]

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from repro import EventTable, FuzzyNode, FuzzyTree
+from repro.api.builders import compile_transaction
+from repro.core.update import apply_update
+from repro.tpwj.match import find_matches
 from repro.tpwj.parser import parse_pattern
 from repro.warehouse import Warehouse
 from repro.analysis import counters
+from repro.engine import executor
 from repro.engine import (
     DocumentStats,
     PlanCache,
@@ -257,6 +263,33 @@ class TestQueryEngine:
         assert match[second.root].label == "person"
         assert match.pattern is second
         assert match.binding("x") is not None
+
+    def test_anchored_single_node_pattern_is_a_root_probe(self, doc, monkeypatch):
+        """An anchored single-node pattern (the target of every
+        ``directory[$d]``-style insert, hence of most WAL records) is
+        answered from the root alone: with the document walk made
+        impossible it still matches, while an unanchored pattern
+        trips — so the fast path cannot silently decay into a walk."""
+        def no_walk(self, *args, **kwargs):
+            raise AssertionError("the document was walked")
+
+        monkeypatch.setattr(executor._Intervals, "__init__", no_walk)
+        assert len(find_matches(parse_pattern("/directory"), doc)) == 1
+        assert find_matches(parse_pattern("/person"), doc) == []
+        assert len(find_matches(parse_pattern("/directory { !//ghost }"), doc)) == 1
+        assert find_matches(parse_pattern("/directory { !//name }"), doc) == []
+
+        directory = FuzzyTree(FuzzyNode("directory"), EventTable())
+        person_insert = compile_transaction(
+            repro.update(repro.pattern("directory", variable="d", anchored=True))
+            .insert("d", repro.tree("person", repro.tree("name", "p0001")))
+            .confidence(0.5)
+        )
+        assert apply_update(directory, person_insert).applied
+        assert [child.label for child in directory.root.children] == ["person"]
+
+        with pytest.raises(AssertionError, match="walked"):
+            find_matches(parse_pattern("//person"), doc)
 
     def test_walk_reuse_and_invalidation(self, doc):
         engine = QueryEngine(lambda: doc)

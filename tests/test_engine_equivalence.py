@@ -1,16 +1,22 @@
-"""Property test: the planner-chosen execution is exactly equivalent to
-the naive matcher.
+"""Property test: every plan shape yields exactly the definition's matches.
 
-For random documents and random patterns, the match set produced by the
-cost-based engine (statistics -> plan -> physical operators) must equal
-the match set of the fixed-strategy matcher with **every** optimization
-disabled — the ground-truth enumeration.  This is the engine's
+There is one matcher — the engine's operators, run under a cost-based
+plan or under the fixed pre-order plan a ``MatchConfig`` spells out —
+so a config with every optimization disabled is no longer independent
+ground truth: it is the same operators.  The ground truth here is
+``reference_matches`` (``tests/reference_matcher.py``), slide 13's
+definition executed literally.  For random documents and random
+patterns, every plan shape (all 8 toggle combinations × fixed plan,
+``plan="auto"``, a prebuilt plan) must produce its match *set*; the
+fixed plan must also produce its *order*, because ``max_matches``
+truncation — hence WAL replay — depends on it.  This is the engine's
 load-bearing correctness test: plans may reorder the visit sequence and
 pick different operators, but never change the answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -30,6 +36,8 @@ from repro.tpwj.pattern import Pattern, PatternNode
 from repro.trees import Node, RandomTreeConfig
 from repro.workloads import FuzzyWorkloadConfig, random_fuzzy_tree, random_query_for
 
+from reference_matcher import reference_matches
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 relaxed = settings(
@@ -38,10 +46,12 @@ relaxed = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: The ground truth: plain backtracking, no index, no pruning, late joins.
-NAIVE = MatchConfig(
-    use_label_index=False, use_semijoin_pruning=False, early_join_check=False
-)
+#: Every combination of the three strategy toggles; the last is the
+#: "naive" one (no index, no pruning, late joins).
+TOGGLES = [
+    MatchConfig(use_label_index=index, use_semijoin_pruning=semijoin, early_join_check=early)
+    for index, semijoin, early in itertools.product([True, False], repeat=3)
+]
 
 DOCS = FuzzyWorkloadConfig(
     tree=RandomTreeConfig(max_nodes=40, max_children=4, max_depth=5),
@@ -49,14 +59,37 @@ DOCS = FuzzyWorkloadConfig(
 )
 
 
-def match_keys(matches, pattern) -> set[tuple[int, ...]]:
-    """Identity-based canonical keys for a match set.
+def ordered_keys(matches, pattern) -> list[tuple[int, ...]]:
+    """Identity-based canonical keys for a match list.
 
     A match is the function pattern node -> data node; two matches are
     the same iff they agree on every positive pattern node.
     """
     order = pattern.positive_nodes()
-    return {tuple(id(match[p]) for p in order) for match in matches}
+    return [tuple(id(match[p]) for p in order) for match in matches]
+
+
+def match_keys(matches, pattern) -> set[tuple[int, ...]]:
+    return set(ordered_keys(matches, pattern))
+
+
+def reference_keys(pattern, root) -> list[tuple[int, ...]]:
+    """The definition's matches, keyed like :func:`ordered_keys`, in
+    lexicographic document order."""
+    return [tuple(id(d) for d in images) for images in reference_matches(pattern, root)]
+
+
+def assert_every_shape_agrees(pattern, root, expected: list[tuple[int, ...]]) -> None:
+    """All plan shapes give *expected*'s set; the fixed plan its order."""
+    plan = build_plan(pattern, collect_stats(root))
+    for config in TOGGLES:
+        assert ordered_keys(find_matches(pattern, root, config), pattern) == expected
+        auto = find_matches(pattern, root, config, plan="auto")
+        assert match_keys(auto, pattern) == set(expected)
+        assert len(auto) == len(expected)
+        built = execute_plan(plan, root, config)
+        assert match_keys(built, pattern) == set(expected)
+        assert len(built) == len(expected)
 
 
 def make_instance(seed: int):
@@ -76,11 +109,23 @@ def make_instance(seed: int):
 
 @relaxed
 @given(seeds)
+def test_fixed_plan_yields_reference_order(seed):
+    doc, pattern = make_instance(seed)
+    expected = reference_keys(pattern, doc.root)
+    assert expected  # the generator embeds the pattern: at least one match
+    for config in TOGGLES:
+        assert ordered_keys(find_matches(pattern, doc.root, config), pattern) == expected
+
+
+@relaxed
+@given(seeds)
 def test_auto_plan_equals_naive_matcher(seed):
     doc, pattern = make_instance(seed)
-    naive = find_matches(pattern, doc.root, NAIVE)
-    planned = find_matches(pattern, doc.root, plan="auto")
-    assert match_keys(planned, pattern) == match_keys(naive, pattern)
+    expected = set(reference_keys(pattern, doc.root))
+    for config in TOGGLES:
+        planned = find_matches(pattern, doc.root, config, plan="auto")
+        assert match_keys(planned, pattern) == expected
+        assert len(planned) == len(expected)
 
 
 @relaxed
@@ -93,24 +138,25 @@ def test_explicit_plan_equals_naive_matcher(seed):
     for node in plan.order:
         if node.parent is not None:
             assert positions[id(node.parent)] < positions[id(node)]
-    naive = find_matches(pattern, doc.root, NAIVE)
-    planned = execute_plan(plan, doc.root)
-    assert match_keys(planned, pattern) == match_keys(naive, pattern)
+    expected = set(reference_keys(pattern, doc.root))
+    for config in TOGGLES:
+        planned = execute_plan(plan, doc.root, config)
+        assert match_keys(planned, pattern) == expected
+        assert len(planned) == len(expected)
 
 
 @relaxed
 @given(seeds, st.integers(min_value=1, max_value=4))
 def test_max_matches_is_honored(seed, limit):
     doc, pattern = make_instance(seed)
-    total = len(find_matches(pattern, doc.root, NAIVE))
-    capped = find_matches(
-        pattern, doc.root, MatchConfig(max_matches=limit), plan="auto"
-    )
-    assert len(capped) == min(limit, total)
-    # Every capped match is a genuine match.
-    assert match_keys(capped, pattern) <= match_keys(
-        find_matches(pattern, doc.root, NAIVE), pattern
-    )
+    expected = reference_keys(pattern, doc.root)
+    config = MatchConfig(max_matches=limit)
+    # Fixed plan: exactly the reference's length-k prefix.
+    assert ordered_keys(find_matches(pattern, doc.root, config), pattern) == expected[:limit]
+    # Planned: k genuine matches, whichever the visit order reaches first.
+    capped = find_matches(pattern, doc.root, config, plan="auto")
+    assert len(capped) == min(limit, len(expected))
+    assert match_keys(capped, pattern) <= set(expected)
 
 
 def test_mismatched_plan_is_rejected():
@@ -122,11 +168,13 @@ def test_mismatched_plan_is_rejected():
 
 
 def test_negation_equivalence():
-    """Negated subpatterns prune identically through plans.
+    """Negated subpatterns prune identically through every plan shape.
 
-    The generator never emits negation, so this instance is hand-built:
-    "an A with a B child and no C child" over a document where some A
-    nodes have both.
+    The generator never emits negation (and rarely a single node), so
+    these instances are hand-built: "an A with a B child and no C
+    child" over a document where some A nodes have both, plus the
+    root-probe shape — an anchored single-node pattern — with and
+    without a negated child.
     """
     root = Node("R")
     a1 = root.add_child(Node("A"))
@@ -146,8 +194,20 @@ def test_negation_equivalence():
             ],
         )
     )
-    naive = find_matches(pattern, root, NAIVE)
-    planned = find_matches(pattern, root, plan="auto")
-    assert match_keys(planned, pattern) == match_keys(naive, pattern)
-    assert len(planned) == 1
-    assert planned[0][pattern.root] is a1
+    expected = reference_keys(pattern, root)
+    assert expected == [(id(a1), id(a1.children[0]))]
+    assert_every_shape_agrees(pattern, root, expected)
+
+    for text, count in [
+        ("/R", 1),
+        ("/A", 0),
+        ("/R { !A }", 0),
+        ("/R { !D }", 1),  # D is a grandchild, not a child
+        ("/R { !//D }", 0),
+        ("/R { !//Z }", 1),
+        ("/* { !A { B, C, D } }", 1),
+    ]:
+        probe = parse_pattern(text)
+        expected = reference_keys(probe, root)
+        assert expected == [(id(root),)] * count, text
+        assert_every_shape_agrees(probe, root, expected)

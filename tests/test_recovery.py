@@ -272,6 +272,25 @@ class TestReplayDivergenceGuard:
         with pytest.raises(WarehouseCorruptError, match="diverged"):
             Warehouse.open(path)
 
+    @pytest.mark.parametrize("cap", [-1, "x", 1.5])
+    def test_malformed_recorded_match_cap_detected(self, tmp_path, slide12_doc, cap):
+        """A WAL record carrying a ``max_matches`` no session could have
+        written is corruption — typed, not a ``ValueError`` from deep
+        inside the matcher."""
+        path = tmp_path / "wh"
+        wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
+        wh._commit_update(_insert_tx(confidence=0.5))
+        _kill(wh)
+        wal_path = path / "wal.jsonl"
+        record = json.loads(wal_path.read_text().splitlines()[0])
+        record["payload"]["max_matches"] = cap
+        record["sha256"] = _record_digest(
+            {k: v for k, v in record.items() if k != "sha256"}
+        )
+        wal_path.write_text(json.dumps(record, sort_keys=True) + "\n")
+        with pytest.raises(WarehouseCorruptError, match="max_matches"):
+            Warehouse.open(path)
+
 
 # ----------------------------------------------------------------------
 # Property tests: replay fidelity and incremental statistics

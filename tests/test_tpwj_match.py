@@ -4,6 +4,12 @@ import itertools
 
 import pytest
 
+import repro
+from repro import Condition, EventTable, FuzzyNode, FuzzyTree
+from repro.api.builders import compile_transaction
+from repro.core.update import apply_update
+from repro.engine import QueryEngine, build_plan, collect_stats
+from repro.errors import QueryError
 from repro.tpwj import MatchConfig, find_matches, parse_pattern
 from repro.trees import tree
 
@@ -143,6 +149,22 @@ class TestConfigAblation:
         config = MatchConfig(max_matches=3)
         assert len(find_matches(pattern, doc, config)) == 3
 
+    @pytest.mark.parametrize("plan", [None, "auto", "prebuilt"])
+    @pytest.mark.parametrize("cap", [0, 1, -1, "x"])
+    def test_max_matches_contract(self, doc, cap, plan):
+        """One cap contract on every path: None or a non-negative int,
+        0 meaning no match — including the anchored single-node shape
+        that is answered by a root probe instead of a walk."""
+        if cap not in (0, 1):
+            with pytest.raises(QueryError, match="max_matches"):
+                MatchConfig(max_matches=cap)
+            return
+        config = MatchConfig(max_matches=cap)
+        for text in ("*", "/A", "/A { !Z }"):
+            pattern = parse_pattern(text)
+            chosen = build_plan(pattern, collect_stats(doc)) if plan == "prebuilt" else plan
+            assert len(find_matches(pattern, doc, config, plan=chosen)) == cap
+
     def test_deterministic_order(self, doc):
         pattern = parse_pattern("A { B[$b] }")
         first = [m.node_for("b").value for m in find_matches(pattern, doc)]
@@ -160,3 +182,41 @@ class TestStructuralFilters:
         doc = tree("A", tree("B", tree("C", tree("D", tree("E")))))
         assert match_count("A { //E }", doc) == 1
         assert match_count("B { //D }", doc) == 1
+
+
+class TestDeepDocuments:
+    """The document walk keeps its own stack: depth is not bounded by
+    the interpreter's recursion limit, on any path to the matcher."""
+
+    DEPTH = 3000
+
+    @pytest.fixture
+    def chain(self):
+        """R/A/…/A/B, ``DEPTH`` levels, the second-to-last A conditioned."""
+        root = node = FuzzyNode("R")
+        for _ in range(self.DEPTH - 3):
+            node = node.add_child(FuzzyNode("A"))
+        node = node.add_child(FuzzyNode("A", condition=Condition.of("w")))
+        leaf = node.add_child(FuzzyNode("B"))
+        return FuzzyTree(root, EventTable({"w": 0.5})), leaf
+
+    def test_every_matching_path_agrees(self, chain):
+        doc, leaf = chain
+        pattern = parse_pattern("//B")
+        fixed = find_matches(pattern, doc.root)
+        planned = find_matches(pattern, doc.root, plan="auto")
+        engine = QueryEngine(lambda: doc.root).find_matches(pattern)
+        for matches in (fixed, planned, engine):
+            assert [m[pattern.root] for m in matches] == [leaf]
+        assert len(find_matches(parse_pattern("A { //B }"), doc.root)) == self.DEPTH - 2
+
+    @pytest.mark.parametrize("query", ["B[$t]", "A[$t] { B }"])
+    def test_update_at_the_bottom(self, chain, query):
+        doc, leaf = chain
+        target = leaf if query.startswith("B") else leaf.parent
+        transaction = compile_transaction(
+            repro.update(query).insert("t", repro.tree("N", "v")).confidence(0.5)
+        )
+        report = apply_update(doc, transaction)
+        assert report.applied and report.matches == 1
+        assert [child.label for child in target.children][-1] == "N"
