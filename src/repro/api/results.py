@@ -365,7 +365,7 @@ class ResultSet(BaseResultSet):
             )
             groups = group_by_tree((row.tree, row.dnf.terms) for row in rows)
             estimates = estimate_answers(
-                [(tree, Dnf(terms)) for tree, terms in groups],
+                [(tree, Dnf(terms)) for _key, tree, terms in groups],
                 fuzzy.events,
                 epsilon=epsilon,
                 deadline=None if deadline_ms is None else deadline_ms / 1000.0,

@@ -156,10 +156,15 @@ def match_conditions(match: Match, *, index=_AncestorWalk) -> list[Condition]:
     into disjoint conjunctions, each conjoined with the positive
     condition.
     """
-    gamma = match_condition(match, index=index)
+    return _conditions(match, index, match.pattern.negated_constraints())
+
+
+def _conditions(match: Match, index, constraints) -> list[Condition]:
+    """:func:`match_conditions` with the pattern's negated subpattern
+    roots (*constraints*) computed once by the caller."""
+    gamma = _closed_union(index, match.iter_images())
     if gamma is None:
         return []
-    constraints = match.pattern.negated_constraints()
     if not constraints:
         return [gamma]
 
@@ -331,12 +336,13 @@ def _consistent_matches(
             pattern, config, root=fuzzy.root, bound=bound, prune=prune
         )
     track = counters.enabled
+    constraints = pattern.negated_constraints()
     for match in matches:
         if abort is not None and abort():
             raise QueryCancelledError("query cancelled by its abort hook")
         if track:
             counters.incr("core.query.matches")
-        conditions = match_conditions(match, index=index)
+        conditions = _conditions(match, index, constraints)
         if conditions:
             yield match, conditions
         elif track:
@@ -478,31 +484,33 @@ def topk_rows(
     return [row for _, _, row in heap]
 
 
-def group_by_tree(pairs) -> list[tuple[Node, list[Condition]]]:
+def group_by_tree(pairs) -> list[tuple[str, Node, list[Condition]]]:
     """Merge ``(answer tree, conditions)`` pairs inducing the same
-    answer tree (canonical form), concatenating their conditions;
-    groups keep first-seen order."""
-    grouped: dict[str, tuple[Node, list[Condition]]] = {}
+    answer tree, concatenating their conditions; groups keep first-seen
+    order.  Each group is ``(canonical form, tree, conditions)`` — the
+    key is kept so ranking need not encode the tree again."""
+    grouped: dict[str, tuple[str, Node, list[Condition]]] = {}
     for tree, conditions in pairs:
         key = _intern_str(tree.canonical())
         entry = grouped.get(key)
         if entry is not None:
-            entry[1].extend(conditions)
+            entry[2].extend(conditions)
         else:
-            grouped[key] = (tree, list(conditions))
+            grouped[key] = (key, tree, list(conditions))
     return list(grouped.values())
 
 
 def _rank_answers(groups, events, cache) -> list[FuzzyAnswer]:
-    """Price each group's disjunction; drop impossible ones; rank."""
-    answers: list[FuzzyAnswer] = []
-    for tree, conditions in groups:
+    """Price each group's disjunction; drop impossible ones; rank by
+    decreasing probability, ties by canonical form."""
+    ranked: list[tuple[float, str, FuzzyAnswer]] = []
+    for key, tree, conditions in groups:
         dnf = Dnf(conditions)
         probability = dnf_probability(dnf, events, cache=cache)
         if probability != 0.0:
-            answers.append(FuzzyAnswer(tree, dnf, probability))
-    answers.sort(key=lambda a: (-a.probability, a.tree.canonical()))
-    return answers
+            ranked.append((probability, key, FuzzyAnswer(tree, dnf, probability)))
+    ranked.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [answer for _, _, answer in ranked]
 
 
 def group_rows(rows, events, *, cache=None) -> list[FuzzyAnswer]:

@@ -203,13 +203,12 @@ class SemiJoinPrune:
             required = [c for c in pattern_node.children if not c.negated]
             if not required:
                 continue
+            # Children come later in pre-order, so their lists are final.
+            tests = [self._axis_test(child, candidates[child]) for child in required]
             survivors = [
                 data_node
                 for data_node in candidates[pattern_node]
-                if all(
-                    self._has_axis_candidate(child, data_node, candidates)
-                    for child in required
-                )
+                if all(test(data_node) for test in tests)
             ]
             counters.incr(
                 "match.semijoin_pruned",
@@ -220,19 +219,17 @@ class SemiJoinPrune:
             candidates[pattern_node] = survivors
         return True
 
-    def _has_axis_candidate(
-        self,
-        pattern_child: PatternNode,
-        data_node: Node,
-        candidates: dict[PatternNode, list[Node]],
-    ) -> bool:
-        child_candidates = candidates[pattern_child]
+    def _axis_test(self, pattern_child: PatternNode, child_candidates: list[Node]):
+        """Predicate: does a data node have a candidate of *pattern_child*
+        in the right axis relation?  A child edge is one set lookup
+        against the candidates' parent ids."""
         if pattern_child.descendant:
-            return any(
-                self._intervals.is_descendant(c, data_node)
-                for c in child_candidates
+            is_descendant = self._intervals.is_descendant
+            return lambda data_node: any(
+                is_descendant(c, data_node) for c in child_candidates
             )
-        return any(c.parent is data_node for c in child_candidates)
+        parent_ids = {id(c.parent) for c in child_candidates}
+        return lambda data_node: id(data_node) in parent_ids
 
 
 class ProbabilityBound:
@@ -329,6 +326,9 @@ class BacktrackJoin:
         self._runtime = runtime
         #: ``plan.pattern.join_variables()`` — the scans already needed it.
         self._join_groups = join_groups
+        #: Child-edge pattern node -> its candidates grouped by
+        #: ``id(parent)`` in candidate order, built on first use.
+        self._by_parent: dict[PatternNode, dict[int, list[Node]]] = {}
 
     def iter_matches(self, *, bound=None, prune=None) -> Iterator[Match]:
         """Lazily yield matches in the plan's deterministic visit order.
@@ -407,7 +407,12 @@ class BacktrackJoin:
             return [
                 c for c in candidates if self._intervals.is_descendant(c, anchor)
             ]
-        return [c for c in candidates if c.parent is anchor]
+        by_parent = self._by_parent.get(pattern_node)
+        if by_parent is None:
+            by_parent = self._by_parent[pattern_node] = {}
+            for c in candidates:
+                by_parent.setdefault(id(c.parent), []).append(c)
+        return by_parent.get(id(anchor), [])
 
     def _joins_ok(self, mapping: dict[PatternNode, Node]) -> bool:
         for nodes in self._join_groups.values():

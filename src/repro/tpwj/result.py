@@ -24,7 +24,8 @@ def answer_tree(root: Node, match: Match) -> Node:
     The result is a fresh plain tree (conditions of fuzzy nodes, if any,
     are not copied: answers are ordinary data trees).
     """
-    return minimal_subtree(root, match.nodes())
+    # Raw images: a repeated node's walk stops on its first step.
+    return minimal_subtree(root, match.iter_images())
 
 
 def distinct_answers(root: Node, matches: Iterable[Match]) -> dict[str, Node]:

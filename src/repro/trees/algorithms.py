@@ -4,7 +4,11 @@ The central operation is :func:`minimal_subtree`: the answer to a TPWJ
 query is "the minimal subtree containing all the nodes mapped by the
 query" (paper, slide 6).  For a rooted tree this is the union of the
 root-paths of the mapped nodes; we materialise it as a fresh tree
-restricted to those nodes and their ancestors.
+restricted to those nodes and their ancestors.  One upward walk per
+target records each kept node's kept children, and the copy then
+visits the kept nodes only — never their other siblings — with an
+explicit stack, so neither a wide node nor a deep document costs more
+than the answer itself.
 """
 
 from __future__ import annotations
@@ -34,23 +38,35 @@ def minimal_subtree(root: Node, targets: Iterable[Node]) -> Node:
     """The minimal subtree of *root* containing every node in *targets*.
 
     Returns a fresh tree (a restricted copy).  Every target must belong
-    to the tree rooted at *root*.  The result always includes *root*
-    itself, matching the paper's convention that an answer is a subtree
-    of the document (hence rooted at the document root).
+    to the tree rooted at *root*; targets may repeat.  The result always
+    includes *root* itself, matching the paper's convention that an
+    answer is a subtree of the document (hence rooted at the document
+    root).  Children keep the document's attachment order.
     """
-    keep: set[int] = {id(root)}
-    target_list = list(targets)
-    for target in target_list:
-        walk: Node | None = target
-        while walk is not None and id(walk) not in keep:
-            keep.add(id(walk))
-            walk = walk.parent
-        # Verify the walk reached a node already kept (ultimately root).
-    # Membership check: every target's root must be *root*.
-    for target in target_list:
-        if target.root() is not root:
-            raise TreeError("target node does not belong to the given tree")
-    return restrict(root, keep)
+    # Kept node id -> its kept children, in discovery order.  A walk
+    # stops at the first node already kept; one that runs off the top
+    # of a tree without meeting *root* started outside it.
+    kept: dict[int, list[Node]] = {id(root): []}
+    for node in targets:
+        below: Node | None = None
+        while (siblings := kept.get(id(node))) is None:
+            kept[id(node)] = [] if below is None else [below]
+            below = node
+            node = node._parent
+            if node is None:
+                raise TreeError("target node does not belong to the given tree")
+        if below is not None:
+            siblings.append(below)
+
+    def kept_children(node: Node) -> list[Node]:
+        found = kept[id(node)]
+        if len(found) < 2:
+            return found
+        # Discovery order is not attachment order: rescan, but only
+        # the (few) nodes that keep two or more children.
+        return [child for child in node._children if id(child) in kept]
+
+    return _copy_kept(root, kept_children)
 
 
 def restrict(root: Node, keep_ids: set[int]) -> Node:
@@ -62,15 +78,30 @@ def restrict(root: Node, keep_ids: set[int]) -> Node:
     """
     if id(root) not in keep_ids:
         raise TreeError("the root itself must be kept")
+    return _copy_kept(
+        root, lambda node: [c for c in node._children if id(c) in keep_ids]
+    )
 
-    def copy(node: Node) -> Node:
-        fresh = Node(node.label, node.value)
-        for child in node.children:
-            if id(child) in keep_ids:
-                fresh.add_child(copy(child))
-        return fresh
 
-    return copy(root)
+def _copy_kept(root: Node, kept_children) -> Node:
+    """Fresh copy of *root* and, transitively, of ``kept_children(node)``
+    (a list in attachment order) under every copied node.
+
+    Explicit stack, no recursion.  The copies are linked directly: each
+    is a fresh detached node and the source tree already obeys the
+    no-mixed-content rule, so :meth:`Node.add_child`'s checks (an
+    O(depth) cycle walk each) cannot fail here.
+    """
+    fresh_root = Node(root.label, root._value)
+    stack = [(root, fresh_root)]
+    while stack:
+        node, fresh = stack.pop()
+        for child in kept_children(node):
+            copy = Node(child.label, child._value)
+            copy._parent = fresh
+            fresh._children.append(copy)
+            stack.append((child, copy))
+    return fresh_root
 
 
 def label_counts(root: Node) -> Counter:

@@ -15,8 +15,9 @@ construction of TPWJ queries — are O(depth).
 
 Unordered equality and hashing go through :meth:`Node.canonical`, a
 canonical string encoding in which child encodings are sorted.  Computing
-it is O(n log n) over the subtree; it is *not* cached because nodes
-mutate (see DESIGN.md §6.1).
+it is O(n log n) over the subtree, with an explicit stack (document
+depth is not bounded by the interpreter's recursion limit); it is *not*
+cached because nodes mutate (see DESIGN.md §6.1).
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ from repro.errors import TreeError
 
 __all__ = ["Node"]
 
+#: Characters a label may not contain: the structural characters of the
+#: text syntaxes, quotes and whitespace.
+_RESERVED = frozenset("(){}[]<>,\"'/ \t\n")
+
 
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise TreeError(f"node label must be a non-empty string, got {label!r}")
-    if any(ch in label for ch in "(){}[]<>,\"'/ \t\n"):
+    if not _RESERVED.isdisjoint(label):
         raise TreeError(f"node label contains a reserved character: {label!r}")
     return label
 
@@ -218,15 +223,31 @@ class Node:
         unordered labelled trees (same label, same value, same multiset
         of child subtrees).  Labels cannot contain the structural
         characters used here, so the encoding is injective.
+
+        Iterative (explicit stack, children encoded before their
+        parent), O(n log n) over the subtree and not cached.  A child of
+        a subclass that overrides this method (``FuzzyNode`` adds its
+        condition) is encoded by its own method.
         """
-        if self._value is not None:
-            own = f"{self.label}={self._value!r}"
-        else:
-            own = self.label
-        if not self._children:
-            return own
-        parts = sorted(child.canonical() for child in self._children)
-        return f"{own}({','.join(parts)})"
+        encoded: dict[int, str] = {}
+        order: list[Node] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            for child in node._children:
+                if type(child) is Node:
+                    stack.append(child)
+                else:
+                    encoded[id(child)] = child.canonical()
+        # Reversed pre-order visits every node after its descendants.
+        for node in reversed(order):
+            own = node.label if node._value is None else f"{node.label}={node._value!r}"
+            if node._children:
+                parts = sorted([encoded.pop(id(child)) for child in node._children])
+                own = f"{own}({','.join(parts)})"
+            encoded[id(node)] = own
+        return encoded[id(self)]
 
     def equals(self, other: "Node") -> bool:
         """Unordered tree equality (isomorphism of labelled trees)."""

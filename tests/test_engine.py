@@ -291,6 +291,35 @@ class TestQueryEngine:
         with pytest.raises(AssertionError, match="walked"):
             find_matches(parse_pattern("//person"), doc)
 
+    def test_child_edges_read_each_parent_a_bounded_number_of_times(self, monkeypatch):
+        """A child edge is joined through a parent index: one execution
+        reads each child-edge candidate's parent O(1) times, not once
+        per candidate anchor (the quadratic filter this replaced)."""
+        persons = 40
+        directory = tree(
+            "directory",
+            *(
+                tree("person", tree("name", f"p{i}"), tree("email", f"m{i}"))
+                for i in range(persons)
+            ),
+        )
+        reads: dict[int, int] = {}
+        plain = Node.parent
+
+        def counting(self):
+            reads[id(self)] = reads.get(id(self), 0) + 1
+            return plain.fget(self)
+
+        pattern = parse_pattern("//person { name, email }")
+        monkeypatch.setattr(Node, "parent", property(counting))
+        matches = find_matches(pattern, directory)
+        monkeypatch.undo()
+        assert len(matches) == persons
+        edge_candidates = [
+            node for node in directory.iter() if node.label in ("name", "email")
+        ]
+        assert max(reads.get(id(node), 0) for node in edge_candidates) <= 2
+
     def test_walk_reuse_and_invalidation(self, doc):
         engine = QueryEngine(lambda: doc)
         pattern = parse_pattern("person { name }")

@@ -7,11 +7,12 @@ import pytest
 import repro
 from repro import Condition, EventTable, FuzzyNode, FuzzyTree
 from repro.api.builders import compile_transaction
+from repro.core.query import iter_query_rows, query_fuzzy_tree
 from repro.core.update import apply_update
 from repro.engine import QueryEngine, build_plan, collect_stats
 from repro.errors import QueryError
 from repro.tpwj import MatchConfig, find_matches, parse_pattern
-from repro.trees import tree
+from repro.trees import minimal_subtree, restrict, tree
 
 
 @pytest.fixture
@@ -220,3 +221,21 @@ class TestDeepDocuments:
         report = apply_update(doc, transaction)
         assert report.applied and report.matches == 1
         assert [child.label for child in target.children][-1] == "N"
+
+    def test_answers_and_rows(self, chain):
+        """The row path — answer-tree copy, canonical encoding, grouping —
+        is iterative too: a query *answer* at the bottom of the chain is
+        built and priced, with and without an engine."""
+        doc, leaf = chain
+        pattern = parse_pattern("//B")
+        expected = "R(" + "A(" * (self.DEPTH - 2) + "B" + ")" * (self.DEPTH - 1)
+        for engine in (None, QueryEngine(lambda: doc.root)):
+            (answer,) = query_fuzzy_tree(doc, pattern, engine=engine)
+            assert answer.probability == pytest.approx(0.5)
+            assert answer.tree.canonical() == expected
+            (row,) = iter_query_rows(doc, pattern, engine=engine)
+            assert row.probability == pytest.approx(0.5)
+            assert row.tree.canonical() == expected
+        assert minimal_subtree(doc.root, [leaf]).canonical() == expected
+        keep = {id(node) for node in leaf.ancestors(include_self=True)}
+        assert restrict(doc.root, keep).canonical() == expected
