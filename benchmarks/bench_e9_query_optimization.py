@@ -1,6 +1,6 @@
 """E9 — Query optimization ablation (paper, slide 19 perspectives).
 
-The matcher ships three optimizations (DESIGN.md §6.4): label-index
+The matcher ships three optimizations: label-index
 candidate pre-filtering, bottom-up semi-join pruning and early join
 checking.  The bench toggles each on documents of growing size,
 verifying the result sets are identical and measuring the pruning wins.

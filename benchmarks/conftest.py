@@ -1,8 +1,9 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Each benchmark module regenerates one experiment from DESIGN.md §4
-(E1–E9).  Timing goes through pytest-benchmark; the paper-style series
-and tables are both printed (visible with ``-s``) and appended to
+Each benchmark module regenerates one experiment: E1–E8 reproduce the
+paper's claims, E9 onward measure this implementation.  Timing goes
+through pytest-benchmark; the paper-style series and tables are both
+printed (visible with ``-s``) and appended to
 ``benchmarks/out/report.txt`` so a plain ``pytest benchmarks/
 --benchmark-only`` run leaves the rows on disk.
 """

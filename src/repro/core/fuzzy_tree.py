@@ -21,6 +21,7 @@ from collections.abc import Iterable, Mapping
 from repro.errors import ReproError, TreeError
 from repro.events.condition import TRUE, Condition
 from repro.events.table import EventTable
+from repro.trees.algorithms import _copy_tree
 from repro.trees.node import Node
 
 __all__ = ["FuzzyNode", "FuzzyTree"]
@@ -38,9 +39,7 @@ class FuzzyNode(Node):
         condition: Condition = TRUE,
         children: Iterable["FuzzyNode"] = (),
     ) -> None:
-        if not isinstance(condition, Condition):
-            raise TreeError(f"condition must be a Condition, got {type(condition).__name__}")
-        self._condition = condition
+        self.condition = condition
         super().__init__(label, value=value, children=children)
 
     @property
@@ -53,47 +52,21 @@ class FuzzyNode(Node):
             raise TreeError(f"condition must be a Condition, got {type(condition).__name__}")
         self._condition = condition
 
-    # ------------------------------------------------------------------
-    # Overrides
-    # ------------------------------------------------------------------
+    # Per-node hooks; ``clone``, ``canonical`` and ``pretty`` are Node's.
 
-    def clone(self) -> "FuzzyNode":
-        copy = FuzzyNode(self.label, self.value, self._condition)
-        for child in self.children:
-            copy.add_child(child.clone())
+    def _copy_self(self) -> "FuzzyNode":
+        copy = Node._copy_self(self, FuzzyNode)
+        copy._condition = self._condition
         return copy
 
-    def canonical(self) -> str:
-        """Canonical form *including conditions* (fuzzy-tree equality).
+    def _encode_self(self) -> str:
+        """With the condition: fuzzy-tree equality compares conditions too."""
+        own, condition = Node._encode_self(self), str(self._condition)
+        return own if condition == "true" else f"{own}[{condition}]"
 
-        Two fuzzy subtrees are equal iff labels, values, the multiset of
-        child subtrees **and** the conditions coincide.  Use
-        :meth:`underlying` / plain-node canonicals to compare only the
-        data part.
-        """
-        own = self.label if self.value is None else f"{self.label}={self.value!r}"
-        condition = str(self._condition)
-        if condition != "true":
-            own = f"{own}[{condition}]"
-        if self.is_leaf:
-            return own
-        parts = sorted(child.canonical() for child in self.children)
-        return f"{own}({','.join(parts)})"
-
-    def pretty(self, indent: str = "  ") -> str:
-        """ASCII rendering with conditions, matching the paper's figures."""
-        lines: list[str] = []
-
-        def visit(node: FuzzyNode, level: int) -> None:
-            suffix = f" = {node.value!r}" if node.value is not None else ""
-            if not node.condition.is_true:
-                suffix += f"  [{node.condition.pretty()}]"
-            lines.append(f"{indent * level}{node.label}{suffix}")
-            for child in node.children:
-                visit(child, level + 1)
-
-        visit(self, 0)
-        return "\n".join(lines)
+    def _pretty_suffix(self) -> str:
+        suffix, condition = Node._pretty_suffix(self), self._condition
+        return suffix if condition.is_true else f"{suffix}  [{condition.pretty()}]"
 
     # ------------------------------------------------------------------
     # Fuzzy-specific helpers
@@ -123,9 +96,8 @@ class FuzzyNode(Node):
     @staticmethod
     def from_plain(node: Node, condition: Condition = TRUE) -> "FuzzyNode":
         """Deep-convert a plain tree; *condition* guards the new root only."""
-        root = FuzzyNode(node.label, node.value, condition)
-        for child in node.children:
-            root.add_child(FuzzyNode.from_plain(child))
+        root = _copy_tree(node, lambda source: FuzzyNode(source.label, source._value))
+        root.condition = condition
         return root
 
 
@@ -197,16 +169,9 @@ class FuzzyTree:
         Keeps exactly the nodes whose condition is satisfied and whose
         ancestors are all kept; returns a plain tree.
         """
-
-        def copy(node: FuzzyNode) -> Node:
-            fresh = Node(node.label, node.value)
-            for child in node.children:
-                assert isinstance(child, FuzzyNode)
-                if child.condition.satisfied_by(assignment):
-                    fresh.add_child(copy(child))
-            return fresh
-
-        return copy(self.root)
+        return _copy_tree(self.root, Node._copy_self, lambda node: [
+            c for c in node._children if c._condition.satisfied_by(assignment)
+        ])
 
     # ------------------------------------------------------------------
     # Copies

@@ -29,7 +29,7 @@ from repro.events.literal import Literal
 from repro.events.table import EventTable
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.pworlds.worlds import PossibleWorlds, World
-from repro.trees.node import Node
+from repro.trees.algorithms import restrict
 
 __all__ = ["to_possible_worlds", "from_possible_worlds"]
 
@@ -58,7 +58,11 @@ def to_possible_worlds(
     ]
     leaves: list[tuple[tuple[Condition | None, ...], float]] = []
 
-    def solve(states: tuple[Condition | None, ...], weight: float) -> None:
+    # Depth-first on an explicit stack (True branch first, as pushed
+    # last): no depth bound from the number of branching events.
+    stack = [(tuple(node.condition for node in conditioned), 1.0)]
+    while stack:
+        states, weight = stack.pop()
         counts: dict[str, int] = {}
         for condition in states:
             if condition is not None and not condition.is_true:
@@ -72,20 +76,20 @@ def to_possible_worlds(
                     f"refusing to enumerate more than {max_worlds} world "
                     "classes; use the Monte-Carlo estimator for larger instances"
                 )
-            return
+            continue
         event = max(sorted(counts), key=lambda name: counts[name])
         probability = fuzzy.events.probability(event)
-        for truth, branch_weight in ((True, probability), (False, 1.0 - probability)):
+        for truth, branch_weight in ((False, 1.0 - probability), (True, probability)):
             if branch_weight == 0.0:
                 continue
             restricted = tuple(
                 None if condition is None else condition.restrict(event, truth)
                 for condition in states
             )
-            solve(restricted, weight * branch_weight)
+            stack.append((restricted, weight * branch_weight))
 
-    solve(tuple(node.condition for node in conditioned), 1.0)
-
+    # A world keeps the unconditioned nodes and its leaf's survivors.
+    unconditioned = {id(node) for node in fuzzy.iter_nodes() if node.condition.is_true}
     worlds: list[World] = []
     for states, weight in leaves:
         keep = {
@@ -93,22 +97,8 @@ def to_possible_worlds(
             for node, condition in zip(conditioned, states)
             if condition is not None
         }
-        worlds.append(World(_world_from_keep(fuzzy.root, keep), weight))
+        worlds.append(World(restrict(fuzzy.root, unconditioned | keep), weight))
     return PossibleWorlds(worlds)
-
-
-def _world_from_keep(root: FuzzyNode, keep: set[int]) -> Node:
-    """Plain restriction of the tree to unconditioned/kept nodes."""
-
-    def copy(node: FuzzyNode) -> Node:
-        fresh = Node(node.label, node.value)
-        for child in node.children:
-            assert isinstance(child, FuzzyNode)
-            if child.condition.is_true or id(child) in keep:
-                fresh.add_child(copy(child))
-        return fresh
-
-    return copy(root)
 
 
 def from_possible_worlds(

@@ -36,10 +36,12 @@ toggled (the E7 ablation measures their individual contributions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.events.condition import Condition
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
+from repro.trees.algorithms import _fold, _walk
+from repro.trees.node import Node
 
 __all__ = ["SimplifyReport", "simplify", "ALL_RULES"]
 
@@ -84,16 +86,17 @@ def simplify(
 
     changed = True
     while changed and report.rounds < max_rounds:
-        changed = False
         report.rounds += 1
+        before = astuple(report)
         if "certain" in rules:
-            changed |= _resolve_certain(fuzzy, report) > 0
+            _resolve_certain(fuzzy, report)
         if "impossible" in rules:
-            changed |= _remove_impossible(fuzzy, report) > 0
+            _remove_impossible(fuzzy, report)
         if "implied" in rules:
-            changed |= _drop_implied(fuzzy, report) > 0
+            _drop_implied(fuzzy, report)
         if "siblings" in rules:
-            changed |= _merge_siblings(fuzzy, report) > 0
+            _merge_siblings(fuzzy, report)
+        changed = astuple(report) != before  # a rewrite raised a count
     if "gc" in rules:
         _collect_events(fuzzy, report)
 
@@ -107,7 +110,7 @@ def simplify(
 # ----------------------------------------------------------------------
 
 
-def _resolve_certain(fuzzy: FuzzyTree, report: SimplifyReport) -> int:
+def _resolve_certain(fuzzy: FuzzyTree, report: SimplifyReport) -> None:
     """Resolve probability-0/1 events inside conditions."""
     certain: dict[str, bool] = {}
     for name, probability in fuzzy.events.items():
@@ -116,112 +119,85 @@ def _resolve_certain(fuzzy: FuzzyTree, report: SimplifyReport) -> int:
         elif probability == 0.0:
             certain[name] = False
     if not certain:
-        return 0
+        return
 
-    work = 0
-    for node in list(fuzzy.iter_nodes()):
-        if node.parent is None and node is not fuzzy.root:
-            continue  # already detached in this pass
-        if node.root() is not fuzzy.root:
-            continue
-        doomed = False
-        dropped: list = []
-        for literal in node.condition.literals:
-            truth = certain.get(literal.event)
-            if truth is None:
-                continue
-            if truth == literal.positive:
-                dropped.append(literal)  # literal always true: redundant
-            else:
-                doomed = True  # literal always false: node impossible
-                break
-        if doomed:
-            node.detach()
+    def enter(node: FuzzyNode, depth: int) -> bool:  # True: skip the subtree
+        decided = [lit for lit in node.condition.literals if lit.event in certain]
+        if any(certain[lit.event] != lit.positive for lit in decided):
+            node.detach()  # a literal always false: the node is impossible
             report.removed_certain += node.size()
-            work += 1
-        elif dropped:
-            node.condition = node.condition.without_literals(dropped)
-            report.dropped_literals += len(dropped)
-            work += 1
-    return work
+            return True
+        if decided:  # every decided literal is always true: redundant
+            node.condition = node.condition.without_literals(decided)
+            report.dropped_literals += len(decided)
+        return False
+
+    _walk(fuzzy.root, enter)
 
 
-def _remove_impossible(fuzzy: FuzzyTree, report: SimplifyReport) -> int:
+def _remove_impossible(fuzzy: FuzzyTree, report: SimplifyReport) -> None:
     """Remove subtrees whose path condition is inconsistent."""
-    work = 0
+    path = [frozenset()]  # path[d]: the literals above the depth-d node
 
-    def visit(node: FuzzyNode, accumulated: frozenset) -> None:
-        nonlocal work
-        literals = accumulated | node.condition.literals
-        combined = Condition(literals, allow_inconsistent=True)
-        if not combined.is_consistent:
-            report.removed_impossible += node.size()
-            node.detach()
-            work += 1
-            return
-        for child in list(node.children):
-            assert isinstance(child, FuzzyNode)
-            visit(child, frozenset(literals))
+    def enter(node: FuzzyNode, depth: int) -> bool:
+        del path[depth + 1 :]
+        literals = path[depth] | node.condition.literals
+        if Condition(literals, allow_inconsistent=True).is_consistent:
+            path.append(literals)
+            return False
+        report.removed_impossible += node.size()
+        node.detach()
+        return True
 
-    visit(fuzzy.root, frozenset())
-    return work
+    _walk(fuzzy.root, enter)
 
 
-def _drop_implied(fuzzy: FuzzyTree, report: SimplifyReport) -> int:
+def _drop_implied(fuzzy: FuzzyTree, report: SimplifyReport) -> None:
     """Drop literals that already appear on an ancestor."""
-    work = 0
+    path = [frozenset()]  # path[d]: the literals above the depth-d node
 
-    def visit(node: FuzzyNode, inherited: frozenset) -> None:
-        nonlocal work
-        redundant = node.condition.literals & inherited
+    def enter(node: FuzzyNode, depth: int) -> None:
+        del path[depth + 1 :]
+        redundant = node.condition.literals & path[depth]
         if redundant:
             node.condition = node.condition.without_literals(redundant)
             report.dropped_literals += len(redundant)
-            work += 1
-        for child in list(node.children):
-            assert isinstance(child, FuzzyNode)
-            visit(child, inherited | node.condition.literals)
+        path.append(path[depth] | node.condition.literals)
 
-    visit(fuzzy.root, frozenset())
-    return work
+    _walk(fuzzy.root, enter)
 
 
-def _subtree_key(node: FuzzyNode) -> str:
-    """Canonical form of a subtree *excluding* the root's own condition."""
-    own = node.label if node.value is None else f"{node.label}={node.value!r}"
-    if node.is_leaf:
-        return own
-    parts = sorted(child.canonical() for child in node.children)
-    return f"{own}({','.join(parts)})"
+def _merge_siblings(fuzzy: FuzzyTree, report: SimplifyReport) -> None:
+    """Merge sibling pairs with complementary conditions ``γ∧e`` / ``γ∧¬e``.
 
+    Siblings group by the canonical form of their subtree without their
+    own condition, every node's computed in one bottom-up pass.  Keys
+    computed before any merge stay exact: a merge rewrites only the kept
+    sibling's own condition, which its key excludes, and the walk merges
+    under a node before under any of its descendants.
+    """
+    keys: dict[int, str] = {}
 
-def _merge_siblings(fuzzy: FuzzyTree, report: SimplifyReport) -> int:
-    """Merge sibling pairs with complementary conditions ``γ∧e`` / ``γ∧¬e``."""
-    work = 0
-    for node in list(fuzzy.iter_nodes()):
-        if node.root() is not fuzzy.root:
-            continue
-        merged_here = True
-        while merged_here:
-            merged_here = False
-            children = [c for c in node.children if isinstance(c, FuzzyNode)]
+    def key(node: FuzzyNode, parts) -> str:  # returns the full canonical form
+        suffix = f"({','.join(sorted(parts))})" if parts else ""
+        keys[id(node)] = Node._encode_self(node) + suffix
+        return node._encode_self() + suffix
+
+    def enter(node: FuzzyNode, depth: int) -> None:
+        while True:  # one merge at a time, regrouping after each
             groups: dict[str, list[FuzzyNode]] = {}
-            for child in children:
-                groups.setdefault(_subtree_key(child), []).append(child)
-            for group in groups.values():
-                if len(group) < 2:
-                    continue
-                pair = _find_complementary_pair(group)
-                if pair is None:
-                    continue
-                first, second, merged_condition = pair
-                first.condition = merged_condition
-                second.detach()
-                report.merged_siblings += 1
-                work += 1
-                merged_here = True
-                break
-    return work
+            for child in node.children:
+                groups.setdefault(keys[id(child)], []).append(child)
+            pair = next(filter(None, map(_find_complementary_pair, groups.values())), None)
+            if pair is None:
+                return
+            first, second, merged_condition = pair
+            first.condition = merged_condition
+            second.detach()
+            report.merged_siblings += 1
+
+    _fold(fuzzy.root, key)
+    _walk(fuzzy.root, enter)
 
 
 def _find_complementary_pair(

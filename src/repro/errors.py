@@ -2,9 +2,10 @@
 
 All errors raised deliberately by the library derive from
 :class:`ReproError`, so callers can catch a single base class.  The
-subclasses mirror the subsystems described in DESIGN.md: tree
-construction, the event algebra, query parsing/evaluation, update
-application, XML (de)serialization and warehouse storage.
+subclasses mirror the library's subsystems, so a caller can catch one
+family per layer: tree construction, the event algebra, query
+parsing/evaluation, update application, XML (de)serialization and
+warehouse storage.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.errors import QueryError
+from repro.trees.algorithms import _walk
 
 __all__ = ["PatternNode", "Pattern"]
 
@@ -194,15 +195,8 @@ class Pattern:
     def positive_nodes(self) -> list[PatternNode]:
         """Pattern nodes outside any negated subpattern (the mapped ones)."""
         result: list[PatternNode] = []
-
-        def visit(node: PatternNode) -> None:
-            if node.negated:
-                return
-            result.append(node)
-            for child in node.children:
-                visit(child)
-
-        visit(self.root)
+        # A negated node's subtree is skipped (a true return), the rest kept.
+        _walk(self.root, lambda node, depth: node.negated or result.append(node))
         return result
 
     def negated_constraints(self) -> list[PatternNode]:

@@ -1,20 +1,23 @@
 """Tree algorithms shared by the query engine, updates and semantics.
 
+Every whole-subtree routine runs on two explicit-stack primitives, so
+depth is not bounded by the recursion limit: :func:`_copy_tree` and the
+enter/leave walk :func:`_walk` (with :func:`_fold`, its bottom-up form).
+
 The central operation is :func:`minimal_subtree`: the answer to a TPWJ
 query is "the minimal subtree containing all the nodes mapped by the
 query" (paper, slide 6).  For a rooted tree this is the union of the
 root-paths of the mapped nodes; we materialise it as a fresh tree
 restricted to those nodes and their ancestors.  One upward walk per
 target records each kept node's kept children, and the copy then
-visits the kept nodes only — never their other siblings — with an
-explicit stack, so neither a wide node nor a deep document costs more
-than the answer itself.
+visits the kept nodes only — never their other siblings — so neither a
+wide node nor a deep document costs more than the answer itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.errors import TreeError
 from repro.trees.node import Node
@@ -66,7 +69,7 @@ def minimal_subtree(root: Node, targets: Iterable[Node]) -> Node:
         # the (few) nodes that keep two or more children.
         return [child for child in node._children if id(child) in kept]
 
-    return _copy_kept(root, kept_children)
+    return _copy_tree(root, Node._copy_self, kept_children)
 
 
 def restrict(root: Node, keep_ids: set[int]) -> Node:
@@ -78,30 +81,72 @@ def restrict(root: Node, keep_ids: set[int]) -> Node:
     """
     if id(root) not in keep_ids:
         raise TreeError("the root itself must be kept")
-    return _copy_kept(
-        root, lambda node: [c for c in node._children if id(c) in keep_ids]
+    return _copy_tree(
+        root, Node._copy_self, lambda node: [c for c in node._children if id(c) in keep_ids]
     )
 
 
-def _copy_kept(root: Node, kept_children) -> Node:
-    """Fresh copy of *root* and, transitively, of ``kept_children(node)``
-    (a list in attachment order) under every copied node.
+def _copy_tree(root, make: Callable, kept_children: Callable | None = None) -> Node:
+    """``make(root)``, and under each copy ``make(child)`` for every child
+    in ``kept_children(source)`` (default: a Node's children), in order.
 
-    Explicit stack, no recursion.  The copies are linked directly: each
-    is a fresh detached node and the source tree already obeys the
-    no-mixed-content rule, so :meth:`Node.add_child`'s checks (an
-    O(depth) cycle walk each) cannot fail here.
+    The source may be any tree *kept_children* lists (a spec, an XML
+    element); readers check it there, so the fresh copies are linked
+    without :meth:`Node.add_child`'s O(depth) cycle walk.
     """
-    fresh_root = Node(root.label, root._value)
+    fresh_root = make(root)
     stack = [(root, fresh_root)]
     while stack:
-        node, fresh = stack.pop()
-        for child in kept_children(node):
-            copy = Node(child.label, child._value)
+        source, fresh = stack.pop()
+        for child in source._children if kept_children is None else kept_children(source):
+            copy = make(child)
             copy._parent = fresh
             fresh._children.append(copy)
             stack.append((child, copy))
     return fresh_root
+
+
+def _walk(root, enter: Callable | None = None, leave: Callable | None = None) -> None:
+    """``enter(node, depth)`` in pre-order and ``leave(node, depth)`` in
+    post-order, *depth* 0 at *root*.  Children are read after ``enter``,
+    which may detach some; a true return skips the subtree and ``leave``.
+    """
+    stack = [root]
+    depth = 0
+    while stack:
+        node = stack.pop()
+        if node is None:
+            depth -= 1
+            node = stack.pop()
+            if leave is not None:
+                leave(node, depth)
+        elif enter is None or not enter(node, depth):
+            children = node._children
+            if children:
+                stack.append(node)
+                stack.append(None)
+                stack.extend(reversed(children))
+                depth += 1
+            elif leave is not None:
+                leave(node, depth)
+
+
+def _fold(root: Node, combine: Callable):
+    """Root's value, ``combine(node, values)`` taking the children's values
+    in order (a fresh list, or ``()`` at a leaf)."""
+    values: list = []
+
+    def leave(node, depth):
+        count = len(node._children)
+        if count:
+            below = values[-count:]
+            del values[-count:]
+            values.append(combine(node, below))
+        else:
+            values.append(combine(node, ()))
+
+    _walk(root, None, leave)
+    return values[0]
 
 
 def label_counts(root: Node) -> Counter:

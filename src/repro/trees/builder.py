@@ -22,6 +22,7 @@ generators that assemble specs programmatically.
 from __future__ import annotations
 
 from repro.errors import TreeError
+from repro.trees.algorithms import _copy_tree, _fold
 from repro.trees.node import Node
 
 __all__ = ["tree", "from_spec", "to_spec"]
@@ -64,23 +65,26 @@ def from_spec(spec: object) -> Node:
 
     Children are given as a list of specs of the same shape.
     """
+    return _copy_tree(spec, _spec_node, lambda spec: (
+        spec[1] if isinstance(spec, tuple) and isinstance(spec[1], list) else ()
+    ))
+
+
+def _spec_node(spec: object) -> Node:
     if isinstance(spec, str):
         return Node(spec)
     if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], str):
-        label, payload = spec
-        if payload is None:
-            return Node(label)
-        if isinstance(payload, str):
-            return Node(label, value=payload)
-        if isinstance(payload, list):
-            return Node(label, children=[from_spec(child) for child in payload])
+        if spec[1] is None or isinstance(spec[1], (str, list)):
+            return Node(spec[0], value=spec[1] if isinstance(spec[1], str) else None)
     raise TreeError(f"invalid tree spec: {spec!r}")
 
 
 def to_spec(node: Node) -> object:
     """Inverse of :func:`from_spec` (children in attachment order)."""
+    return _fold(node, _spec)
+
+
+def _spec(node: Node, children) -> object:
     if node.value is not None:
         return (node.label, node.value)
-    if node.is_leaf:
-        return node.label
-    return (node.label, [to_spec(child) for child in node.children])
+    return (node.label, children) if children else node.label

@@ -15,9 +15,10 @@ construction of TPWJ queries — are O(depth).
 
 Unordered equality and hashing go through :meth:`Node.canonical`, a
 canonical string encoding in which child encodings are sorted.  Computing
-it is O(n log n) over the subtree, with an explicit stack (document
-depth is not bounded by the interpreter's recursion limit); it is *not*
-cached because nodes mutate (see DESIGN.md §6.1).
+it is O(n log n) over the subtree; it is *not* cached, because updates
+mutate nodes in place and would silently stale a cached ancestor's.
+Whole-subtree routines run on the explicit-stack primitives of
+:mod:`repro.trees.algorithms`; a node supplies per-node hooks only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.errors import TreeError
+from repro.trees import algorithms
 
 __all__ = ["Node"]
 
@@ -208,9 +210,9 @@ class Node:
 
     def height(self) -> int:
         """Number of edges on the longest downward path from this node."""
-        if not self._children:
-            return 0
-        return 1 + max(child.height() for child in self._children)
+        return algorithms._fold(
+            self, lambda node, heights: 1 + max(heights) if heights else 0
+        )
 
     # ------------------------------------------------------------------
     # Unordered equality
@@ -224,30 +226,10 @@ class Node:
         of child subtrees).  Labels cannot contain the structural
         characters used here, so the encoding is injective.
 
-        Iterative (explicit stack, children encoded before their
-        parent), O(n log n) over the subtree and not cached.  A child of
-        a subclass that overrides this method (``FuzzyNode`` adds its
-        condition) is encoded by its own method.
+        Each node encodes itself with :meth:`_encode_self` (``FuzzyNode``
+        adds its condition), then its sorted child encodings.
         """
-        encoded: dict[int, str] = {}
-        order: list[Node] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for child in node._children:
-                if type(child) is Node:
-                    stack.append(child)
-                else:
-                    encoded[id(child)] = child.canonical()
-        # Reversed pre-order visits every node after its descendants.
-        for node in reversed(order):
-            own = node.label if node._value is None else f"{node.label}={node._value!r}"
-            if node._children:
-                parts = sorted([encoded.pop(id(child)) for child in node._children])
-                own = f"{own}({','.join(parts)})"
-            encoded[id(node)] = own
-        return encoded[id(self)]
+        return algorithms._fold(self, _encode)
 
     def equals(self, other: "Node") -> bool:
         """Unordered tree equality (isomorphism of labelled trees)."""
@@ -267,10 +249,21 @@ class Node:
 
     def clone(self) -> "Node":
         """Deep copy of this subtree, detached from any parent."""
-        copy = Node(self.label, self._value)
-        for child in self._children:
-            copy.add_child(child.clone())
+        return algorithms._copy_tree(self, lambda node: node._copy_self())
+
+    # Per-node hooks of clone, canonical and pretty (FuzzyNode overrides).
+
+    def _copy_self(self, cls: type | None = None) -> "Node":
+        """Fresh childless copy as a *cls* (default Node), unchecked."""
+        copy = object.__new__(cls or Node)
+        copy.label, copy._value, copy._children, copy._parent = self.label, self._value, [], None
         return copy
+
+    def _encode_self(self) -> str:
+        return self.label if self._value is None else f"{self.label}={self._value!r}"
+
+    def _pretty_suffix(self) -> str:
+        return "" if self._value is None else f" = {self._value!r}"
 
     # ------------------------------------------------------------------
     # Display
@@ -284,12 +277,15 @@ class Node:
     def pretty(self, indent: str = "  ") -> str:
         """Multi-line ASCII rendering of the subtree (children indented)."""
         lines: list[str] = []
-
-        def visit(node: Node, level: int) -> None:
-            suffix = f" = {node.value!r}" if node.value is not None else ""
-            lines.append(f"{indent * level}{node.label}{suffix}")
-            for child in node._children:
-                visit(child, level + 1)
-
-        visit(self, 0)
+        algorithms._walk(self, lambda node, depth: lines.append(
+            f"{indent * depth}{node.label}{node._pretty_suffix()}"
+        ))
         return "\n".join(lines)
+
+
+def _encode(node: Node, parts) -> str:
+    own = node._encode_self()
+    if not parts:
+        return own
+    parts.sort()
+    return f"{own}({','.join(parts)})"

@@ -15,24 +15,23 @@ from repro.errors import EventError, TreeError, XMLFormatError
 from repro.events.condition import Condition
 from repro.events.table import EventTable
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
+from repro.trees.algorithms import _copy_tree
 from repro.trees.node import Node
-from repro.xmlio.serialize import NAMESPACE
+from repro.xmlio.serialize import _COND, _DOCUMENT, _EVENT, _EVENTS
 
 __all__ = ["fuzzy_from_element", "fuzzy_from_string", "plain_from_element", "plain_from_string"]
 
-_COND = f"{{{NAMESPACE}}}cond"
-_DOCUMENT = f"{{{NAMESPACE}}}document"
-_EVENTS = f"{{{NAMESPACE}}}events"
-_EVENT = f"{{{NAMESPACE}}}event"
+
+def _fromstring(text: str) -> ET.Element:
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
 
 
 def fuzzy_from_string(text: str) -> FuzzyTree:
     """Parse a serialized fuzzy document."""
-    try:
-        element = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
-    return fuzzy_from_element(element)
+    return fuzzy_from_element(_fromstring(text))
 
 
 def fuzzy_from_element(document: ET.Element) -> FuzzyTree:
@@ -46,7 +45,7 @@ def fuzzy_from_element(document: ET.Element) -> FuzzyTree:
             "p:document must contain exactly a p:events header followed by the data root"
         )
     events = _parse_events(children[0])
-    root = _parse_fuzzy_node(children[1], events)
+    root = _read(children[1], _fuzzy_node)
     try:
         return FuzzyTree(root, events)
     except Exception as exc:  # invariant violations become format errors
@@ -73,9 +72,37 @@ def _parse_events(header: ET.Element) -> EventTable:
     return events
 
 
-def _parse_fuzzy_node(element: ET.Element, events: EventTable) -> FuzzyNode:
-    if element.tag.startswith("{"):
-        raise XMLFormatError(f"data elements must not be namespaced: {element.tag!r}")
+def _read(element: ET.Element, make) -> Node:
+    """The data tree under *element*, for both dialects: ``make(element,
+    value)`` checks attributes and builds one node; the structural checks
+    are shared, and the copy primitive keeps it iterative."""
+
+    def build(element: ET.Element) -> Node:
+        if element.tag.startswith("{"):
+            raise XMLFormatError(f"data elements must not be namespaced: {element.tag!r}")
+        return make(element, (element.text or "").strip() or None)
+
+    def checked_children(element: ET.Element) -> list[ET.Element]:
+        children = list(element)
+        if children and (element.text or "").strip():
+            raise XMLFormatError(
+                f"element {element.tag!r} has both text and children (no mixed content)"
+            )
+        for child in children:
+            tail = (child.tail or "").strip()
+            if tail:
+                raise XMLFormatError(
+                    f"element {element.tag!r} has mixed content (trailing text {tail!r})"
+                )
+        return children
+
+    try:
+        return _copy_tree(element, build, checked_children)
+    except TreeError as exc:
+        raise XMLFormatError(str(exc)) from exc
+
+
+def _fuzzy_node(element: ET.Element, value: str | None) -> FuzzyNode:
     condition_text = element.get(_COND, "")
     try:
         condition = Condition.parse(condition_text)
@@ -89,58 +116,22 @@ def _parse_fuzzy_node(element: ET.Element, events: EventTable) -> FuzzyNode:
                 f"unexpected attribute {attribute!r} on element {element.tag!r} "
                 "(the dialect has no data attributes)"
             )
-    children = list(element)
-    text = (element.text or "").strip() or None
-    if text is not None and children:
-        raise XMLFormatError(
-            f"element {element.tag!r} has both text and children (no mixed content)"
-        )
-    try:
-        node = FuzzyNode(element.tag, value=text, condition=condition)
-        for child in children:
-            tail = (child.tail or "").strip()
-            if tail:
-                raise XMLFormatError(
-                    f"element {element.tag!r} has mixed content (trailing text {tail!r})"
-                )
-            node.add_child(_parse_fuzzy_node(child, events))
-    except TreeError as exc:
-        raise XMLFormatError(str(exc)) from exc
-    return node
+    return FuzzyNode(element.tag, value=value, condition=condition)
 
 
-def plain_from_string(text: str) -> Node:
-    """Parse an ordinary (non-probabilistic) data tree from XML."""
-    try:
-        element = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
-    return plain_from_element(element)
-
-
-def plain_from_element(element: ET.Element) -> Node:
-    if element.tag.startswith("{"):
-        raise XMLFormatError(f"data elements must not be namespaced: {element.tag!r}")
+def _plain_node(element: ET.Element, value: str | None) -> Node:
     if element.keys():
         raise XMLFormatError(
             f"unexpected attributes on element {element.tag!r} "
             "(plain trees carry no attributes)"
         )
-    children = list(element)
-    text = (element.text or "").strip() or None
-    if text is not None and children:
-        raise XMLFormatError(
-            f"element {element.tag!r} has both text and children (no mixed content)"
-        )
-    try:
-        node = Node(element.tag, value=text)
-        for child in children:
-            tail = (child.tail or "").strip()
-            if tail:
-                raise XMLFormatError(
-                    f"element {element.tag!r} has mixed content (trailing text {tail!r})"
-                )
-            node.add_child(plain_from_element(child))
-    except TreeError as exc:
-        raise XMLFormatError(str(exc)) from exc
-    return node
+    return Node(element.tag, value=value)
+
+
+def plain_from_string(text: str) -> Node:
+    """Parse an ordinary (non-probabilistic) data tree from XML."""
+    return plain_from_element(_fromstring(text))
+
+
+def plain_from_element(element: ET.Element) -> Node:
+    return _read(element, _plain_node)

@@ -1,8 +1,7 @@
 """Serialization of fuzzy documents to the probabilistic XML dialect.
 
 The paper's implementation stores fuzzy trees as XML files (slide 16).
-This reproduction uses an equivalent dialect built on
-:mod:`xml.etree.ElementTree`:
+This reproduction uses an equivalent dialect:
 
 * every data node becomes an element of the same name;
 * a leaf value becomes the element's text;
@@ -14,13 +13,19 @@ This reproduction uses an equivalent dialect built on
 
 ``p:`` attributes use an explicit XML namespace so probabilistic
 metadata can never collide with data labels.
+
+Both dialects (this one and :mod:`repro.xmlio.xupdate`) are written by
+one iterative emitter, :func:`_to_string`, producing exactly the text of
+``ET.tostring`` (after ``ET.indent``), whose writer recurses per element.
 """
 
 from __future__ import annotations
 
 from xml.etree import ElementTree as ET
+from xml.etree.ElementTree import _escape_attrib, _escape_cdata  # ET.tostring's own
 
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
+from repro.trees.algorithms import _walk
 from repro.trees.node import Node
 
 __all__ = [
@@ -33,50 +38,109 @@ __all__ = [
 
 #: Namespace of the probabilistic annotations.
 NAMESPACE = "urn:repro:probabilistic-xml"
+XUPDATE_NAMESPACE = "urn:repro:xupdate"
 _COND = f"{{{NAMESPACE}}}cond"
 _DOCUMENT = f"{{{NAMESPACE}}}document"
 _EVENTS = f"{{{NAMESPACE}}}events"
 _EVENT = f"{{{NAMESPACE}}}event"
 
-ET.register_namespace("p", NAMESPACE)
+#: Namespace -> prefix, in prefix order (ElementTree declares them so).
+_PREFIXES = {NAMESPACE: "p", XUPDATE_NAMESPACE: "xu"}
+for _uri, _prefix in _PREFIXES.items():
+    ET.register_namespace(_prefix, _uri)
+
+
+class _Markup:
+    """A dialect element around the data (``p:document``, ``xu:insert``,
+    …), walked together with the data nodes."""
+
+    __slots__ = ("label", "attributes", "_children")
+
+    def __init__(self, label: str, attributes=(), children=()) -> None:
+        self.label, self.attributes, self._children = label, attributes, list(children)
+
+
+def _parts(node) -> tuple:
+    """``(attributes, text)`` of *node*'s element; its tag is the label."""
+    if type(node) is _Markup:
+        return node.attributes, None
+    if isinstance(node, FuzzyNode) and not node.condition.is_true:
+        return ((_COND, str(node.condition)),), node.value
+    return (), node.value
+
+
+def _to_element(root) -> ET.Element:
+    builder = ET.TreeBuilder()  # the stdlib's own iterative builder
+
+    def enter(node, depth: int) -> None:
+        attributes, text = _parts(node)
+        builder.start(node.label, dict(attributes))
+        if text is not None:
+            builder.data(text)
+
+    _walk(root, enter, lambda node, depth: builder.end(node.label))
+    return builder.close()
+
+
+def _to_string(root, indent: bool) -> str:
+    """``ET.tostring(_to_element(root), encoding="unicode")``, after
+    ``ET.indent`` when *indent*, written straight from the walk."""
+    out: list[str] = []
+    used: set[str] = set()  # namespace prefixes, declared on the root
+
+    def qualified(name: str) -> str:
+        if name[0] != "{":
+            return name
+        uri, local = name[1:].split("}")
+        used.add(_PREFIXES[uri])
+        return f"{_PREFIXES[uri]}:{local}"
+
+    def enter(node, depth: int) -> None:
+        attributes, text = _parts(node)
+        if indent and depth:
+            out.append("\n" + "  " * depth)
+        tag = qualified(node.label)
+        out.append("<" + tag)
+        for name, value in attributes:
+            out.append(f' {qualified(name)}="{_escape_attrib(value)}"')
+        if node._children:
+            out.append(">")
+        else:
+            out.append(f">{_escape_cdata(text)}</{tag}>" if text else " />")
+
+    def leave(node, depth: int) -> None:
+        if node._children:
+            close = f"</{qualified(node.label)}>"
+            out.append("\n" + "  " * depth + close if indent else close)
+
+    _walk(root, enter, leave)
+    # Declared right after the root's "<tag", as ElementTree does.
+    out.insert(1, "".join(f' xmlns:{p}="{u}"' for u, p in _PREFIXES.items() if p in used))
+    return "".join(out)
+
+
+def _document(fuzzy: FuzzyTree) -> _Markup:
+    events = [
+        _Markup(_EVENT, (("name", name), ("prob", repr(probability))))
+        for name, probability in fuzzy.events.items()
+    ]
+    return _Markup(_DOCUMENT, (), (_Markup(_EVENTS, (), events), fuzzy.root))
 
 
 def fuzzy_to_element(fuzzy: FuzzyTree) -> ET.Element:
     """Serialize a fuzzy document into a ``<p:document>`` element tree."""
-    document = ET.Element(_DOCUMENT)
-    events = ET.SubElement(document, _EVENTS)
-    for name, probability in fuzzy.events.items():
-        ET.SubElement(events, _EVENT, {"name": name, "prob": repr(probability)})
-    document.append(_node_to_element(fuzzy.root))
-    return document
-
-
-def _node_to_element(node: Node) -> ET.Element:
-    element = ET.Element(node.label)
-    if isinstance(node, FuzzyNode) and not node.condition.is_true:
-        element.set(_COND, str(node.condition))
-    if node.value is not None:
-        element.text = node.value
-    for child in node.children:
-        element.append(_node_to_element(child))
-    return element
+    return _to_element(_document(fuzzy))
 
 
 def fuzzy_to_string(fuzzy: FuzzyTree, indent: bool = True) -> str:
     """Serialize a fuzzy document to an XML string."""
-    element = fuzzy_to_element(fuzzy)
-    if indent:
-        ET.indent(element)
-    return ET.tostring(element, encoding="unicode")
+    return _to_string(_document(fuzzy), indent)
 
 
 def plain_to_element(root: Node) -> ET.Element:
     """Serialize an ordinary data tree (e.g. a query answer) to XML."""
-    return _node_to_element(root)
+    return _to_element(root)
 
 
 def plain_to_string(root: Node, indent: bool = True) -> str:
-    element = plain_to_element(root)
-    if indent:
-        ET.indent(element)
-    return ET.tostring(element, encoding="unicode")
+    return _to_string(root, indent)

@@ -33,8 +33,8 @@ from repro.errors import QueryError, QueryParseError, UpdateError, XMLFormatErro
 from repro.tpwj.parser import format_pattern, parse_pattern
 from repro.updates.operations import DeleteOperation, InsertOperation
 from repro.updates.transaction import TransactionBatch, UpdateTransaction
-from repro.xmlio.parse import plain_from_element
-from repro.xmlio.serialize import plain_to_element
+from repro.xmlio.parse import _fromstring, plain_from_element
+from repro.xmlio.serialize import XUPDATE_NAMESPACE, _Markup, _to_string
 
 __all__ = [
     "XUPDATE_NAMESPACE",
@@ -45,46 +45,32 @@ __all__ = [
     "updates_from_string",
 ]
 
-XUPDATE_NAMESPACE = "urn:repro:xupdate"
 _MODIFICATIONS = f"{{{XUPDATE_NAMESPACE}}}modifications"
 _INSERT = f"{{{XUPDATE_NAMESPACE}}}insert"
 _DELETE = f"{{{XUPDATE_NAMESPACE}}}delete"
 _BATCH = f"{{{XUPDATE_NAMESPACE}}}batch"
 
-ET.register_namespace("xu", XUPDATE_NAMESPACE)
 
-
-def transaction_to_element(transaction: UpdateTransaction) -> ET.Element:
-    """Serialize a transaction into an ``xu:modifications`` element."""
-    element = ET.Element(
-        _MODIFICATIONS,
-        {
-            "query": format_pattern(transaction.query),
-            "confidence": repr(transaction.confidence),
-        },
+def _modifications(transaction: UpdateTransaction) -> _Markup:
+    operations = [
+        _Markup(_INSERT, (("anchor", op.anchor),), (op.subtree,))
+        if isinstance(op, InsertOperation)
+        else _Markup(_DELETE, (("target", op.target),))
+        for op in transaction.operations
+    ]
+    attributes = (
+        ("query", format_pattern(transaction.query)),
+        ("confidence", repr(transaction.confidence)),
     )
-    for op in transaction.operations:
-        if isinstance(op, InsertOperation):
-            insert = ET.SubElement(element, _INSERT, {"anchor": op.anchor})
-            insert.append(plain_to_element(op.subtree))
-        else:
-            ET.SubElement(element, _DELETE, {"target": op.target})
-    return element
+    return _Markup(_MODIFICATIONS, attributes, operations)
 
 
 def transaction_to_string(transaction: UpdateTransaction, indent: bool = True) -> str:
-    element = transaction_to_element(transaction)
-    if indent:
-        ET.indent(element)
-    return ET.tostring(element, encoding="unicode")
+    return _to_string(_modifications(transaction), indent)
 
 
 def transaction_from_string(text: str) -> UpdateTransaction:
-    try:
-        element = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
-    return transaction_from_element(element)
+    return transaction_from_element(_fromstring(text))
 
 
 def transaction_from_element(element: ET.Element) -> UpdateTransaction:
@@ -130,27 +116,12 @@ def transaction_from_element(element: ET.Element) -> UpdateTransaction:
         raise XMLFormatError(f"invalid transaction: {exc}") from exc
 
 
-def batch_to_element(batch: TransactionBatch) -> ET.Element:
-    """Serialize a transaction batch into an ``xu:batch`` element."""
-    element = ET.Element(_BATCH)
-    for transaction in batch:
-        element.append(transaction_to_element(transaction))
-    return element
-
-
 def batch_to_string(batch: TransactionBatch, indent: bool = True) -> str:
-    element = batch_to_element(batch)
-    if indent:
-        ET.indent(element)
-    return ET.tostring(element, encoding="unicode")
+    return _to_string(_Markup(_BATCH, (), map(_modifications, batch)), indent)
 
 
 def batch_from_string(text: str) -> TransactionBatch:
-    try:
-        element = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
-    return batch_from_element(element)
+    return batch_from_element(_fromstring(text))
 
 
 def batch_from_element(element: ET.Element) -> TransactionBatch:
@@ -165,10 +136,7 @@ def batch_from_element(element: ET.Element) -> TransactionBatch:
 
 def updates_from_string(text: str) -> UpdateTransaction | TransactionBatch:
     """Parse either a single ``xu:modifications`` or an ``xu:batch`` document."""
-    try:
-        element = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XMLFormatError(f"not well-formed XML: {exc}") from exc
+    element = _fromstring(text)
     if element.tag == _BATCH:
         return batch_from_element(element)
     return transaction_from_element(element)

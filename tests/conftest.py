@@ -54,6 +54,23 @@ def slide15_doc() -> FuzzyTree:
     return FuzzyTree(root, events)
 
 
+#: Depth of the ``chain`` fixture: three times the interpreter's default
+#: recursion limit, so any recursion over document nodes fails on it.
+CHAIN_DEPTH = 3000
+
+
+@pytest.fixture
+def chain():
+    """R/A/…/A/B, ``CHAIN_DEPTH`` levels, the second-to-last A
+    conditioned on ``w`` (0.5): ``(document, the B leaf)``."""
+    root = node = FuzzyNode("R")
+    for _ in range(CHAIN_DEPTH - 3):
+        node = node.add_child(FuzzyNode("A"))
+    node = node.add_child(FuzzyNode("A", condition=Condition.of("w")))
+    leaf = node.add_child(FuzzyNode("B"))
+    return FuzzyTree(root, EventTable({"w": 0.5})), leaf
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG for seed-driven tests."""

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 import repro
-from repro import Condition, EventTable, FuzzyNode, FuzzyTree
 from repro.api.builders import compile_transaction
 from repro.core.query import iter_query_rows, query_fuzzy_tree
 from repro.core.update import apply_update
@@ -189,17 +188,7 @@ class TestDeepDocuments:
     """The document walk keeps its own stack: depth is not bounded by
     the interpreter's recursion limit, on any path to the matcher."""
 
-    DEPTH = 3000
-
-    @pytest.fixture
-    def chain(self):
-        """R/A/…/A/B, ``DEPTH`` levels, the second-to-last A conditioned."""
-        root = node = FuzzyNode("R")
-        for _ in range(self.DEPTH - 3):
-            node = node.add_child(FuzzyNode("A"))
-        node = node.add_child(FuzzyNode("A", condition=Condition.of("w")))
-        leaf = node.add_child(FuzzyNode("B"))
-        return FuzzyTree(root, EventTable({"w": 0.5})), leaf
+    DEPTH = 3000  # conftest's ``chain``
 
     def test_every_matching_path_agrees(self, chain):
         doc, leaf = chain
