@@ -28,7 +28,7 @@ from repro.core.montecarlo import AnswerEstimate, estimate_answers
 from repro.core.query import (
     FuzzyAnswer,
     QueryRow,
-    group_by_tree,
+    group_by_key,
     group_rows,
     iter_bounded_rows,
     iter_query_rows,
@@ -50,7 +50,10 @@ class Row:
         Exact probability that this match fires (disjunction of its
         disjoint existence conditions).
     tree:
-        The answer tree (minimal subtree containing the mapped nodes).
+        The answer tree (minimal subtree containing the mapped nodes),
+        built on first read.
+    canonical:
+        ``tree.canonical()``, computed without building the tree.
     match:
         The underlying :class:`~repro.tpwj.match.Match`.
     dnf:
@@ -93,17 +96,11 @@ class Row:
             return p
         return inner.probability
 
-    @property
-    def tree(self):
-        return self._inner.tree
-
-    @property
-    def match(self):
-        return self._inner.match
-
-    @property
-    def dnf(self):
-        return self._inner.dnf
+    # Read through to the core row, which fills tree and key on read.
+    tree = property(lambda self: self._inner.tree)
+    canonical = property(lambda self: self._inner.canonical)
+    match = property(lambda self: self._inner.match)
+    dnf = property(lambda self: self._inner.dnf)
 
     def bindings(self) -> dict[str, str | None]:
         """Variable name -> bound text value for this match."""
@@ -126,7 +123,7 @@ class Row:
         ]
 
     def __repr__(self) -> str:
-        return f"Row(p={self.probability:.6g}, tree={self.tree.canonical()})"
+        return f"Row(p={self.probability:.6g}, tree={self.canonical})"
 
 
 _DEFAULT_OPTIONS = QueryOptions()
@@ -363,9 +360,9 @@ class ResultSet(BaseResultSet):
             rows = iter_query_rows(
                 fuzzy, self._pattern, config, engine=engine, limit=opts.limit
             )
-            groups = group_by_tree((row.tree, row.dnf.terms) for row in rows)
+            groups = group_by_key((row.canonical, row, row.dnf.terms) for row in rows)
             estimates = estimate_answers(
-                [(tree, Dnf(terms)) for _key, tree, terms in groups],
+                [(row.tree, Dnf(terms)) for _key, row, terms in groups],
                 fuzzy.events,
                 epsilon=epsilon,
                 deadline=None if deadline_ms is None else deadline_ms / 1000.0,
@@ -538,19 +535,13 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
     tracing = obs is not None and obs.tracer.enabled
     metrics = obs is not None and obs.metrics.enabled
     if not tracing and not metrics:
-        if abort is None:
-            for inner in _row_iter(fuzzy, engine, config, pattern, options, None):
-                yield Row(inner, source, fuzzy.events)
-            return
-        _check_abort(abort)
-        stream = _row_iter(fuzzy, engine, config, pattern, options, abort)
-        while True:
-            try:
-                inner = next(stream)
-            except StopIteration:
-                return
-            yield Row(inner, source, fuzzy.events)
+        if abort is not None:
             _check_abort(abort)
+        for inner in _row_iter(fuzzy, engine, config, pattern, options, abort):
+            yield Row(inner, source, fuzzy.events)
+            if abort is not None:
+                _check_abort(abort)
+        return
 
     registry = obs.metrics
     events = fuzzy.events

@@ -457,7 +457,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                         print(f"<!-- P = {row.probability:.6f} -->")
                         print(plain_to_string(row.tree))
                     else:
-                        print(f"{row.probability:.6f}  {row.tree.canonical()}")
+                        print(f"{row.probability:.6f}  {row.canonical}")
         else:
             # Answer mode: full evaluation, ranked by probability.
             answers = results.answers()
@@ -468,7 +468,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     print(f"<!-- P = {answer.probability:.6f} -->")
                     print(plain_to_string(answer.tree))
                 else:
-                    print(f"{answer.probability:.6f}  {answer.tree.canonical()}")
+                    print(f"{answer.probability:.6f}  {answer.canonical}")
             empty = not answers
     if empty:
         print("(no answers)")
@@ -512,10 +512,7 @@ def _cmd_query_collection(
                         print(f"<!-- {row.document}: P = {row.probability:.6f} -->")
                         print(plain_to_string(row.tree))
                     else:
-                        print(
-                            f"{row.document}  {row.probability:.6f}  "
-                            f"{row.tree.canonical()}"
-                        )
+                        print(f"{row.document}  {row.probability:.6f}  {row.canonical}")
         else:
             merged = results.answers()
             if args.limit is not None:
@@ -526,10 +523,7 @@ def _cmd_query_collection(
                     print(f"<!-- {key}: P = {answer.probability:.6f} -->")
                     print(plain_to_string(answer.tree))
                 else:
-                    print(
-                        f"{key}  {answer.probability:.6f}  "
-                        f"{answer.tree.canonical()}"
-                    )
+                    print(f"{key}  {answer.probability:.6f}  {answer.canonical}")
     if empty:
         print("(no answers)")
     return 0

@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import replace
 from itertools import islice
-from sys import intern as _intern_str
 from time import perf_counter
 
 from repro.analysis.instrumentation import counters
@@ -48,7 +47,7 @@ from repro.tpwj.match import (
     find_matches,
 )
 from repro.tpwj.pattern import Pattern
-from repro.tpwj.result import answer_tree
+from repro.trees.algorithms import kept_canonical, kept_nodes, kept_tree
 from repro.trees.node import Node
 
 __all__ = [
@@ -64,14 +63,35 @@ __all__ = [
 ]
 
 
-class FuzzyAnswer:
+class _Answer:
+    """Answers and rows: an answer tree's kept nodes, captured under the pin
+    (a later commit may move the live links); tree and key filled on read."""
+
+    __slots__ = ("_kept", "_tree", "_key")
+
+    @property
+    def tree(self) -> Node:
+        if self._tree is None:
+            self._tree = kept_tree(self._kept)
+        return self._tree
+
+    @property
+    def canonical(self) -> str:
+        if self._key is None:
+            self._key = kept_canonical(self._kept)
+        return self._key
+
+
+class FuzzyAnswer(_Answer):
     """One answer of a query over a fuzzy tree.
 
     Attributes
     ----------
     tree:
         The answer tree (an ordinary data tree — conditions are not part
-        of answers).
+        of answers), built on first read.
+    canonical:
+        ``tree.canonical()``, the key its matches were grouped by.
     dnf:
         The disjunction of the per-match existence conditions that
         produce this answer.
@@ -79,15 +99,15 @@ class FuzzyAnswer:
         Exact probability that this answer belongs to the query result.
     """
 
-    __slots__ = ("tree", "dnf", "probability")
+    __slots__ = ("dnf", "probability")
 
-    def __init__(self, tree: Node, dnf: Dnf, probability: float) -> None:
-        self.tree = tree
+    def __init__(self, kept, key: str, dnf: Dnf, probability: float) -> None:
+        self._kept, self._tree, self._key = kept, None, key
         self.dnf = dnf
         self.probability = probability
 
     def __repr__(self) -> str:
-        return f"FuzzyAnswer(p={self.probability:.6g}, tree={self.tree.canonical()})"
+        return f"FuzzyAnswer(p={self.probability:.6g}, tree={self.canonical})"
 
 
 class _AncestorWalk:
@@ -206,16 +226,16 @@ def _possibly_nonzero(terms, events) -> bool:
     return False
 
 
-class QueryRow:
+class QueryRow(_Answer):
     """One *match* of a query over a fuzzy tree, streamed lazily.
 
     Where :class:`FuzzyAnswer` aggregates every match inducing the same
     answer tree (exact disjunction semantics), a row is the unit the
     streaming protocol can afford to emit without seeing the rest of
-    the enumeration: the match itself, its answer tree, the disjoint
-    conditions under which the match holds, and the exact probability
-    of *this match* firing.  Rows arrive in the engine's deterministic
-    match order, so a limited stream is a prefix of the unlimited one.
+    the enumeration: the match itself, its answer tree and ``canonical``
+    key (both filled on read), the disjoint conditions under which the
+    match holds, and the exact probability of *this match* firing.
+    Rows arrive in the engine's deterministic match order, so a limited stream is a prefix of the unlimited one.
 
     The probability is computed on **first access** (every emitted row
     is already known to be possible): consumers that only group, count
@@ -229,7 +249,6 @@ class QueryRow:
 
     __slots__ = (
         "match",
-        "tree",
         "dnf",
         "_events",
         "_cache",
@@ -241,7 +260,7 @@ class QueryRow:
     def __init__(
         self,
         match: Match,
-        tree: Node,
+        kept,
         dnf: Dnf,
         events,
         *,
@@ -249,7 +268,7 @@ class QueryRow:
         probability: float | None = None,
     ) -> None:
         self.match = match
-        self.tree = tree
+        self._kept, self._tree, self._key = kept, None, None
         self.dnf = dnf
         self._events = events
         self._cache = cache
@@ -286,7 +305,7 @@ class QueryRow:
         return self.match.bindings()
 
     def __repr__(self) -> str:
-        return f"QueryRow(p={self.probability:.6g}, tree={self.tree.canonical()})"
+        return f"QueryRow(p={self.probability:.6g}, tree={self.canonical})"
 
 
 def _consistent_matches(
@@ -369,9 +388,8 @@ def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None)
             p = dnf_probability(dnf, events, cache=cache)
             if p == 0.0 or p < floor:
                 continue
-        yield QueryRow(
-            match, answer_tree(fuzzy.root, match), dnf, events, cache=cache, probability=p
-        )
+        kept = kept_nodes(fuzzy.root, match.iter_images())
+        yield QueryRow(match, kept, dnf, events, cache=cache, probability=p)
 
 
 def _capped(rows, limit: int | None):
@@ -484,19 +502,18 @@ def topk_rows(
     return [row for _, _, row in heap]
 
 
-def group_by_tree(pairs) -> list[tuple[str, Node, list[Condition]]]:
-    """Merge ``(answer tree, conditions)`` pairs inducing the same
-    answer tree, concatenating their conditions; groups keep first-seen
-    order.  Each group is ``(canonical form, tree, conditions)`` — the
-    key is kept so ranking need not encode the tree again."""
-    grouped: dict[str, tuple[str, Node, list[Condition]]] = {}
-    for tree, conditions in pairs:
-        key = _intern_str(tree.canonical())
+def group_by_key(entries) -> list[tuple[str, object, list[Condition]]]:
+    """The one keyed grouping: merge ``(canonical key, source, conditions)``
+    entries inducing the same answer tree, concatenating their conditions.
+    Groups keep first-seen order and their first entry's source (kept
+    nodes, or a row): ``(key, source, conditions)``."""
+    grouped: dict[str, tuple[str, object, list[Condition]]] = {}
+    for key, source, conditions in entries:
         entry = grouped.get(key)
         if entry is not None:
             entry[2].extend(conditions)
         else:
-            grouped[key] = (key, tree, list(conditions))
+            grouped[key] = (key, source, list(conditions))
     return list(grouped.values())
 
 
@@ -504,11 +521,11 @@ def _rank_answers(groups, events, cache) -> list[FuzzyAnswer]:
     """Price each group's disjunction; drop impossible ones; rank by
     decreasing probability, ties by canonical form."""
     ranked: list[tuple[float, str, FuzzyAnswer]] = []
-    for key, tree, conditions in groups:
+    for key, kept, conditions in groups:
         dnf = Dnf(conditions)
         probability = dnf_probability(dnf, events, cache=cache)
         if probability != 0.0:
-            ranked.append((probability, key, FuzzyAnswer(tree, dnf, probability)))
+            ranked.append((probability, key, FuzzyAnswer(kept, key, dnf, probability)))
     ranked.sort(key=lambda entry: (-entry[0], entry[1]))
     return [answer for _, _, answer in ranked]
 
@@ -525,7 +542,7 @@ def group_rows(rows, events, *, cache=None) -> list[FuzzyAnswer]:
     expansions (rows carry one from their engine already; this applies
     to the group-level disjunctions).
     """
-    groups = group_by_tree((row.tree, row.dnf.terms) for row in rows)
+    groups = group_by_key((row.canonical, row._kept, row.dnf.terms) for row in rows)
     return _rank_answers(groups, events, cache)
 
 
@@ -559,11 +576,12 @@ def query_fuzzy_tree(
     tracing = obs is not None and obs.tracer.enabled
     t_phase = perf_counter() if tracing else 0.0
     root = fuzzy.root
-    groups = group_by_tree(
-        (answer_tree(root, match), conditions)
+    groups = group_by_key(
+        (kept_canonical(kept), kept, conditions)
         for match, conditions in _consistent_matches(
             fuzzy, pattern, config, engine, plan=plan
         )
+        for kept in (kept_nodes(root, match.iter_images()),)
     )
     if tracing:
         now = perf_counter()

@@ -49,21 +49,22 @@ __all__ = [
 
 
 def iter_rekeyed(plan: Plan, pattern, matches) -> Iterator[Match]:
-    """Re-key *matches* from the plan's pattern nodes onto *pattern*'s,
-    lazily.
+    """Re-key *matches* from the plan's pattern nodes onto *pattern*'s.
 
     A cached plan may carry a different — structurally identical —
     pattern object than the caller's; after this, ``match[caller_node]``
-    works.  Pass-through when the plan was built for *pattern* itself.
+    works, translated on read through one node table shared by the whole
+    query.  Pass-through when the plan was built for *pattern* itself.
     The caller must have established structural identity (equal
     fingerprints); positive nodes then correspond position by position.
     """
     if plan.pattern is pattern:
         yield from matches
         return
-    pairs = list(zip(plan.pattern.positive_nodes(), pattern.positive_nodes()))
+    keys = dict(zip(pattern.positive_nodes(), plan.pattern.positive_nodes()))
     for match in matches:
-        yield Match(pattern, {mine: match[theirs] for theirs, mine in pairs})
+        match.pattern, match._keys = pattern, keys
+        yield match
 
 
 class _Intervals:
@@ -350,50 +351,57 @@ class BacktrackJoin:
         # One flag read per execution, not one per partial assignment.
         track = counters.enabled
 
-        def assign(position: int) -> Iterator[Match]:
-            if position == len(order):
-                if early or self._joins_ok(mapping):
-                    if track:
-                        counters.incr("match.found")
-                    yield Match(self._plan.pattern, dict(mapping))
-                return
-            pattern_node = order[position]
-            for data_node in self._options(pattern_node, mapping):
-                if track:
-                    counters.incr("match.assignments")
-                if runtime.honor_negation and any(
-                    child.negated and find_embeddings(child, data_node)
-                    for child in pattern_node.children
-                ):
-                    if track:
-                        counters.incr("match.negation_pruned")
-                    continue
-                if pruning:
-                    if prune(bound.bind(data_node)):
-                        bound.unbind()
-                        if track:
-                            counters.incr("match.bound_pruned")
-                        continue
-                variable = pattern_node.variable
-                joined = early and variable is not None and variable in self._join_groups
-                if joined:
-                    existing = bindings.get(variable)
-                    if existing is not None and existing != data_node.value:
-                        if pruning:
-                            bound.unbind()
-                        continue
-                    fresh_binding = existing is None
-                    if fresh_binding:
-                        bindings[variable] = data_node.value
-                mapping[pattern_node] = data_node
-                yield from assign(position + 1)
+        # An explicit stack: a recursive closure is a cycle only the collector
+        # frees.  Depth d assigns order[d] from levels[d]; fresh[d] is the
+        # join variable it bound first, or None.
+        levels = [iter(self._options(order[0], mapping))]
+        fresh: list[str | None] = []
+        while levels:
+            depth = len(levels) - 1
+            pattern_node = order[depth]
+            if len(fresh) > depth:  # retract, then try the next candidate
                 del mapping[pattern_node]
                 if pruning:
                     bound.unbind()
-                if joined and fresh_binding:
+                if (variable := fresh.pop()) is not None:
                     del bindings[variable]
-
-        yield from assign(0)
+            data_node = next(levels[-1], None)
+            if data_node is None:
+                levels.pop()
+                continue
+            if track:
+                counters.incr("match.assignments")
+            if runtime.honor_negation and any(
+                child.negated and find_embeddings(child, data_node)
+                for child in pattern_node.children
+            ):
+                if track:
+                    counters.incr("match.negation_pruned")
+                continue
+            if pruning and prune(bound.bind(data_node)):
+                bound.unbind()
+                if track:
+                    counters.incr("match.bound_pruned")
+                continue
+            first = None
+            variable = pattern_node.variable
+            if early and variable is not None and variable in self._join_groups:
+                existing = bindings.get(variable)
+                if existing is None:
+                    bindings[variable] = data_node.value
+                    first = variable
+                elif existing != data_node.value:
+                    if pruning:
+                        bound.unbind()
+                    continue
+            mapping[pattern_node] = data_node
+            fresh.append(first)
+            if depth + 1 < len(order):
+                levels.append(iter(self._options(order[depth + 1], mapping)))
+            elif early or self._joins_ok(mapping):
+                if track:
+                    counters.incr("match.found")
+                yield Match(self._plan.pattern, dict(mapping))
 
     def _options(
         self, pattern_node: PatternNode, mapping: dict[PatternNode, Node]

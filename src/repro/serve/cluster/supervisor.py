@@ -117,6 +117,8 @@ class _WireItem:
             self._tree = plain_from_string(self._tree_xml)
         return self._tree
 
+    canonical = property(lambda self: self.tree.canonical())
+
 
 class ClusterRow(_WireItem):
     """One merged query row from a worker process — the reading surface

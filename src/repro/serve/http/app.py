@@ -81,7 +81,7 @@ def encode_row(row) -> dict:
     """
     record = {
         "probability": row.probability,
-        "tree": row.tree.canonical(),
+        "tree": row.canonical,
         "bindings": row.bindings(),
     }
     document = getattr(row, "document", None)

@@ -122,30 +122,29 @@ DEFAULT_CONFIG = MatchConfig()
 
 
 class Match:
-    """One embedding of a pattern into a data tree."""
+    """One embedding of a pattern into a data tree.  Under a plan cached
+    for another pattern object, ``_keys`` maps *pattern*'s nodes onto the
+    mapping's (:func:`~repro.engine.executor.iter_rekeyed`)."""
 
-    __slots__ = ("pattern", "_mapping")
+    __slots__ = ("pattern", "_mapping", "_keys")
 
     def __init__(self, pattern: Pattern, mapping: dict[PatternNode, Node]) -> None:
         self.pattern = pattern
         self._mapping = mapping
+        self._keys: dict[PatternNode, PatternNode] | None = None  # shared per query
 
     @property
     def mapping(self) -> dict[PatternNode, Node]:
-        return dict(self._mapping)
+        mapping, keys = self._mapping, self._keys
+        return dict(mapping) if keys is None else {n: mapping[k] for n, k in keys.items()}
 
     def __getitem__(self, pattern_node: PatternNode) -> Node:
-        return self._mapping[pattern_node]
+        keys = self._keys
+        return self._mapping[pattern_node if keys is None else keys[pattern_node]]
 
     def nodes(self) -> list[Node]:
         """The image data nodes (with duplicates removed, identity-based)."""
-        seen: set[int] = set()
-        result: list[Node] = []
-        for node in self._mapping.values():
-            if id(node) not in seen:
-                seen.add(id(node))
-                result.append(node)
-        return result
+        return list({id(node): node for node in self.mapping.values()}.values())
 
     def iter_images(self):
         """The image data nodes, raw (possibly with duplicates).
@@ -158,21 +157,21 @@ class Match:
 
     def node_for(self, variable: str) -> Node:
         """The data node mapped by the pattern node carrying *variable*."""
-        return self._mapping[self.pattern.node_for_variable(variable)]
+        return self[self.pattern.node_for_variable(variable)]
 
     def binding(self, variable: str) -> str | None:
         """The value bound by *variable* (None when the node has no value)."""
         nodes = self.pattern.variables().get(variable)
         if not nodes:
             raise QueryError(f"no pattern node carries variable ${variable}")
-        return self._mapping[nodes[0]].value
+        return self[nodes[0]].value
 
     def bindings(self) -> dict[str, str | None]:
         return {var: self.binding(var) for var in self.pattern.variables()}
 
     def __repr__(self) -> str:
         pairs = ", ".join(
-            f"{p.label or '*'}->{d.label}" for p, d in self._mapping.items()
+            f"{p.label or '*'}->{d.label}" for p, d in self.mapping.items()
         )
         return f"Match({pairs})"
 

@@ -8,10 +8,11 @@ The central operation is :func:`minimal_subtree`: the answer to a TPWJ
 query is "the minimal subtree containing all the nodes mapped by the
 query" (paper, slide 6).  For a rooted tree this is the union of the
 root-paths of the mapped nodes; we materialise it as a fresh tree
-restricted to those nodes and their ancestors.  One upward walk per
-target records each kept node's kept children, and the copy then
-visits the kept nodes only — never their other siblings — so neither a
+restricted to those nodes and their ancestors: :func:`kept_nodes`
+captures them with one upward walk per target, and :func:`kept_tree`
+copies the kept nodes only — never their other siblings — so neither a
 wide node nor a deep document costs more than the answer itself.
+:func:`kept_canonical` is the copy's key, computed without copying.
 """
 
 from __future__ import annotations
@@ -46,30 +47,56 @@ def minimal_subtree(root: Node, targets: Iterable[Node]) -> Node:
     answer is a subtree of the document (hence rooted at the document
     root).  Children keep the document's attachment order.
     """
-    # Kept node id -> its kept children, in discovery order.  A walk
-    # stops at the first node already kept; one that runs off the top
-    # of a tree without meeting *root* started outside it.
-    kept: dict[int, list[Node]] = {id(root): []}
+    return kept_tree(kept_nodes(root, targets))
+
+
+def kept_nodes(root: Node, targets: Iterable[Node]) -> dict[Node, list[Node]]:
+    """What :func:`minimal_subtree` keeps: kept node -> its kept children
+    in attachment order, *root* first."""
+    # A walk stops at the first node already kept; one that runs off
+    # the top of a tree without meeting *root* started outside it.
+    kept: dict[Node, list[Node]] = {root: []}
+    forks = []
     for node in targets:
-        below: Node | None = None
-        while (siblings := kept.get(id(node))) is None:
-            kept[id(node)] = [] if below is None else [below]
-            below = node
-            node = node._parent
+        below = None
+        while (siblings := kept.get(node)) is None:
+            kept[node] = [] if below is None else [below]
+            below, node = node, node._parent
             if node is None:
                 raise TreeError("target node does not belong to the given tree")
         if below is not None:
             siblings.append(below)
+            if len(siblings) == 2:
+                forks.append(node)
+    for node in forks:  # discovery order is not attachment order: rescan
+        kept[node] = [child for child in node._children if child in kept]
+    return kept
 
-    def kept_children(node: Node) -> list[Node]:
-        found = kept[id(node)]
-        if len(found) < 2:
-            return found
-        # Discovery order is not attachment order: rescan, but only
-        # the (few) nodes that keep two or more children.
-        return [child for child in node._children if id(child) in kept]
 
-    return _copy_tree(root, Node._copy_self, kept_children)
+def kept_tree(kept: dict[Node, list[Node]]) -> Node:
+    """The fresh plain tree a :func:`kept_nodes` capture describes."""
+    return _copy_tree(next(iter(kept)), Node._copy_self, kept.__getitem__)
+
+
+def kept_canonical(kept: dict[Node, list[Node]]) -> str:
+    """``kept_tree(kept).canonical()``, folded over the capture: no copy."""
+    encode, keys, stack = Node._encode_self, [], [next(iter(kept))]  # plain, as the copy
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            count = len(kept[node])
+            parts = keys[-count:]
+            del keys[-count:]
+            parts.sort()
+            keys.append(f"{encode(node)}({','.join(parts)})")
+        elif children := kept[node]:
+            stack.append(node)
+            stack.append(None)
+            stack.extend(children)  # child keys are sorted: any order
+        else:
+            keys.append(encode(node))
+    return keys[0]
 
 
 def restrict(root: Node, keep_ids: set[int]) -> Node:
