@@ -29,6 +29,11 @@ A change that failed a larger share of its operations than the parent
 gets neither ``gain`` nor ``within bound`` on any metric: its figures
 are ``unresolved`` (or ``outside bound``).
 
+After the pairs, one traced pass (``--trace 1``) per side at the first
+pair's seed gives a parent → change table of the manifest's
+``per_layer`` metrics: where the end-to-end change came from.  These
+are single shots, printed for reading, never given a verdict.
+
 Usage::
 
     python3 benchmarks/ab_pairs.py --parent ../parent --change . \\
@@ -51,7 +56,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-__all__ = ["verdict", "main"]
+__all__ = ["verdict", "layer_table", "main"]
 
 #: The gain rule's minimum series and win fraction.
 MIN_PAIRS = 10
@@ -113,12 +118,27 @@ def verdict(
     return "unresolved"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def layer_table(per_layer: list[dict], parent: dict, change: dict) -> list[str]:
+    """Markdown lines comparing one traced pass per side over the
+    manifest's *per_layer* metrics; a value a side lacks is left blank."""
+    lines = ["| metric | unit | parent | change | change |", "|---|---|---|---|---|"]
+    for spec in per_layer:
+        name = spec["name"]
+        p, c = (side["metrics"].get(name, {}).get("value") for side in (parent, change))
+        delta = f"{(c - p) / p:+.1%}" if p and c is not None else ""
+        shown = ("" if v is None else f"{v:.6g}" for v in (p, c))
+        lines.append(f"| {name} | {spec['unit']} | {' | '.join(shown)} | {delta} |")
+    return lines
+
+
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0
+) -> dict:
     """One E19 pass from *checkout*; its final JSON line."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "e19" / "run.py"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]  # fmt: skip
     failed = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     try:
@@ -174,8 +194,14 @@ def main(argv=None) -> int:
                 f"failed={result.get('failed')}/{result.get('attempted')} {values}",
                 flush=True,
             )
+    traced = {
+        side: run_once(sides[side], args.workload, args.first_seed, seconds, trace=1)
+        for side in ("parent", "change")
+    }
+    for side, result in traced.items():
+        print(f"traced seed {args.first_seed} {side}: correct={result['correct']}", flush=True)
 
-    ok = all(r["correct"] for side in runs.values() for r in side)
+    ok = all(r["correct"] for side in (*runs.values(), traced.values()) for r in side)
     totals = {side: failure_totals(rs) for side, rs in runs.items()}
     shares = tuple(f / a if a else 1.0 for f, a in (totals["parent"], totals["change"]))
     print(f"\n## {args.workload}: {args.pairs} alternating pairs, {seconds} s runs\n")
@@ -196,6 +222,12 @@ def main(argv=None) -> int:
             f"| {wins(p, c, spec['better'])}/{len(p)} "
             f"| {verdict(p, c, spec['better'], spec['bound'], shares)} |"
         )
+    print(
+        f"\n## {args.workload}: per layer, one traced pass per side at seed "
+        f"{args.first_seed} (single shots, no verdict)\n"
+    )
+    for line in layer_table(manifest["per_layer"], traced["parent"], traced["change"]):
+        print(line)
     more_failures = shares[1] > shares[0]
     print(
         "\nfailed/attempted: parent {}/{}, change {}/{}".format(*totals["parent"], *totals["change"])

@@ -16,6 +16,18 @@ into explicit operators so a plan can pick and order them:
   visit order, checking join variables eagerly or at the end as the
   plan decided.
 
+**Every candidate list is in document (pre-order) order.**  The label
+index buckets and the node list are appended during the walk's
+pre-order pass, and every later step — the anchored filter, the
+semi-join, the join's options — filters without reordering.  The
+proper descendants of a node ``a`` within a candidate list are
+therefore one contiguous slice, the candidates whose pre-order number
+lies strictly between ``enter[a]`` and ``exit[a]``: a descendant edge
+is two ``bisect`` calls over the candidates' pre-order numbers (the
+structural-join primitive of Al-Khalifa et al., ICDE 2002), not a test
+of every (ancestor, candidate) pair.  A child edge joins through a
+parent index.  Anything that reorders a candidate list breaks both.
+
 Whatever the plan, the match *set* is the definition's —
 ``tests/test_engine_equivalence.py`` compares every plan shape against
 a definitional reference that shares no code with the operators — but
@@ -26,6 +38,7 @@ does) or run the fixed pre-order plan.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import islice
 from time import sleep as _sleep
@@ -68,7 +81,11 @@ def iter_rekeyed(plan: Plan, pattern, matches) -> Iterator[Match]:
 
 
 class _Intervals:
-    """Pre-order interval numbering for O(1) ancestor/descendant tests.
+    """Pre-order interval numbering: descendant edges as range lookups.
+
+    ``enter[id(n)]`` is *n*'s pre-order number and ``exit[id(n)]`` one
+    past the largest number in its subtree, so *n*'s proper descendants
+    are the nodes numbered strictly between the two.
 
     The constructor makes the **single** document pass of an execution:
     it numbers the tree *and* collects the node list and the label index
@@ -134,27 +151,37 @@ class _Intervals:
             else:
                 exit_[id(node)] = clock
 
-    def is_descendant(self, node: Node, ancestor: Node) -> bool:
-        return (
-            self.enter[id(ancestor)] < self.enter[id(node)]
-            and self.enter[id(node)] < self.exit[id(ancestor)]
-        )
+    def positions(self, nodes: list[Node]) -> list[int]:
+        """The pre-order numbers of the document-ordered *nodes*: sorted,
+        hence the key :meth:`descendant_range` bisects."""
+        enter = self.enter
+        return [enter[id(n)] for n in nodes]
+
+    def descendant_range(self, ancestor: Node, positions: list[int]) -> tuple[int, int]:
+        """``(lo, hi)``: the slice of a document-ordered list, numbered
+        *positions*, that holds exactly *ancestor*'s proper descendants."""
+        lo = bisect_right(positions, self.enter[id(ancestor)])
+        return lo, bisect_left(positions, self.exit[id(ancestor)], lo)
 
 
-def _local_ok(
-    pattern_node: PatternNode, data_node: Node, join_vars: dict
-) -> bool:
-    """The matcher's local test, shared by both scan operators."""
-    if pattern_node.label is not None and pattern_node.label != data_node.label:
-        return False
-    if pattern_node.value is not None and data_node.value != pattern_node.value:
-        return False
-    if data_node.is_leaf and any(not c.negated for c in pattern_node.children):
-        return False
-    variable = pattern_node.variable
-    if variable is not None and variable in join_vars and data_node.value is None:
-        return False
-    return True
+def _local_filter(
+    pattern_node: PatternNode, nodes: list[Node], join_vars: dict
+) -> list[Node]:
+    """The matcher's local test, shared by the root probe and both scan
+    operators: the members of *nodes* (order kept) that *pattern_node*
+    may map to.  The pattern side of the test is computed once, so the
+    per-node loop reads node fields only."""
+    label, value = pattern_node.label, pattern_node.value
+    inner = any(not c.negated for c in pattern_node.children)
+    valued = pattern_node.variable is not None and pattern_node.variable in join_vars
+    return [
+        n
+        for n in nodes
+        if (label is None or n.label == label)
+        and (value is None or n.value == value)
+        and not (inner and n.is_leaf)
+        and not (valued and n.value is None)
+    ]
 
 
 class LabelIndexScan:
@@ -169,7 +196,7 @@ class LabelIndexScan:
             base = self._index.get(pattern_node.label, [])
         else:
             base = self._all
-        kept = [n for n in base if _local_ok(pattern_node, n, join_vars)]
+        kept = _local_filter(pattern_node, base, join_vars)
         counters.incr("engine.actual_candidates", len(kept))
         counters.incr("match.candidates", len(kept))
         return kept
@@ -182,7 +209,7 @@ class FullScan:
         self._all = intervals.all_nodes
 
     def scan(self, pattern_node: PatternNode, join_vars: dict) -> list[Node]:
-        kept = [n for n in self._all if _local_ok(pattern_node, n, join_vars)]
+        kept = _local_filter(pattern_node, self._all, join_vars)
         counters.incr("engine.actual_candidates", len(kept))
         counters.incr("match.candidates", len(kept))
         return kept
@@ -222,13 +249,18 @@ class SemiJoinPrune:
 
     def _axis_test(self, pattern_child: PatternNode, child_candidates: list[Node]):
         """Predicate: does a data node have a candidate of *pattern_child*
-        in the right axis relation?  A child edge is one set lookup
-        against the candidates' parent ids."""
+        in the right axis relation?  A descendant edge is a range lookup
+        over the candidates' pre-order numbers, a child edge one set
+        lookup against the candidates' parent ids."""
         if pattern_child.descendant:
-            is_descendant = self._intervals.is_descendant
-            return lambda data_node: any(
-                is_descendant(c, data_node) for c in child_candidates
-            )
+            intervals = self._intervals
+            positions = intervals.positions(child_candidates)
+
+            def has_descendant(data_node: Node) -> bool:
+                lo, hi = intervals.descendant_range(data_node, positions)
+                return lo < hi
+
+            return has_descendant
         parent_ids = {id(c.parent) for c in child_candidates}
         return lambda data_node: id(data_node) in parent_ids
 
@@ -330,6 +362,9 @@ class BacktrackJoin:
         #: Child-edge pattern node -> its candidates grouped by
         #: ``id(parent)`` in candidate order, built on first use.
         self._by_parent: dict[PatternNode, dict[int, list[Node]]] = {}
+        #: Descendant-edge pattern node -> its candidates' pre-order
+        #: numbers, built on first use.
+        self._positions: dict[PatternNode, list[int]] = {}
 
     def iter_matches(self, *, bound=None, prune=None) -> Iterator[Match]:
         """Lazily yield matches in the plan's deterministic visit order.
@@ -412,9 +447,13 @@ class BacktrackJoin:
             return candidates
         anchor = mapping[parent]
         if pattern_node.descendant:
-            return [
-                c for c in candidates if self._intervals.is_descendant(c, anchor)
-            ]
+            positions = self._positions.get(pattern_node)
+            if positions is None:
+                positions = self._positions[pattern_node] = self._intervals.positions(
+                    candidates
+                )
+            lo, hi = self._intervals.descendant_range(anchor, positions)
+            return candidates[lo:hi]
         by_parent = self._by_parent.get(pattern_node)
         if by_parent is None:
             by_parent = self._by_parent[pattern_node] = {}
@@ -468,11 +507,12 @@ def iter_plan(
         # of root-targeted updates, hence of most WAL records: a
         # constant-time probe, no walk.  The join below never consults
         # the walk for a parentless pattern node.
-        if not _local_ok(pattern.root, root, join_vars):
+        probed = _local_filter(pattern.root, [root], join_vars)
+        if not probed:
             return
         counters.incr("engine.actual_candidates")
         counters.incr("match.candidates")
-        candidates[pattern.root] = [root]
+        candidates[pattern.root] = probed
     else:
         if intervals is None:
             intervals = _Intervals(root)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
-from ab_pairs import quartiles, verdict, wins  # noqa: E402
+from ab_pairs import layer_table, quartiles, verdict, wins  # noqa: E402
 
 BOUND = 0.1
 
@@ -75,3 +75,30 @@ def test_a_one_run_series():
     assert verdict([5.0], [4.0], "lower", BOUND) == "within bound"
     assert verdict([5.0], [6.0], "lower", BOUND) == "outside bound"
     assert verdict([5.0], [5.2], "lower", BOUND) == "within bound"
+
+
+def test_layer_table_compares_one_traced_pass_per_side_in_manifest_order():
+    per_layer = [
+        {"name": "engine.match_us", "unit": "us"},
+        {"name": "engine.matches_per_query", "unit": "count"},
+        {"name": "http.floor_us", "unit": "us"},
+        {"name": "engine.view_rebuild_us", "unit": "us"},
+    ]
+
+    def run(**values):
+        return {"metrics": {n.replace("_", ".", 1): {"value": v} for n, v in values.items()}}
+
+    parent = run(engine_match_us=2190.0, engine_matches_per_query=21, engine_view_rebuild_us=0.0)
+    change = run(engine_match_us=219.0, engine_matches_per_query=21)
+    assert layer_table(per_layer, parent, change) == [
+        "| metric | unit | parent | change | change |",
+        "|---|---|---|---|---|",
+        "| engine.match_us | us | 2190 | 219 | -90.0% |",
+        "| engine.matches_per_query | count | 21 | 21 | +0.0% |",
+        "| http.floor_us | us |  |  |  |",  # measured on neither side
+        "| engine.view_rebuild_us | us | 0 |  |  |",  # no ratio from 0 or a blank
+    ]
+    # A failed pass carries no metrics at all.
+    assert layer_table(per_layer[:1], {"metrics": {}}, change)[-1] == (
+        "| engine.match_us | us |  | 219 |  |"
+    )
