@@ -42,6 +42,7 @@ import random
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from sys import intern as _intern_str
 
@@ -51,12 +52,12 @@ except ImportError:  # script mode: run outside pytest's rootdir sys.path
     def fmt(value: float, digits: int = 4) -> str:
         return f"{value:.{digits}g}"
 
-from repro.analysis.instrumentation import counters
 from repro.core.fuzzy_tree import FuzzyNode
 from repro.core.query import match_conditions
 from repro.core.update import apply_update
 from repro.engine import QueryEngine, StatsDelta
 from repro.events import Condition, Dnf, dnf_probability
+from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
 from repro.tpwj.result import answer_tree
 from repro.trees.random import RandomTreeConfig
@@ -267,6 +268,16 @@ def _check_agreement(fast: dict, seed: dict, context: str) -> None:
         )
 
 
+@contextmanager
+def _counters_off():
+    """Time the algorithms, not the process registry's bookkeeping."""
+    process_registry.disable()
+    try:
+        yield
+    finally:
+        process_registry.enable()
+
+
 def _best_median(pipeline, document, engine, rows, repeats: int, inner: int) -> float:
     """Best-of-*repeats* median of per-run seconds for *inner* runs."""
     medians = []
@@ -287,7 +298,7 @@ def run_pipeline_comparison(sizes, churn: int, repeats: int):
     for n_nodes in sizes:
         document, engine = build_document(n_nodes, churn)
         rows = enumerate_rows(document, engine)
-        with counters.disabled():
+        with _counters_off():
             _check_agreement(
                 fast_pipeline(document, engine, rows),
                 seed_pipeline(document, engine, rows),
@@ -334,7 +345,7 @@ def run_cache_scope(sizes, churn: int, repeats: int):
             engine.shannon.clear()
             return fast_pipeline(document, engine, rows)
 
-        with counters.disabled():
+        with _counters_off():
             cold_s = _best_median(cold, document, engine, rows, repeats, 3)
             fast_pipeline(document, engine, rows)  # warm the memo
             warm_s = _best_median(fast_pipeline, document, engine, rows, repeats, 3)

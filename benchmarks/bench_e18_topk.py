@@ -42,7 +42,7 @@ import pytest
 
 import repro
 from repro import connect
-from repro.analysis import counters
+from repro.obs.metrics import process_registry
 from repro.tpwj import parse_pattern
 
 try:
@@ -183,13 +183,10 @@ def test_topk_branch_and_bound(report, benchmark, tmp_path_factory, n_nodes):
         expected = sorted(full, key=lambda row: -row.probability)[:TOPK]
         assert [_row_key(r) for r in topk_rows] == [_row_key(r) for r in expected]
 
-        counters.reset()
-        counters.enable()
-        try:
-            list(session.query(TOPK_PATTERN).order_by_probability().limit(TOPK))
-            pruned = counters.get("match.bound_pruned")
-        finally:
-            counters.reset()
+        process_registry.reset()
+        list(session.query(TOPK_PATTERN).order_by_probability().limit(TOPK))
+        pruned = process_registry.counter("match.bound_pruned")
+        process_registry.reset()
         assert pruned > 0, "bounded join never pruned a partial match"
 
         def run():

@@ -42,8 +42,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import counters
 from repro.engine import QueryEngine
+from repro.obs.metrics import process_registry
 from repro.tpwj import MatchConfig, find_matches
 from repro.trees import RandomTreeConfig
 from repro.workloads import FuzzyWorkloadConfig, random_fuzzy_tree, random_query_for
@@ -99,16 +99,16 @@ def test_ablation_table(report, benchmark, n_nodes):
         baseline = None
         rows = []
         for name, config in CONFIGS.items():
-            counters.reset()
+            process_registry.reset()
             start = time.perf_counter()
             matches = find_matches(pattern, doc.root, config)
             elapsed = time.perf_counter() - start
-            assignments = counters.get("match.assignments")
+            assignments = process_registry.counter("match.assignments")
             if baseline is None:
                 baseline = len(matches)
             assert len(matches) == baseline  # optimizations never change results
             rows.append([name, len(matches), int(assignments), fmt(elapsed)])
-        counters.reset()
+        process_registry.reset()
         return rows
 
     rows = benchmark.pedantic(run, rounds=1)
@@ -195,14 +195,14 @@ def test_plan_cache_serves_repeat_queries(report, benchmark):
     def run():
         doc, pattern = instance(400, seed=43)
         engine = QueryEngine(lambda: doc.root)
-        counters.reset()
+        process_registry.reset()
         engine.find_matches(pattern)
-        built_first = counters.get("engine.plans_built")
-        hits_first = counters.get("engine.plan_cache_hits")
+        built_first = process_registry.counter("engine.plans_built")
+        hits_first = process_registry.counter("engine.plan_cache_hits")
         engine.find_matches(pattern)
-        built_second = counters.get("engine.plans_built")
-        hits_second = counters.get("engine.plan_cache_hits")
-        counters.reset()
+        built_second = process_registry.counter("engine.plans_built")
+        hits_second = process_registry.counter("engine.plan_cache_hits")
+        process_registry.reset()
         assert built_second == built_first == 1  # planned exactly once
         assert hits_second == hits_first + 1  # second run: cache hit
         return [[int(built_second), int(hits_second)]]
@@ -333,13 +333,13 @@ def test_pruning_wins_grow_with_document(report, benchmark):
         rows = []
         for n_nodes in (100, 300, 600, 1000):
             doc, pattern = instance(n_nodes, seed=42)
-            counters.reset()
+            process_registry.reset()
             find_matches(pattern, doc.root, CONFIGS["all-on"])
-            on_assignments = counters.get("match.assignments")
-            counters.reset()
+            on_assignments = process_registry.counter("match.assignments")
+            process_registry.reset()
             find_matches(pattern, doc.root, CONFIGS["all-off"])
-            off_assignments = counters.get("match.assignments")
-            counters.reset()
+            off_assignments = process_registry.counter("match.assignments")
+            process_registry.reset()
             ratio = off_assignments / on_assignments if on_assignments else float("inf")
             rows.append(
                 [doc.size(), int(on_assignments), int(off_assignments), fmt(ratio, 3)]

@@ -1,4 +1,8 @@
-"""Instrumentation and metrics — substrate S10 (slide 19, complexity analysis)."""
+"""Document measurements and complexity fitting — substrate S10 (slide 19).
+
+The hot-path counters of the complexity analysis live on
+:data:`repro.obs.metrics.process_registry`.
+"""
 
 from repro.analysis.complexity import (
     Fit,
@@ -7,7 +11,6 @@ from repro.analysis.complexity import (
     fit_power_law,
     measure,
 )
-from repro.analysis.instrumentation import Counters, counters
 from repro.analysis.metrics import (
     FuzzyStats,
     distribution_entropy,
@@ -16,8 +19,6 @@ from repro.analysis.metrics import (
 )
 
 __all__ = [
-    "Counters",
-    "counters",
     "FuzzyStats",
     "fuzzy_stats",
     "tree_stats",

@@ -87,7 +87,8 @@ def connect(
     *observability* defaults to the process-global instrument panel
     (:func:`repro.obs.default_observability`); pass an
     :class:`~repro.obs.Observability` to scope metrics/traces to this
-    warehouse, or ``None`` for no instrumentation at all.
+    warehouse, or ``None`` for no panel (the engine's hot-path counters
+    still tick on :data:`repro.obs.metrics.process_registry`).
     """
     policy = CommitPolicy(
         snapshot_every=snapshot_every,

@@ -33,12 +33,12 @@ from dataclasses import replace
 from itertools import islice
 from time import perf_counter
 
-from repro.analysis.instrumentation import counters
 from repro.events.condition import Condition
 from repro.events.dnf import Dnf, complement_as_disjoint_conditions, dnf_probability
 from repro.events.table import EventTable
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.errors import QueryCancelledError
+from repro.obs.metrics import process_registry
 from repro.tpwj.match import (
     DEFAULT_CONFIG,
     Match,
@@ -354,18 +354,18 @@ def _consistent_matches(
         matches = engine.iter_matches(
             pattern, config, root=fuzzy.root, bound=bound, prune=prune
         )
-    track = counters.enabled
+    track = process_registry.enabled
     constraints = pattern.negated_constraints()
     for match in matches:
         if abort is not None and abort():
             raise QueryCancelledError("query cancelled by its abort hook")
         if track:
-            counters.incr("core.query.matches")
+            process_registry.incr("core.query.matches")
         conditions = _conditions(match, index, constraints)
         if conditions:
             yield match, conditions
         elif track:
-            counters.incr("core.query.inconsistent_matches")
+            process_registry.incr("core.query.inconsistent_matches")
 
 
 def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None):

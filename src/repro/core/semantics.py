@@ -22,12 +22,12 @@ Two directions:
 
 from __future__ import annotations
 
-from repro.analysis.instrumentation import counters
 from repro.errors import ReproError
 from repro.events.condition import Condition
 from repro.events.literal import Literal
 from repro.events.table import EventTable
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
+from repro.obs.metrics import process_registry
 from repro.pworlds.worlds import PossibleWorlds, World
 from repro.trees.algorithms import restrict
 
@@ -69,7 +69,7 @@ def to_possible_worlds(
                 for event in condition.events():
                     counts[event] = counts.get(event, 0) + 1
         if not counts:
-            counters.incr("semantics.world_classes")
+            process_registry.incr("semantics.world_classes")
             leaves.append((states, weight))
             if len(leaves) > max_worlds:
                 raise ReproError(

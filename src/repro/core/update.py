@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.instrumentation import counters
 from repro.errors import UpdateError
 from repro.events.condition import Condition
 from repro.events.dnf import complement_as_disjoint_conditions
@@ -172,7 +171,6 @@ def _apply_insertions(
                 )
             report.inserted_subtrees += 1
             report.inserted_nodes += subtree.size()
-            counters.incr("core.update.inserted_nodes", subtree.size())
 
 
 def _apply_deletions(
@@ -225,7 +223,6 @@ def _apply_deletions(
                 delta.record_subtree_added(copy, target_depth)
             report.survivor_copies += 1
             report.survivor_nodes += copy.size()
-            counters.incr("core.update.survivor_copies")
         if delta is not None:
             delta.record_child_count_change(
                 parent.label, children_before, len(parent.children)

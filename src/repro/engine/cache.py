@@ -21,8 +21,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.analysis.instrumentation import counters
 from repro.engine.planner import Plan
+from repro.obs.metrics import process_registry
 
 __all__ = ["PlanCache"]
 
@@ -57,11 +57,11 @@ class PlanCache:
             plan = self._entries.get(key)
             if plan is None:
                 self.misses += 1
-                counters.incr("engine.plan_cache_misses")
+                process_registry.incr("engine.plan_cache_misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        counters.incr("engine.plan_cache_hits")
+        process_registry.incr("engine.plan_cache_hits")
         return plan
 
     def put(self, plan: Plan) -> None:
@@ -76,7 +76,7 @@ class PlanCache:
                 self.evictions += 1
                 evictions += 1
         for _ in range(evictions):
-            counters.incr("engine.plan_cache_evictions")
+            process_registry.incr("engine.plan_cache_evictions")
 
     def clear(self) -> None:
         with self._lock:

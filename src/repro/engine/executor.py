@@ -43,8 +43,8 @@ from collections.abc import Iterator
 from itertools import islice
 from time import sleep as _sleep
 
-from repro.analysis.instrumentation import counters
 from repro.engine.planner import Plan
+from repro.obs.metrics import process_registry
 from repro.tpwj.match import DEFAULT_CONFIG, Match, MatchConfig, find_embeddings
 from repro.tpwj.pattern import PatternNode
 from repro.trees.node import Node
@@ -197,8 +197,7 @@ class LabelIndexScan:
         else:
             base = self._all
         kept = _local_filter(pattern_node, base, join_vars)
-        counters.incr("engine.actual_candidates", len(kept))
-        counters.incr("match.candidates", len(kept))
+        process_registry.incr("engine.actual_candidates", len(kept))
         return kept
 
 
@@ -210,8 +209,7 @@ class FullScan:
 
     def scan(self, pattern_node: PatternNode, join_vars: dict) -> list[Node]:
         kept = _local_filter(pattern_node, self._all, join_vars)
-        counters.incr("engine.actual_candidates", len(kept))
-        counters.incr("match.candidates", len(kept))
+        process_registry.incr("engine.actual_candidates", len(kept))
         return kept
 
 
@@ -238,7 +236,7 @@ class SemiJoinPrune:
                 for data_node in candidates[pattern_node]
                 if all(test(data_node) for test in tests)
             ]
-            counters.incr(
+            process_registry.incr(
                 "match.semijoin_pruned",
                 len(candidates[pattern_node]) - len(survivors),
             )
@@ -384,7 +382,7 @@ class BacktrackJoin:
         early = self._plan.early_join_check
         pruning = bound is not None and prune is not None
         # One flag read per execution, not one per partial assignment.
-        track = counters.enabled
+        track = process_registry.enabled
 
         # An explicit stack: a recursive closure is a cycle only the collector
         # frees.  Depth d assigns order[d] from levels[d]; fresh[d] is the
@@ -405,18 +403,18 @@ class BacktrackJoin:
                 levels.pop()
                 continue
             if track:
-                counters.incr("match.assignments")
+                process_registry.incr("match.assignments")
             if runtime.honor_negation and any(
                 child.negated and find_embeddings(child, data_node)
                 for child in pattern_node.children
             ):
                 if track:
-                    counters.incr("match.negation_pruned")
+                    process_registry.incr("match.negation_pruned")
                 continue
             if pruning and prune(bound.bind(data_node)):
                 bound.unbind()
                 if track:
-                    counters.incr("match.bound_pruned")
+                    process_registry.incr("match.bound_pruned")
                 continue
             first = None
             variable = pattern_node.variable
@@ -435,7 +433,7 @@ class BacktrackJoin:
                 levels.append(iter(self._options(order[depth + 1], mapping)))
             elif early or self._joins_ok(mapping):
                 if track:
-                    counters.incr("match.found")
+                    process_registry.incr("match.found")
                 yield Match(self._plan.pattern, dict(mapping))
 
     def _options(
@@ -496,7 +494,7 @@ def iter_plan(
     *bound*/*prune* switch on probability-bounded enumeration — see
     :meth:`BacktrackJoin.iter_matches`.
     """
-    counters.incr("engine.plans_executed")
+    process_registry.incr("engine.plans_executed")
     pattern = plan.pattern
     join_vars = pattern.join_variables()
     candidates: dict[PatternNode, list[Node]] = {}
@@ -510,8 +508,7 @@ def iter_plan(
         probed = _local_filter(pattern.root, [root], join_vars)
         if not probed:
             return
-        counters.incr("engine.actual_candidates")
-        counters.incr("match.candidates")
+        process_registry.incr("engine.actual_candidates")
         candidates[pattern.root] = probed
     else:
         if intervals is None:

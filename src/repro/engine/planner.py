@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.instrumentation import counters
 from repro.engine.cardinality import (
     axis_selectivity,
     estimate_candidates,
@@ -38,6 +37,7 @@ from repro.engine.cardinality import (
     join_selectivity,
 )
 from repro.engine.stats import TreeStats
+from repro.obs.metrics import process_registry
 from repro.tpwj.match import MatchConfig
 from repro.tpwj.parser import format_pattern
 from repro.tpwj.pattern import Pattern, PatternNode
@@ -163,7 +163,7 @@ def build_plan(
     distinct fingerprint so the plan cache never serves one shape for
     the other.
     """
-    counters.incr("engine.plans_built")
+    process_registry.incr("engine.plans_built")
     join_vars = set(pattern.join_variables())
     reasons: list[str] = []
 
@@ -257,7 +257,7 @@ def build_plan(
     seen_vars: set[str] = set()
     for node in order:
         candidates = estimate_candidates(node, stats, join_vars)
-        counters.incr("engine.estimated_candidates", candidates)
+        process_registry.incr("engine.estimated_candidates", candidates)
         options = candidates * axis_selectivity(node, stats)
         if node.variable in join_vars:
             if node.variable in seen_vars:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.analysis.instrumentation import counters
+from repro.obs.metrics import process_registry
 from repro.trees.node import Node
 
 __all__ = ["TreeStats", "StatsDelta", "collect_stats", "DocumentStats"]
@@ -387,7 +387,7 @@ def _merge_counts(target: dict[str, int], deltas: dict[str, int]) -> bool:
 
 def collect_stats(root: Node) -> TreeStats:
     """Collect :class:`TreeStats` for the tree rooted at *root* in one pass."""
-    counters.incr("engine.stats_collected")
+    process_registry.incr("engine.stats_collected")
     accumulator = _StatsAccumulator()
     accumulator.add_tree(root)
     return accumulator.freeze()
@@ -422,7 +422,7 @@ class DocumentStats:
         self._version += 1
         self._accumulator = None
         self._snapshot = None
-        counters.incr("engine.stats_invalidated")
+        process_registry.incr("engine.stats_invalidated")
 
     def apply_delta(self, delta: StatsDelta | None) -> None:
         """Fold a commit's :class:`StatsDelta` into the maintained counts.
@@ -439,23 +439,23 @@ class DocumentStats:
             self.invalidate()
             return
         if delta.is_empty:
-            counters.incr("engine.stats_delta_noop")
+            process_registry.incr("engine.stats_delta_noop")
             return
         self._version += 1
         if self._accumulator is None:
             return  # nothing maintained yet; next read collects fresh
         if self._accumulator.apply(delta):
             self._snapshot = self._accumulator.freeze()
-            counters.incr("engine.stats_delta_applied")
+            process_registry.incr("engine.stats_delta_applied")
         else:
             self._accumulator = None
             self._snapshot = None
-            counters.incr("engine.stats_delta_recollected")
+            process_registry.incr("engine.stats_delta_recollected")
 
     def current(self) -> TreeStats:
         """The statistics for the current document state (recomputing lazily)."""
         if self._snapshot is None:
-            counters.incr("engine.stats_collected")
+            process_registry.incr("engine.stats_collected")
             accumulator = _StatsAccumulator()
             accumulator.add_tree(self._root_provider())
             self._accumulator = accumulator

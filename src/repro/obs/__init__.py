@@ -17,28 +17,29 @@ is its instrument panel, one facade over three bounded-memory pieces:
 
 Scoping: every :class:`~repro.warehouse.warehouse.Warehouse` carries an
 :class:`Observability` — by default the **process-global** one
-(:func:`default_observability`), whose registry bridges the historical
-flat :data:`~repro.analysis.instrumentation.counters` so ``engine.*`` /
-``core.query.*`` names keep flowing into exports.  Pass
-``observability=Observability()`` to :func:`repro.connect` to scope a
-warehouse's metrics privately, or ``observability=None`` to run with no
-instrumentation attached at all (the benchmark baseline).
+(:func:`default_observability`), built on
+:data:`~repro.obs.metrics.process_registry`, the registry the engine's
+hot-path counters (``engine.*``, ``match.*``, ``core.query.*``) write
+to.  Its one flag and one reset therefore cover those counters too.
+Pass ``observability=Observability()`` to :func:`repro.connect` to
+scope a warehouse's panel metrics privately, or ``observability=None``
+to attach no panel (the benchmark baseline); either way the hot-path
+counters still tick on the process registry.
 
 Overhead contract (benchmark E14): with everything enabled the query
 path pays ≤5% over the uninstrumented baseline; disabled, ≤1% — call
-sites hoist the enabled flags into locals once per operation, the same
-idiom as :class:`~repro.analysis.instrumentation.Counters`.
+sites hoist the enabled flags into locals once per operation.
 """
 
 from __future__ import annotations
 
-from repro.analysis.instrumentation import counters as _global_counters
 from repro.obs.export import prometheus_name, render_json, render_prometheus
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRIC_CATALOG,
     Histogram,
     MetricsRegistry,
+    process_registry,
 )
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 from repro.obs.trace import Span, Tracer, render_span, render_trace
@@ -108,14 +109,11 @@ _default: Observability | None = None
 def default_observability() -> Observability:
     """The process-global panel every warehouse shares by default.
 
-    Its registry bridges the flat global
-    :data:`~repro.analysis.instrumentation.counters`, so the historical
-    ``engine.*`` / ``core.query.*`` counter names appear in every
-    export without double bookkeeping.
+    Its registry is :data:`~repro.obs.metrics.process_registry`, so the
+    hot-path counters appear in every export, and the panel's
+    :meth:`~Observability.disable` and ``metrics.reset()`` cover them.
     """
     global _default
     if _default is None:
-        _default = Observability(
-            metrics=MetricsRegistry(bridge=_global_counters)
-        )
+        _default = Observability(metrics=process_registry)
     return _default

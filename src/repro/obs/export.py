@@ -9,8 +9,9 @@ charset: ``repro_`` prefix, dots and dashes to underscores —
 ``repro_engine_plan_cache_hits_total``.
 
 :func:`render_json` is the structured sibling for scripts and tests:
-the registry snapshot (counters with the Counters bridge folded in,
-gauges, histogram summaries with p50/p95/p99) plus, when given an
+the registry snapshot (counters, gauges, histogram summaries with
+p50/p95/p99 — on the process registry the counters include the
+engine's hot-path ones) plus, when given an
 :class:`~repro.obs.Observability`, the slow-query log and recent
 traces.
 

@@ -7,17 +7,18 @@ estimated from cumulative bucket counts, so recording an observation is
 O(log buckets) and the registry never stores per-sample data, no matter
 how long the process serves.
 
-A registry can *bridge* an existing
-:class:`~repro.analysis.instrumentation.Counters` instance: the hot
-paths keep incrementing the flat global counters exactly as before
-(``engine.plan_cache_hits``, ``core.query.matches``, …) and the bridge
-folds them into every snapshot/export, so the historical names keep
-working without double bookkeeping.
+:data:`process_registry` is the one registry of the process.  The hot
+paths — matcher, planner, plan cache, statistics, fuzzy query, the
+possible-worlds semantics — count into it (``match.assignments``,
+``engine.plan_cache_hits``, ``core.query.matches``, …), and
+:func:`repro.obs.default_observability` builds the shared panel on it,
+so every counter is a :data:`METRIC_CATALOG` name with help text and
+there is nothing to merge at export time.
 
-Like ``Counters``, a registry has an :attr:`MetricsRegistry.enabled`
-flag that hot paths hoist into a local once per operation; when it is
-False, :meth:`incr`/:meth:`observe`/:meth:`set_gauge` return before
-taking any lock.
+A registry has an :attr:`MetricsRegistry.enabled` flag that hot paths
+hoist into a local once per operation; when it is False,
+:meth:`incr`/:meth:`observe`/:meth:`set_gauge` return before taking any
+lock.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "METRIC_CATALOG",
     "Histogram",
     "MetricsRegistry",
+    "process_registry",
 ]
 
 #: Default latency bucket upper bounds, in seconds: log-spaced from
@@ -62,16 +64,36 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: covers the engine, warehouse and serving surfaces even in a process
 #: that has not exercised them yet.  ``kind`` is the Prometheus type.
 METRIC_CATALOG: tuple[tuple[str, str, str], ...] = (
-    # engine (the flat global Counters feed these through the bridge)
+    # engine
     ("engine.plan_cache_hits", "counter", "Plan cache hits"),
     ("engine.plan_cache_misses", "counter", "Plan cache misses"),
     ("engine.plan_cache_evictions", "counter", "Plan cache LRU evictions"),
     ("engine.plans_built", "counter", "Plans built by the cost-based planner"),
+    ("engine.plans_executed", "counter", "Plan executions, fixed plans included"),
+    ("engine.estimated_candidates", "counter", "Candidates the planner estimated"),
+    ("engine.actual_candidates", "counter", "Candidates the executor's scans kept"),
+    ("engine.stats_collected", "counter", "Full document statistics walks"),
+    ("engine.stats_invalidated", "counter", "Document statistics invalidations"),
+    ("engine.stats_delta_noop", "counter", "Empty commit deltas (statistics kept)"),
+    ("engine.stats_delta_applied", "counter", "Commit deltas applied in place"),
+    ("engine.stats_delta_recollected", "counter", "Commit deltas forcing a re-walk"),
     ("engine.plan_build_seconds", "histogram", "Time to build one query plan"),
     ("engine.view_build_seconds", "histogram",
      "Time to build a per-root document walk (+ condition index)"),
+    # match enumeration (the backtracking join)
+    ("match.assignments", "counter", "Partial assignments tried by the join"),
+    ("match.found", "counter", "Matches the join yielded"),
+    ("match.semijoin_pruned", "counter", "Candidates removed by semi-join pruning"),
+    ("match.negation_pruned", "counter", "Assignments cut by a negated subpattern"),
+    ("match.bound_pruned", "counter", "Assignments cut by the probability bound"),
     # core query path
     ("core.query.matches", "counter", "Matches enumerated by queries"),
+    ("core.query.inconsistent_matches", "counter", "Matches holding in no world"),
+    ("semantics.world_classes", "counter", "World classes enumerated exactly"),
+    # possible-worlds oracle
+    ("pworlds.query.worlds", "counter", "Worlds a possible-worlds query visited"),
+    ("pworlds.update.worlds", "counter", "Worlds a possible-worlds update visited"),
+    ("pworlds.update.selected", "counter", "Worlds a possible-worlds update selected"),
     ("query.probability_seconds", "histogram",
      "Time to price one streamed row's probability (lazy, first access)"),
     # api layer
@@ -84,6 +106,10 @@ METRIC_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("api.slow_queries", "counter", "Queries captured by the slow-query log"),
     # warehouse / commit pipeline
     ("warehouse.commits", "counter", "Committed operations (all kinds)"),
+    ("warehouse.commits.create", "counter", "Warehouse creations committed"),
+    ("warehouse.commits.update", "counter", "Single updates committed"),
+    ("warehouse.commits.batch", "counter", "Update batches committed"),
+    ("warehouse.commits.simplify", "counter", "Simplification passes committed"),
     ("warehouse.commit_seconds", "histogram", "End-to-end commit latency"),
     ("warehouse.wal_append_seconds", "histogram",
      "WAL append + fsync latency inside a commit"),
@@ -197,6 +223,10 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
         with self._lock:
             counts = list(self._counts)
+        return self._quantile(counts, q)
+
+    def _quantile(self, counts: list[int], q: float) -> float:
+        """Quantile ``q`` over one copy of the bucket counts."""
         total = sum(counts)
         if total == 0:
             return 0.0
@@ -218,7 +248,8 @@ class Histogram:
         return self.boundaries[-1]
 
     def snapshot(self) -> dict:
-        """Counts, sum and estimated p50/p95/p99 plus cumulative buckets."""
+        """Counts, sum and estimated p50/p95/p99 plus cumulative buckets,
+        all read from one copy of the counts."""
         with self._lock:
             counts = list(self._counts)
             total_sum = self._sum
@@ -231,9 +262,9 @@ class Histogram:
         return {
             "count": total,
             "sum": total_sum,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": self._quantile(counts, 0.50),
+            "p95": self._quantile(counts, 0.95),
+            "p99": self._quantile(counts, 0.99),
             "buckets": buckets,
         }
 
@@ -246,31 +277,17 @@ class MetricsRegistry:
 
     Parameters
     ----------
-    bridge:
-        An optional :class:`~repro.analysis.instrumentation.Counters`
-        whose values are merged into every :meth:`snapshot` as counters
-        — the compatibility shim that keeps the historical flat counter
-        names (``engine.*``, ``core.query.*``) flowing into exports.
     preregister:
         Seed the registry with :data:`METRIC_CATALOG` (the default), so
         exports always cover the full metric surface.
     """
 
-    __slots__ = (
-        "enabled",
-        "_bridge",
-        "_lock",
-        "_counters",
-        "_gauges",
-        "_histograms",
-        "_help",
-    )
+    __slots__ = ("enabled", "_lock", "_counters", "_gauges", "_histograms", "_help")
 
-    def __init__(self, bridge=None, *, preregister: bool = True) -> None:
+    def __init__(self, *, preregister: bool = True) -> None:
         #: Hot paths hoist this flag into a local once per operation
-        #: (the same idiom as :class:`Counters.enabled`).
+        #: instead of paying an attribute read plus a call per iteration.
         self.enabled = True
-        self._bridge = bridge
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
@@ -344,12 +361,8 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def counter(self, name: str) -> float:
-        """Current counter value, bridge included."""
         with self._lock:
-            value = self._counters.get(name, 0.0)
-        if self._bridge is not None:
-            value += self._bridge.get(name)
-        return value
+            return self._counters.get(name, 0.0)
 
     def gauge(self, name: str) -> float:
         with self._lock:
@@ -364,15 +377,11 @@ class MetricsRegistry:
         return histogram
 
     def snapshot(self) -> dict:
-        """Point-in-time copy: counters (bridge merged), gauges,
-        histogram summaries."""
+        """Point-in-time copy: counters, gauges, histogram summaries."""
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
-        if self._bridge is not None:
-            for name, value in self._bridge.snapshot().items():
-                counters[name] = counters.get(name, 0.0) + value
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),
@@ -382,8 +391,7 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Zero every metric (histograms are recreated empty); the
-        bridged Counters instance is left alone."""
+        """Zero every metric (histograms are recreated empty)."""
         with self._lock:
             for name in self._counters:
                 self._counters[name] = 0.0
@@ -402,3 +410,8 @@ class MetricsRegistry:
             )
         state = "enabled" if self.enabled else "disabled"
         return f"MetricsRegistry({shape}, {state})"
+
+
+#: The process registry: the hot paths count into it, and
+#: :func:`repro.obs.default_observability` builds its panel on it.
+process_registry = MetricsRegistry()

@@ -22,7 +22,7 @@ Two recording styles, chosen by cost:
   span instead of one per row.
 
 The enabled flag follows the hoisted-flag idiom of
-:class:`~repro.analysis.instrumentation.Counters`: call sites read
+:class:`~repro.obs.metrics.MetricsRegistry`: call sites read
 ``tracer.enabled`` once per operation into a local and skip every call
 when it is False — the disabled path costs one attribute read.
 

@@ -12,7 +12,7 @@ probability that it belongs to the query result.
 
 from __future__ import annotations
 
-from repro.analysis.instrumentation import counters
+from repro.obs.metrics import process_registry
 from repro.pworlds.worlds import PossibleWorlds, World
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig, find_matches
 from repro.tpwj.pattern import Pattern
@@ -35,7 +35,7 @@ def query_possible_worlds(
     """
     results: list[World] = []
     for world in worlds:
-        counters.incr("pworlds.query.worlds")
+        process_registry.incr("pworlds.query.worlds")
         matches = find_matches(pattern, world.tree, config)
         for answer in distinct_answers(world.tree, matches).values():
             results.append(World(answer, world.probability))

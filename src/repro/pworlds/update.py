@@ -15,7 +15,7 @@ applies every operation for every match (see
 
 from __future__ import annotations
 
-from repro.analysis.instrumentation import counters
+from repro.obs.metrics import process_registry
 from repro.pworlds.worlds import PossibleWorlds, World
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig, find_matches
 from repro.updates.transaction import UpdateTransaction, apply_deterministic
@@ -37,12 +37,12 @@ def update_possible_worlds(
     confidence = transaction.confidence
     results: list[World] = []
     for world in worlds:
-        counters.incr("pworlds.update.worlds")
+        process_registry.incr("pworlds.update.worlds")
         matches = find_matches(transaction.query, world.tree, config)
         if not matches:
             results.append(World(world.tree, world.probability))
             continue
-        counters.incr("pworlds.update.selected")
+        process_registry.incr("pworlds.update.selected")
         updated = apply_deterministic(transaction, world.tree, matches, config)
         if confidence > 0.0:
             results.append(World(updated, world.probability * confidence))

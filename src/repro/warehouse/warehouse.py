@@ -97,9 +97,10 @@ __all__ = [
 
 #: Sentinel default for ``observability=`` parameters: attach the
 #: process-global panel (:func:`repro.obs.default_observability`).
-#: Pass ``None`` explicitly to attach no instrumentation at all (the
-#: benchmark baseline), or an :class:`~repro.obs.Observability` of your
-#: own to scope this warehouse's metrics privately.
+#: Pass ``None`` explicitly to attach no panel (the benchmark baseline;
+#: hot-path counters still tick on the process registry), or an
+#: :class:`~repro.obs.Observability` of your own to scope this
+#: warehouse's metrics privately.
 USE_DEFAULT_OBSERVABILITY = object()
 
 
@@ -246,7 +247,7 @@ class Warehouse:
         self._pin_total = 0
         # Instrument panel (metrics registry, tracer, slow-query log):
         # the process-global default unless the caller scoped one per
-        # warehouse, or None for no instrumentation at all.
+        # warehouse, or None for no panel.
         self._obs = _resolve_observability(observability)
         # Cost-based query engine: plans are cached per (pattern
         # fingerprint, stats version); commits feed their structural

@@ -1,52 +1,26 @@
-"""Unit tests for instrumentation and metrics (repro.analysis)."""
+"""Unit tests for document measurements (repro.analysis) and the
+hot-path counters on the process registry."""
 
 import pytest
 
 from repro.analysis import (
-    Counters,
-    counters,
     distribution_entropy,
     fuzzy_stats,
     tree_stats,
 )
 from repro import PossibleWorlds, find_matches
+from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
 from repro.trees import tree
 
 
 class TestCounters:
-    def test_incr_and_get(self):
-        c = Counters()
-        c.incr("x")
-        c.incr("x", 2)
-        assert c.get("x") == 3
-        assert c.get("missing") == 0
-
-    def test_reset(self):
-        c = Counters()
-        c.incr("x")
-        c.reset()
-        assert c.get("x") == 0
-
-    def test_snapshot_is_a_copy(self):
-        c = Counters()
-        c.incr("x")
-        snap = c.snapshot()
-        c.incr("x")
-        assert snap == {"x": 1}
-
-    def test_timed(self):
-        c = Counters()
-        with c.timed("t"):
-            pass
-        assert c.get("t") >= 0.0
-
     def test_global_counters_track_matching(self, slide12_doc):
-        counters.reset()
+        process_registry.reset()
         find_matches(parse_pattern("//D"), slide12_doc.root)
-        assert counters.get("match.found") == 1
-        assert counters.get("match.candidates") >= 1
-        counters.reset()
+        assert process_registry.counter("match.found") == 1
+        assert process_registry.counter("engine.actual_candidates") >= 1
+        process_registry.reset()
 
 
 class TestFuzzyStats:

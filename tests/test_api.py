@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import errors
-from repro.analysis import counters
 from repro.api import (
     PatternBuilder,
     Session,
@@ -24,6 +23,7 @@ from repro.api import (
     update,
 )
 from repro.core.query import query_fuzzy_tree
+from repro.obs.metrics import process_registry
 from repro.tpwj.match import MatchConfig, find_matches
 from repro.tpwj.parser import format_pattern, parse_pattern
 from repro.trees import RandomTreeConfig, random_tree, tree
@@ -274,11 +274,11 @@ class TestResultSet:
 
     def test_is_lazy(self, session):
         _populate(session)
-        counters.reset()
+        process_registry.reset()
         results = session.query("//person { name }")
-        assert counters.prefixed("engine.").get("engine.plans_executed", 0) == 0
+        assert process_registry.counter("engine.plans_executed") == 0
         results.first()
-        assert counters.prefixed("engine.")["engine.plans_executed"] == 1
+        assert process_registry.counter("engine.plans_executed") == 1
 
     def test_limit_is_a_prefix_of_the_unlimited_order(self, session):
         # Regression for the PR-1 wart: limit(n) runs on the cost-based
@@ -305,12 +305,12 @@ class TestResultSet:
     def test_limit_stops_the_enumeration_early(self, session):
         _populate(session, [f"p{i}" for i in range(12)])
         query = "//person { name }"
-        counters.reset()
+        process_registry.reset()
         session.query(query).all()
-        full_assignments = counters.prefixed("match.")["match.assignments"]
-        counters.reset()
+        full_assignments = process_registry.counter("match.assignments")
+        process_registry.reset()
         session.query(query).limit(1).all()
-        limited_assignments = counters.prefixed("match.")["match.assignments"]
+        limited_assignments = process_registry.counter("match.assignments")
         assert limited_assignments < full_assignments
 
     def test_live_iteration_survives_a_commit(self, session):

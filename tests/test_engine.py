@@ -11,7 +11,7 @@ from repro.core.update import apply_update
 from repro.tpwj.match import find_matches
 from repro.tpwj.parser import parse_pattern
 from repro.warehouse import Warehouse
-from repro.analysis import counters
+from repro.obs.metrics import process_registry
 from repro.engine import executor
 from repro.engine import (
     DocumentStats,
@@ -334,12 +334,12 @@ class TestQueryEngine:
         assert len(engine.find_matches(pattern)) == 3
 
     def test_planner_counters_are_populated(self, doc):
-        counters.reset()
+        process_registry.reset()
         engine = QueryEngine(lambda: doc)
         pattern = parse_pattern("directory { person { name[$x] }, misc[$x] }")
         engine.find_matches(pattern)
         engine.find_matches(pattern)
-        seen = counters.prefixed("engine.")
+        seen = process_registry.snapshot()["counters"]
         assert seen["engine.stats_collected"] == 1
         assert seen["engine.plans_built"] == 1
         assert seen["engine.plans_executed"] == 2
@@ -348,7 +348,7 @@ class TestQueryEngine:
         # Estimated vs actual candidate volume both recorded.
         assert seen["engine.estimated_candidates"] > 0
         assert seen["engine.actual_candidates"] > 0
-        counters.reset()
+        process_registry.reset()
 
     def test_explain_renders_stats_plan_and_cache(self, doc):
         engine = QueryEngine(lambda: doc)
@@ -434,17 +434,17 @@ class TestIncrementalStats:
         )
 
     def test_update_adjusts_stats_without_recollection(self, tmp_path, slide12_doc):
-        counters.reset()
+        process_registry.reset()
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             warehouse.engine.stats.current()  # one full collection
-            collected_before = counters.prefixed("engine.")["engine.stats_collected"]
+            collected_before = process_registry.counter("engine.stats_collected")
             warehouse._commit_update(self._insert_tx())
             stats = warehouse.engine.stats.current()
-            seen = counters.prefixed("engine.")
+            seen = process_registry.snapshot()["counters"]
             assert seen["engine.stats_collected"] == collected_before
             assert seen["engine.stats_delta_applied"] >= 1
             assert stats == collect_stats(warehouse.document.root)
-        counters.reset()
+        process_registry.reset()
 
     def test_no_op_commit_keeps_version_and_cached_plan(self, tmp_path, slide12_doc):
         from repro import DeleteOperation, UpdateTransaction
@@ -490,7 +490,7 @@ class TestIncrementalStats:
     ):
         from repro import DeleteOperation, UpdateTransaction
 
-        counters.reset()
+        process_registry.reset()
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             warehouse.engine.stats.current()
             # D is the unique deepest node: its removal may lower
@@ -500,9 +500,9 @@ class TestIncrementalStats:
             )
             stats = warehouse.engine.stats.current()
             assert stats == collect_stats(warehouse.document.root)
-            seen = counters.prefixed("engine.")
+            seen = process_registry.snapshot()["counters"]
             assert seen.get("engine.stats_delta_recollected", 0) >= 1
-        counters.reset()
+        process_registry.reset()
 
     def test_batch_commit_feeds_one_delta(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:

@@ -6,16 +6,21 @@ the Prometheus/JSON renderers — and the integration surface: a session
 with a private panel populates the query metrics and traces, a
 ``observability=None`` session runs with nothing attached, and a
 disabled panel records nothing (the noise guard behind benchmark E14's
-disabled-overhead contract).
+disabled-overhead contract).  The process registry — the one the
+engine's hot-path counters and the default panel share — is pinned by
+its catalogue, its concurrent readers and E19's ``counters`` façade.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis.instrumentation import Counters
 from repro.cli import main
 from repro.obs import (
     METRIC_CATALOG,
@@ -24,12 +29,15 @@ from repro.obs import (
     Observability,
     SlowQueryLog,
     Tracer,
+    default_observability,
     prometheus_name,
     render_json,
     render_prometheus,
     render_trace,
 )
+from repro.obs.metrics import process_registry
 from repro.obs.trace import MAX_CHILDREN
+from repro.tpwj.parser import parse_pattern
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +102,33 @@ class TestHistogram:
         assert snap["count"] == 4
         assert snap["sum"] == pytest.approx(50.0105)
 
+    def test_snapshot_quantiles_read_the_same_counts_as_count(self):
+        # Observations landing after snapshot() copied the counts must
+        # not move its p50/p95/p99 away from its own count and buckets.
+        h = Histogram("t", boundaries=(0.001, 1.0))
+        for _ in range(10):
+            h.observe(0.0005)
+        real = h._lock
+        injected = []
+
+        class InjectAfterFirstRelease:
+            def __enter__(self):
+                real.acquire()
+
+            def __exit__(self, *exc_info):
+                real.release()
+                if not injected:
+                    injected.append(True)
+                    for _ in range(100):
+                        h.observe(5.0)
+
+        h._lock = InjectAfterFirstRelease()
+        snap = h.snapshot()
+        assert injected and h.count == 110
+        assert snap["count"] == 10
+        assert snap["p50"] <= 0.001
+        assert snap["p99"] <= 0.001
+
 
 # ----------------------------------------------------------------------
 # MetricsRegistry
@@ -143,25 +178,6 @@ class TestMetricsRegistry:
         r.enable()
         r.incr("a")
         assert r.counter("a") == 1
-
-    def test_bridge_counters_fold_into_reads(self):
-        bridge = Counters()
-        bridge.incr("engine.plan_cache_hits", 5)
-        r = MetricsRegistry(bridge=bridge, preregister=False)
-        r.incr("engine.plan_cache_hits", 2)
-        assert r.counter("engine.plan_cache_hits") == 7
-        assert r.snapshot()["counters"]["engine.plan_cache_hits"] == 7
-
-    def test_reset_zeroes_but_leaves_bridge_alone(self):
-        bridge = Counters()
-        bridge.incr("b", 3)
-        r = MetricsRegistry(bridge=bridge, preregister=False)
-        r.incr("a", 9)
-        r.observe("h", 0.1)
-        r.reset()
-        assert r.counter("a") == 0
-        assert r.histogram("h").count == 0
-        assert r.counter("b") == 3  # bridge untouched
 
 
 # ----------------------------------------------------------------------
@@ -452,29 +468,35 @@ class TestSessionWiring:
 
 
 # ----------------------------------------------------------------------
-# Counters.prefixed under concurrent writers (regression)
+# The process registry's readers under concurrent writers (regression)
 # ----------------------------------------------------------------------
+
+
+def _prefixed(prefix):
+    """A sorted prefixed view of the process registry's counters."""
+    counters = process_registry.snapshot()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith(prefix)}
 
 
 class TestCountersThreaded:
     def test_prefixed_while_writers_insert_new_keys(self):
-        # prefixed() used to iterate the live dict; a writer inserting a
-        # new key mid-iteration raised "dictionary changed size during
-        # iteration".  It must snapshot under the lock instead.
-        counters = Counters()
+        # A reader iterating the live dict while a writer inserts a new
+        # key raises "dictionary changed size during iteration"; every
+        # read must copy under the registry's lock instead.
         stop = threading.Event()
         errors = []
 
         def writer(worker):
             index = 0
             while not stop.is_set():
-                counters.incr(f"engine.w{worker}.k{index}")
+                process_registry.incr(f"stress.w{worker}.k{index}")
                 index += 1
 
         def reader():
             try:
                 while not stop.is_set():
-                    counters.prefixed("engine.")
+                    _prefixed("stress.")
+                    render_prometheus(process_registry)
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
 
@@ -482,17 +504,142 @@ class TestCountersThreaded:
             threading.Thread(target=writer, args=(worker,))
             for worker in range(4)
         ] + [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        stop_timer = threading.Timer(0.5, stop.set)
-        stop_timer.start()
-        for thread in threads:
-            thread.join()
-        stop_timer.cancel()
-        assert errors == []
-        view = counters.prefixed("engine.w0")
-        assert view and all(name.startswith("engine.w0") for name in view)
-        assert list(view) == sorted(view)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            stop_timer = threading.Timer(0.5, stop.set)
+            stop_timer.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            stop_timer.cancel()
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            view = _prefixed("stress.w0")
+            assert view and all(name.startswith("stress.w0") for name in view)
+            assert list(view) == sorted(view)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            # Leave the process registry holding catalogued names only.
+            with process_registry._lock:
+                for name in list(process_registry._counters):
+                    if name.startswith("stress."):
+                        del process_registry._counters[name]
+
+
+# ----------------------------------------------------------------------
+# The process registry: one catalogue, one flag, E19's façade
+# ----------------------------------------------------------------------
+
+
+def _people_session(path):
+    """A default-panel session over people of falling confidence, so a
+    top-1 query's bound prunes everyone after the first."""
+    session = repro.connect(path, create=True, root="directory")
+    directory = repro.pattern("directory", variable="d", anchored=True)
+    for i, confidence in enumerate([0.97, 0.85, 0.7, 0.55, 0.4, 0.25]):
+        session.update(
+            repro.update(directory).insert(
+                "d", repro.tree("person", repro.tree("name", f"p{i}"))
+            ),
+            confidence=confidence,
+        )
+    return session
+
+
+class TestProcessRegistry:
+    def test_default_panel_is_the_process_registry(self):
+        assert default_observability().metrics is process_registry
+
+    def test_every_counter_is_catalogued(self, tmp_path):
+        process_registry.reset()
+        with _people_session(tmp_path / "wh") as session:
+            session.query("//person { name }").limit(2).all()
+            list(session.query("//person").order_by_probability().limit(1))
+            session.query('//person { !name[="p1"] }').all()
+            session.update(repro.update('//person[$p] { name[="p5"] }').delete("p"))
+            worlds = repro.to_possible_worlds(session.warehouse.document)
+            # Worlds are plain trees: negation prunes structurally there.
+            negated = parse_pattern('//person { !name[="p0"] }')
+            repro.query_possible_worlds(worlds, negated)
+            repro.update_possible_worlds(
+                worlds,
+                repro.update("//person[$p]").delete("p").confidence(0.5).build(),
+            )
+        counters = process_registry.snapshot()["counters"]
+        for name in (
+            "match.assignments",
+            "match.bound_pruned",
+            "match.negation_pruned",
+            "engine.stats_collected",
+            "semantics.world_classes",
+            "pworlds.query.worlds",
+            "pworlds.update.selected",
+        ):
+            assert counters[name] > 0, name
+        assert [name for name in counters if not process_registry.help_text(name)] == []
+
+    def test_default_panel_reset_and_disable_cover_hot_path_counters(self, tmp_path):
+        panel = default_observability()
+        with _people_session(tmp_path / "wh") as session:
+            session.query("//person").all()
+            assert panel.metrics.counter("match.found") > 0
+            panel.metrics.reset()
+            assert panel.metrics.counter("match.found") == 0
+            assert panel.metrics.histogram("api.query_seconds").count == 0
+            panel.disable()
+            try:
+                session.query("//person").all()
+            finally:
+                panel.enable()
+        assert panel.metrics.counter("match.found") == 0
+        assert panel.metrics.counter("api.queries") == 0
+
+    def test_e19_facade_replay_keeps_the_panel_recording(self, tmp_path):
+        # benchmarks/e19/layers.py's branch-and-bound block, verbatim.
+        from repro.analysis.instrumentation import counters
+
+        out = {}
+        LIMIT = 1
+        with _people_session(tmp_path / "wh") as session:
+            sessions = [session]
+            queries = [("people", "//person { name }")]
+            n = len(sessions)
+            counters.reset()
+            counters.enable()
+            try:
+                for i in range(n):
+                    list(sessions[i].query(queries[i][1]).order_by_probability().limit(LIMIT))
+                out["core.bound_pruned_per_query"] = counters.get("match.bound_pruned") / n
+            finally:
+                counters.disable()
+                counters.reset()
+            assert out["core.bound_pruned_per_query"] > 0
+            # disable() is a no-op: the panel E19 times next still records.
+            session.query("//person").all()
+        panel = default_observability()
+        assert panel.metrics.counter("api.queries") == 1
+        assert panel.metrics.counter("match.found") > 0
+        assert counters.registry is panel.metrics
+
+    def test_serving_imports_leave_the_facade_unloaded(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro, repro.cli, repro.serve.http, "
+            "repro.serve.cluster.worker\n"
+            "print('repro.analysis.instrumentation' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------

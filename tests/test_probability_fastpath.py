@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Condition, EventTable, FuzzyNode, FuzzyTree
-from repro.analysis.instrumentation import counters
 from repro.core.montecarlo import estimate_query
 from repro.core.update import apply_update
 from repro.core.aggregates import expected_matches
@@ -31,6 +30,8 @@ from repro.core.query import (
 )
 from repro.engine import AncestorConditionIndex, QueryEngine, StatsDelta
 from repro.events import Dnf, Literal, ShannonCache, dnf_probability
+from repro.obs import default_observability
+from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
 from repro.trees import RandomTreeConfig
 from repro.workloads import (
@@ -586,32 +587,40 @@ class TestMonteCarloConvergence:
 
 class TestCountersFlag:
     def test_incr_is_noop_when_disabled(self):
-        counters.reset()
-        with counters.disabled():
-            counters.incr("x.y")
-        assert counters.get("x.y") == 0
-        counters.incr("x.y")
-        assert counters.get("x.y") == 1
-        counters.reset()
+        process_registry.reset()
+        process_registry.disable()
+        try:
+            process_registry.incr("match.found")
+        finally:
+            process_registry.enable()
+        assert process_registry.counter("match.found") == 0
+        process_registry.incr("match.found")
+        assert process_registry.counter("match.found") == 1
+        process_registry.reset()
 
     def test_disabled_restores_previous_state(self):
-        assert counters.enabled
-        with counters.disabled():
-            assert not counters.enabled
-            with counters.disabled():
-                pass
-            assert not counters.enabled
-        assert counters.enabled
+        # One flag: the default panel's switch is the hot-path counters'.
+        panel = default_observability()
+        assert process_registry.enabled
+        panel.disable()
+        try:
+            assert not process_registry.enabled
+        finally:
+            panel.enable()
+        assert process_registry.enabled
 
     def test_query_hot_loop_honors_flag(self, rng):
         fuzzy = random_fuzzy_tree(rng, MEDIUM_DOCS)
         engine = _engine_for(fuzzy)
         pattern = random_query_for(rng, fuzzy.root)
-        counters.reset()
-        with counters.disabled():
+        process_registry.reset()
+        process_registry.disable()
+        try:
             query_fuzzy_tree(fuzzy, pattern, engine=engine)
-        assert counters.get("core.query.matches") == 0
-        assert counters.get("match.assignments") == 0
+        finally:
+            process_registry.enable()
+        assert process_registry.counter("core.query.matches") == 0
+        assert process_registry.counter("match.assignments") == 0
         query_fuzzy_tree(fuzzy, pattern, engine=engine)
-        assert counters.get("core.query.matches") > 0
-        counters.reset()
+        assert process_registry.counter("core.query.matches") > 0
+        process_registry.reset()

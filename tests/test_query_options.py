@@ -91,16 +91,12 @@ class TestTopK:
 
     def test_topk_prunes_enumeration(self, tmp_path):
         """The bounded join actually prunes partial matches."""
-        from repro.analysis.instrumentation import counters
+        from repro.obs.metrics import process_registry
 
         with _make_warehouse(tmp_path / "wh", 3, people=24) as session:
-            counters.reset()
-            counters.enable()
-            try:
-                list(session.query(PATTERN).order_by_probability().limit(2))
-                assert counters.get("match.bound_pruned") > 0
-            finally:
-                counters.reset()
+            process_registry.reset()
+            list(session.query(PATTERN).order_by_probability().limit(2))
+            assert process_registry.counter("match.bound_pruned") > 0
 
 
 # ----------------------------------------------------------------------
