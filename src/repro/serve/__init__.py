@@ -14,12 +14,16 @@ piece that puts threads on top of the storage and session layers:
   routed by key, queries fanned out across shards on a bounded
   :class:`SessionPool` and merged lazily in deterministic
   (shard, row) order with ``limit(n)`` short-circuiting the fan-out;
-* ``connect_collection(..., mode="process")`` swaps the thread pool
-  for **worker processes** (:class:`ProcessCollection`): a supervisor
-  routes document keys over a consistent-hash ring to processes that
-  each own their shards' warehouses, recover from their own WAL on
-  crash and are respawned automatically — reader throughput scales
-  past the GIL (see :mod:`repro.serve.cluster`).
+* ``connect_collection(..., mode="process")`` hosts the shards in
+  **worker processes** instead (:class:`ProcessCollection`): a
+  supervisor routes document keys over a consistent-hash ring to
+  processes that each own their shards' warehouses, recover from their
+  own WAL on crash and are respawned automatically — reader throughput
+  scales past the GIL (see :mod:`repro.serve.cluster`).
+
+Both engines are one front (:class:`~repro.serve.collection.BaseCollection`):
+keys, create, update, query, stats, health and close are written once,
+under one document-key rule, and both fan out on a :class:`SessionPool`.
 
 ::
 

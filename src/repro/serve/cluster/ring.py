@@ -19,6 +19,7 @@ import hashlib
 from bisect import bisect_right
 
 from repro.errors import WarehouseError
+from repro.serve.pool import check_count
 
 __all__ = ["HashRing"]
 
@@ -37,9 +38,7 @@ class HashRing:
     __slots__ = ("_replicas", "_nodes", "_points", "_owners")
 
     def __init__(self, nodes: tuple[str, ...] | list[str] = (), replicas: int = 64) -> None:
-        if not isinstance(replicas, int) or replicas < 1:
-            raise WarehouseError(f"replicas must be an int >= 1, got {replicas!r}")
-        self._replicas = replicas
+        self._replicas = check_count("replicas", replicas)
         self._nodes: set[str] = set()
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
@@ -94,8 +93,7 @@ class HashRing:
         """
         if not self._points:
             raise WarehouseError("cannot route on an empty ring")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise WarehouseError(f"successor count must be an int >= 1, got {n!r}")
+        check_count("successor count", n)
         wanted = min(n, len(self._nodes))
         start = bisect_right(self._points, _point(key))
         owners: list[str] = []

@@ -1,11 +1,12 @@
 """Supervisor: stateless router over stateful worker processes.
 
-:class:`ProcessCollection` is the process-per-shard sibling of
-:class:`~repro.serve.collection.Collection`: the same directory layout,
-the same key-routed updates and fan-out queries, but every shard lives
-in a worker *process* (:mod:`repro.serve.cluster.worker`) so reader
-throughput scales past the GIL.  The supervisor holds no document
-state at all:
+:class:`ProcessCollection` is the process-per-shard host behind the
+one collection front (:class:`~repro.serve.collection.BaseCollection`,
+which owns keys, create, update, query, stats, health and close): the
+same directory layout and key rule, but every shard lives in a worker
+*process* (:mod:`repro.serve.cluster.worker`) so reader throughput
+scales past the GIL.  The supervisor supplies the front's hooks over
+the pipes and holds no document state at all:
 
 * a :class:`~repro.serve.cluster.ring.HashRing` routes document keys
   to workers; ring changes (:meth:`add_worker` / :meth:`remove_worker`)
@@ -22,7 +23,9 @@ state at all:
   safe;
 * requests are length-prefixed frames (:mod:`.wire`) over a
   per-worker ``multiprocessing.Pipe``, serialized per worker by a
-  handle lock and matched to responses by request id.
+  handle lock and matched to responses by request id; a fan-out sends
+  one QUERY per worker, each a task on the collection's
+  :class:`~repro.serve.pool.SessionPool`.
 
 **Replication** (``replication_factor=R``, default 1): each key is
 placed on its R distinct ring successors — element 0 is the primary,
@@ -53,20 +56,20 @@ import itertools
 import multiprocessing
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from contextlib import nullcontext
 from pathlib import Path
 from time import monotonic, perf_counter, sleep
 
 import repro.errors as errors_module
-from repro.api.results import resolve_query
 from repro.core.update import UpdateReport
 from repro.errors import QueryError, ShardUnavailableError, WarehouseError
 from repro.serve.cluster.retry import RetryPolicy, call_with_retry
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import PipeTransport, Verb, WireError
 from repro.serve.cluster.worker import worker_main
-from repro.serve.collection import FanoutResultSet
+from repro.serve.collection import BaseCollection, ShardMap, shard_record
+from repro.serve.pool import SessionPool, check_count
 from repro.warehouse.warehouse import (
     USE_DEFAULT_OBSERVABILITY,
     _resolve_observability,
@@ -187,7 +190,7 @@ class _WorkerHandle:
         self.draining = False
 
 
-class ProcessCollection:
+class ProcessCollection(BaseCollection):
     """N worker processes serving a collection directory as one store.
 
     Open through :func:`repro.serve.connect_collection` with
@@ -220,38 +223,27 @@ class ProcessCollection:
         query_deadline: float = 30.0,
         attempt_timeout: float | None = None,
     ) -> None:
-        if (
-            not isinstance(shard_processes, int)
-            or isinstance(shard_processes, bool)
-            or shard_processes < 1
-        ):
-            raise WarehouseError(
-                f"shard_processes must be an int >= 1, got {shard_processes!r}"
-            )
-        if (
-            not isinstance(replication_factor, int)
-            or isinstance(replication_factor, bool)
-            or replication_factor < 1
-        ):
-            raise WarehouseError(
-                f"replication_factor must be an int >= 1, got {replication_factor!r}"
-            )
+        check_count("shard_processes", shard_processes)
+        check_count("replication_factor", replication_factor)
         if query_deadline <= 0:
             raise WarehouseError(
                 f"query_deadline must be > 0, got {query_deadline!r}"
             )
-        self._path = Path(path)
-        self._obs = _resolve_observability(observability)
+        keys = ShardMap.scan(Path(path))
+        # One QUERY task per worker a fan-out touches.
+        super().__init__(
+            path,
+            SessionPool(shard_processes, observability=_resolve_observability(observability)),
+        )
         self._options = dict(session_options or {})
         if fault_injection:
             self._options["allow_faults"] = True
         self._ctx = multiprocessing.get_context("spawn")
         self._request_ids = itertools.count(1)
-        # Guards the ring, the handle map and every key→worker move.
-        self._routing_lock = threading.Lock()
+        # The front's lock also guards the ring, the handle map and
+        # every key→worker move.
         self._ring = HashRing(replicas=replicas)
         self._handles: dict[str, _WorkerHandle] = {}
-        self._closed = False
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
         # Replication state: per-key write locks serialize primary-ack +
@@ -269,23 +261,14 @@ class ProcessCollection:
         self._commit_seq: dict[str, int] = {}
         self._replica_seq: dict[tuple[str, str], int] = {}
 
-        keys = self._scan_keys()
         names = [f"w{i}" for i in range(shard_processes)]
         for name in names:
             self._ring.add(name)
         assignment = self._ring.assignment(keys)
-        placement = (
-            self._ring.placement(keys, self._replication)
-            if self._replication > 1
-            else {}
-        )
         try:
             for name in names:
                 handle = _WorkerHandle(name)
                 handle.keys = {k for k, owner in assignment.items() if owner == name}
-                handle.replica_keys = {
-                    k for k, owners in placement.items() if name in owners[1:]
-                }
                 self._spawn(handle)
                 self._handles[name] = handle
         except BaseException:
@@ -294,8 +277,9 @@ class ProcessCollection:
         self._set_worker_gauge()
         # Populate every replica before serving: the first failover must
         # find copies, not empty directories.
-        for name, handle in self._handles.items():
-            self._mark_stale((key, name) for key in handle.replica_keys)
+        with self._lock:
+            new_pairs = self._reassign_replicas_locked()
+        self._mark_stale(new_pairs)
         self._resync_stale()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-cluster-monitor", daemon=True
@@ -305,13 +289,6 @@ class ProcessCollection:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def _scan_keys(self) -> list[str]:
-        keys = []
-        for entry in sorted(self._path.iterdir()):
-            if entry.is_dir() and (entry / "document.xml").exists():
-                keys.append(entry.name)
-        return keys
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) *handle*'s process; blocks until READY.
@@ -393,49 +370,37 @@ class ProcessCollection:
         if obs is not None:
             obs.metrics.incr("cluster.respawns")
 
-    def close(self) -> None:
-        """Drain every worker and stop the monitor; idempotent."""
-        with self._routing_lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _shutdown(self) -> None:
+        """Stop the monitor and the fan-out pool, drain every worker."""
         self._stopping.set()
         monitor = self._monitor
         if monitor is not None:
             monitor.join(2.0)
         for handle in self._handles.values():
-            handle.draining = True
-            process = handle.process
-            transport = handle.transport
-            if transport is not None and handle.alive:
-                try:
-                    with handle.lock:
-                        transport.send(Verb.DRAIN, next(self._request_ids), {})
-                        transport.recv(timeout=_DRAIN_TIMEOUT)
-                except (EOFError, OSError, TimeoutError, WireError):
-                    pass
-            if process is not None:
-                process.join(_DRAIN_TIMEOUT)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(2.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(2.0)
-            if transport is not None:
-                transport.close()
-            handle.alive = False
+            self._drain(handle)
+        self._pool.shutdown()
         self._set_worker_gauge()
 
-    def __enter__(self) -> "ProcessCollection":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise WarehouseError("collection is closed")
+    def _drain(self, handle: _WorkerHandle) -> None:
+        """DRAIN *handle*'s worker and join it — escalating to terminate,
+        then kill — and close its pipe."""
+        handle.draining = True
+        try:
+            self._request(handle, Verb.DRAIN, {}, timeout=_DRAIN_TIMEOUT)
+        except (ShardUnavailableError, WireError):
+            pass
+        process = handle.process
+        if process is not None:
+            process.join(_DRAIN_TIMEOUT)
+            if process.is_alive():
+                process.terminate()
+                process.join(2.0)
+            if process.is_alive():
+                process.kill()
+                process.join(2.0)
+        if handle.transport is not None:
+            handle.transport.close()
+        handle.alive = False
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -498,13 +463,15 @@ class ProcessCollection:
 
     def _placement_for(self, key: str) -> list[str]:
         """``[primary worker, *replica workers]`` for *key*."""
-        with self._routing_lock:
+        with self._lock:
             self._check_open()
             if key not in self._all_keys_locked():
-                raise WarehouseError(
-                    f"no document {key!r} in collection {self._path}"
-                )
+                raise self._no_document(key)
             return self._ring.successors(key, self._replication)
+
+    def _keys(self) -> set[str]:
+        with self._lock:
+            return self._all_keys_locked()
 
     def _all_keys_locked(self) -> set[str]:
         keys: set[str] = set()
@@ -588,7 +555,10 @@ class ProcessCollection:
     ) -> list[UpdateReport]:
         """Primary-acknowledged write with replica write-through.
 
-        The one UPDATE frame: a single update is a list of one with
+        The primary's acknowledgement is the durability point; live
+        replicas are then written through before this returns (a
+        replica that failed or diverged is healed asynchronously).  The
+        one UPDATE frame: a single update is a list of one with
         ``batch`` false (which only picks the commit's record kind).
         """
         payload = {
@@ -690,60 +660,21 @@ class ProcessCollection:
         """``[primary, *replicas]`` worker names serving *key*."""
         return self._placement_for(key)
 
-    # ------------------------------------------------------------------
-    # Documents
-    # ------------------------------------------------------------------
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    @property
-    def observability(self):
-        return self._obs
-
     @property
     def replication_factor(self) -> int:
         return self._replication
 
-    def keys(self) -> list[str]:
-        with self._routing_lock:
-            return sorted(self._all_keys_locked())
-
-    def __len__(self) -> int:
-        with self._routing_lock:
-            return len(self._all_keys_locked())
-
-    def __contains__(self, key: str) -> bool:
-        with self._routing_lock:
-            return key in self._all_keys_locked()
-
-    def create_document(
-        self,
-        key: str,
-        *,
-        root: str | None = None,
-        document=None,
-    ) -> None:
-        """Add a new document under *key* on the worker the ring picks.
-
-        Unlike the thread collection this returns no session — the
-        shard lives in another process; use :meth:`update` /
-        :meth:`query` against the key.  With replication the new
-        document's copies are synced to its replica workers before this
-        returns.
-        """
-        self._check_open()
-        with self._routing_lock:
-            if key in self._all_keys_locked():
-                raise WarehouseError(f"document {key!r} already exists")
+    def _create(self, key: str, root, document) -> None:
+        """Create *key* on the worker the ring picks; with replication its
+        copies are synced to its replica workers before this returns."""
+        with self._lock:
             placement = self._ring.successors(key, self._replication)
             handle = self._handles[placement[0]]
         payload: dict = {"key": key, "root": root}
         if document is not None:
             payload["document_xml"] = fuzzy_to_string(document, indent=False)
         self._request(handle, Verb.CREATE, payload)
-        with self._routing_lock:
+        with self._lock:
             handle.keys.add(key)
             for name in placement[1:]:
                 self._handles[name].replica_keys.add(key)
@@ -751,52 +682,14 @@ class ProcessCollection:
         self._resync_stale()
 
     # ------------------------------------------------------------------
-    # Updates (routed) and queries (fanned out)
+    # Queries (fanned out)
     # ------------------------------------------------------------------
-
-    def update(
-        self, key: str, transaction, confidence: float | None = None, *, fault=None
-    ) -> UpdateReport:
-        """Apply one update to document *key*; durable once returned.
-
-        The primary's acknowledgement is the durability point; live
-        replicas are then written through before this returns (a
-        replica that failed or diverged is healed asynchronously).
-        *fault* is the test-only injection point (ignored unless the
-        collection was opened with ``fault_injection=True``).
-        """
-        return self._write(key, [transaction], False, confidence, fault)[0]
-
-    def update_many(
-        self, key: str, transactions, confidence: float | None = None
-    ) -> list[UpdateReport]:
-        """Apply a batch to document *key* as one commit."""
-        return self._write(key, transactions, True, confidence)
-
-    def query(
-        self, query=None, keys: list[str] | None = None, *, options=None
-    ) -> FanoutResultSet:
-        """A lazy fan-out query over every shard (or just *keys*).
-
-        The same arguments and the same
-        :class:`~repro.serve.collection.FanoutResultSet` as
-        :meth:`Collection.query`; the rows it streams are
-        :class:`ClusterRow` objects and ``answers()`` is not served.
-        """
-        self._check_open()
-        pattern, options, keys = resolve_query(query, options, keys)
-        if keys is None:
-            keys = self.keys()
-        else:
-            for key in keys:
-                self._placement_for(key)  # validate early, before the fan-out
-        return FanoutResultSet(self, pattern, keys, options)
 
     def _shard_results(self, pattern, keys, options, what, seed):
         """:class:`FanoutResultSet`'s hook: one QUERY frame per worker
-        owning some of *keys* (workers in parallel threads), ``(key,
-        items)`` yielded in sorted key order.  A worker whose batch
-        fails retryably degrades to per-key replica failover.
+        owning some of *keys*, each a task on the collection's pool,
+        ``(key, items)`` yielded in sorted key order.  A worker whose
+        batch fails retryably degrades to per-key replica failover.
 
         The payload is always ``{"pattern", "keys", "options"}`` —
         *options* in its :meth:`QueryOptions.to_json` wire form, so
@@ -811,7 +704,7 @@ class ProcessCollection:
                 "or open the collection in thread mode"
             )
         self._check_open()
-        with self._routing_lock:
+        with self._lock:
             by_worker: dict[str, list[str]] = {}
             for key in set(keys) & self._all_keys_locked():
                 by_worker.setdefault(self._ring.route(key), []).append(key)
@@ -845,14 +738,9 @@ class ProcessCollection:
                     for key in batch
                 }
 
-        if len(by_worker) == 1:
-            (name,) = by_worker
-            replies = [run_worker(name)]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=len(by_worker), thread_name_prefix="repro-cluster-fanout"
-            ) as pool:
-                replies = list(pool.map(run_worker, sorted(by_worker)))
+        futures = [self._pool.submit(run_worker, name) for name in sorted(by_worker)]
+        wait(futures)  # every batch settles before the first error surfaces
+        replies = [future.result() for future in futures]
         if obs is not None and obs.metrics.enabled:
             obs.metrics.observe("serve.fanout_seconds", perf_counter() - t0)
         wrap = ClusterEstimate if what == "estimates" else ClusterRow
@@ -943,7 +831,7 @@ class ProcessCollection:
         placement is recomputed afterwards and new copies are synced
         before returning.
         """
-        with self._routing_lock:
+        with self._lock:
             self._check_open()
             index = 0
             while f"w{index}" in self._handles:
@@ -970,7 +858,7 @@ class ProcessCollection:
 
     def remove_worker(self, name: str) -> None:
         """Shrink the ring: migrate the worker's keys away, drain it."""
-        with self._routing_lock:
+        with self._lock:
             self._check_open()
             if name not in self._handles:
                 raise WarehouseError(f"no worker {name!r}")
@@ -991,19 +879,7 @@ class ProcessCollection:
             (k, n): seq for (k, n), seq in self._replica_seq.items() if n != name
         }
         self._mark_stale(new_pairs)
-        try:
-            self._request(handle, Verb.DRAIN, {}, timeout=_DRAIN_TIMEOUT)
-        except (ShardUnavailableError, WireError):
-            pass
-        process = handle.process
-        if process is not None:
-            process.join(_DRAIN_TIMEOUT)
-            if process.is_alive():
-                process.terminate()
-                process.join(2.0)
-        if handle.transport is not None:
-            handle.transport.close()
-        handle.alive = False
+        self._drain(handle)
         self._resync_stale()
 
     def _migrate_locked(self, moving: set, assignment: dict[str, str]) -> None:
@@ -1061,31 +937,32 @@ class ProcessCollection:
     # Introspection
     # ------------------------------------------------------------------
 
-    def stats(self) -> dict:
-        """Aggregate + per-document statistics and cluster accounting."""
-        self._check_open()
-        documents: dict[str, dict] = {}
-        workers: dict[str, dict] = {}
+    def _poll(self, verb: Verb, timeout: float | None = None) -> list[tuple]:
+        """``(handle, accounting, reply)`` per worker in the ring; the
+        reply is None when the worker is down or does not answer."""
+        polled = []
         for handle, info in self._worker_snapshot():
             if handle.draining:
                 continue  # left the ring mid-call: its shards answer elsewhere
+            reply = None
             if handle.alive:
                 try:
-                    reply = self._request(handle, Verb.STATS, {})
-                    documents.update(reply.get("documents", {}))
+                    reply = self._request(handle, verb, {}, timeout=timeout)
                 except ShardUnavailableError:
                     info["alive"] = False
+            polled.append((handle, info, reply))
+        return polled
+
+    def _stats(self) -> tuple[dict, dict]:
+        documents: dict[str, dict] = {}
+        workers: dict[str, dict] = {}
+        for handle, info, reply in self._poll(Verb.STATS):
+            if reply is not None:
+                documents.update(reply.get("documents", {}))
             workers[handle.name] = info
-        totals = {"nodes": 0, "declared_events": 0, "read_sessions": 0, "sequence": 0}
-        for info in documents.values():
-            for field in totals:
-                totals[field] += info.get(field, 0)
         with self._stale_lock:
             stale = len(self._stale)
-        return {
-            "documents": documents,
-            "document_count": len(documents),
-            "totals": totals,
+        return documents, {
             "cluster": {
                 "mode": "process",
                 "workers": workers,
@@ -1097,45 +974,22 @@ class ProcessCollection:
             },
         }
 
-    def health(self, timeout: float = 2.0) -> dict:
-        """Per-shard liveness: ``{"shards": {key: {...}}}``.
-
-        A worker that is dead or does not answer within *timeout*
-        reports every key it owns as ``alive: False`` — a recovering
-        shard is visible, not invisible.
-        """
-        self._check_open()
+    def _health(self, timeout: float) -> dict[str, dict]:
         shards: dict[str, dict] = {}
-        for handle, info in self._worker_snapshot():
-            if handle.draining:
-                continue  # left the ring mid-call: its shards answer elsewhere
-            reply = None
-            if handle.alive:
-                try:
-                    reply = self._request(handle, Verb.HEALTH, {}, timeout=timeout)
-                except ShardUnavailableError:
-                    reply = None
+        for handle, info, reply in self._poll(Verb.HEALTH, timeout):
             if reply is not None:
                 for key, shard in reply.get("shards", {}).items():
-                    shards[key] = {
-                        "alive": bool(shard.get("alive")),
-                        "wal_depth": shard.get("wal_depth"),
-                        "respawns": handle.respawns,
-                    }
+                    shards[key] = shard_record(shard, handle.respawns)
             else:
                 for key in info["keys"]:
-                    shards[key] = {
-                        "alive": False,
-                        "wal_depth": None,
-                        "respawns": handle.respawns,
-                    }
-        return {"shards": shards}
+                    shards[key] = shard_record(None, handle.respawns)
+        return shards
 
     def _worker_snapshot(self) -> list[tuple[_WorkerHandle, dict]]:
         """``(handle, accounting)`` per worker, name-ordered, copied under
         the routing lock: a concurrent ring change must not tear an
         introspection call."""
-        with self._routing_lock:
+        with self._lock:
             return [
                 (
                     handle,
@@ -1152,14 +1006,6 @@ class ProcessCollection:
     def workers(self) -> dict[str, dict]:
         """Live worker accounting: name → alive/respawns/keys."""
         return {handle.name: info for handle, info in self._worker_snapshot()}
-
-    def __repr__(self) -> str:
-        state = (
-            "closed"
-            if self._closed
-            else f"{len(self._handles)} workers, {len(self.keys())} documents"
-        )
-        return f"ProcessCollection({self._path}, {state})"
 
 
 def _serialize_transaction(transaction) -> str:

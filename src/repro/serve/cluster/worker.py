@@ -1,25 +1,26 @@
 """Worker process: owns one or more warehouse shards, speaks frames.
 
 ``worker_main`` is the spawn target.  It opens a
-:class:`~repro.api.session.Session` per assigned document key (WAL
-replay — and therefore crash recovery — happens right there in
-``Warehouse.open``), sends a READY frame, then serves request frames
-until DRAIN or supervisor EOF.  Every request is answered by exactly
-one OK or ERR frame carrying the request's id; a
+:class:`~repro.api.session.Session` per assigned document key on its
+:class:`~repro.serve.collection.ShardMap` (WAL replay — and therefore
+crash recovery — happens right there in ``Warehouse.open``), sends a
+READY frame, then serves request frames until DRAIN or supervisor
+EOF.  Every request is answered by exactly one OK or ERR frame
+carrying the request's id; a
 :class:`~repro.errors.ReproError` becomes a structured ERR payload
 (family, message, retryable) and the worker keeps serving — only
 channel damage or DRAIN ends the loop.
 
-Besides its *primary* shards (canonical ``root/key`` directories), a
-worker can hold **replica** copies of shards whose primary lives on
-another worker.  Replicas are stored under
-``root/.replicas/<worker-name>/<key>`` — the leading dot keeps them
-out of every key scan — and are populated exclusively through
-SYNC_PUSH (a folded snapshot shipped from the primary); requests
-address them with ``"replica": true`` in the payload.  A replica that
-has not been synced yet answers with the retryable
-:class:`~repro.errors.ShardUnavailableError` so the supervisor's
-failover sweep moves on to the next candidate.
+Besides its *primary* shards (canonical ``root/key`` directories, one
+shard map), a worker can hold **replica** copies of shards whose
+primary lives on another worker (a second map).  Replicas are stored
+under ``root/.replicas/<worker-name>/<key>`` — ``.replicas`` holds no
+``document.xml``, so no key scan sees it — and are populated
+exclusively through SYNC_PUSH (a folded snapshot shipped from the
+primary); requests address them with ``"replica": true`` in the
+payload.  A replica that has not been synced yet answers with the
+retryable :class:`~repro.errors.ShardUnavailableError` so the
+supervisor's failover sweep moves on to the next candidate.
 
 A QUERY payload is ``{"pattern", "keys", "options"}`` — *options* the
 :meth:`~repro.api.options.QueryOptions.to_json` wire form — plus
@@ -48,14 +49,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
 import signal
 from pathlib import Path
 
 from repro.api.options import QueryOptions
-from repro.api.session import Session, connect
+from repro.api.session import Session
 from repro.errors import ReproError, ShardUnavailableError, WarehouseError
 from repro.serve.cluster.wire import PipeTransport, Verb, WireError
+from repro.serve.collection import ShardMap
 from repro.xmlio.parse import fuzzy_from_string
 from repro.xmlio.serialize import plain_to_string
 
@@ -76,55 +77,35 @@ def _kill_self() -> None:
 
 class _Worker:
     def __init__(self, root: Path, options: dict) -> None:
-        self.root = root
         self.name = str(options.pop("worker_name", "w"))
         self.allow_faults = bool(options.pop("allow_faults", False))
         # What is left is the caller's commit policy, handed to
         # connect() as shipped: its signature owns the defaults.
-        self.session_options = {**options, "observability": None}
-        self.sessions: dict[str, Session] = {}
-        self.replicas: dict[str, Session] = {}
-        self.replica_root = root / REPLICA_DIR / self.name
-
-    # ------------------------------------------------------------------
-    # Shard lifecycle
-    # ------------------------------------------------------------------
+        session_options = {**options, "observability": None}
+        self.shards = ShardMap(root, session_options)
+        self.replicas = ShardMap(root / REPLICA_DIR / self.name, session_options)
 
     def open_shard(self, key: str) -> None:
-        if key in self.sessions:
-            return
-        self.sessions[key] = connect(self.root / key, **self.session_options)
-
-    def close_shard(self, key: str) -> None:
-        session = self.sessions.pop(key, None)
-        if session is not None:
-            # compact_on_close folds the WAL into a final snapshot: the
-            # handoff artifact a migration target opens without replay.
-            session.close()
+        self.shards.open(key)
 
     def close_all(self) -> None:
-        for key in list(self.sessions):
-            self.close_shard(key)
-        for key in list(self.replicas):
-            session = self.replicas.pop(key)
-            session.close()
+        self.shards.close()
+        self.replicas.close()
 
     def _session(self, key: str, replica: bool = False) -> Session:
         if replica:
-            try:
-                return self.replicas[key]
-            except KeyError:
+            session = self.replicas.get(key)
+            if session is None:
                 # Retryable: the supervisor syncs replicas after spawn;
                 # a reader that arrives first should fail over, not die.
                 raise ShardUnavailableError(
                     f"worker {self.name} has no synced replica of {key!r}"
-                ) from None
-        try:
-            return self.sessions[key]
-        except KeyError:
-            raise WarehouseError(
-                f"worker does not own document {key!r}"
-            ) from None
+                )
+            return session
+        session = self.shards.get(key)
+        if session is None:
+            raise WarehouseError(f"worker does not own document {key!r}")
+        return session
 
     # ------------------------------------------------------------------
     # Request handlers (each returns the OK payload)
@@ -192,50 +173,32 @@ class _Worker:
         }
 
     def handle_create(self, payload: dict) -> dict:
-        key = payload["key"]
-        if key in self.sessions:
-            raise WarehouseError(f"document {key!r} already exists")
         document_xml = payload.get("document_xml")
-        self.sessions[key] = connect(
-            self.root / key,
-            create=True,
+        self.shards.create(
+            payload["key"],
             root=payload.get("root"),
             document=(
                 fuzzy_from_string(document_xml) if document_xml is not None else None
             ),
-            **self.session_options,
         )
-        return {"key": key}
+        return {"key": payload["key"]}
 
     def handle_stats(self, payload: dict) -> dict:
-        return {
-            "documents": {
-                key: self.sessions[key].stats() for key in sorted(self.sessions)
-            }
-        }
+        return {"documents": self.shards.stats()}
 
     def handle_health(self, payload: dict) -> dict:
-        return {
-            "shards": {
-                key: self.sessions[key].warehouse.health()
-                for key in sorted(self.sessions)
-            }
-        }
+        return {"shards": self.shards.health()}
 
     def handle_assign(self, payload: dict) -> dict:
-        self.open_shard(payload["key"])
+        self.shards.open(payload["key"])
         return {"key": payload["key"]}
 
     def handle_release(self, payload: dict) -> dict:
-        key = payload["key"]
-        if payload.get("replica"):
-            session = self.replicas.pop(key, None)
-            if session is not None:
-                session.close()
-            shutil.rmtree(self.replica_root / key, ignore_errors=True)
-        else:
-            self.close_shard(key)
-        return {"key": key}
+        # A released primary folds into its handoff snapshot and stays on
+        # disk; a released replica copy is deleted.
+        replica = bool(payload.get("replica"))
+        (self.replicas if replica else self.shards).release(payload["key"], remove=replica)
+        return {"key": payload["key"]}
 
     def handle_sync_pull(self, payload: dict) -> dict:
         """Fold the primary shard's WAL and ship the snapshot files.
@@ -247,7 +210,7 @@ class _Worker:
         key = payload["key"]
         session = self._session(key)
         summary = session.compact()
-        directory = self.root / key
+        directory = self.shards.directory(key)
         files: dict[str, bytes] = {}
         for name in SYNC_FILES:
             path = directory / name
@@ -262,17 +225,12 @@ class _Worker:
         for name in files:
             if name not in SYNC_FILES:
                 raise WarehouseError(f"unexpected sync file {name!r}")
-        session = self.replicas.pop(key, None)
-        if session is not None:
-            session.close()
-        directory = self.replica_root / key
-        if directory.exists():
-            shutil.rmtree(directory)
+        self.replicas.release(key, remove=True)
+        directory = self.replicas.directory(key)
         directory.mkdir(parents=True)
         for name, data in files.items():
             (directory / name).write_bytes(data)
-        session = connect(directory, **self.session_options)
-        self.replicas[key] = session
+        session = self.replicas.open(key)
         return {"key": key, "sequence": session.warehouse.sequence}
 
 
@@ -306,7 +264,7 @@ def worker_main(conn, root: str, keys: list[str], options: dict) -> None:
             {"family": type(exc).__name__, "message": str(exc), "retryable": False},
         )
         return
-    transport.send(Verb.READY, 0, {"pid": os.getpid(), "keys": sorted(worker.sessions)})
+    transport.send(Verb.READY, 0, {"pid": os.getpid(), "keys": worker.shards.keys()})
     try:
         while True:
             try:

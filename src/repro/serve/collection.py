@@ -2,9 +2,9 @@
 
 The paper's warehouse holds *one* probabilistic document; a real
 deployment holds many (one per entity being tracked — a person, a
-product, a sensor).  A :class:`Collection` is a directory of
-independent warehouses ("shards", one subdirectory per document key)
-served through a shared :class:`~repro.serve.pool.SessionPool`:
+product, a sensor).  A collection is a directory of independent
+warehouses ("shards", one subdirectory per document key) served as one
+store:
 
 * **updates route by document key** — each lands on exactly one shard,
   serialized by that shard's write lock, so writers on different
@@ -17,9 +17,14 @@ served through a shared :class:`~repro.serve.pool.SessionPool`:
   once n rows have been emitted, shards that have not started are
   cancelled.
 
-:class:`FanoutResultSet` is that merge, written once: the process
-engine (:class:`~repro.serve.cluster.ProcessCollection`) serves the
-same class through its own ``_shard_results`` hook.
+One front over two hosts: :class:`BaseCollection` answers keys,
+create, update, query, stats, health and close for both engines, and
+an engine adds a hook only where its transport differs.  The thread
+:class:`Collection` hosts its shards in this process on one
+:class:`ShardMap`; the process engine
+(:class:`~repro.serve.cluster.ProcessCollection`) hosts them in worker
+processes, each on its own maps.  :class:`FanoutResultSet` is the one
+merge both serve through their ``_shard_results`` hook.
 
 On disk a collection is::
 
@@ -33,11 +38,13 @@ On disk a collection is::
             ...
 
 Document keys are directory names and restricted to
-``[A-Za-z0-9._-]`` (no leading dot).  Within one shard every
-guarantee of :class:`~repro.api.session.Session` holds — including
-snapshot-pinned concurrent readers; across shards the documents are
-independent (separate event tables), which is why query results carry
-their shard key and are never merged across documents.
+``[A-Za-z0-9._-]`` (no leading dot) — one rule, checked by the front on
+every create and by :class:`ShardMap` on every path it touches, so the
+same directory opens the same way on both engines.  Within one shard
+every guarantee of :class:`~repro.api.session.Session` holds —
+including snapshot-pinned concurrent readers; across shards the
+documents are independent (separate event tables), which is why query
+results carry their shard key and are never merged across documents.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import threading
 from contextlib import closing
 from pathlib import Path
@@ -56,14 +64,14 @@ from repro.api.session import Session, connect
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.core.update import UpdateReport
 from repro.errors import WarehouseError
-from repro.serve.pool import SessionPool
+from repro.serve.pool import SessionPool, default_workers
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 from repro.warehouse.warehouse import (
     USE_DEFAULT_OBSERVABILITY,
     _resolve_observability,
 )
 
-__all__ = ["Collection", "FanoutResultSet", "connect_collection"]
+__all__ = ["BaseCollection", "Collection", "FanoutResultSet", "connect_collection"]
 
 _MANIFEST = "collection.json"
 _FORMAT = "repro-collection-v1"
@@ -150,6 +158,12 @@ def connect_collection(
         # One core: worker processes would time-slice the same CPU and
         # pay IPC on top — the thread pool is strictly better.
         mode = "thread"
+    session_options = {
+        "auto_simplify_factor": auto_simplify_factor,
+        "snapshot_every": snapshot_every,
+        "wal_bytes_limit": wal_bytes_limit,
+        "compact_on_close": compact_on_close,
+    }
     if mode == "process":
         if match_config is not DEFAULT_CONFIG:
             raise WarehouseError(
@@ -161,38 +175,16 @@ def connect_collection(
         return ProcessCollection(
             path,
             shard_processes=(
-                shard_processes
-                if shard_processes is not None
-                else max(2, min(8, os.cpu_count() or 2))
+                shard_processes if shard_processes is not None else default_workers()
             ),
-            session_options={
-                "auto_simplify_factor": auto_simplify_factor,
-                "snapshot_every": snapshot_every,
-                "wal_bytes_limit": wal_bytes_limit,
-                "compact_on_close": compact_on_close,
-            },
+            session_options=session_options,
             observability=observability,
             replication_factor=replication_factor,
         )
 
     obs = _resolve_observability(observability)
-    session_options = {
-        "match_config": match_config,
-        "auto_simplify_factor": auto_simplify_factor,
-        "snapshot_every": snapshot_every,
-        "wal_bytes_limit": wal_bytes_limit,
-        "compact_on_close": compact_on_close,
-        "observability": obs,
-    }
-    collection = Collection(
-        path, SessionPool(workers, observability=obs), session_options
-    )
-    try:
-        collection._open_existing()
-    except BaseException:
-        collection.close()
-        raise
-    return collection
+    session_options.update(match_config=match_config, observability=obs)
+    return Collection(path, SessionPool(workers, observability=obs), session_options)
 
 
 class FanoutResultSet(BaseResultSet):
@@ -307,19 +299,136 @@ class FanoutResultSet(BaseResultSet):
             return self._by_probability(shards)
 
 
-class Collection:
-    """N independent warehouses served as one store (see module docs)."""
+def shard_record(info: dict | None, respawns: int = 0) -> dict:
+    """One shard's health record, the shape every serving surface
+    reports: ``{"alive", "wal_depth", "respawns"}`` read from its
+    warehouse's ``health()`` info (None: its host did not answer)."""
+    info = info or {}
+    return {
+        "alive": bool(info.get("alive")),
+        "wal_depth": info.get("wal_depth"),
+        "respawns": respawns,
+    }
 
-    def __init__(
-        self, path: Path, pool: SessionPool, session_options: dict
-    ) -> None:
+
+class ShardMap:
+    """The key → :class:`~repro.api.session.Session` map of the shards
+    stored under ``root/<key>``: the one place a shard is opened,
+    created, released or closed, behind the one key rule every path
+    goes through.  The thread :class:`Collection` holds one map; a
+    cluster worker holds two (primaries at the collection root,
+    replicas under ``.replicas/<worker>``).  Thread-safe.
+    """
+
+    def __init__(self, root: Path, session_options: dict) -> None:
+        self.root = Path(root)
+        self._options = session_options
+        self._sessions: dict[str, Session] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def scan(root: Path) -> list[str]:
+        """The shard keys stored under *root*, sorted: every directory
+        holding a ``document.xml``.  A shard whose name breaks the key
+        rule is refused, not skipped."""
+        return [
+            _check_key(entry.name)
+            for entry in sorted(Path(root).iterdir())
+            if entry.is_dir() and (entry / "document.xml").exists()
+        ]
+
+    def directory(self, key: str) -> Path:
+        """Where *key*'s shard is stored (the key rule checked first)."""
+        return self.root / _check_key(key)
+
+    def open(self, key: str) -> Session:
+        """The session on *key*'s stored shard, opened on first use."""
+        with self._lock:
+            session = self._sessions.get(key)
+            if session is None:
+                session = self._sessions[key] = connect(
+                    self.directory(key), **self._options
+                )
+            return session
+
+    def create(self, key: str, **document) -> Session:
+        """A session on a new shard (*document*: ``root=`` and/or
+        ``document=``, as for :func:`repro.connect`)."""
+        with self._lock:
+            if key in self._sessions:
+                raise WarehouseError(f"document {key!r} already exists")
+            session = self._sessions[key] = connect(
+                self.directory(key), create=True, **document, **self._options
+            )
+            return session
+
+    def get(self, key: str) -> Session | None:
+        with self._lock:
+            return self._sessions.get(key)
+
+    def keys(self) -> list[str]:
+        with self._lock:
+            return sorted(self._sessions)
+
+    def release(self, key: str, *, remove: bool = False) -> None:
+        """Close *key*'s session (``compact_on_close`` folds its WAL into
+        the final snapshot a migration target opens without replay);
+        with *remove*, delete its directory too."""
+        with self._lock:
+            session = self._sessions.pop(key, None)
+        if session is not None:
+            session.close()
+        if remove:
+            shutil.rmtree(self.directory(key), ignore_errors=True)
+
+    def _items(self) -> list[tuple[str, Session]]:
+        with self._lock:
+            return sorted(self._sessions.items())
+
+    def stats(self) -> dict[str, dict]:
+        """Each shard's ``stats()``, in key order."""
+        return {key: session.stats() for key, session in self._items()}
+
+    def health(self) -> dict[str, dict]:
+        """Each shard's warehouse ``health()`` info, in key order."""
+        return {key: session.warehouse.health() for key, session in self._items()}
+
+    def close(self) -> None:
+        """Close every session; the map is empty afterwards."""
+        with self._lock:
+            sessions = list(self._sessions.values())
+            self._sessions = {}
+        for session in sessions:
+            session.close()
+
+
+class BaseCollection:
+    """What both collection engines answer the same way (module docs).
+
+    An engine supplies hooks only where its transport differs:
+    ``_keys()``, ``_create(key, root, document)``, ``_write(key,
+    transactions, batch, confidence, fault)`` (one routed commit),
+    ``_shard_results`` (:class:`FanoutResultSet`'s hook, on the pool),
+    ``_stats()`` (per-document stats, engine accounting),
+    ``_health(timeout)`` (key → :func:`shard_record`) and
+    ``_shutdown()`` (release everything, the pool included; runs once).
+
+    A closed collection holds no documents: ``keys()``, ``len`` and
+    ``in`` read empty, and every other call but ``close`` raises
+    :class:`~repro.errors.WarehouseError`.
+    """
+
+    def __init__(self, path: Path, pool: SessionPool) -> None:
         self._path = Path(path)
         self._pool = pool
         self._obs = pool.observability
-        self._session_options = dict(session_options)
-        self._sessions: dict[str, Session] = {}
+        # Guards the closed flag (the process engine also routes under it).
         self._lock = threading.Lock()
         self._closed = False
+
+    @property
+    def path(self) -> Path:
+        return self._path
 
     @property
     def observability(self):
@@ -327,48 +436,18 @@ class Collection:
         return self._obs
 
     # ------------------------------------------------------------------
-    # Layout
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def is_collection(path: str | Path) -> bool:
-        """True when *path* holds a collection manifest."""
-        manifest = Path(path) / _MANIFEST
-        try:
-            payload = json.loads(manifest.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return False
-        return isinstance(payload, dict) and payload.get("format") == _FORMAT
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def _open_existing(self) -> None:
-        """Open a session on every shard directory found on disk."""
-        for entry in sorted(self._path.iterdir()):
-            if entry.is_dir() and (entry / "document.xml").exists():
-                key = _check_key(entry.name)
-                self._sessions[key] = connect(entry, **self._session_options)
-        self._sessions = dict(sorted(self._sessions.items()))
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every shard session and the pool; idempotent."""
+        """Release every shard, pool and worker; idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            sessions = list(self._sessions.values())
-            self._sessions = {}
-        self._pool.shutdown()
-        for session in sessions:
-            session.close()
+        self._shutdown()
 
-    def __enter__(self) -> "Collection":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -384,27 +463,16 @@ class Collection:
 
     def keys(self) -> list[str]:
         """The document keys, sorted (the shard order queries merge in)."""
-        with self._lock:
-            return sorted(self._sessions)
+        return [] if self._closed else sorted(self._keys())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self.keys())
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._sessions
+        return not self._closed and key in self._keys()
 
-    def document(self, key: str) -> Session:
-        """The session serving document *key* (raises on unknown keys)."""
-        self._check_open()
-        with self._lock:
-            try:
-                return self._sessions[key]
-            except KeyError:
-                raise WarehouseError(
-                    f"no document {key!r} in collection {self._path}"
-                ) from None
+    def _no_document(self, key: str) -> WarehouseError:
+        return WarehouseError(f"no document {key!r} in collection {self._path}")
 
     def create_document(
         self,
@@ -412,44 +480,40 @@ class Collection:
         *,
         root: str | None = None,
         document: FuzzyTree | None = None,
-    ) -> Session:
+    ):
         """Add a new document under *key* (a fresh shard warehouse).
 
         Exactly like :func:`repro.connect` with ``create=True``: pass
         *document* (a :class:`FuzzyTree`) or *root* (the label of an
-        empty document root).
+        empty document root).  A bad key raises before anything is
+        written.  Returns the new shard's
+        :class:`~repro.api.session.Session` in thread mode, None in
+        process mode (the shard lives in another process).
         """
         self._check_open()
         _check_key(key)
-        with self._lock:
-            if key in self._sessions:
-                raise WarehouseError(f"document {key!r} already exists")
-            session = connect(
-                self._path / key,
-                create=True,
-                root=root,
-                document=document,
-                **self._session_options,
-            )
-            self._sessions[key] = session
-            self._sessions = dict(sorted(self._sessions.items()))
-        return session
+        # A duplicate is refused by the shard map that would host it.
+        return self._create(key, root, document)
 
     # ------------------------------------------------------------------
     # Updates (routed)
     # ------------------------------------------------------------------
 
     def update(
-        self, key: str, transaction, confidence: float | None = None
+        self, key: str, transaction, confidence: float | None = None, *, fault=None
     ) -> UpdateReport:
-        """Apply one update to document *key* and commit it durably."""
-        return self.document(key).update(transaction, confidence)
+        """Apply one update to document *key*; durable once returned.
+
+        *fault* is the process engine's test-only injection point,
+        ignored unless it was opened with ``fault_injection=True``.
+        """
+        return self._write(key, [transaction], False, confidence, fault)[0]
 
     def update_many(
         self, key: str, transactions, confidence: float | None = None
     ) -> list[UpdateReport]:
         """Apply a batch to document *key* as one commit."""
-        return self.document(key).update_many(transactions, confidence=confidence)
+        return self._write(key, transactions, True, confidence, None)
 
     # ------------------------------------------------------------------
     # Queries (fanned out)
@@ -470,16 +534,105 @@ class Collection:
         ``document`` field, when set, restricts the fan-out to that one
         shard.  The pattern is compiled once and shared across shards:
         patterns are immutable and every shard engine re-keys matches
-        onto its own plan anyway.
+        onto its own plan anyway.  A process collection streams
+        :class:`~repro.serve.cluster.ClusterRow` objects, no ``answers()``.
         """
         self._check_open()
         pattern, options, keys = resolve_query(query, options, keys)
+        known = self.keys()
         if keys is None:
-            keys = self.keys()
-        else:
-            for key in keys:
-                self.document(key)  # validate early, before the fan-out
+            keys = known
+        for key in keys:
+            if key not in known:
+                raise self._no_document(key)  # validate early, before the fan-out
         return FanoutResultSet(self, pattern, keys, options)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Per-document statistics, their totals and the engine's
+        accounting (``pool`` in thread mode, ``cluster`` in process mode)."""
+        self._check_open()
+        documents, accounting = self._stats()
+        totals = {"nodes": 0, "declared_events": 0, "read_sessions": 0, "sequence": 0}
+        for info in documents.values():
+            for name in totals:
+                totals[name] += info.get(name, 0)
+        return {
+            "documents": documents,
+            "document_count": len(documents),
+            "totals": totals,
+            **accounting,
+        }
+
+    def health(self, timeout: float = 2.0) -> dict:
+        """Per-shard liveness: ``{"shards": {key: shard_record}}``, one
+        shape on both engines.  A worker process that is dead or silent
+        for *timeout* seconds reports its keys ``alive: False`` — a
+        recovering shard is visible, not invisible; in-thread shards
+        have no supervisor, hence ``respawns`` is always 0 there.
+        """
+        self._check_open()
+        return {"shards": self._health(timeout)}
+
+    def __repr__(self) -> str:
+        state = "closed" if self._closed else f"{len(self)} documents"
+        return f"{type(self).__name__}({self._path}, {state})"
+
+
+class Collection(BaseCollection):
+    """N independent warehouses served from this process as one store
+    (see module docs): one :class:`ShardMap` owns every shard's
+    single-writer lock from open to :meth:`close`, and queries fan out
+    on a :class:`~repro.serve.pool.SessionPool`."""
+
+    def __init__(
+        self, path: Path, pool: SessionPool, session_options: dict
+    ) -> None:
+        super().__init__(path, pool)
+        self._shards = ShardMap(self._path, dict(session_options))
+        try:
+            for key in ShardMap.scan(self._path):
+                self._shards.open(key)
+        except BaseException:
+            self.close()
+            raise
+
+    @staticmethod
+    def is_collection(path: str | Path) -> bool:
+        """True when *path* holds a collection manifest."""
+        manifest = Path(path) / _MANIFEST
+        try:
+            payload = json.loads(manifest.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):
+            return False
+        return isinstance(payload, dict) and payload.get("format") == _FORMAT
+
+    def _shutdown(self) -> None:
+        self._pool.shutdown()
+        self._shards.close()
+
+    def _keys(self) -> list[str]:
+        return self._shards.keys()
+
+    def document(self, key: str) -> Session:
+        """The session serving document *key* (raises on unknown keys)."""
+        self._check_open()
+        session = self._shards.get(key)
+        if session is None:
+            raise self._no_document(key)
+        return session
+
+    def _create(self, key: str, root, document) -> Session:
+        return self._shards.create(key, root=root, document=document)
+
+    def _write(self, key, transactions, batch, confidence, fault):
+        session = self.document(key)
+        if batch:
+            return session.update_many(transactions, confidence=confidence)
+        return [session.update(*transactions, confidence)]
 
     def _shard_results(self, pattern, keys, options, what, seed):
         """:class:`FanoutResultSet`'s hook: one pool task per shard
@@ -557,49 +710,8 @@ class Collection:
             if metrics:
                 obs.metrics.observe("serve.fanout_seconds", total)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+    def _stats(self) -> tuple[dict, dict]:
+        return self._shards.stats(), {"pool": self._pool.stats()}
 
-    def stats(self) -> dict:
-        """Aggregate + per-document statistics and pool accounting."""
-        self._check_open()
-        with self._lock:
-            sessions = dict(self._sessions)
-        documents = {}
-        totals = {"nodes": 0, "declared_events": 0, "read_sessions": 0, "sequence": 0}
-        for key, session in sessions.items():
-            info = session.stats()
-            documents[key] = info
-            for name in totals:
-                totals[name] += info.get(name, 0)
-        return {
-            "documents": documents,
-            "document_count": len(documents),
-            "totals": totals,
-            "pool": self._pool.stats(),
-        }
-
-    def health(self) -> dict:
-        """Per-shard liveness: ``{"shards": {key: {...}}}``.
-
-        The same shape process mode reports, so ``/healthz`` and
-        ``serve-stats`` consumers never branch on the engine.  In-thread
-        shards have no supervisor, hence ``respawns`` is always 0.
-        """
-        self._check_open()
-        with self._lock:
-            sessions = dict(self._sessions)
-        shards = {}
-        for key, session in sessions.items():
-            info = session.warehouse.health()
-            shards[key] = {
-                "alive": bool(info.get("alive")),
-                "wal_depth": info.get("wal_depth"),
-                "respawns": 0,
-            }
-        return {"shards": shards}
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else f"{len(self._sessions)} documents"
-        return f"Collection({self._path}, {state})"
+    def _health(self, timeout: float) -> dict[str, dict]:
+        return {key: shard_record(info) for key, info in self._shards.health().items()}

@@ -2,8 +2,8 @@
 
 This module is everything about ``repro serve`` that is *not* sockets:
 request payload validation, query/update/stats execution against a
-:class:`~repro.api.session.Session` or
-:class:`~repro.serve.collection.Collection`, deterministic JSON
+:class:`~repro.api.session.Session` or either collection engine
+(:class:`~repro.serve.collection.BaseCollection`), deterministic JSON
 encoding of rows and reports, and the mapping from the library's error
 hierarchy to HTTP statuses.
 
@@ -46,8 +46,7 @@ from repro.errors import (
     WarehouseError,
     WarehouseLockedError,
 )
-from repro.serve.cluster import ProcessCollection
-from repro.serve.collection import Collection
+from repro.serve.collection import BaseCollection, shard_record
 from repro.updates.transaction import TransactionBatch
 from repro.xmlio.xupdate import updates_from_string
 
@@ -211,7 +210,7 @@ class Application:
 
     def __init__(self, target, *, own_target: bool = False) -> None:
         self._target = target
-        self._is_collection = isinstance(target, (Collection, ProcessCollection))
+        self._is_collection = isinstance(target, BaseCollection)
         self._own_target = own_target
 
     @property
@@ -343,16 +342,7 @@ class Application:
         if self._is_collection:
             payload = self._target.health()
         else:
-            info = self._target.warehouse.health()
-            payload = {
-                "shards": {
-                    "document": {
-                        "alive": bool(info.get("alive")),
-                        "wal_depth": info.get("wal_depth"),
-                        "respawns": 0,
-                    }
-                }
-            }
+            payload = {"shards": {"document": shard_record(self._target.warehouse.health())}}
         degraded = any(
             not shard["alive"] for shard in payload["shards"].values()
         )

@@ -527,14 +527,13 @@ def _open_target(
     *replication_factor* applies in process mode only.
     """
     if Collection.is_collection(path):
-        if shard_processes is not None:
-            return connect_collection(
-                path,
-                mode="process",
-                shard_processes=shard_processes,
-                replication_factor=replication_factor,
-            )
-        return connect_collection(path, workers=workers)
+        return connect_collection(
+            path,
+            workers=workers,
+            mode="thread" if shard_processes is None else "process",
+            shard_processes=shard_processes,
+            replication_factor=replication_factor,
+        )
     from repro.api import connect
 
     return connect(path)

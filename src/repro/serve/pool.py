@@ -4,10 +4,12 @@ The serving layer's unit of parallelism: a :class:`SessionPool` runs
 its own worker threads over a shared task queue with a hard worker
 bound, submission accounting (how many tasks are in flight, how many
 ever ran) and an idempotent, *hang-proof* shutdown.  One pool serves
-*all* shards of a :class:`~repro.serve.collection.Collection`, so a
-collection of a hundred documents still runs at most ``workers``
-concurrent shard queries — fan-out is bounded by the pool, not by the
-shard count.
+*all* shards of a collection, so a collection of a hundred documents
+still runs at most ``workers`` concurrent shard queries — fan-out is
+bounded by the pool, not by the shard count.  Both engines fan out on
+one: a thread :class:`~repro.serve.collection.Collection` runs a task
+per shard, a :class:`~repro.serve.cluster.ProcessCollection` (a pool
+``shard_processes`` wide) a task per worker process.
 
 The pool deliberately does not use
 :class:`~concurrent.futures.ThreadPoolExecutor`: executor threads are
@@ -31,13 +33,21 @@ from time import monotonic, perf_counter
 
 from repro.errors import WarehouseError
 
-__all__ = ["SessionPool", "default_workers"]
+__all__ = ["SessionPool", "check_count", "default_workers"]
 
 _logger = logging.getLogger("repro.serve")
 
 #: The sentinel a worker thread exits on (re-queued so one sentinel per
 #: worker suffices no matter which worker dequeues it first).
 _SHUTDOWN = object()
+
+
+def check_count(name: str, value) -> int:
+    """*value* when it is an int >= 1 (bools refused), else a
+    :class:`~repro.errors.WarehouseError` naming *name*."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise WarehouseError(f"{name} must be an int >= 1, got {value!r}")
+    return value
 
 
 def default_workers() -> int:
@@ -72,9 +82,7 @@ class SessionPool:
     def __init__(self, workers: int | None = None, observability=None) -> None:
         if workers is None:
             workers = default_workers()
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise WarehouseError(f"workers must be an int >= 1, got {workers!r}")
-        self._workers = workers
+        self._workers = check_count("workers", workers)
         self._obs = observability
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()

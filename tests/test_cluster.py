@@ -12,7 +12,9 @@ the runner.
 from __future__ import annotations
 
 import dataclasses
+import shutil
 import struct
+import threading
 import time
 import zlib
 from contextlib import contextmanager
@@ -22,7 +24,10 @@ import pytest
 
 import repro
 from repro.errors import QueryError, ShardUnavailableError, UpdateError, WarehouseError
+from repro.obs import Observability
 from repro.serve import Collection, ProcessCollection, connect_collection
+from repro.serve.cluster.worker import _Worker
+from repro.serve.collection import ShardMap
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import (
     FRAME_FORMAT_VERSION,
@@ -726,3 +731,165 @@ class TestRingChanges:
         ) as cluster:
             with pytest.raises(WarehouseError, match="last worker"):
                 cluster.remove_worker("w0")
+
+# ----------------------------------------------------------------------
+# One collection front over both engines
+# ----------------------------------------------------------------------
+
+ENGINES = ("thread", "process")
+BAD_KEYS = ("a/b", ".hidden", "../escape", "", 42)
+
+
+@pytest.fixture(scope="module")
+def admin_store(tmp_path_factory):
+    """A seeded collection the admin contract reads but never changes."""
+    path = tmp_path_factory.mktemp("admin") / "coll"
+    _seed_collection(path)
+    return path
+
+
+@pytest.fixture(scope="module", params=ENGINES)
+def admin(request, admin_store):
+    """One open collection per engine, shared by the contract tests."""
+    with _open_surface(request.param, admin_store, "alice") as collection:
+        yield collection
+
+
+def _tree(root) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+class TestCollectionContract:
+    """keys / create / update / query / stats / health / close answer the
+    same way on both engines: they are written once, on the front."""
+
+    @pytest.mark.timeout(180)
+    def test_keys_len_and_membership(self, admin):
+        assert admin.keys() == sorted(KEYS)
+        assert len(admin) == len(KEYS)
+        assert "alice" in admin and "mallory" not in admin
+
+    @pytest.mark.timeout(180)
+    def test_duplicate_create_is_refused(self, admin):
+        with pytest.raises(WarehouseError, match="document 'alice' already exists"):
+            admin.create_document("alice", root="person")
+        assert admin.keys() == sorted(KEYS)
+
+    @pytest.mark.timeout(180)
+    def test_unknown_keys_raise_the_same_error(self, admin, admin_store):
+        message = f"no document 'mallory' in collection {admin_store}"
+        calls = (
+            lambda: admin.update("mallory", _insert_email("m@x")),
+            lambda: admin.update_many("mallory", [_insert_email("m@x")]),
+            lambda: admin.query(_PATTERN, keys=["alice", "mallory"]),
+        )
+        for call in calls:
+            with pytest.raises(WarehouseError) as excinfo:
+                call()
+            assert type(excinfo.value) is WarehouseError
+            assert str(excinfo.value) == message
+
+    @pytest.mark.timeout(180)
+    def test_stats_shape(self, admin):
+        stats = admin.stats()
+        documents = stats["documents"]
+        assert sorted(documents) == sorted(KEYS)
+        assert stats["document_count"] == len(KEYS)
+        # One commit for the create, three for the seeded updates.
+        assert {key: info["sequence"] for key, info in documents.items()} == {
+            key: 4 for key in KEYS
+        }
+        for name, total in stats["totals"].items():
+            assert total == sum(info.get(name, 0) for info in documents.values())
+        assert stats["totals"]["sequence"] == 4 * len(KEYS)
+
+    @pytest.mark.timeout(180)
+    def test_health_record_shape(self, admin):
+        shards = admin.health()["shards"]
+        assert sorted(shards) == sorted(KEYS)
+        for record in shards.values():
+            assert record.keys() == {"alive", "wal_depth", "respawns"}
+            assert record["alive"] is True and record["respawns"] == 0
+            assert isinstance(record["wal_depth"], int)
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
+    def test_bad_keys_are_refused_before_touching_disk(self, admin, key):
+        outside = admin.path.parent
+        before = _tree(outside)
+        with pytest.raises(WarehouseError, match="invalid document key"):
+            admin.create_document(key, root="person")
+        assert admin.keys() == sorted(KEYS)
+        assert _tree(outside) == before
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_closed_collection_holds_no_documents(self, kind, tmp_path):
+        path = _fresh_store(tmp_path / "coll")
+        with _open_surface(kind, path, "doc") as collection:
+            assert collection.keys() == ["doc"]
+            collection.close()
+            assert collection.keys() == [] and len(collection) == 0
+            assert "doc" not in collection
+            for call in (
+                lambda: collection.query("//b"),
+                lambda: collection.update("doc", _insert_under_a("x")),
+                lambda: collection.update_many("doc", []),
+                lambda: collection.create_document("new", root="a"),
+                collection.stats,
+                collection.health,
+            ):
+                with pytest.raises(WarehouseError, match="collection is closed"):
+                    call()
+            collection.close()  # idempotent
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_both_engines_discover_shards_by_one_rule(self, kind, tmp_path):
+        path = _fresh_store(tmp_path / "coll")
+        shutil.copytree(path / "doc", path / ".hidden")
+        with pytest.raises(WarehouseError, match="invalid document key '.hidden'"):
+            with _open_surface(kind, path, "doc"):
+                pass
+
+
+class TestOneShardMapOnePool:
+    """Structural guards: every shard opens through the one map, and
+    process fan-out runs on the collection's pool."""
+
+    def test_every_shard_opens_through_the_shard_map(self, tmp_path, monkeypatch):
+        path = _fresh_store(tmp_path / "coll")
+
+        def refuse(self, key):
+            raise RuntimeError(f"shard map refused {key}")
+
+        monkeypatch.setattr(ShardMap, "open", refuse)
+        with pytest.raises(RuntimeError, match="refused doc"):
+            connect_collection(path)
+        worker = _Worker(path, {})
+        try:
+            with pytest.raises(RuntimeError, match="refused doc"):
+                worker.open_shard("doc")
+        finally:
+            worker.close_all()
+
+    @pytest.mark.timeout(180)
+    def test_process_fanout_runs_on_the_pool(self, seeded, monkeypatch):
+        panel = Observability()
+        with ProcessCollection(seeded, shard_processes=2, observability=panel) as cluster:
+            assert all(info["keys"] for info in cluster.workers().values())
+            waits = panel.metrics.histogram("serve.queue_wait_seconds")
+            before = waits.count
+            started = []
+            start = threading.Thread.start
+
+            def counting(thread):
+                started.append(thread.name)
+                return start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", counting)
+            for _ in range(20):
+                assert cluster.query(_PATTERN).count() == len(KEYS) * 3
+            monkeypatch.undo()
+            assert waits.count - before == 40
+            assert started == []
