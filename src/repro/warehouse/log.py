@@ -99,32 +99,7 @@ class TransactionLog:
         before the tail is left for :meth:`entries` to report.  Returns
         True when a tail was discarded.
         """
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return False
-        if not raw:
-            return False
-        lines = raw.split(b"\n")
-        trailing_newline = lines[-1] == b""
-        if trailing_newline:
-            lines.pop()
-        if not lines:
-            return False
-        tail = lines[-1]
-        torn = not trailing_newline
-        if not torn and tail.strip():
-            try:
-                json.loads(tail.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                torn = True
-        if not torn:
-            return False
-        keep = b"".join(line + b"\n" for line in lines[:-1])
-        tmp_path = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp_path.write_bytes(keep)
-        os.replace(tmp_path, self.path)
-        return True
+        return _discard_torn_tail(self.path, unparseable_is_torn=True)
 
 
 class WriteAheadLog:
@@ -155,28 +130,21 @@ class WriteAheadLog:
     def records(self) -> tuple[list[dict], str | None]:
         """All intact records plus a note when a torn tail was discarded.
 
-        The last line of the file may be a partial write from a crash
-        mid-append; it is dropped (the commit never finished, so it was
-        never acknowledged).  Any malformed record *before* the last
-        line means acknowledged data was damaged and raises
-        :class:`WarehouseCorruptError`.
+        A record's newline is its last byte, written with the record in
+        one append: bytes after the last newline are a partial write
+        from a crash mid-append, dropped (the commit never finished, so
+        it was never acknowledged).  A newline-terminated record that
+        fails to verify is acknowledged data gone bad and raises
+        :class:`WarehouseCorruptError` wherever it sits.
         """
         if not self.path.exists():
             return [], None
         with open(self.path, "rb") as handle:
             raw = handle.read()
         lines = raw.split(b"\n")
-        # A record's newline is its last byte, written with the record
-        # in one append: a partial (torn) write can therefore never end
-        # in a newline.  A newline-terminated final record that fails
-        # below is *complete but rotten* — acknowledged data — and
-        # raises like any mid-file damage.
-        ended_complete = raw.endswith(b"\n")
-        torn: str | None = None
-        if lines and lines[-1] == b"":
-            lines.pop()
+        tail = lines.pop()
+        torn = f"discarded torn WAL tail (line {len(lines) + 1})" if tail else None
         records: list[dict] = []
-        last_index = len(lines) - 1
         for index, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -199,9 +167,6 @@ class WriteAheadLog:
                 ):
                     problem = "record checksum mismatch"
             if problem is not None:
-                if index == last_index and not ended_complete:
-                    torn = f"discarded torn WAL tail (line {index + 1}): {problem}"
-                    break
                 raise WarehouseCorruptError(
                     f"corrupt WAL record at line {index + 1} in {self.path}: {problem}"
                 )
@@ -239,17 +204,16 @@ class WriteAheadLog:
         except FileNotFoundError:
             return 0
 
+    def discard_torn_tail(self) -> bool:
+        """Truncate a torn final record (see :meth:`records`); True when
+        one was dropped.  Otherwise the next append would land behind
+        the torn bytes, on their line, and read back as mid-file damage."""
+        return _discard_torn_tail(self.path)
+
     def reset(self) -> None:
         """Atomically empty the log (after its records were folded into
         a snapshot)."""
-        tmp_path = self.path.with_suffix(self.path.suffix + ".tmp")
-        fd = os.open(tmp_path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp_path, self.path)
-        _fsync_directory(self.path.parent)
+        _atomic_write(self.path, b"")
 
 
 def _record_digest(body: dict) -> str:
@@ -268,3 +232,50 @@ def _fsync_directory(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _atomic_write(path: Path, payload: bytes) -> None:
+    """Replace *path* with *payload* durably: write and fsync a temporary
+    file, rename it over *path*, then sync the directory entry."""
+    tmp_path = path.with_suffix(path.suffix + ".tmp")
+    fd = os.open(tmp_path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
+    try:
+        os.write(fd, payload)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(tmp_path, path)
+    # The rename is not durable until the directory entry is synced.
+    _fsync_directory(path.parent)
+
+
+def _discard_torn_tail(path: Path, unparseable_is_torn: bool = False) -> bool:
+    """Cut *path* back to before its torn final line; True when cut.
+
+    An append writes its newline last, so bytes after the last newline
+    are always torn; with *unparseable_is_torn* a complete final line
+    that is not JSON is torn too.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    if not raw:
+        return False
+    if raw.endswith(b"\n"):
+        keep = raw[: raw.rfind(b"\n", 0, len(raw) - 1) + 1]
+        tail = raw[len(keep) :].strip()
+        if not (unparseable_is_torn and tail and not _parses(tail)):
+            return False
+    else:
+        keep = raw[: raw.rfind(b"\n") + 1]
+    _atomic_write(path, keep)
+    return True
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        json.loads(line.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return False
+    return True

@@ -36,7 +36,7 @@ import os
 from pathlib import Path
 
 from repro.errors import WarehouseCorruptError, WarehouseError, WarehouseLockedError
-from repro.warehouse.log import _fsync_directory
+from repro.warehouse.log import _atomic_write
 
 __all__ = ["Storage"]
 
@@ -205,38 +205,44 @@ class Storage:
 
         *binary* is the optional compact binary image of the same
         snapshot (see :mod:`repro.warehouse.snapshot_binary`): written
-        alongside the XML with its own checksum recorded in the
-        metadata, removed when None so a stale image can never outlive
-        the XML snapshot it mirrored.  The XML stays the authoritative
-        copy — readers fall back to it whenever the binary image is
-        missing or damaged.
+        with its own checksum recorded in the metadata, removed when
+        None so a stale image can never outlive the XML snapshot it
+        mirrored.  The XML stays the authoritative copy — readers fall
+        back to it whenever the binary image is missing or damaged.
+
+        ``meta.json`` is the commit point: the XML is written before it
+        and the image after it.  A crash before the metadata lands
+        leaves the old metadata matching the old image (the warehouse
+        writes one with every snapshot); once it lands, the new
+        metadata rejects the old image and the new XML is read.  Either
+        way a reopen finds one consistent snapshot.
         """
         self.initialize()
         payload = xml_text.encode("utf-8")
-        digest = hashlib.sha256(payload).hexdigest()
-        _atomic_write(self.document_path, payload)
         meta = {
-            "sha256": digest,
+            "sha256": hashlib.sha256(payload).hexdigest(),
             "sequence": sequence,
             "bytes": len(payload),
             "format": "repro-probabilistic-xml-v1",
         }
         if binary is not None:
-            _atomic_write(self.binary_path, binary)
             meta["binary"] = {
                 "sha256": hashlib.sha256(binary).hexdigest(),
                 "bytes": len(binary),
             }
+        if extra_meta:
+            meta.update(extra_meta)
+        _atomic_write(self.document_path, payload)
+        _atomic_write(
+            self.meta_path, json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
+        )
+        if binary is not None:
+            _atomic_write(self.binary_path, binary)
         else:
             try:
                 self.binary_path.unlink()
             except FileNotFoundError:
                 pass
-        if extra_meta:
-            meta.update(extra_meta)
-        _atomic_write(
-            self.meta_path, json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")
-        )
 
     def read_document(self) -> tuple[str, int]:
         """Read and verify the committed document; returns (xml, sequence)."""
@@ -288,19 +294,6 @@ class Storage:
             ) from None
         except json.JSONDecodeError as exc:
             raise WarehouseCorruptError(f"corrupt metadata file: {exc}") from exc
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    fd = os.open(tmp_path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
-    try:
-        os.write(fd, payload)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp_path, path)
-    # The rename is not durable until the directory entry is synced.
-    _fsync_directory(path.parent)
 
 
 def _pid_alive(pid: int) -> bool:

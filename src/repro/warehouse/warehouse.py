@@ -28,6 +28,10 @@ past the policy's thresholds (or on :meth:`compact` / :meth:`close`).
 sequence.  ``CommitPolicy(snapshot_every=1)`` restores the historical
 full-rewrite behaviour (every commit is its own snapshot).
 
+A commit happens or it does not: after any failed update, batch or
+simplify commit the handle runs :meth:`open`'s recovery routine and
+serves exactly what a reopen would read (see :meth:`_committing`).
+
 A warehouse handle owns the single-writer lock from open to close; use
 it as a context manager.
 
@@ -225,10 +229,6 @@ class Warehouse:
         self._policy = policy or CommitPolicy()
         self._snapshot_sequence = sequence
         self._commits_since_snapshot = 0
-        # Set when a failed WAL append may have left in-memory mutations
-        # with no durable trace: the next commit must snapshot so the
-        # on-disk state heals (the seed full-rewrite behaviour).
-        self._snapshot_due = False
         self._match_config = match_config
         self._auto_simplify_factor = auto_simplify_factor
         self._baseline_size = document.size()
@@ -308,11 +308,11 @@ class Warehouse:
     ) -> "Warehouse":
         """Open an existing warehouse, taking the writer lock.
 
-        Recovery: the snapshot is loaded, then every intact WAL record
-        past the snapshot's sequence is replayed against it (a torn
-        tail record — a crash mid-append — is discarded; corruption
-        anywhere else raises
-        :class:`~repro.errors.WarehouseCorruptError`).  Audit-log
+        Recovery (:func:`_recover`, which a failed commit runs too):
+        the snapshot is loaded, then every intact WAL record past the
+        snapshot's sequence is replayed against it (a torn tail record
+        — a crash mid-append — is discarded; corruption anywhere else
+        raises :class:`~repro.errors.WarehouseCorruptError`).  Audit-log
         entries missing for replayed commits are reconstructed.
 
         When the snapshot carries a binary image
@@ -328,75 +328,23 @@ class Warehouse:
         obs = _resolve_observability(observability)
         storage.acquire_lock()
         try:
-            document, snapshot_sequence = cls._load_snapshot(storage, obs)
-            meta = storage.read_meta()
-            fresh_counter = meta.get("fresh_counter")
-            if isinstance(fresh_counter, int):
-                document.events.advance_fresh_counter(fresh_counter)
-            wal = WriteAheadLog(storage.path)
-            records, _torn = wal.replayable(snapshot_sequence)
-            t_replay = perf_counter() if obs is not None else 0.0
-            replayed = [
-                (record, _replay_record(document, record, match_config))
-                for record in records
-            ]
-            if obs is not None:
-                obs.metrics.observe(
-                    "warehouse.recovery_seconds", perf_counter() - t_replay
-                )
-                if records:
-                    obs.metrics.incr(
-                        "warehouse.recovery_replayed_records", len(records)
-                    )
-            sequence = records[-1]["sequence"] if records else snapshot_sequence
+            document, snapshot_sequence, replayed = _recover(storage, match_config, obs)
             warehouse = cls(
                 storage,
                 document,
-                sequence,
+                snapshot_sequence + len(replayed),
                 match_config=match_config,
                 auto_simplify_factor=auto_simplify_factor,
                 policy=policy,
                 observability=obs,
             )
             warehouse._snapshot_sequence = snapshot_sequence
-            warehouse._commits_since_snapshot = len(records)
+            warehouse._commits_since_snapshot = len(replayed)
             warehouse._reconcile_audit_log(replayed)
         except BaseException:
             storage.release_lock()
             raise
         return warehouse
-
-    @classmethod
-    def _load_snapshot(cls, storage: Storage, obs) -> tuple[FuzzyTree, int]:
-        """Load the snapshot, preferring the binary image over the XML.
-
-        The binary image must decode cleanly *and* carry the sequence
-        the metadata records — anything else (damage, truncation, a
-        stale image from an interrupted snapshot write) falls back to
-        the authoritative XML copy.
-        """
-        fallback = False
-        payload = None
-        try:
-            payload = storage.read_binary()
-        except WarehouseCorruptError:
-            fallback = True
-        if payload is not None:
-            try:
-                document, binary_sequence = load_binary(payload)
-            except WarehouseCorruptError:
-                fallback = True
-            else:
-                meta = storage.read_meta()
-                if binary_sequence == int(meta.get("sequence", 0)):
-                    if obs is not None:
-                        obs.metrics.incr("warehouse.binary_snapshot_loads")
-                    return document, binary_sequence
-                fallback = True
-        if fallback and obs is not None:
-            obs.metrics.incr("warehouse.binary_snapshot_fallbacks")
-        xml_text, snapshot_sequence = storage.read_document()
-        return fuzzy_from_string(xml_text), snapshot_sequence
 
     def close(self) -> None:
         """Fold pending WAL records into a final snapshot (per policy),
@@ -409,7 +357,7 @@ class Warehouse:
                 if (
                     self._policy.compact_on_close
                     and not self._policy.full_rewrite
-                    and (self._commits_since_snapshot > 0 or self._snapshot_due)
+                    and self._commits_since_snapshot > 0
                 ):
                     self._write_snapshot()
             finally:
@@ -736,9 +684,12 @@ class Warehouse:
             wal_payload["honor_negation"] = config.honor_negation
             self._commit(kind, _audit_entry(kind, outcomes), wal_payload, delta)
             factor = self._auto_simplify_factor
-            if factor is not None and self._document.size() > factor * self._baseline_size:
-                self.simplify()
-            return [report for _, _, report in outcomes]
+            grown = factor is not None and self._document.size() > factor * self._baseline_size
+        if grown:
+            # Its own commit, after this one's block: a failed simplify
+            # restores once, to a state that includes this commit.
+            self.simplify()
+        return [report for _, _, report in outcomes]
 
     def simplify(self) -> SimplifyReport:
         """Run fuzzy-data simplification and commit the smaller document.
@@ -765,11 +716,7 @@ class Warehouse:
         with self._write_lock:
             self._check_open()
             folded = self._commits_since_snapshot
-            if (
-                folded > 0
-                or self._snapshot_due
-                or self._snapshot_sequence != self._sequence
-            ):
+            if folded > 0:
                 self._write_snapshot()
             return {
                 "sequence": self._sequence,
@@ -779,8 +726,11 @@ class Warehouse:
 
     @contextmanager
     def _committing(self, kind: str, **attributes):
-        """What every mutating commit runs under: the write lock, the
-        open check and (when tracing) the ``commit`` span."""
+        """What every update, batch and simplify commit runs under: the
+        write lock, the open check, (when tracing) the ``commit`` span,
+        and the one failure rule — on any exception the handle restores
+        what a reopen would read (a record that reached the WAL is a
+        durable commit, so that includes it) and re-raises."""
         with self._write_lock:
             self._check_open()
             obs = self._obs
@@ -791,36 +741,53 @@ class Warehouse:
             )
             try:
                 yield
+            except BaseException:
+                self._restore()
+                raise
             finally:
                 if span is not None:
                     obs.tracer.finish(span)
 
-    def _apply_in_place(self, mutate):
-        """Run an in-place document mutation, healing on failure.
+    def _restore(self) -> None:
+        """Swap in what a reopen would read, after a failed commit.
 
-        When the mutation raises partway (e.g. a batch member rejected
-        after earlier members applied), the in-memory document may hold
-        changes with no durable trace.  Later WAL records would then
-        replay against a different base than they were written on —
-        bricking recovery — so the next commit is forced to snapshot
-        (folding whatever state the document is in, exactly as the seed
-        full-rewrite path did) and the engine drops possibly-stale
-        statistics.
-        """
+        Pinned readers keep their generations (copy-on-write detached
+        them before the mutation); the recovered event table draws a
+        fresh probability generation, so no Shannon memo entry keyed on
+        the discarded one is hit again.  The best-effort audit log is
+        left for :meth:`open` to reconcile.  If recovery itself fails
+        the handle closes rather than serve an unknown state."""
+        try:
+            document, snapshot_sequence, replayed = _recover(
+                self._storage, self._match_config, self._obs
+            )
+        except BaseException as exc:
+            self._closed = True
+            self._storage.release_lock()
+            if not isinstance(exc, Exception):
+                raise  # an interrupt stays an interrupt
+            raise WarehouseCorruptError(
+                f"could not restore {self._storage.path} after a failed "
+                "commit; the handle is closed"
+            ) from exc
+        self._document = document
+        self._sequence = snapshot_sequence + len(replayed)
+        self._snapshot_sequence = snapshot_sequence
+        self._commits_since_snapshot = len(replayed)
+        self._engine.invalidate()
+
+    def _apply_in_place(self, mutate):
+        """Run an in-place mutation of the live document, after
+        copy-on-write has detached any pinned readers from it."""
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         t0 = perf_counter() if tracing else 0.0
         self._detach_pinned_readers()
-        try:
-            # The engine guard serializes the mutation against a
-            # concurrent reader's statistics recollection, which walks
-            # the live root (see QueryEngine.mutating).
-            with self._engine.mutating():
-                result = mutate()
-        except BaseException:
-            self._snapshot_due = True
-            self._engine.invalidate()
-            raise
+        # The engine guard serializes the mutation against a concurrent
+        # reader's statistics recollection, which walks the live root
+        # (see QueryEngine.mutating).
+        with self._engine.mutating():
+            result = mutate()
         if tracing:
             obs.tracer.emit("apply", perf_counter() - t0)
         return result
@@ -852,76 +819,41 @@ class Warehouse:
         tracing = obs is not None and obs.tracer.enabled
         t_commit = perf_counter() if obs is not None else 0.0
         self._sequence += 1
-        try:
-            if wal_payload is None or self._policy.full_rewrite or self._snapshot_due:
-                # Non-replayable commits (create, simplify), the
-                # full-rewrite policy, and healing after a failed append
-                # snapshot directly.  The audit log needs its own fsync
-                # here: the snapshot carries no replayable trace to
-                # rebuild the entry from.
-                try:
-                    self._write_snapshot()
-                except BaseException:
-                    if self._snapshot_sequence != self._sequence:
-                        # The snapshot never became durable: roll the
-                        # sequence back (a later WAL append must not
-                        # leave a gap) and keep the heal flag — the
-                        # in-memory document still has mutations with
-                        # no durable trace.  (A failure *after* the
-                        # snapshot write — the WAL reset — leaves the
-                        # commit durable; the sequence stands.)
-                        self._sequence -= 1
-                        self._snapshot_due = True
-                    raise
-                self._log.append(kind, self._sequence, payload, fsync=True)
-            else:
-                try:
-                    t_wal = perf_counter() if obs is not None else 0.0
-                    self._wal.append(kind, self._sequence, wal_payload)
-                    if obs is not None:
-                        appended = perf_counter() - t_wal
-                        if tracing:
-                            obs.tracer.emit("wal_append", appended)
-                        obs.metrics.observe(
-                            "warehouse.wal_append_seconds", appended
-                        )
-                except BaseException:
-                    # The commit was not acknowledged: roll the sequence
-                    # back (no WAL gap), but the in-memory document
-                    # already mutated with no durable trace — force the
-                    # next commit to snapshot.
-                    self._sequence -= 1
-                    self._snapshot_due = True
-                    raise
-                self._commits_since_snapshot += 1
-                compacting = (
-                    self._commits_since_snapshot >= self._policy.snapshot_every
-                    or self._wal.size_bytes() >= self._policy.wal_bytes_limit
-                )
-                # Audit before any compaction: a threshold snapshot
-                # resets the WAL, and a crash after that reset could
-                # never rebuild a not-yet-written audit entry.  While
-                # the record is still in the WAL the append can stay
-                # un-fsynced (recovery reconstructs it); when this
-                # commit folds the WAL away, the entry must hit disk
-                # first.  Failures past this point leave the commit
-                # durable in the WAL, so the sequence stands.
-                self._log.append(kind, self._sequence, payload, fsync=compacting)
-                if compacting:
-                    self._write_snapshot()
+        if wal_payload is None or self._policy.full_rewrite:
+            # Non-replayable commits (create, simplify) and the
+            # full-rewrite policy snapshot directly.  The audit log
+            # needs its own fsync here: the snapshot carries no
+            # replayable trace to rebuild the entry from.
+            self._write_snapshot()
+            self._log.append(kind, self._sequence, payload, fsync=True)
+        else:
+            t_wal = perf_counter() if obs is not None else 0.0
+            self._wal.append(kind, self._sequence, wal_payload)
             if obs is not None:
-                obs.metrics.incr("warehouse.commits")
-                obs.metrics.incr(f"warehouse.commits.{kind}")
-                obs.metrics.observe(
-                    "warehouse.commit_seconds", perf_counter() - t_commit
-                )
-                self._observe_gauges(obs)
-        finally:
-            # Feed the commit's structural delta to the engine even on
-            # failure paths: the delta describes the in-memory mutation,
-            # which happened whether or not persistence succeeded, and a
-            # stale cached walk would serve wrong query results.
-            self._engine.apply_delta(delta)
+                appended = perf_counter() - t_wal
+                if tracing:
+                    obs.tracer.emit("wal_append", appended)
+                obs.metrics.observe("warehouse.wal_append_seconds", appended)
+            self._commits_since_snapshot += 1
+            compacting = (
+                self._commits_since_snapshot >= self._policy.snapshot_every
+                or self._wal.size_bytes() >= self._policy.wal_bytes_limit
+            )
+            # Audit before any compaction: a threshold snapshot resets
+            # the WAL, and a crash after that reset could never rebuild
+            # a not-yet-written audit entry.  While the record is still
+            # in the WAL the append can stay un-fsynced (recovery
+            # reconstructs it); when this commit folds the WAL away, the
+            # entry must hit disk first.
+            self._log.append(kind, self._sequence, payload, fsync=compacting)
+            if compacting:
+                self._write_snapshot()
+        if obs is not None:
+            obs.metrics.incr("warehouse.commits")
+            obs.metrics.incr(f"warehouse.commits.{kind}")
+            obs.metrics.observe("warehouse.commit_seconds", perf_counter() - t_commit)
+            self._observe_gauges(obs)
+        self._engine.apply_delta(delta)
 
     def _write_snapshot(self) -> None:
         obs = self._obs
@@ -939,7 +871,6 @@ class Warehouse:
         # skipped by recovery anyway).
         self._snapshot_sequence = self._sequence
         self._commits_since_snapshot = 0
-        self._snapshot_due = False
         self._wal.reset()
         if obs is not None:
             written = perf_counter() - t0
@@ -1030,6 +961,64 @@ def _audit_entry(kind: str, outcomes: list[tuple], replayed: bool = False) -> di
     if replayed:
         entry["replayed"] = True
     return entry
+
+
+def _recover(storage: Storage, match_config: MatchConfig, obs) -> tuple:
+    """The durable state as ``(document, snapshot_sequence, replayed)``,
+    one ``(record, outcomes)`` pair per replayed WAL record: the one
+    recovery routine (see :meth:`Warehouse.open`), run after a failed
+    commit too.  A torn WAL tail is truncated so the next append starts
+    on a line of its own."""
+    document, snapshot_sequence = _load_snapshot(storage, obs)
+    fresh_counter = storage.read_meta().get("fresh_counter")
+    if isinstance(fresh_counter, int):
+        document.events.advance_fresh_counter(fresh_counter)
+    wal = WriteAheadLog(storage.path)
+    records, torn = wal.replayable(snapshot_sequence)
+    if torn:
+        wal.discard_torn_tail()
+    t_replay = perf_counter() if obs is not None else 0.0
+    replayed = [
+        (record, _replay_record(document, record, match_config))
+        for record in records
+    ]
+    if obs is not None:
+        obs.metrics.observe("warehouse.recovery_seconds", perf_counter() - t_replay)
+        if records:
+            obs.metrics.incr("warehouse.recovery_replayed_records", len(records))
+    return document, snapshot_sequence, replayed
+
+
+def _load_snapshot(storage: Storage, obs) -> tuple[FuzzyTree, int]:
+    """Load the snapshot, preferring the binary image over the XML.
+
+    The binary image must decode cleanly *and* carry the sequence the
+    metadata records — anything else (damage, truncation, a stale image
+    from an interrupted snapshot write) falls back to the authoritative
+    XML copy.
+    """
+    fallback = False
+    payload = None
+    try:
+        payload = storage.read_binary()
+    except WarehouseCorruptError:
+        fallback = True
+    if payload is not None:
+        try:
+            document, binary_sequence = load_binary(payload)
+        except WarehouseCorruptError:
+            fallback = True
+        else:
+            meta = storage.read_meta()
+            if binary_sequence == int(meta.get("sequence", 0)):
+                if obs is not None:
+                    obs.metrics.incr("warehouse.binary_snapshot_loads")
+                return document, binary_sequence
+            fallback = True
+    if fallback and obs is not None:
+        obs.metrics.incr("warehouse.binary_snapshot_fallbacks")
+    xml_text, snapshot_sequence = storage.read_document()
+    return fuzzy_from_string(xml_text), snapshot_sequence
 
 
 def _replay_record(

@@ -26,7 +26,7 @@ import repro
 from repro.errors import QueryError, ShardUnavailableError, UpdateError, WarehouseError
 from repro.obs import Observability
 from repro.serve import Collection, ProcessCollection, connect_collection
-from repro.serve.cluster.worker import _Worker
+from repro.serve.cluster.worker import REPLICA_DIR, _Worker
 from repro.serve.collection import ShardMap
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import (
@@ -409,12 +409,21 @@ class TestWriteContract:
             untouched = live() if shard else None
             with pytest.raises(UpdateError, match="document root"):
                 source.update(*route, rejected)
+            # A batch refused at member 2, after member 1 applied: the
+            # whole batch is undone, on the live handle too.
+            with pytest.raises(UpdateError, match="document root"):
+                source.update_many(*route, [_insert_under_a("kept"), rejected])
             if shard:
                 assert live() == untouched
+                shard.compact()
             rows = source.query("//*").all()
-            assert rows and not any("phantom" in row.tree.canonical() for row in rows)
+            assert rows and not any(
+                label in row.tree.canonical()
+                for row in rows
+                for label in ("phantom", "kept")
+            )
             good = source.update(*route, _insert_under_a("real"))
-            assert good.confidence_event == "w1"  # the refused update minted nothing
+            assert good.confidence_event == "w1"  # the refused updates minted nothing
         assert _disk_state(path) == {
             "document": "a(b,real[w1])",
             "events": {"w1": 0.5},
@@ -422,6 +431,33 @@ class TestWriteContract:
             "sequence": before["sequence"] + 1,
             "history": before["history"] + [("update", "w1")],
         }
+
+    @pytest.mark.timeout(180)
+    def test_rejected_batch_leaves_primary_and_replica_equal(self, tmp_path):
+        """R=2: a batch refused at member 2, then one good update.  The
+        primary must not keep the refused member's insert, or ``w1``
+        would name different events on the primary and the replica
+        while both report the same sequence."""
+        path = _fresh_store(tmp_path / "coll")
+        with ProcessCollection(
+            path, shard_processes=2, replication_factor=2, observability=None
+        ) as cluster:
+            cluster.await_replication(60.0)
+            rejected = _insert_under_a("phantom").delete("x")
+            with pytest.raises(UpdateError, match="document root"):
+                cluster.update_many("doc", [_insert_under_a("kept"), rejected])
+            cluster.update("doc", _insert_under_a("real"))
+            cluster.await_replication(60.0)
+            replica = cluster.replicas_of("doc")[1]
+
+        def copy_state(root):
+            state = _disk_state(root)
+            del state["history"]  # the audit log is per copy
+            return state
+
+        primary = copy_state(path)
+        assert copy_state(path / REPLICA_DIR / replica) == primary
+        assert primary["document"] == "a(b,real[w1])"
 
     @pytest.mark.timeout(180)
     def test_single_batch_and_empty_batch_agree_everywhere(self, tmp_path):

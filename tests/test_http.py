@@ -278,12 +278,20 @@ class TestUpdateAndStats:
             '<xu:insert anchor="p"><phantom /></xu:insert>'
             '<xu:delete target="p" /></xu:modifications>'
         )
+        # A batch refused at member 2, after member 1 applied.
+        rejected_batch = (
+            '<xu:batch xmlns:xu="urn:repro:xupdate">'
+            + _insert_email_xml("kept@x")
+            + rejected
+            + "</xu:batch>"
+        )
         with ServerThread(path) as handle:
-            status, _, body = _request(
-                handle.port, "POST", "/update", {"xupdate": rejected}
-            )
-            assert status == 400
-            assert json.loads(body)["error"]["family"] == "UpdateError"
+            for xupdate in (rejected, rejected_batch):
+                status, _, body = _request(
+                    handle.port, "POST", "/update", {"xupdate": xupdate}
+                )
+                assert status == 400
+                assert json.loads(body)["error"]["family"] == "UpdateError"
             status, _, body = _request(
                 handle.port, "POST", "/query", {"pattern": "//*"}
             )
@@ -291,7 +299,7 @@ class TestUpdateAndStats:
             status, _, body = _request(
                 handle.port, "POST", "/update", {"xupdate": _insert_email_xml("a@x")}
             )
-            # The refused transaction minted no confidence event.
+            # The refused transactions minted no confidence event.
             assert json.loads(body)["report"]["confidence_event"] == "w1"
         with repro.connect(path) as session:
             assert session.document.root.canonical() == "person(email='a@x'[w1])"

@@ -22,18 +22,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import (
+    DeleteOperation,
     InsertOperation,
     UpdateTransaction,
     collect_stats,
 )
 from repro.tpwj.parser import parse_pattern
-from repro.errors import WarehouseCorruptError, WarehouseLockedError
+from repro.errors import UpdateError, WarehouseCorruptError, WarehouseLockedError
 from repro.trees import tree
 from repro.trees.random import RandomTreeConfig
 from repro.warehouse import CommitPolicy, Storage, Warehouse, WriteAheadLog
 from repro.warehouse.log import TransactionLog, _record_digest
 from repro.warehouse import storage as storage_module
+from repro.warehouse import warehouse as warehouse_module
 from repro.workloads import FuzzyWorkloadConfig, random_fuzzy_tree, random_update_for
 
 
@@ -51,9 +54,30 @@ def _kill(warehouse: Warehouse) -> None:
     warehouse._closed = True
 
 
-def _insert_tx(confidence: float = 0.5) -> UpdateTransaction:
+def _insert_tx(confidence: float = 0.5, label: str = "N") -> UpdateTransaction:
     return UpdateTransaction(
-        parse_pattern("C[$c]"), [InsertOperation("c", tree("N"))], confidence
+        parse_pattern("C[$c]"), [InsertOperation("c", tree(label))], confidence
+    )
+
+
+def _root_delete_tx(root: str = "A") -> UpdateTransaction:
+    """Inserts under the root, then asks to delete it: always refused."""
+    return UpdateTransaction(
+        parse_pattern(f"/{root}[$r]"),
+        [InsertOperation("r", tree("Phantom")), DeleteOperation("r")],
+        1.0,
+    )
+
+
+def _state(warehouse: Warehouse) -> tuple:
+    """Everything a reopen must reproduce: document, events, the fresh
+    counter (the next minted name) and the sequence."""
+    document = warehouse.document
+    return (
+        document.root.canonical(),
+        document.events.as_dict(),
+        document.events.fresh_counter,
+        warehouse.sequence,
     )
 
 
@@ -97,6 +121,25 @@ class TestCrashMidWalAppend:
         with Warehouse.open(path) as recovered:
             assert recovered.document.root.canonical() == durable_state
             assert recovered.sequence == durable_sequence
+
+    def test_torn_tail_is_truncated_before_the_next_append(self, tmp_path, slide12_doc):
+        """Recovery cuts a torn tail away: a commit acknowledged after
+        it must not be written onto the torn line, where the next open
+        would read it as mid-file damage and lose it."""
+        path = tmp_path / "wh"
+        wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
+        wh._commit_update(_insert_tx())
+        _kill(wh)
+        with open(path / "wal.jsonl", "ab") as handle:
+            handle.write(b'{"kind": "update", "seq')  # crash mid-append
+        wh = Warehouse.open(path, policy=_no_compact_policy())
+        assert wh.sequence == 2
+        wh._commit_update(_insert_tx(label="Acked"))
+        assert wh.sequence == 3
+        expected = _state(wh)
+        _kill(wh)
+        with Warehouse.open(path) as recovered:
+            assert _state(recovered) == expected
 
     def test_corrupt_record_before_tail_detected(self, tmp_path, slide12_doc):
         """Acknowledged (non-tail) WAL damage must raise, not skip."""
@@ -176,31 +219,46 @@ class TestCrashDuringCompaction:
             assert recovered.sequence == sequence
             assert recovered.stats()["wal_depth"] == 0
 
-    def test_crash_between_document_and_meta_rename(
-        self, tmp_path, slide12_doc, monkeypatch
+    @pytest.mark.parametrize(
+        "boundary", [1, 2, 3], ids=["document.xml", "meta.json", "document.bin"]
+    )
+    @pytest.mark.parametrize("route", ["compact", "threshold"])
+    def test_snapshot_dying_at_each_write_keeps_the_store_readable(
+        self, tmp_path, slide12_doc, monkeypatch, route, boundary
     ):
-        """Dying between the two snapshot renames leaves document/meta
-        inconsistent — open must raise corrupt, never serve the mix."""
+        """meta.json is the snapshot's commit point: whichever of the
+        three writes dies — in compact() or in a commit crossing
+        snapshot_every — the handle stays open and a reopen reads the
+        document, events and sequence the live handle serves."""
         path = tmp_path / "wh"
-        wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
-        wh._commit_update(_insert_tx())
+        wh = Warehouse.create(
+            path, slide12_doc, policy=CommitPolicy(snapshot_every=3, compact_on_close=False)
+        )
+        wh._commit_update(_insert_tx())  # seq 2: WAL only
+        wh._commit_update(_insert_tx())  # seq 3: WAL only
         real_atomic_write = storage_module._atomic_write
         calls = {"n": 0}
 
         def dying_atomic_write(target, payload):
             calls["n"] += 1
-            # Writes per snapshot: document.xml, document.bin, meta.json.
-            if calls["n"] == 3:  # documents written, meta.json pending
+            # Writes per snapshot: document.xml, meta.json, document.bin.
+            if calls["n"] == boundary:
                 raise _Crash()
             real_atomic_write(target, payload)
 
         monkeypatch.setattr(storage_module, "_atomic_write", dying_atomic_write)
         with pytest.raises(_Crash):
-            wh.compact()
+            if route == "compact":
+                wh.compact()
+            else:
+                wh._commit_update(_insert_tx())  # seq 4 crosses snapshot_every=3
         monkeypatch.undo()
+        assert wh.health()["alive"]
+        expected = _state(wh)
+        assert expected[3] == (3 if route == "compact" else 4)
         _kill(wh)
-        with pytest.raises(WarehouseCorruptError, match="checksum"):
-            Warehouse.open(path)
+        with Warehouse.open(path) as recovered:
+            assert _state(recovered) == expected
 
 
 class TestCrashBeforeAuditAppend:
@@ -398,29 +456,29 @@ class TestReviewRegressions:
             assert last["sequence"] == 3
             assert last.get("replayed") is True
 
-    def test_failed_wal_append_rolls_back_sequence(
+    def test_failed_wal_append_restores_the_durable_state(
         self, tmp_path, slide12_doc, monkeypatch
     ):
-        """A failed append must not leave a sequence gap; the next
-        commit snapshots so the orphaned in-memory mutation heals."""
+        """An append that dies leaves nothing behind: the live handle
+        and a reopen both read the pre-commit state, and the
+        unacknowledged insert is never served."""
         path = tmp_path / "wh"
         wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
         wh._commit_update(_insert_tx())
+        before = _state(wh)
 
         def dying_append(self, kind, sequence, payload):
-            raise _Crash()
+            raise OSError("disk full")
 
         monkeypatch.setattr(WriteAheadLog, "append", dying_append)
-        with pytest.raises(_Crash):
-            wh._commit_update(_insert_tx())
+        with pytest.raises(OSError, match="disk full"):
+            wh._commit_update(_insert_tx(label="Ghost"))
         monkeypatch.undo()
-        assert wh.sequence == 2  # rolled back: no gap
-        wh._commit_update(_insert_tx())  # heals via snapshot
-        assert wh.stats()["snapshot_sequence"] == wh.sequence == 3
-        expected = wh.document.root.canonical()
+        assert _state(wh) == before
+        assert wh._query_answers("//Ghost") == []
         _kill(wh)
         with Warehouse.open(path) as recovered:
-            assert recovered.document.root.canonical() == expected
+            assert _state(recovered) == before
 
     def test_open_releases_lock_when_reconciliation_fails(
         self, tmp_path, slide12_doc, monkeypatch
@@ -508,32 +566,22 @@ class TestReviewRegressions:
         assert not list(path.glob("lock.*.tmp"))
         wh.close()
 
-    def test_partial_batch_failure_heals_via_snapshot(self, tmp_path, slide12_doc):
-        """A batch member rejected after earlier members mutated the
-        document must not leave later WAL commits replaying against a
-        different base (recovery would brick)."""
-        from repro import DeleteOperation
-        from repro.errors import UpdateError
-
+    def test_partial_batch_failure_restores_the_durable_state(
+        self, tmp_path, slide12_doc
+    ):
+        """A batch member refused after an earlier member mutated the
+        document leaves the live handle and a reopen at the pre-batch
+        state — later WAL records replay against the base they were
+        written on."""
         path = tmp_path / "wh"
         wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
-        orphan_insert = UpdateTransaction(
-            parse_pattern("C[$c]"), [InsertOperation("c", tree("Orphan"))], 1.0
-        )
-        root_delete = UpdateTransaction(
-            parse_pattern("/A[$a]"), [DeleteOperation("a")], 1.0
-        )
-        with pytest.raises(UpdateError):
-            wh.update_many([orphan_insert, root_delete])
-        # The orphan insert mutated the document in memory; the next
-        # commit must snapshot so durable state matches it again.
-        report = wh._commit_update(_insert_tx(confidence=0.5))
-        assert report.applied
-        assert wh.stats()["snapshot_sequence"] == wh.sequence
-        expected = wh.document.root.canonical()
+        before = _state(wh)
+        with pytest.raises(UpdateError, match="document root"):
+            wh.update_many([_insert_tx(1.0, label="Orphan"), _root_delete_tx()])
+        assert _state(wh) == before
         _kill(wh)
         with Warehouse.open(path) as recovered:
-            assert recovered.document.root.canonical() == expected
+            assert _state(recovered) == before
 
     def test_rotten_complete_final_wal_record_raises(self, tmp_path, slide12_doc):
         """A newline-terminated final record that fails its checksum is
@@ -551,16 +599,17 @@ class TestReviewRegressions:
         with pytest.raises(WarehouseCorruptError, match="checksum|unparseable"):
             Warehouse.open(path)
 
-    def test_failed_simplify_snapshot_rolls_back_sequence(
+    def test_failed_simplify_snapshot_restores_the_durable_state(
         self, tmp_path, slide12_doc, monkeypatch
     ):
-        """A snapshot-path commit (simplify) whose write fails must not
-        leave a bumped sequence: the next WAL append would create a gap
-        that bricks recovery."""
+        """A snapshot-path commit (simplify) whose write fails leaves the
+        live handle and a reopen at the pre-simplify state and sequence,
+        so the next WAL append leaves no gap."""
         path = tmp_path / "wh"
+        slide12_doc.events.declare("w9", 0.3)  # unused: simplify collects it
         wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
         wh._commit_update(_insert_tx())
-        sequence = wh.sequence
+        before = _state(wh)
 
         def dying_write(self, xml_text, sequence, extra_meta=None, binary=None):
             raise _Crash()
@@ -569,13 +618,10 @@ class TestReviewRegressions:
         with pytest.raises(_Crash):
             wh.simplify()
         monkeypatch.undo()
-        assert wh.sequence == sequence  # rolled back: no gap
-        wh._commit_update(_insert_tx())  # heals via snapshot (snapshot_due)
-        assert wh.stats()["snapshot_sequence"] == wh.sequence
-        expected = wh.document.root.canonical()
+        assert _state(wh) == before
         _kill(wh)
         with Warehouse.open(path) as recovered:
-            assert recovered.document.root.canonical() == expected
+            assert _state(recovered) == before
 
     def test_engine_sees_mutation_even_when_audit_append_fails(
         self, tmp_path, slide12_doc, monkeypatch
@@ -622,3 +668,142 @@ class TestReviewRegressions:
             storage.acquire_lock()
         monkeypatch.undo()
         assert storage._lock_fd is None
+
+
+# ----------------------------------------------------------------------
+# The one failure rule: a failed commit serves what a reopen reads
+# ----------------------------------------------------------------------
+
+
+@relaxed
+@given(seeds, st.integers(min_value=0, max_value=3))
+def test_a_batch_refused_at_any_member_changes_nothing(seed, k):
+    """A random batch with a root delete at member *k*: earlier members
+    apply and are then undone, so the live handle and a reopen equal
+    applying nothing — the fresh counter included, so the next update
+    mints the name it would have minted had the batch never been sent."""
+    rng = random.Random(seed)
+    doc = random_fuzzy_tree(rng, SMALL_DOCS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wh"
+        wh = Warehouse.create(path, doc, policy=_no_compact_policy())
+        _random_session(rng, wh)
+        before = _state(wh)
+        members = [
+            random_update_for(rng, wh.document, confidence=rng.choice([0.5, 1.0]))
+            for _ in range(k + rng.randint(0, 2))
+        ]
+        members.insert(k, _root_delete_tx(wh.document.root.label))
+        with pytest.raises(UpdateError, match="document root"):
+            wh.update_many(members)
+        assert _state(wh) == before
+        _kill(wh)
+        with Warehouse.open(path) as recovered:
+            assert _state(recovered) == before
+
+
+class TestOneFailureRule:
+    def test_unacknowledged_insert_is_not_served(self, tmp_path, monkeypatch):
+        """Readers never see an insert whose WAL append failed."""
+        path = tmp_path / "wh"
+        with repro.connect(path, create=True, root="a", observability=None) as session:
+
+            def dying_append(self, kind, sequence, payload):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(WriteAheadLog, "append", dying_append)
+            ghost = (
+                repro.update(repro.pattern("a", variable="x", anchored=True))
+                .insert("x", repro.tree("ghost"))
+                .confidence(0.5)
+            )
+            with pytest.raises(OSError):
+                session.update(ghost)
+            monkeypatch.undo()
+            assert session.query("//ghost").all() == []
+
+    def test_a_failed_restore_closes_the_handle(self, tmp_path, slide12_doc, monkeypatch):
+        """When recovery itself fails the handle closes, frees the lock
+        and raises WarehouseCorruptError; a fresh open still reads the
+        state before the batch."""
+        path = tmp_path / "wh"
+        wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
+        wh._commit_update(_insert_tx())
+        before = _state(wh)
+        wh.close()
+        real_recover = warehouse_module._recover
+        calls = {"n": 0}
+
+        def recover_failing_on_second_call(*args):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise OSError("disk gone")
+            return real_recover(*args)
+
+        monkeypatch.setattr(warehouse_module, "_recover", recover_failing_on_second_call)
+        wh = Warehouse.open(path, policy=_no_compact_policy())  # call 1
+        with pytest.raises(WarehouseCorruptError, match="restore") as excinfo:
+            wh.update_many([_insert_tx(label="Kept"), _root_delete_tx()])  # call 2
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert wh.health()["alive"] is False
+        assert not (path / "lock").exists()
+        with Warehouse.open(path) as recovered:
+            assert _state(recovered) == before
+
+    def test_recovery_runs_once_per_failed_commit_and_never_on_success(
+        self, tmp_path, slide12_doc, monkeypatch
+    ):
+        """Structural guard: the success path never recovers; each failed
+        commit — auto-simplify's included — recovers exactly once."""
+        real_recover = warehouse_module._recover
+        calls = []
+
+        def counting_recover(*args):
+            calls.append(args)
+            return real_recover(*args)
+
+        monkeypatch.setattr(warehouse_module, "_recover", counting_recover)
+        path = tmp_path / "wh"
+        wh = Warehouse.create(
+            path,
+            slide12_doc,
+            policy=CommitPolicy(snapshot_every=8, compact_on_close=False),
+            auto_simplify_factor=1.5,
+        )
+        for i in range(50):
+            if i % 5 == 4:
+                wh.update_many([_insert_tx(label="B1"), _insert_tx(label="B2")])
+            else:
+                wh._commit_update(_insert_tx(label=f"N{i}"))
+        assert "simplify" in {entry["kind"] for entry in wh.history()}
+        assert calls == []
+
+        def fails_once(failing_commit):
+            before = len(calls)
+            with pytest.raises((UpdateError, _Crash)):
+                failing_commit()
+            assert len(calls) == before + 1
+
+        fails_once(lambda: wh.update_many([_insert_tx(), _root_delete_tx()]))
+
+        def dying_append(self, kind, sequence, payload):
+            raise _Crash()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WriteAheadLog, "append", dying_append)
+            fails_once(lambda: wh._commit_update(_insert_tx()))
+
+        # An update that commits, then trips an auto-simplify whose
+        # snapshot dies: one restore, to a state holding the update.
+        while wh.document.size() + 1 <= 1.5 * wh._baseline_size:
+            wh._commit_update(_insert_tx())
+        wh.compact()  # the triggering commit itself stays WAL-only
+
+        def dying_write(self, xml_text, sequence, extra_meta=None, binary=None):
+            raise _Crash()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Storage, "write_document", dying_write)
+            fails_once(lambda: wh._commit_update(_insert_tx(label="Trigger")))
+        assert any(node.label == "Trigger" for node in wh.document.iter_nodes())
+        wh.close()

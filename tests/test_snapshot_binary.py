@@ -225,7 +225,7 @@ class TestWarehouseRecovery:
 
         def dying_atomic_write(target, payload):
             calls["n"] += 1
-            if calls["n"] == 2:  # 1=document.xml, 2=document.bin, 3=meta.json
+            if calls["n"] == 2:  # 1=document.xml, 2=meta.json, 3=document.bin
                 raise _Crash()
             real_atomic_write(target, payload)
 
