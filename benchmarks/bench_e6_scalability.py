@@ -103,6 +103,10 @@ def test_latency_vs_document_size(report, benchmark):
         ["nodes", "fuzzy (s)", "monte-carlo 300 (s)"],
         rows,
     )
+    # Shape check: fuzzy evaluation is polynomial in the document size —
+    # its time grows by less than the cube of the size ratio.
+    size_ratio = rows[-1][0] / rows[0][0]
+    assert float(rows[-1][1]) / float(rows[0][1]) < size_ratio**3
 
 
 @pytest.mark.parametrize("n_events", [4, 8, 12])

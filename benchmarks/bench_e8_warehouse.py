@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro import Session
 from repro.warehouse import Warehouse
 from repro.workloads import CleaningScenario, ExtractionScenario, MatchingScenario
 
@@ -67,9 +68,10 @@ def test_query_latency_after_stream(report, tmp_path, benchmark, name):
         for tx in scenario.stream(60):
             wh._commit_update(tx)
         patterns = scenario.query_mix()
+        session = Session(wh)
 
         def query_all():
-            return [wh._query_answers(p) for p in patterns]
+            return [session.query(p).answers() for p in patterns]
 
         results = benchmark(query_all)
         report.table(

@@ -63,16 +63,12 @@ class Row:
         collection's fan-out; ``None`` on a single-document session.
     """
 
-    __slots__ = ("_inner", "_source", "_events", "_obs", "document")
+    __slots__ = ("_inner", "_source", "_obs", "document")
 
-    def __init__(self, inner: QueryRow, source, events, obs=None) -> None:
+    def __init__(self, inner: QueryRow, source, obs=None) -> None:
         self.document: str | None = None
         self._inner = inner
         self._source = source
-        # The event table of the document generation this row was
-        # computed on — stable even if the source commits (or
-        # simplifies events away) after the row was streamed.
-        self._events = events
         # The instrument panel active when the row was streamed, or
         # None: the lazy probability is timed on its first (and only)
         # computation.
@@ -109,17 +105,20 @@ class Row:
     def explain(self) -> list[dict]:
         """Provenance: one record per event involved in this row.
 
-        Each record carries the event name, its probability, and — when
-        the event was minted by an update committed through the row's
-        warehouse — the originating transaction's audit-log entry.
+        Each record carries the event name, its probability when the
+        row was emitted (the basis :attr:`probability` is priced on, so
+        a later commit that collects the event changes neither), and —
+        when the event was minted by an update committed through the
+        row's warehouse — the originating transaction's audit-log entry.
         """
+        captured = self._inner._captured
         return [
             {
                 "event": event,
-                "probability": self._events.probability(event),
+                "probability": captured[event],
                 "origin": self._source._provenance(event),
             }
-            for event in sorted(self._inner.dnf.events())
+            for event in sorted(captured)
         ]
 
     def __repr__(self) -> str:
@@ -538,13 +537,12 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
         if abort is not None:
             _check_abort(abort)
         for inner in _row_iter(fuzzy, engine, config, pattern, options, abort):
-            yield Row(inner, source, fuzzy.events)
+            yield Row(inner, source)
             if abort is not None:
                 _check_abort(abort)
         return
 
     registry = obs.metrics
-    events = fuzzy.events
     # The pattern rides along as an object: render_span/as_dict
     # stringify it only when a human actually reads the trace.
     span = obs.tracer.start("query", pattern=pattern) if tracing else None
@@ -568,7 +566,7 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
             if metrics and rows == 0:
                 registry.observe("api.first_row_seconds", perf_counter() - t0)
             rows += 1
-            yield Row(inner, source, events, obs)
+            yield Row(inner, source, obs)
     finally:
         duration = perf_counter() - t0
         if span is not None:

@@ -276,12 +276,8 @@ class QueryRow(_Answer):
         # Emission-time snapshot of the mentioned events' probabilities
         # (a per-literal read, no expansion) — the fallback pricing
         # basis if the live table's assignment moves on before the
-        # probability is first read.
-        self._captured = (
-            None
-            if probability is not None
-            else {event: events.probability(event) for event in dnf.events()}
-        )
+        # probability is first read, and the basis provenance reports.
+        self._captured = {event: events.probability(event) for event in dnf.events()}
         self._probability = probability
 
     @property

@@ -6,7 +6,7 @@ changes; the consistent-hash ring moves only ~K/N keys when a worker
 joins or leaves, which is what keeps ring changes cheap migrations
 instead of full reshards.
 
-Each worker contributes ``replicas`` virtual points (SHA-1 of
+Each worker contributes :data:`VIRTUAL_POINTS` virtual points (SHA-1 of
 ``"name#i"``) on a 2^64 circle; a key routes to the first worker point
 at or past its own hash.  SHA-1 keeps placement stable across
 processes and runs — :func:`hash` is salted per process and would
@@ -23,6 +23,9 @@ from repro.serve.pool import check_count
 
 __all__ = ["HashRing"]
 
+#: Virtual points per worker on the circle.
+VIRTUAL_POINTS = 64
+
 
 def _point(data: str) -> int:
     return int.from_bytes(hashlib.sha1(data.encode("utf-8")).digest()[:8], "big")
@@ -35,10 +38,9 @@ class HashRing:
     routing lock.
     """
 
-    __slots__ = ("_replicas", "_nodes", "_points", "_owners")
+    __slots__ = ("_nodes", "_points", "_owners")
 
-    def __init__(self, nodes: tuple[str, ...] | list[str] = (), replicas: int = 64) -> None:
-        self._replicas = check_count("replicas", replicas)
+    def __init__(self, nodes: tuple[str, ...] | list[str] = ()) -> None:
         self._nodes: set[str] = set()
         self._points: list[int] = []
         self._owners: dict[int, str] = {}
@@ -61,7 +63,7 @@ class HashRing:
         if node in self._nodes:
             raise WarehouseError(f"ring already contains {node!r}")
         self._nodes.add(node)
-        for i in range(self._replicas):
+        for i in range(VIRTUAL_POINTS):
             point = _point(f"{node}#{i}")
             # SHA-1 collisions across 64-bit prefixes are effectively
             # impossible; keep the first owner if one ever happens so
@@ -115,4 +117,4 @@ class HashRing:
         return {key: self.successors(key, n) for key in keys}
 
     def __repr__(self) -> str:
-        return f"HashRing({sorted(self._nodes)!r}, replicas={self._replicas})"
+        return f"HashRing({sorted(self._nodes)!r})"

@@ -64,7 +64,7 @@ from time import monotonic, perf_counter, sleep
 import repro.errors as errors_module
 from repro.core.update import UpdateReport
 from repro.errors import QueryError, ShardUnavailableError, WarehouseError
-from repro.serve.cluster.retry import RetryPolicy, call_with_retry
+from repro.serve.cluster.retry import call_with_retry
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import PipeTransport, Verb, WireError
 from repro.serve.cluster.worker import worker_main
@@ -126,7 +126,7 @@ class _WireItem:
 class ClusterRow(_WireItem):
     """One merged query row from a worker process — the reading surface
     of a thread collection's rows (``document``, ``probability``,
-    ``tree``, ``bindings()``)."""
+    ``tree``, ``bindings()``); ``explain()`` raises :class:`QueryError`."""
 
     __slots__ = ("_bindings",)
 
@@ -136,6 +136,13 @@ class ClusterRow(_WireItem):
 
     def bindings(self) -> dict[str, str | None]:
         return dict(self._bindings)
+
+    def explain(self):
+        raise QueryError(
+            "explain() is not served by a process collection (provenance "
+            "does not cross the process boundary); open the collection in "
+            "thread mode"
+        )
 
     def __repr__(self) -> str:
         return f"ClusterRow({self.document!r}, p={self.probability:.4f})"
@@ -204,9 +211,10 @@ class ProcessCollection(BaseCollection):
 
     ``replication_factor=R`` keeps a copy of every document on its R
     distinct ring successors (capped at the worker count); reads fail
-    over between copies inside ``query_deadline`` seconds using
-    *retry_policy* for backoff, and ``attempt_timeout`` bounds each
-    individual attempt so one hung worker cannot eat the whole budget.
+    over between copies inside ``query_deadline`` seconds with the
+    default :class:`~repro.serve.cluster.retry.RetryPolicy` backoff,
+    and ``attempt_timeout`` bounds each individual attempt so one hung
+    worker cannot eat the whole budget.
     """
 
     def __init__(
@@ -217,9 +225,7 @@ class ProcessCollection(BaseCollection):
         session_options: dict | None = None,
         observability=USE_DEFAULT_OBSERVABILITY,
         fault_injection: bool = False,
-        replicas: int = 64,
         replication_factor: int = 1,
-        retry_policy: RetryPolicy | None = None,
         query_deadline: float = 30.0,
         attempt_timeout: float | None = None,
     ) -> None:
@@ -242,7 +248,7 @@ class ProcessCollection(BaseCollection):
         self._request_ids = itertools.count(1)
         # The front's lock also guards the ring, the handle map and
         # every key→worker move.
-        self._ring = HashRing(replicas=replicas)
+        self._ring = HashRing()
         self._handles: dict[str, _WorkerHandle] = {}
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
@@ -250,7 +256,6 @@ class ProcessCollection(BaseCollection):
         # write-through + resync for one key; the stale set is the heal
         # queue the monitor thread drains.
         self._replication = replication_factor
-        self._retry_policy = retry_policy or RetryPolicy()
         self._query_deadline = float(query_deadline)
         self._attempt_timeout = attempt_timeout
         self._retry_rng = random.Random()
@@ -807,7 +812,6 @@ class ProcessCollection(BaseCollection):
             return call_with_retry(
                 sweep,
                 deadline=deadline,
-                policy=self._retry_policy,
                 classify=lambda exc: isinstance(
                     exc, (ShardUnavailableError, WireError)
                 ),

@@ -26,7 +26,6 @@ from repro.trees.algorithms import (
 from repro.trees.builder import from_spec, to_spec, tree
 from repro.trees.node import Node
 from repro.trees.random import RandomTreeConfig, random_labels, random_tree
-from repro.trees.schema import NodeRule, Schema, Violation
 
 __all__ = [
     "Node",
@@ -47,7 +46,4 @@ __all__ = [
     "RandomTreeConfig",
     "random_tree",
     "random_labels",
-    "Schema",
-    "NodeRule",
-    "Violation",
 ]

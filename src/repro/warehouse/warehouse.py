@@ -67,7 +67,6 @@ from repro.analysis.metrics import fuzzy_stats
 from repro.obs import default_observability
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.engine import QueryEngine, StatsDelta
-from repro.core.query import FuzzyAnswer, query_fuzzy_tree
 from repro.core.simplify import SimplifyReport, simplify
 from repro.core.update import UpdateReport, apply_update
 from repro.errors import (
@@ -410,41 +409,6 @@ class Warehouse:
         """The attached :class:`~repro.obs.Observability` panel (or None)."""
         return self._obs
 
-    def _query_answers(
-        self, pattern: str | Pattern, *, planner: bool = True
-    ) -> list[FuzzyAnswer]:
-        """Evaluate a TPWJ query; answers ranked by probability.
-
-        Matching runs through the cost-based engine with the
-        warehouse's plan cache (a handle's ``max_matches`` is pushed
-        into the engine's streaming protocol, which stops the
-        enumeration at the cap); ``planner=False`` runs the same
-        operators under the fixed pre-order plan the handle's
-        :class:`MatchConfig` spells out, on a throw-away walk, without
-        the condition index or the Shannon memo.
-
-        Thread safety: the evaluation runs against a pinned generation
-        (released on return), so a concurrent commit copies-on-write
-        instead of mutating the tree under the matcher.
-        """
-        self._check_open()
-        pattern = self._normalize_pattern(pattern)
-        pin = self.pin()
-        try:
-            return query_fuzzy_tree(
-                pin.document,
-                pattern,
-                self._match_config,
-                engine=self._engine if planner else None,
-            )
-        finally:
-            pin.release()
-
-    def _normalize_pattern(self, pattern: str | Pattern) -> Pattern:
-        if isinstance(pattern, str):
-            return parse_pattern(pattern)
-        return pattern
-
     def explain_plan(self, pattern: str | Pattern) -> str:
         """The engine's statistics and chosen plan for *pattern*, rendered."""
         self._check_open()
@@ -584,27 +548,6 @@ class Warehouse:
                         merged.setdefault("timestamp", entry.get("timestamp"))
                         return merged
         return None
-
-    def explain(self, answer) -> list[dict]:
-        """Why does this answer hold? One record per involved event.
-
-        *answer* is a :class:`~repro.core.query.FuzzyAnswer` returned by
-        :meth:`query`.  Each record carries the event name, its
-        probability, and — when the event was minted by an update
-        committed through this warehouse — the originating transaction's
-        log entry.
-        """
-        self._check_open()
-        records: list[dict] = []
-        for event in sorted(answer.dnf.events()):
-            records.append(
-                {
-                    "event": event,
-                    "probability": self._document.events.probability(event),
-                    "origin": self.provenance(event),
-                }
-            )
-        return records
 
     # ------------------------------------------------------------------
     # Writes

@@ -7,7 +7,9 @@ code it exercises) may touch the library's own deprecated shims.
 
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,6 +48,14 @@ def _person_tx(name: str, confidence: float = 1.0):
         .insert("d", tree("person", tree("name", name)))
         .confidence(confidence)
     )
+
+
+_SOURCE_ROOT = Path(repro.__file__).parent
+_PACKAGES = sorted(
+    ".".join(("repro", *init.parent.relative_to(_SOURCE_ROOT).parts))
+    for init in _SOURCE_ROOT.rglob("__init__.py")
+)
+_DELETED_MODULES = ["repro.prxml", "repro.trees.schema", "repro.analysis.complexity"]
 
 
 def _populate(session: Session, names=("Alice", "Bob", "Carol"), confidence=0.9):
@@ -368,6 +378,34 @@ class TestResultSet:
         assert record["probability"] == 0.8
         assert record["origin"]["kind"] == "update"
 
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda results: results, lambda results: results.order_by_probability().limit(1)],
+        ids=["streamed", "top-k"],
+    )
+    def test_row_explain_survives_event_collection(self, tmp_path, shape):
+        # Explain reports the emission-time basis the probability is
+        # priced on, even after a later commit collects the row's event.
+        with connect(tmp_path / "wh", create=True, root="a") as session:
+            session.update(
+                update(pattern("a", variable="x", anchored=True))
+                .insert("x", tree("b"))
+                .confidence(0.5)
+            )
+            rows = shape(session.query("//b")).all()
+            session.update(
+                update(pattern("a", anchored=True).child("b", variable="y"))
+                .delete("y")
+                .confidence(1.0)
+            )
+            assert session.simplify().collected_events == 1
+            [row] = rows
+            assert row.probability == pytest.approx(0.5)
+            [record] = row.explain()
+            assert record["event"] in row.dnf.events()
+            assert record["probability"] == pytest.approx(0.5)
+            assert record["origin"]["confidence"] == 0.5
+
     def test_max_matches_handle_truncates_via_engine(self, tmp_path, slide12_doc):
         path = tmp_path / "wh"
         with connect(path, create=True, document=slide12_doc):
@@ -592,6 +630,19 @@ class TestErrorsAndShims:
                 warehouse.update  # noqa: B018
             with pytest.raises(AttributeError):  # Session.batch() is the one
                 warehouse.begin_batch  # noqa: B018
+            # Reads go through Session.query(): no private second path.
+            for name in ("_query_answers", "_normalize_pattern", "explain"):
+                assert not hasattr(warehouse, name)
+
+    @pytest.mark.parametrize("name", _PACKAGES + _DELETED_MODULES)
+    def test_export_surface(self, name):
+        # Every exported name resolves, and deleted modules stay deleted.
+        if name in _DELETED_MODULES:
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(name)
+            return
+        module = importlib.import_module(name)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
     def test_version_is_2(self):
         assert repro.__version__.startswith("2.")
@@ -599,7 +650,6 @@ class TestErrorsAndShims:
     def test_setup_py_reports_the_package_version(self):
         import subprocess
         import sys
-        from pathlib import Path
 
         setup_py = Path(__file__).resolve().parent.parent / "setup.py"
         result = subprocess.run(

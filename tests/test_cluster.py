@@ -336,12 +336,18 @@ class TestResultSetContract:
 
         source, _reads_started = surface
         results = source.query(_PATTERN)
+        row = results.first()
         if isinstance(source, ProcessCollection):
             with pytest.raises(QueryError, match="process collection") as excinfo:
                 results.answers()
             assert status_for(excinfo.value) == 400
+            with pytest.raises(QueryError, match="process collection") as excinfo:
+                row.explain()
+            assert status_for(excinfo.value) == 400
         else:
             assert len(results.answers()) == len(results.all())
+            [record] = row.explain()
+            assert record["probability"] == pytest.approx(row.probability)
 
 
 def _fresh_store(path):

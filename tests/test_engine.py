@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import EventTable, FuzzyNode, FuzzyTree
+from repro import EventTable, FuzzyNode, FuzzyTree, Session
 from repro.api.builders import compile_transaction
 from repro.core.update import apply_update
 from repro.tpwj.match import find_matches
@@ -367,16 +367,16 @@ class TestQueryEngine:
 class TestWarehousePlans:
     def test_repeated_query_hits_the_plan_cache(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            warehouse._query_answers("//D")
+            Session(warehouse).query("//D").answers()
             hits_before = warehouse.engine.cache.hits
-            again = warehouse._query_answers("//D")
+            again = Session(warehouse).query("//D").answers()
             assert warehouse.engine.cache.hits == hits_before + 1
             assert len(again) == 1
 
     def test_planned_and_fixed_paths_agree(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            planned = warehouse._query_answers("/A { //D }")
-            fixed = warehouse._query_answers("/A { //D }", planner=False)
+            planned = Session(warehouse).query("/A { //D }").answers()
+            fixed = Session(warehouse).query("/A { //D }", planner=False).answers()
             assert [(a.probability, a.tree.canonical()) for a in planned] == [
                 (a.probability, a.tree.canonical()) for a in fixed
             ]
@@ -407,9 +407,9 @@ class TestWarehousePlans:
             # Truncated enumeration goes through the cost-based engine
             # too: the cap is pushed into the streaming protocol, and
             # the plan cache serves repeats.
-            assert len(warehouse._query_answers("//D")) == 1
+            assert len(Session(warehouse).query("//D").answers()) == 1
             assert warehouse.engine.cache.misses == 1
-            warehouse._query_answers("//D")
+            Session(warehouse).query("//D").answers()
             assert warehouse.engine.cache.hits == 1
 
     def test_engine_survives_reopen(self, tmp_path, slide12_doc):
@@ -417,7 +417,7 @@ class TestWarehousePlans:
         with Warehouse.create(path, slide12_doc):
             pass
         with Warehouse.open(path) as warehouse:
-            assert len(warehouse._query_answers("//D")) == 1
+            assert len(Session(warehouse).query("//D").answers()) == 1
 
 
 # ----------------------------------------------------------------------

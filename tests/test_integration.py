@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro import (
+    Session,
     estimate_query,
     query_possible_worlds,
     to_possible_worlds,
@@ -28,7 +29,7 @@ class TestExtractionPipeline:
                 wh._commit_update(tx)
             # Every query must return ranked, in-range probabilities.
             for pattern in scenario.query_mix():
-                answers = wh._query_answers(pattern)
+                answers = Session(wh).query(pattern).answers()
                 probabilities = [a.probability for a in answers]
                 assert all(0.0 < p <= 1.0 + 1e-9 for p in probabilities)
                 assert probabilities == sorted(probabilities, reverse=True)
@@ -40,7 +41,7 @@ class TestExtractionPipeline:
         with Warehouse.open(tmp_path / "wh") as wh:
             scenario2 = ExtractionScenario(seed=11, n_people=5)
             for pattern in scenario2.query_mix():
-                wh._query_answers(pattern)
+                Session(wh).query(pattern).answers()
 
     def test_confidence_accumulates_across_conflicting_facts(self, tmp_path):
         """Two modules proposing emails for the same person both persist."""
@@ -49,7 +50,7 @@ class TestExtractionPipeline:
             emails = [tx for tx in scenario.stream(60) if "email" in str(tx.operations)]
             for tx in emails[:2]:
                 wh._commit_update(tx)
-            answers = wh._query_answers("/directory { person { //email } }")
+            answers = Session(wh).query("/directory { person { //email } }").answers()
             # Each inserted email is an independent uncertain fact.
             assert len(answers) >= 1
             for answer in answers:
@@ -76,13 +77,10 @@ class TestCleaningPipeline:
             for tx in scenario.stream(4):
                 wh._commit_update(tx)
             pattern = scenario.query_mix()[0]
-            before = {
-                a.tree.canonical(): a.probability for a in wh._query_answers(pattern)
-            }
+            results = Session(wh).query(pattern)
+            before = {a.tree.canonical(): a.probability for a in results.answers()}
             wh.simplify()
-            after = {
-                a.tree.canonical(): a.probability for a in wh._query_answers(pattern)
-            }
+            after = {a.tree.canonical(): a.probability for a in results.answers()}
             assert set(before) == set(after)
             for key in before:
                 assert after[key] == pytest.approx(before[key], abs=1e-9)

@@ -30,6 +30,7 @@ from repro.core.query import query_fuzzy_tree
 from repro.tpwj import MatchConfig, find_embeddings, find_matches, format_pattern
 from repro.tpwj.pattern import Pattern, PatternNode
 from repro.trees import tree
+from repro.warehouse import Warehouse
 
 
 class TestParsing:
@@ -235,3 +236,29 @@ class TestFuzzySemantics:
             for key in via_worlds:
                 assert via_fuzzy[key] == pytest.approx(via_worlds[key], abs=1e-9)
             checked += 1
+
+
+class TestNegatedQueriesInWarehouse:
+    def test_warehouse_update_with_negated_query(self, tmp_path):
+        events = EventTable({"w1": 0.5})
+        doc = FuzzyTree(
+            FuzzyNode(
+                "A",
+                children=[
+                    FuzzyNode("B", condition=Condition.of("w1")),
+                    FuzzyNode("C"),
+                ],
+            ),
+            events,
+        )
+        baseline = to_possible_worlds(doc)
+        tx = UpdateTransaction(
+            parse_pattern("/A { !B, C[$c] }"), [DeleteOperation("c")], 0.8
+        )
+        truth = update_possible_worlds(baseline, tx)
+        with Warehouse.create(tmp_path / "wh", doc) as wh:
+            wh._commit_update(tx)
+            assert to_possible_worlds(wh.document).same_distribution(truth, 1e-9)
+        # And it survives a reopen byte-exactly.
+        with Warehouse.open(tmp_path / "wh") as wh:
+            assert to_possible_worlds(wh.document).same_distribution(truth, 1e-9)

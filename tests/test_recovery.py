@@ -26,6 +26,7 @@ import repro
 from repro import (
     DeleteOperation,
     InsertOperation,
+    Session,
     UpdateTransaction,
     collect_stats,
 )
@@ -475,7 +476,7 @@ class TestReviewRegressions:
             wh._commit_update(_insert_tx(label="Ghost"))
         monkeypatch.undo()
         assert _state(wh) == before
-        assert wh._query_answers("//Ghost") == []
+        assert Session(wh).query("//Ghost").answers() == []
         _kill(wh)
         with Warehouse.open(path) as recovered:
             assert _state(recovered) == before
@@ -631,7 +632,7 @@ class TestReviewRegressions:
         stale cached walk would hide them)."""
         path = tmp_path / "wh"
         wh = Warehouse.create(path, slide12_doc, policy=_no_compact_policy())
-        wh._query_answers("//N")  # warm the engine's walk on the pre-update tree
+        Session(wh).query("//N").answers()  # warm the engine's walk on the pre-update tree
         fresh_tx = UpdateTransaction(
             parse_pattern("C[$c]"), [InsertOperation("c", tree("Fresh"))], 1.0
         )
@@ -643,7 +644,7 @@ class TestReviewRegressions:
         with pytest.raises(_Crash):
             wh._commit_update(fresh_tx)
         monkeypatch.undo()
-        assert len(wh._query_answers("//Fresh")) == 1  # no stale walk served
+        assert len(Session(wh).query("//Fresh").answers()) == 1  # no stale walk served
         wh.close()
 
     def test_lost_lock_race_backs_off(self, tmp_path, monkeypatch):

@@ -129,7 +129,7 @@ class TestWarehouseLifecycle:
         wh = Warehouse.create(tmp_path / "wh", slide12_doc)
         wh.close()
         with pytest.raises(WarehouseError, match="closed"):
-            wh._query_answers("B")
+            Session(wh).query("B").answers()
 
     def test_create_stores_a_clone(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as wh:
@@ -139,8 +139,8 @@ class TestWarehouseLifecycle:
 
 class TestWarehouseOperations:
     def test_query_text_or_pattern(self, warehouse):
-        via_text = warehouse._query_answers("//D")
-        via_pattern = warehouse._query_answers(parse_pattern("//D"))
+        via_text = Session(warehouse).query("//D").answers()
+        via_pattern = Session(warehouse).query(parse_pattern("//D")).answers()
         assert len(via_text) == len(via_pattern) == 1
         assert via_text[0].probability == pytest.approx(0.7)
 
@@ -526,7 +526,7 @@ class TestBatchedUpdates:
         )
         reports = warehouse.update_many([first, second])
         assert reports[1].applied  # Fresh existed by the time it ran
-        assert len(warehouse._query_answers("//Nested")) == 1
+        assert len(Session(warehouse).query("//Nested").answers()) == 1
 
     def test_session_batch_context_manager(self, warehouse):
         with Session(warehouse).batch() as batch:

@@ -3,7 +3,7 @@ the updates that introduced their events."""
 
 import pytest
 
-from repro import InsertOperation, UpdateTransaction
+from repro import InsertOperation, Session, UpdateTransaction
 from repro.tpwj.parser import parse_pattern
 from repro.trees import tree
 from repro.warehouse import Warehouse
@@ -51,9 +51,9 @@ class TestExplain:
             parse_pattern("C[$c]"), [InsertOperation("c", tree("N", "x"))], 0.5
         )
         report = warehouse._commit_update(tx)
-        answers = warehouse._query_answers("//N")
-        assert len(answers) == 1
-        records = warehouse.explain(answers[0])
+        rows = Session(warehouse).query("//N").all()
+        assert len(rows) == 1
+        records = rows[0].explain()
         by_event = {r["event"]: r for r in records}
         assert report.confidence_event in by_event
         origin = by_event[report.confidence_event]["origin"]
@@ -61,8 +61,8 @@ class TestExplain:
         assert by_event[report.confidence_event]["probability"] == pytest.approx(0.5)
 
     def test_initial_events_marked_unoriginated(self, warehouse):
-        answers = warehouse._query_answers("//D")  # depends on w2 from the initial doc
-        records = warehouse.explain(answers[0])
+        row = Session(warehouse).query("//D").first()  # depends on w2 from the initial doc
+        records = row.explain()
         assert any(r["event"] == "w2" and r["origin"] is None for r in records)
 
     def test_explain_over_module_stream(self, tmp_path):
@@ -70,8 +70,8 @@ class TestExplain:
         with Warehouse.create(tmp_path / "wh", scenario.initial_document()) as wh:
             for tx in scenario.stream(10):
                 wh._commit_update(tx)
-            for answer in wh._query_answers("/directory { person { //email } }"):
-                records = wh.explain(answer)
+            for row in Session(wh).query("/directory { person { //email } }"):
+                records = row.explain()
                 # Every event in a stream-built document must trace back
                 # to a committed update.
                 assert records
