@@ -39,7 +39,7 @@ from repro.events.dnf import complement_as_disjoint_conditions
 from repro.events.literal import Literal
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.core.query import match_conditions
-from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig, find_matches
+from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 
 __all__ = ["UpdateReport", "apply_update"]
 
@@ -66,6 +66,7 @@ def apply_update(
     transaction,
     config: MatchConfig = DEFAULT_CONFIG,
     delta=None,
+    walk=None,
 ) -> UpdateReport:
     """Apply a probabilistic update transaction to *fuzzy*, in place.
 
@@ -79,7 +80,19 @@ def apply_update(
     mutation (subtree attached/detached, child-count transition) is
     reported to it so callers can maintain document statistics without
     re-walking the tree.
+
+    Targets are located under the fixed pre-order plan *config* spells
+    out, so matches — hence inserted-sibling order, survivor-copy order
+    and the confidence event minted — are deterministic.  By default
+    the plan runs on a throw-away document walk.  *walk*, when given, is
+    the writer's handle on the walk of ``fuzzy.root`` (see
+    :class:`~repro.engine.executor._WriterWalk`): the plan runs on it,
+    and every subtree attached or detached is reported to it as it
+    happens, so the same walk serves the next locate and the next query.
     """
+    # Imported here: the engine builds on the core package.
+    from repro.engine.executor import iter_plan
+    from repro.engine.planner import fixed_plan
     from repro.updates.transaction import UpdateTransaction
 
     if not isinstance(transaction, UpdateTransaction):
@@ -93,7 +106,11 @@ def apply_update(
         if transaction.query.has_negation()
         else config
     )
-    matches = find_matches(transaction.query, fuzzy.root, structural_config)
+    plan = fixed_plan(transaction.query, structural_config)
+    intervals = None if walk is None else walk.for_plan(plan)
+    matches = list(
+        iter_plan(plan, fuzzy.root, structural_config, intervals=intervals)
+    )
     report.matches = len(matches)
 
     # A match may hold under several disjoint conjunctive conditions
@@ -133,8 +150,8 @@ def apply_update(
         confidence_literal = Literal(name, True)
         report.confidence_event = name
 
-    _apply_insertions(transaction, match_infos, confidence_literal, report, delta)
-    _apply_deletions(transaction, match_infos, confidence_literal, report, delta)
+    _apply_insertions(transaction, match_infos, confidence_literal, report, delta, walk)
+    _apply_deletions(transaction, match_infos, confidence_literal, report, delta, walk)
     report.applied = True
     return report
 
@@ -149,6 +166,7 @@ def _apply_insertions(
     confidence_literal: Literal | None,
     report: UpdateReport,
     delta=None,
+    walk=None,
 ) -> None:
     for match, gamma in match_infos:
         for op in transaction.insertions:
@@ -163,6 +181,8 @@ def _apply_insertions(
             subtree = FuzzyNode.from_plain(op.subtree, condition=condition)
             children_before = len(anchor.children)
             anchor.add_child(subtree)
+            if walk is not None:
+                walk.attach(subtree)
             if delta is not None:
                 anchor_depth = anchor.depth()
                 delta.record_subtree_added(subtree, anchor_depth + 1)
@@ -179,6 +199,7 @@ def _apply_deletions(
     confidence_literal: Literal | None,
     report: UpdateReport,
     delta=None,
+    walk=None,
 ) -> None:
     # Group full deletion conditions (γm ∧ w) per target node.
     grouped: dict[int, tuple[FuzzyNode, list[Condition]]] = {}
@@ -208,6 +229,8 @@ def _apply_deletions(
         target_depth = target.depth()
         children_before = len(parent.children)
         target.detach()
+        if walk is not None:
+            walk.detach(target)
         if delta is not None:
             delta.record_subtree_removed(target, target_depth)
         for piece in pieces:
@@ -219,6 +242,8 @@ def _apply_deletions(
             copy = target.clone()
             copy.condition = combined
             parent.add_child(copy)
+            if walk is not None:
+                walk.attach(copy)
             if delta is not None:
                 delta.record_subtree_added(copy, target_depth)
             report.survivor_copies += 1

@@ -3,7 +3,8 @@
 Every match in the system is enumerated by this subsystem's operators.
 ``find_matches(pattern, root)`` runs them under the *fixed* plan a
 :class:`~repro.tpwj.match.MatchConfig` spells out (pre-order visit,
-hand-set ablation toggles, a throw-away document walk); the rest of
+hand-set ablation toggles, a throw-away document walk), and updates run
+that plan on the walk their writer keeps current; the rest of
 this package chooses the strategy *per query* from data statistics, the
 way a database optimizer does:
 
@@ -38,8 +39,11 @@ warehouse).  Every mutable structure is protected:
   ancestor-condition index are **per-root views**: immutable once
   built for a pinned (frozen) generation, so match enumeration and
   condition lookups run lock-free after the initial, locked
-  construction.  Only the *live* root's view is ever patched (by
-  commit deltas, under the lock).
+  construction.  Only the *live* root's view is ever patched, under
+  the lock: the writer patches its walk at every subtree a commit
+  attaches or detaches (:meth:`QueryEngine.mutating`), and the commit
+  delta patches its condition index (:meth:`QueryEngine.apply_delta`).
+  One walk thus serves a document generation across its commits.
 
 Pinned generations are frozen by the warehouse's copy-on-write
 contract, so their views can never go stale; the warehouse calls
@@ -66,6 +70,7 @@ from repro.engine.cardinality import (
 from repro.engine.conditions import AncestorConditionIndex
 from repro.engine.executor import (
     _Intervals,
+    _WriterWalk,
     ProbabilityBound,
     execute_plan,
     iter_plan,
@@ -173,6 +178,9 @@ class QueryEngine:
         self._views: OrderedDict[int, _RootView] = OrderedDict()
         self._max_root_views = max(1, max_root_views)
         self._obs = observability
+        # The live walk the last mutating() block kept current, until
+        # apply_delta stamps it with the commit's statistics version.
+        self._maintained: _Intervals | None = None
 
     @property
     def observability(self):
@@ -196,9 +204,24 @@ class QueryEngine:
         take write lock → engine lock; readers take the engine lock
         alone (their snapshot pins are acquired before any engine
         work).
+
+        The guard yields the writer's handle on the live root's walk
+        (a :class:`~repro.engine.executor._WriterWalk`): the mutation
+        locates its targets on it and reports every subtree it attaches
+        or detaches as it happens, so :meth:`apply_delta` keeps the
+        patched walk for the next query instead of dropping it.  A
+        mutation that does not report (``simplify``) must commit with a
+        ``None`` delta.  Readers never see a walk mid-patch: the live
+        root is pinned only under the warehouse's write lock, and a
+        pinned generation is cloned before it is mutated.
         """
         with self._lock:
-            yield
+            live = self._root_provider()
+            walk = _WriterWalk(
+                live, self._current_walk(live), lambda: self._intervals_for(live)
+            )
+            yield walk
+            self._maintained = walk.current
 
     def invalidate(self) -> None:
         """Tell the engine the document changed (stats version bump).
@@ -212,6 +235,7 @@ class QueryEngine:
         with self._lock:
             self.stats.invalidate()
             self._views.clear()
+            self._maintained = None
             self.shannon.clear()
 
     def apply_delta(self, delta: StatsDelta | None) -> None:
@@ -220,8 +244,10 @@ class QueryEngine:
         The statistics adjust in place (no full re-walk) and the
         version bumps only when the document actually changed, so plans
         cached for an untouched document keep being served.  Only the
-        **live** root's view is touched: its walk is dropped (interval
-        numbering is positional) and its ancestor-condition index is
+        **live** root's view is touched: the walk the writer patched
+        through the commit (see :meth:`mutating`) is kept and stamped
+        with the new version — any other walk, or one whose free gaps
+        ran out, is dropped — and its ancestor-condition index is
         *patched* from the delta's subtree records rather than rebuilt
         (updates only attach/detach subtrees — kept nodes keep their
         conditions).  Views of pinned generations are frozen by the
@@ -236,6 +262,7 @@ class QueryEngine:
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         with self._lock:
+            maintained, self._maintained = self._maintained, None
             t0 = perf_counter() if tracing else 0.0
             self.stats.apply_delta(delta)
             if tracing:
@@ -245,8 +272,11 @@ class QueryEngine:
             live = self._root_provider()
             view = self._views.get(id(live))
             if view is not None and view.root is live:
-                view.intervals = None
-                view.version = None
+                walk = view.intervals
+                if walk is not None and walk is maintained and not walk.stale:
+                    view.version = self.stats.version
+                else:
+                    view.intervals = view.version = None
                 if view.conditions is not None:
                     t1 = perf_counter() if tracing else 0.0
                     view.conditions.apply_changes(delta.subtree_changes)
@@ -334,14 +364,28 @@ class QueryEngine:
                 break  # only the live root is registered; keep it
         return view
 
+    def _current_walk(self, root: Node) -> _Intervals | None:
+        """*root*'s registered walk if it is still valid, else None;
+        caller holds the lock.  No stale walk is valid; the live root's
+        must also carry the current statistics version, which
+        :meth:`apply_delta` stamps on a walk the writer kept current.
+        Walks of pinned generations are frozen and valid forever."""
+        view = self._views.get(id(root))
+        if view is None or view.root is not root:
+            return None
+        walk = view.intervals
+        if walk is None or walk.stale:
+            return None
+        if root is self._root_provider() and view.version != self.stats.version:
+            return None
+        return walk
+
     def _intervals_for(self, root: Node) -> _Intervals:
         """The document walk for *root* (building it unlocked if stale).
 
-        The walk of the live root is version-checked (in-place commits
-        renumber it); walks of pinned generations are frozen and valid
-        forever.  Building the walk for a fuzzy root whose condition
-        index is also missing fuses the index construction into the
-        same single pass.
+        See :meth:`_current_walk` for when a registered walk is reused.
+        Building the walk for a fuzzy root whose condition index is also
+        missing fuses the index construction into the same single pass.
 
         The O(n) construction runs **outside** the engine lock so a
         writer's ``apply_delta`` never queues behind a reader's
@@ -354,10 +398,10 @@ class QueryEngine:
         """
         with self._lock:
             view = self._view(root)
-            live = root is self._root_provider()
             version = self.stats.version
-            if view.intervals is not None and (not live or view.version == version):
-                return view.intervals
+            walk = self._current_walk(root)
+            if walk is not None:
+                return walk
             need_index = isinstance(root, FuzzyNode) and view.conditions is None
         index = AncestorConditionIndex(id(root)) if need_index else None
         obs = self._obs

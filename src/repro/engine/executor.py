@@ -1,14 +1,16 @@
 """Physical operators executing a :class:`~repro.engine.planner.Plan`.
 
 The one place matches are enumerated: :func:`iter_plan` runs under every
-caller — planned queries, and (through ``find_matches(plan=None)``'s
-fixed pre-order plan) update-target location, WAL replay, the
-possible-worlds oracle and Monte-Carlo sampling.  The work is split
-into explicit operators so a plan can pick and order them:
+caller — planned queries, update-target location and WAL replay (the
+fixed pre-order plan, on the walk their writer keeps current), and
+(through ``find_matches(plan=None)``) the possible-worlds oracle and
+Monte-Carlo sampling.  The work is split into explicit operators so a
+plan can pick and order them:
 
 * :class:`LabelIndexScan` / :class:`FullScan` — produce the per-pattern-
   node candidate lists (one document pass builds the label index,
-  shared by every scan);
+  shared by every scan, and commits patch it in place — see
+  :class:`_Intervals`);
 * :class:`SemiJoinPrune` — the bottom-up structural semi-join: a
   candidate survives only when every required pattern child still has a
   candidate in the right axis relation;
@@ -18,8 +20,9 @@ into explicit operators so a plan can pick and order them:
 
 **Every candidate list is in document (pre-order) order.**  The label
 index buckets and the node list are appended during the walk's
-pre-order pass, and every later step — the anchored filter, the
-semi-join, the join's options — filters without reordering.  The
+pre-order pass (and patched by document-order splices), and every
+later step — the anchored filter, the semi-join, the join's options —
+filters without reordering.  The
 proper descendants of a node ``a`` within a candidate list are
 therefore one contiguous slice, the candidates whose pre-order number
 lies strictly between ``enter[a]`` and ``exit[a]``: a descendant edge
@@ -80,12 +83,24 @@ def iter_rekeyed(plan: Plan, pattern, matches) -> Iterator[Match]:
         yield match
 
 
-class _Intervals:
-    """Pre-order interval numbering: descendant edges as range lookups.
+#: A fresh walk's clock step: every open and every close of a node
+#: advances it by this much, so a gap of free numbers follows each one.
+_GAP = 1 << 16
+#: An attached subtree takes this fraction (1/_SHARE) of the free gap
+#: it lands in, leaving the rest for later siblings.
+_SHARE = 16
 
-    ``enter[id(n)]`` is *n*'s pre-order number and ``exit[id(n)]`` one
-    past the largest number in its subtree, so *n*'s proper descendants
-    are the nodes numbered strictly between the two.
+
+class _Intervals:
+    """Gap-numbered pre-order intervals: descendant edges as range lookups.
+
+    ``enter[id(n)]`` numbers *n*'s open and ``exit[id(n)]`` its close;
+    *n*'s proper descendants are exactly the nodes whose ``enter`` lies
+    strictly between the two.  A fresh walk spaces consecutive numbers
+    :data:`_GAP` apart, so ``exit[parent]`` lies strictly above its last
+    child's ``exit`` and a free gap follows every number: the gap-numbered
+    intervals of Li & Moon (VLDB 2001), which keep the ranges valid
+    under inserts without renumbering.
 
     The constructor makes the **single** document pass of an execution:
     it numbers the tree *and* collects the node list and the label index
@@ -93,30 +108,47 @@ class _Intervals:
     runs under every matcher caller, so document depth must not be
     bounded by the interpreter's recursion limit.
 
+    A writer keeps the walk of the document it mutates current with
+    :meth:`attach` and :meth:`detach`, called at each mutation: a
+    detached subtree's contiguous slice leaves the node list and every
+    label bucket, an attached one is numbered into the free gap after
+    its previous sibling and spliced in, so every list stays in
+    document order.  When a gap is too small for the subtree the walk
+    turns :attr:`stale` and ignores further patches; its owner rebuilds.
+
     *yield_every*, when set, cooperatively yields the GIL every that
-    many visited nodes (``time.sleep(0)``): the serving layer rebuilds
-    walks on reader threads after commits, and an uninterruptible O(n)
-    pass would otherwise hold the GIL for milliseconds at a time —
-    exactly the burst that lands in a concurrent writer's p99 commit
-    latency.  The cost is one no-op syscall per chunk; leave it None
-    for single-threaded callers.
+    many visited nodes (``time.sleep(0)``): the serving layer builds
+    walks on reader threads, and an uninterruptible O(n) pass would
+    otherwise hold the GIL for milliseconds at a time — exactly the
+    burst that lands in a concurrent writer's p99 commit latency.  The
+    cost is one no-op syscall per chunk; leave it None for
+    single-threaded callers.
     """
 
-    __slots__ = ("enter", "exit", "all_nodes", "label_index")
+    __slots__ = ("enter", "exit", "all_nodes", "label_index", "stale")
 
     def __init__(self, root: Node, observer=None, yield_every: int | None = None) -> None:
         self.enter: dict[int, int] = {}
         self.exit: dict[int, int] = {}
         self.all_nodes: list[Node] = []
         self.label_index: dict[str, list[Node]] = {}
-        enter, exit_, all_nodes, index = (
-            self.enter,
-            self.exit,
-            self.all_nodes,
-            self.label_index,
-        )
-        clock = 0
+        self.stale = False
+        self._number(root, 0, _GAP, self.all_nodes, self.label_index, observer, yield_every)
 
+    def _number(
+        self,
+        root: Node,
+        clock: int,
+        step: int,
+        nodes: list[Node],
+        index: dict[str, list[Node]],
+        observer=None,
+        yield_every: int | None = None,
+    ) -> None:
+        """Number *root*'s subtree in pre-order from *clock*, one open or
+        close every *step*, appending its nodes to *nodes* and to
+        *index*'s label buckets (both in document order)."""
+        enter, exit_ = self.enter, self.exit
         # *observer* piggybacks on the single pass: the engine passes
         # its ancestor-condition index's ``observe`` so per-node closed
         # conditions are gathered in the same walk (pre-order — a
@@ -130,12 +162,13 @@ class _Intervals:
             node = stack.pop()
             if node is None:
                 exit_[id(stack.pop())] = clock
+                clock += step
                 continue
             enter[id(node)] = clock
-            clock += 1
-            if yield_every is not None and clock % yield_every == 0:
+            clock += step
+            nodes.append(node)
+            if yield_every is not None and len(nodes) % yield_every == 0:
                 _sleep(0)  # let a waiting writer slip in
-            all_nodes.append(node)
             if observer is not None:
                 observer(node)
             bucket = index.get(node.label)
@@ -150,6 +183,7 @@ class _Intervals:
                 stack.extend(reversed(children))
             else:
                 exit_[id(node)] = clock
+                clock += step
 
     def positions(self, nodes: list[Node]) -> list[int]:
         """The pre-order numbers of the document-ordered *nodes*: sorted,
@@ -162,6 +196,104 @@ class _Intervals:
         *positions*, that holds exactly *ancestor*'s proper descendants."""
         lo = bisect_right(positions, self.enter[id(ancestor)])
         return lo, bisect_left(positions, self.exit[id(ancestor)], lo)
+
+    def attach(self, subtree: Node) -> None:
+        """Number *subtree*, just attached under a node of this walk,
+        into the free gap after its previous sibling and splice it in."""
+        if self.stale:
+            return
+        enter, exit_ = self.enter, self.exit
+        parent = subtree.parent
+        siblings = parent.children
+        at = len(siblings) - 1
+        while siblings[at] is not subtree:
+            at -= 1
+        lo = exit_[id(siblings[at - 1])] if at else enter[id(parent)]
+        hi = enter[id(siblings[at + 1])] if at + 1 < len(siblings) else exit_[id(parent)]
+        step = (hi - lo) // (_SHARE * 2 * subtree.size())
+        if step == 0:
+            self.stale = True  # the gap ran out: the owner rebuilds
+            return
+        opened: list[Node] = []
+        groups: dict[str, list[Node]] = {}
+        self._number(subtree, lo + step, step, opened, groups)
+        self._splice(self.all_nodes, opened)
+        index = self.label_index
+        for label, group in groups.items():
+            bucket = index.get(label)
+            if bucket is None:
+                index[label] = group
+            else:
+                self._splice(bucket, group)
+
+    def detach(self, subtree: Node) -> None:
+        """Drop *subtree*, just detached from a node of this walk: its
+        contiguous slice of the node list and of each label bucket."""
+        if self.stale:
+            return
+        enter, exit_ = self.enter, self.exit
+        first, last = enter[id(subtree)], exit_[id(subtree)]
+        key = self._key
+        nodes = self.all_nodes
+        lo = bisect_left(nodes, first, key=key)
+        hi = bisect_left(nodes, last, lo, key=key)
+        removed = nodes[lo:hi]
+        del nodes[lo:hi]
+        index = self.label_index
+        for label in {node.label for node in removed}:
+            bucket = index[label]
+            lo = bisect_left(bucket, first, key=key)
+            del bucket[lo : bisect_left(bucket, last, lo, key=key)]
+            if not bucket:
+                del index[label]
+        for node in removed:
+            del enter[id(node)], exit_[id(node)]
+
+    def _key(self, node: Node) -> int:
+        return self.enter[id(node)]
+
+    def _splice(self, nodes: list[Node], run: list[Node]) -> None:
+        """Insert the document-ordered *run*, numbered into one free
+        gap, into the document-ordered *nodes*."""
+        at = bisect_left(nodes, self.enter[id(run[0])], key=self._key)
+        nodes[at:at] = run
+
+
+class _WriterWalk:
+    """A writer's handle on the walk of the document it mutates.
+
+    The mutation locates its targets on :meth:`for_plan` and reports
+    every subtree it attaches or detaches, at the moment it does, to
+    :meth:`attach` / :meth:`detach`, which patch :attr:`current` in
+    place.  The walk is built on first need by *build* (by default a
+    fresh walk of *root*) and rebuilt once it turns stale; until then
+    there is nothing to patch — the build reads the tree as it is.
+    """
+
+    __slots__ = ("current", "_build")
+
+    def __init__(self, root: Node, current: _Intervals | None = None, build=None) -> None:
+        #: The walk kept current so far, or None before the first build.
+        self.current = current
+        self._build = build if build is not None else lambda: _Intervals(root)
+
+    def for_plan(self, plan: Plan) -> _Intervals | None:
+        """The walk *plan* executes on: None for a root probe, which
+        needs none (see :func:`iter_plan`)."""
+        if _probes_root(plan):
+            return None
+        walk = self.current
+        if walk is None or walk.stale:
+            walk = self.current = self._build()
+        return walk
+
+    def attach(self, subtree: Node) -> None:
+        if self.current is not None:
+            self.current.attach(subtree)
+
+    def detach(self, subtree: Node) -> None:
+        if self.current is not None:
+            self.current.detach(subtree)
 
 
 def _local_filter(
@@ -467,6 +599,12 @@ class BacktrackJoin:
         return True
 
 
+def _probes_root(plan: Plan) -> bool:
+    """Whether *plan* is answered by probing the root alone: an anchored
+    single-node pattern (one step — plans visit every positive node)."""
+    return plan.pattern.anchored and len(plan.steps) == 1
+
+
 def iter_plan(
     plan: Plan,
     root: Node,
@@ -499,12 +637,11 @@ def iter_plan(
     join_vars = pattern.join_variables()
     candidates: dict[PatternNode, list[Node]] = {}
 
-    if intervals is None and pattern.anchored and len(plan.steps) == 1:
-        # An anchored single-node pattern (one step: plans visit every
-        # positive node) can only map to the document root — the shape
-        # of root-targeted updates, hence of most WAL records: a
-        # constant-time probe, no walk.  The join below never consults
-        # the walk for a parentless pattern node.
+    if intervals is None and _probes_root(plan):
+        # An anchored single-node pattern can only map to the document
+        # root — the shape of root-targeted updates, hence of most WAL
+        # records: a constant-time probe, no walk.  The join below never
+        # consults the walk for a parentless pattern node.
         probed = _local_filter(pattern.root, [root], join_vars)
         if not probed:
             return

@@ -188,10 +188,13 @@ def find_matches(
     Every call runs the engine's operators
     (:func:`repro.engine.executor.iter_plan`); *plan* says under which
     plan.  With the default ``plan=None`` it is the fixed plan *config*
-    spells out (:func:`~repro.engine.planner.fixed_plan`): the three
-    strategy toggles pick the operators and the result order is
-    deterministic (pre-order of candidate data nodes, pattern children
-    in declaration order).  ``plan="auto"`` plans by cost: statistics
+    spells out (:func:`~repro.engine.planner.fixed_plan`), run on a
+    throw-away document walk: the three strategy toggles pick the
+    operators and the result order is deterministic (pre-order of
+    candidate data nodes, pattern children in declaration order).
+    Updates run the same plan on the walk their writer keeps current
+    (:func:`~repro.core.update.apply_update`'s *walk*), with the same
+    matches in the same order.  ``plan="auto"`` plans by cost: statistics
     are collected, a plan is built and executed; *config* then only
     supplies the runtime semantics (``max_matches``,
     ``honor_negation``).  Passing a prebuilt

@@ -67,6 +67,7 @@ from repro.analysis.metrics import fuzzy_stats
 from repro.obs import default_observability
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.engine import QueryEngine, StatsDelta
+from repro.engine.executor import _WriterWalk
 from repro.core.simplify import SimplifyReport, simplify
 from repro.core.update import UpdateReport, apply_update
 from repro.errors import (
@@ -362,6 +363,7 @@ class Warehouse:
             finally:
                 self._storage.release_lock()
                 self._closed = True
+                self._engine.invalidate()  # drop the views now, not at a GC pass
 
     def __enter__(self) -> "Warehouse":
         return self
@@ -609,7 +611,9 @@ class Warehouse:
             delta = StatsDelta()
             config = self._match_config
             outcomes = self._apply_in_place(
-                lambda: _apply_members(self._document, members, texts, config, delta)
+                lambda walk: _apply_members(
+                    self._document, members, texts, config, delta, walk
+                )
             )
             events = [report.confidence_event for _, _, report in outcomes]
             if kind == "update":
@@ -641,7 +645,7 @@ class Warehouse:
         always a fresh snapshot — a natural compaction point.
         """
         with self._committing("simplify"):
-            report = self._apply_in_place(lambda: simplify(self._document))
+            report = self._apply_in_place(lambda _: simplify(self._document))
             self._commit(
                 "simplify",
                 {
@@ -721,7 +725,9 @@ class Warehouse:
 
     def _apply_in_place(self, mutate):
         """Run an in-place mutation of the live document, after
-        copy-on-write has detached any pinned readers from it."""
+        copy-on-write has detached any pinned readers from it; *mutate*
+        gets the writer's handle on the live walk (see
+        :meth:`QueryEngine.mutating`)."""
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         t0 = perf_counter() if tracing else 0.0
@@ -729,8 +735,8 @@ class Warehouse:
         # The engine guard serializes the mutation against a concurrent
         # reader's statistics recollection, which walks the live root
         # (see QueryEngine.mutating).
-        with self._engine.mutating():
-            result = mutate()
+        with self._engine.mutating() as walk:
+            result = mutate(walk)
         if tracing:
             obs.tracer.emit("apply", perf_counter() - t0)
         return result
@@ -743,8 +749,8 @@ class Warehouse:
         document for a clone *before* mutating leaves every pin's tree
         and event table frozen.  The clone is structurally identical,
         so the engine's statistics (and cached plans) stay valid; the
-        executor's document walk re-keys itself off the new root
-        identity on the next query.  Pins taken after the swap see the
+        new root's document walk is built by the first locate or query
+        that needs it.  Pins taken after the swap see the
         new generation — one clone per pinned generation, not per write.
         """
         with self._pins_lock:
@@ -865,7 +871,7 @@ _AUDIT_COUNTS = ("matches", "applied", "inserted_nodes", "survivor_copies")
 
 
 def _apply_members(
-    document: FuzzyTree, members, texts, match_config: MatchConfig, delta=None
+    document: FuzzyTree, members, texts, match_config: MatchConfig, delta=None, walk=None
 ) -> list[tuple]:
     """Apply *members* (whose XUpdate serializations are *texts*) to
     *document* in order: the one place a commit, live or replayed,
@@ -876,7 +882,7 @@ def _apply_members(
         (
             text,
             transaction.confidence,
-            apply_update(document, transaction, match_config, delta=delta),
+            apply_update(document, transaction, match_config, delta, walk),
         )
         for transaction, text in zip(members, texts)
     ]
@@ -921,8 +927,9 @@ def _recover(storage: Storage, match_config: MatchConfig, obs) -> tuple:
     if torn:
         wal.discard_torn_tail()
     t_replay = perf_counter() if obs is not None else 0.0
+    walk = _WriterWalk(document.root)  # one walk for every record, built lazily
     replayed = [
-        (record, _replay_record(document, record, match_config))
+        (record, _replay_record(document, record, match_config, walk))
         for record in records
     ]
     if obs is not None:
@@ -965,10 +972,11 @@ def _load_snapshot(storage: Storage, obs) -> tuple[FuzzyTree, int]:
 
 
 def _replay_record(
-    document: FuzzyTree, record: dict, match_config: MatchConfig
+    document: FuzzyTree, record: dict, match_config: MatchConfig, walk
 ) -> list[tuple]:
     """Re-apply one WAL record to *document*; returns the members'
-    ``(text, confidence, report)`` outcomes (see :func:`_apply_members`).
+    ``(text, confidence, report)`` outcomes (see :func:`_apply_members`),
+    locating its targets on *walk*, the replay's shared writer walk.
 
     Replay must reproduce the original commit bit for bit; in
     particular the confidence events it mints must carry the names the
@@ -1008,7 +1016,7 @@ def _replay_record(
             raise WarehouseCorruptError(
                 f"unreplayable WAL record kind {kind!r} at sequence {sequence}"
             )
-        outcomes = _apply_members(document, members, texts, match_config)
+        outcomes = _apply_members(document, members, texts, match_config, walk=walk)
     except WarehouseCorruptError:
         raise
     except (ReproError, KeyError, TypeError) as exc:

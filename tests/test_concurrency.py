@@ -32,7 +32,7 @@ import threading
 import pytest
 
 import repro
-from repro.core.query import query_fuzzy_tree
+from repro.core.query import iter_query_rows, query_fuzzy_tree
 from repro.errors import UpdateError
 from repro.tpwj.parser import parse_pattern
 
@@ -214,6 +214,115 @@ class TestSnapshotIsolationUnderThreads:
         threads.append(threading.Thread(target=writer))
         _run_threads(threads, errors)
         assert session.stats()["read_sessions"] == 0
+
+
+class TestWalkPatchedUnderReaders:
+    """Commits patch the live root's document walk in place when no pin
+    holds the document, and clone the document (leaving the pinned
+    generation's walk frozen) when one does."""
+
+    QUERIES = ("//person { name }", "//person { //email }", "/directory { person }")
+
+    @staticmethod
+    def _rows(rows) -> list:
+        return sorted(
+            (row.canonical, tuple(id(n) for n in row.match.iter_images()), row.probability)
+            for row in rows
+        )
+
+    def _check(self, snap) -> None:
+        """The snapshot's rows equal a fresh-walk evaluation of its
+        pinned generation (no engine: a throw-away walk per query)."""
+        for text in self.QUERIES:
+            fresh = iter_query_rows(snap.document, parse_pattern(text))
+            assert self._rows(snap.query(text).all()) == self._rows(fresh), text
+
+    @staticmethod
+    def _writes(seed: int) -> list:
+        """Inserts (root-anchored and located), deletes with survivor
+        copies, and batches mixing both."""
+        rng = random.Random(seed)
+
+        def person(name: str, variable: str = "p"):
+            return repro.pattern("person", variable=variable).child("name", value=name)
+
+        writes = []
+        for i in range(30):
+            named = f"seed{rng.randrange(12)}"
+            email = (
+                repro.update(person(named))
+                .insert("p", repro.tree("email", f"e{i}"))
+                .confidence(rng.uniform(0.3, 0.9))
+            )
+            if i % 5 == 4:
+                writes.append(
+                    [_insert("name", f"w{i}"), email, repro.update(person(f"w{i - 2}"))
+                     .delete("p").confidence(0.6)]
+                )
+            elif i % 3 == 2:
+                writes.append(repro.update(person(f"w{i - 1}")).delete("p").confidence(0.7))
+            elif i % 3 == 1:
+                writes.append(email)
+            else:
+                writes.append(_insert("name", f"w{i}", rng.uniform(0.3, 0.9)))
+        return writes
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_match_a_fresh_walk_across_and_between_commits(self, session, seed):
+        errors: list = []
+        done = threading.Event()
+        warehouse = session._warehouse
+
+        def holder(k: int) -> None:
+            """Pins across commits: the writer must clone."""
+            try:
+                while not done.is_set():
+                    with session.snapshot() as snap:
+                        self._check(snap)
+                        sequence = warehouse.sequence
+                        while warehouse.sequence == sequence and not done.is_set():
+                            done.wait(0.001)
+                        self._check(snap)
+                    done.wait(0.01)  # commits land unpinned meanwhile
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append((f"holder{k}", repr(exc)))
+
+        def between(k: int) -> None:
+            """Pins between commits: the writer patches in place."""
+            try:
+                while not done.is_set():
+                    with session.snapshot() as snap:
+                        self._check(snap)
+                    done.wait(0.002)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append((f"between{k}", repr(exc)))
+
+        def writer() -> None:
+            try:
+                for write in self._writes(seed):
+                    if isinstance(write, list):
+                        session.update_many(write)
+                    else:
+                        session.update(write)
+                    done.wait(0.003)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(("writer", repr(exc)))
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=holder, args=(k,)) for k in range(2)]
+        threads += [threading.Thread(target=between, args=(k,)) for k in range(2)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers inside a patch
+        try:
+            _run_threads(threads, errors)
+        finally:
+            sys.setswitchinterval(interval)
+        assert session.stats()["read_sessions"] == 0
+        with session.snapshot() as snap:
+            self._check(snap)
 
 
 class TestPinAccounting:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro
@@ -10,7 +12,9 @@ from repro.api.builders import compile_transaction
 from repro.core.update import apply_update
 from repro.tpwj.match import find_matches
 from repro.tpwj.parser import parse_pattern
-from repro.warehouse import Warehouse
+from repro.trees.random import RandomTreeConfig
+from repro.warehouse import CommitPolicy, Warehouse
+from repro.workloads.generator import FuzzyWorkloadConfig, random_fuzzy_tree
 from repro.obs.metrics import process_registry
 from repro.engine import executor
 from repro.engine import (
@@ -513,3 +517,92 @@ class TestIncrementalStats:
             assert warehouse.engine.stats.current() == collect_stats(
                 warehouse.document.root
             )
+
+
+# ----------------------------------------------------------------------
+# One walk per document generation
+# ----------------------------------------------------------------------
+
+
+def _slot_document(slots: int = 30) -> FuzzyTree:
+    """A ~1 100-node fuzzy tree with *slots* uniquely identified anchors
+    under the root (an insert addresses exactly one of them)."""
+    document = random_fuzzy_tree(
+        random.Random(7),
+        FuzzyWorkloadConfig(
+            tree=RandomTreeConfig(max_nodes=1100, min_nodes=1000, max_depth=10),
+            n_events=6,
+        ),
+    )
+    for i in range(slots):
+        slot = document.root.add_child(FuzzyNode("slot"))
+        slot.add_child(FuzzyNode("id", value=f"s{i}"))
+    return document
+
+
+def _slot_insert(serial: int, slots: int = 30):
+    return compile_transaction(
+        repro.update(
+            repro.pattern("slot", variable="s").child("id", value=f"s{serial % slots}")
+        )
+        .insert("s", repro.tree("note", f"n{serial:05d}"))
+        .confidence(0.75)
+    )
+
+
+def _person_insert():
+    return compile_transaction(
+        repro.update(repro.pattern("directory", variable="d", anchored=True))
+        .insert("d", repro.tree("person", repro.tree("name", "p0001")))
+        .confidence(0.5)
+    )
+
+
+@pytest.fixture
+def walk_builds(monkeypatch) -> list:
+    """Every document walk constructed while the test runs."""
+    built: list = []
+    construct = executor._Intervals.__init__
+
+    def counting(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(executor._Intervals, "__init__", counting)
+    return built
+
+
+class TestOneWalkPerGeneration:
+    """Updates locate their targets on the live view's walk and commits
+    patch it, so neither an insert nor the query after it walks the
+    document again; replay shares one walk across its records."""
+
+    def test_interleaved_slot_inserts_build_one_walk(self, tmp_path, walk_builds):
+        document = _slot_document()
+        assert document.size() > 1000
+        with repro.connect(tmp_path / "wh", create=True, document=document) as session:
+            for serial in range(30):
+                assert session.update(_slot_insert(serial)).applied
+                assert len(session.query("//slot { note }").all()) == serial + 1
+        exhausted = sum(getattr(walk, "stale", False) for walk in walk_builds)
+        assert 1 <= len(walk_builds) <= 1 + exhausted
+
+    def test_replaying_reopen_builds_one_walk(self, tmp_path, walk_builds):
+        policy = CommitPolicy(snapshot_every=100, compact_on_close=False)
+        with Warehouse.create(tmp_path / "wh", _slot_document(), policy=policy) as wh:
+            for serial in range(32):
+                wh.update_many([_slot_insert(serial)])
+            expected = wh.document.root.canonical()
+        walk_builds.clear()
+        with Warehouse.open(tmp_path / "wh", policy=policy) as wh:
+            assert wh.document.root.canonical() == expected
+            assert len(walk_builds) <= 1
+
+    def test_root_anchored_insert_builds_no_walk(self, tmp_path, walk_builds):
+        policy = CommitPolicy(snapshot_every=100, compact_on_close=False)
+        directory = FuzzyTree(FuzzyNode("directory"), EventTable())
+        with Warehouse.create(tmp_path / "wh", directory, policy=policy) as wh:
+            assert wh.update_many([_person_insert()])[0].applied
+        with Warehouse.open(tmp_path / "wh", policy=policy) as wh:
+            assert [c.label for c in wh.document.root.children] == ["person"]
+        assert walk_builds == []

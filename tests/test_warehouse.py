@@ -131,6 +131,16 @@ class TestWarehouseLifecycle:
         with pytest.raises(WarehouseError, match="closed"):
             Session(wh).query("B").answers()
 
+    def test_close_releases_the_engine_views(self, tmp_path, slide12_doc):
+        """A closed handle keeps no per-root walk or condition index alive
+        (the warehouse and its engine form a cycle only a full GC frees)."""
+        wh = Warehouse.create(tmp_path / "wh", slide12_doc)
+        assert Session(wh).query("//D").answers()
+        assert wh.engine._views  # the query built the live root's view
+        engine = wh.engine
+        wh.close()
+        assert not engine._views
+
     def test_create_stores_a_clone(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as wh:
             slide12_doc.root.children[0].detach()
