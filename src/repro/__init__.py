@@ -57,7 +57,6 @@ from repro.core import (
     FuzzyAnswer,
     FuzzyNode,
     FuzzyTree,
-    QueryRow,
     SimplifyReport,
     UpdateReport,
     estimate_query,
@@ -219,7 +218,6 @@ __all__ = [
     "to_possible_worlds",
     "from_possible_worlds",
     "FuzzyAnswer",
-    "QueryRow",
     "iter_query_rows",
     "match_condition",
     "UpdateReport",

@@ -24,8 +24,9 @@ from repro.api.builders import (
     update,
 )
 from repro.api.options import QueryOptions, QueryOptionsError
-from repro.api.results import ResultSet, Row, RowStream
+from repro.api.results import ResultSet, RowStream
 from repro.api.session import Session, SessionBatch, Snapshot, connect
+from repro.core.query import Row
 
 __all__ = [
     "connect",

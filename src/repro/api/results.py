@@ -2,7 +2,8 @@
 
 A :class:`ResultSet` is a *description* of a query against a session or
 snapshot — nothing runs until it is iterated.  Iteration streams
-:class:`Row` objects through the engine's streaming protocol
+:class:`~repro.core.query.Row` objects — the one in-process row record
+— through the engine's streaming protocol
 (:meth:`~repro.engine.QueryEngine.iter_matches`): the cost-based plan
 comes from the source's plan cache, matches are pulled one at a time,
 and :meth:`limit` pushes early termination into the backtracking join —
@@ -10,10 +11,10 @@ a top-k query stops the enumeration after k rows instead of
 materializing everything and slicing.
 
 Rows are per-match (exact probability that *that match* fires, its
-answer tree, variable bindings, and a provenance hook resolving the
-events involved).  :meth:`ResultSet.answers` folds the stream back into
-the classic probability-ranked, per-answer-tree aggregation of
-:func:`~repro.core.query.query_fuzzy_tree`.
+answer tree, variable bindings, and provenance resolved through the
+session the stream ran on).  :meth:`ResultSet.answers` folds the
+stream back into the classic probability-ranked, per-answer-tree
+aggregation of :func:`~repro.core.query.query_fuzzy_tree`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.api.options import QueryOptions, QueryOptionsError
 from repro.core.montecarlo import AnswerEstimate, estimate_answers
 from repro.core.query import (
     FuzzyAnswer,
-    QueryRow,
+    Row,
     group_by_key,
     group_rows,
     iter_bounded_rows,
@@ -38,91 +39,7 @@ from repro.core.query import (
 from repro.errors import QueryCancelledError, QueryError
 from repro.events.dnf import Dnf
 
-__all__ = ["ResultSet", "Row", "RowStream"]
-
-
-class Row:
-    """One streamed result row: a match with its probability and context.
-
-    Attributes
-    ----------
-    probability:
-        Exact probability that this match fires (disjunction of its
-        disjoint existence conditions).
-    tree:
-        The answer tree (minimal subtree containing the mapped nodes),
-        built on first read.
-    canonical:
-        ``tree.canonical()``, computed without building the tree.
-    match:
-        The underlying :class:`~repro.tpwj.match.Match`.
-    dnf:
-        The disjoint conditions under which the match holds.
-    document:
-        The document key of the shard the row matched in, set by a
-        collection's fan-out; ``None`` on a single-document session.
-    """
-
-    __slots__ = ("_inner", "_source", "_obs", "document")
-
-    def __init__(self, inner: QueryRow, source, obs=None) -> None:
-        self.document: str | None = None
-        self._inner = inner
-        self._source = source
-        # The instrument panel active when the row was streamed, or
-        # None: the lazy probability is timed on its first (and only)
-        # computation.
-        self._obs = obs
-
-    @property
-    def probability(self) -> float:
-        obs = self._obs
-        inner = self._inner
-        if obs is not None and inner._probability is None:
-            t0 = perf_counter()
-            p = inner.probability
-            spent = perf_counter() - t0
-            if obs.metrics.enabled:
-                obs.metrics.observe("query.probability_seconds", spent)
-            if obs.tracer.enabled:
-                # Lands inside the query span while the stream is being
-                # consumed; a no-op if the probability is read after the
-                # trace closed.
-                obs.tracer.emit("probability_evaluation", spent)
-            return p
-        return inner.probability
-
-    # Read through to the core row, which fills tree and key on read.
-    tree = property(lambda self: self._inner.tree)
-    canonical = property(lambda self: self._inner.canonical)
-    match = property(lambda self: self._inner.match)
-    dnf = property(lambda self: self._inner.dnf)
-
-    def bindings(self) -> dict[str, str | None]:
-        """Variable name -> bound text value for this match."""
-        return self._inner.bindings()
-
-    def explain(self) -> list[dict]:
-        """Provenance: one record per event involved in this row.
-
-        Each record carries the event name, its probability when the
-        row was emitted (the basis :attr:`probability` is priced on, so
-        a later commit that collects the event changes neither), and —
-        when the event was minted by an update committed through the
-        row's warehouse — the originating transaction's audit-log entry.
-        """
-        captured = self._inner._captured
-        return [
-            {
-                "event": event,
-                "probability": captured[event],
-                "origin": self._source._provenance(event),
-            }
-            for event in sorted(captured)
-        ]
-
-    def __repr__(self) -> str:
-        return f"Row(p={self.probability:.6g}, tree={self.canonical})"
+__all__ = ["ResultSet", "RowStream"]
 
 
 _DEFAULT_OPTIONS = QueryOptions()
@@ -479,7 +396,7 @@ def _check_abort(abort) -> None:
 
 
 def _row_iter(fuzzy, engine, config, pattern, options, abort):
-    """The :class:`~repro.core.query.QueryRow` iterator for *options*.
+    """The :class:`~repro.core.query.Row` iterator for *options*.
 
     Dispatches on the options' shape: probability order runs the
     branch-and-bound top-k (eager — the sort key is the exact
@@ -533,11 +450,13 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
     engine = engine if options.use_planner else None
     tracing = obs is not None and obs.tracer.enabled
     metrics = obs is not None and obs.metrics.enabled
+    provenance = source._provenance
     if not tracing and not metrics:
         if abort is not None:
             _check_abort(abort)
-        for inner in _row_iter(fuzzy, engine, config, pattern, options, abort):
-            yield Row(inner, source)
+        for row in _row_iter(fuzzy, engine, config, pattern, options, abort):
+            row._provenance = provenance
+            yield row
             if abort is not None:
                 _check_abort(abort)
         return
@@ -555,7 +474,7 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
                 _check_abort(abort)
             t_pull = perf_counter()
             try:
-                inner = next(stream)
+                row = next(stream)
             except StopIteration:
                 if span is not None:
                     span.record("match_enumeration", perf_counter() - t_pull)
@@ -566,7 +485,10 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
             if metrics and rows == 0:
                 registry.observe("api.first_row_seconds", perf_counter() - t0)
             rows += 1
-            yield Row(inner, source, obs)
+            row._provenance = provenance
+            # The row's first pricing is timed into this panel.
+            row._obs = obs
+            yield row
     finally:
         duration = perf_counter() - t0
         if span is not None:
@@ -579,7 +501,8 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
 
 
 class RowStream:
-    """One execution of a :class:`ResultSet`: an iterator of :class:`Row`.
+    """One execution of a :class:`ResultSet`: an iterator of
+    :class:`~repro.core.query.Row`.
 
     On a live session the stream owns the iteration pin; it is released
     exactly once, on whichever comes first:

@@ -25,10 +25,10 @@ architecture::
 
 ``query``, ``update`` and ``serve-stats`` are collection-aware: when
 the path holds a collection (``repro.connect_collection``), queries fan
-out across every document (rows prefixed with their document key, a
-``--limit`` short-circuiting the fan-out), updates route to the
-document named by ``--doc``, and serve-stats aggregates per-shard
-serving counters.
+out across every document (each line prefixed with its document key,
+every query flag meaning what it means on a warehouse), updates route
+to the document named by ``--doc``, and serve-stats aggregates
+per-shard serving counters.
 
 Every command exits 0 on success; errors print a clean one-line message
 on stderr (no traceback) with a distinct exit code per family:
@@ -56,10 +56,10 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
-from repro.api import connect
+from repro.api import QueryOptions, connect
 from repro.obs import render_json, render_prometheus, render_trace
 from repro.serve import Collection, connect_collection
-from repro.core.montecarlo import estimate_query
+from repro.core.montecarlo import AnswerEstimate, estimate_query
 from repro.core.semantics import to_possible_worlds
 from repro.errors import (
     PatternSyntaxError,
@@ -385,16 +385,12 @@ def _parse_pattern_arg(text: str) -> Pattern:
 
 
 def _query_options(args: argparse.Namespace):
-    """The QueryOptions for the new flags, or None for the legacy paths.
+    """The QueryOptions the query flags ask for.
 
     ``--top-k`` folds into ``limit`` (strictest wins) and switches the
     order to probability; validation errors surface as the aggregated
     :class:`~repro.api.options.QueryOptionsError`.
     """
-    from repro.api import QueryOptions
-
-    if args.top_k is None and args.min_probability is None:
-        return None
     limit = args.limit
     if args.top_k is not None:
         limit = args.top_k if limit is None else min(limit, args.top_k)
@@ -406,124 +402,69 @@ def _query_options(args: argparse.Namespace):
     )
 
 
-def _print_estimate(estimate, *, xml: bool, document: str | None = None) -> None:
-    prefix = "" if document is None else f"{document}  "
+def _print_item(item, *, xml: bool, document: str | None) -> None:
+    """One row, answer or estimate, prefixed by its document key if any."""
+    measure = f"{item.probability:.6f}"
+    estimate = isinstance(item, AnswerEstimate)
     if xml:
+        if estimate:
+            measure += f" ± {item.stderr:.6f} ({item.samples} samples)"
         where = "" if document is None else f"{document}: "
-        print(
-            f"<!-- {where}P = {estimate.probability:.6f} "
-            f"± {estimate.stderr:.6f} ({estimate.samples} samples) -->"
-        )
-        print(plain_to_string(estimate.tree))
-    else:
-        print(
-            f"{prefix}{estimate.probability:.6f} ±{estimate.stderr:.6f} "
-            f"({estimate.samples} samples)  {estimate.tree.canonical()}"
-        )
+        print(f"<!-- {where}P = {measure} -->")
+        print(plain_to_string(item.tree))
+        return
+    if estimate:
+        measure += f" ±{item.stderr:.6f} ({item.samples} samples)"
+    canonical = item.tree.canonical() if estimate else item.canonical
+    prefix = "" if document is None else f"{document}  "
+    print(f"{prefix}{measure}  {canonical}")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    """Query a warehouse, or fan out across a collection's documents.
+
+    Three modes, the same on both targets: estimates (``--estimate``,
+    ``--epsilon``, ``--deadline-ms``); rows, lazily in match order —
+    or by descending probability under ``--top-k`` — with the limit
+    pushed into the engine (``--stream``, ``--top-k``, a positive
+    ``--min-probability``); and otherwise ranked answers, where
+    ``--limit`` slices the ranking and stays out of the query (a
+    limited ``answers()`` would price only a row prefix).  A collection
+    prefixes each line with its document key and never aggregates
+    across documents.
+    """
     pattern = _parse_pattern_arg(args.pattern)
     options = _query_options(args)
     estimating = (
         args.estimate or args.epsilon is not None or args.deadline_ms is not None
     )
-    if Collection.is_collection(args.path):
-        return _cmd_query_collection(args, pattern, options, estimating)
+    streaming = args.stream or options.is_bounded
+    if not (estimating or streaming):
+        options = options.replace(limit=None)
+    collection = Collection.is_collection(args.path)
+    opener = connect_collection if collection else connect
     empty = True
-    with connect(args.path) as session:
-        if options is not None:
-            results = session.query(pattern, options=options)
-        else:
-            results = session.query(pattern, planner=not args.no_planner)
-        if estimating:
-            if options is None and args.limit is not None:
-                results = results.limit(args.limit)
-            for estimate in results.estimate(
-                epsilon=args.epsilon, deadline_ms=args.deadline_ms
-            ):
-                empty = False
-                _print_estimate(estimate, xml=args.xml)
-        elif args.stream or (options is not None and options.is_bounded):
-            # Row mode: lazy, match order, limit pushed into the engine.
-            if args.limit is not None:
-                results = results.limit(args.limit)
+    with opener(args.path) as target:
+        results = target.query(pattern, options=options)
+        if streaming and not estimating:
             # closing(): a BrokenPipeError (| head) or Ctrl-C must still
-            # release the stream's iteration pin before the session goes.
+            # release the stream's pin (or close the fan-out) first.
             with closing(iter(results)) as rows:
                 for row in rows:
                     empty = False
-                    if args.xml:
-                        print(f"<!-- P = {row.probability:.6f} -->")
-                        print(plain_to_string(row.tree))
-                    else:
-                        print(f"{row.probability:.6f}  {row.canonical}")
+                    _print_item(row, xml=args.xml, document=row.document)
         else:
-            # Answer mode: full evaluation, ranked by probability.
-            answers = results.answers()
-            shown = answers if args.limit is None else answers[: args.limit]
-            for answer in shown:
-                empty = False
-                if args.xml:
-                    print(f"<!-- P = {answer.probability:.6f} -->")
-                    print(plain_to_string(answer.tree))
-                else:
-                    print(f"{answer.probability:.6f}  {answer.canonical}")
-            empty = not answers
-    if empty:
-        print("(no answers)")
-    return 0
-
-
-def _cmd_query_collection(
-    args: argparse.Namespace, pattern: Pattern, options=None, estimating=False
-) -> int:
-    """Fan a query out across every document of a collection.
-
-    Rows arrive in deterministic (document, row) order — or globally by
-    descending probability under ``--top-k`` — prefixed with their
-    document key; limits and probability floors are pushed into every
-    shard and short-circuit the fan-out.  ``--stream`` is implied
-    (cross-shard answer aggregation is meaningless: independent event
-    tables), and without it ranked per-document answers are printed
-    instead.
-    """
-    empty = True
-    with connect_collection(args.path) as collection:
-        if options is not None:
-            results = collection.query(pattern, options=options)
-        else:
-            results = collection.query(pattern)
-            if args.limit is not None:
-                results = results.limit(args.limit)
-        if estimating:
-            for key, estimate in results.estimate(
-                epsilon=args.epsilon, deadline_ms=args.deadline_ms
-            ):
-                empty = False
-                _print_estimate(estimate, xml=args.xml, document=key)
-        elif args.stream or (options is not None and options.is_bounded):
-            # closing(): on a broken pipe the fan-out's short-circuit
-            # finally must run (abandon flag, shard futures cancelled).
-            with closing(iter(results)) as rows:
-                for row in rows:
-                    empty = False
-                    if args.xml:
-                        print(f"<!-- {row.document}: P = {row.probability:.6f} -->")
-                        print(plain_to_string(row.tree))
-                    else:
-                        print(f"{row.document}  {row.probability:.6f}  {row.canonical}")
-        else:
-            merged = results.answers()
-            if args.limit is not None:
-                merged = merged[: args.limit]
-            for key, answer in merged:
-                empty = False
-                if args.xml:
-                    print(f"<!-- {key}: P = {answer.probability:.6f} -->")
-                    print(plain_to_string(answer.tree))
-                else:
-                    print(f"{key}  {answer.probability:.6f}  {answer.canonical}")
+            if estimating:
+                items = results.estimate(
+                    epsilon=args.epsilon, deadline_ms=args.deadline_ms
+                )
+            else:
+                items = results.answers()
+            empty = not items
+            if not collection:
+                items = [(None, item) for item in items]
+            for key, item in items[: args.limit]:
+                _print_item(item, xml=args.xml, document=key)
     if empty:
         print("(no answers)")
     return 0

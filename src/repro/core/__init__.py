@@ -19,7 +19,7 @@ from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.core.montecarlo import AnswerEstimate, estimate_answers, estimate_query
 from repro.core.query import (
     FuzzyAnswer,
-    QueryRow,
+    Row,
     group_rows,
     iter_bounded_rows,
     iter_query_rows,
@@ -38,7 +38,7 @@ __all__ = [
     "to_possible_worlds",
     "from_possible_worlds",
     "FuzzyAnswer",
-    "QueryRow",
+    "Row",
     "query_fuzzy_tree",
     "iter_query_rows",
     "iter_bounded_rows",

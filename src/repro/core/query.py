@@ -52,7 +52,7 @@ from repro.trees.node import Node
 
 __all__ = [
     "FuzzyAnswer",
-    "QueryRow",
+    "Row",
     "query_fuzzy_tree",
     "iter_query_rows",
     "iter_bounded_rows",
@@ -226,7 +226,7 @@ def _possibly_nonzero(terms, events) -> bool:
     return False
 
 
-class QueryRow(_Answer):
+class Row(_Answer):
     """One *match* of a query over a fuzzy tree, streamed lazily.
 
     Where :class:`FuzzyAnswer` aggregates every match inducing the same
@@ -234,8 +234,11 @@ class QueryRow(_Answer):
     streaming protocol can afford to emit without seeing the rest of
     the enumeration: the match itself, its answer tree and ``canonical``
     key (both filled on read), the disjoint conditions under which the
-    match holds, and the exact probability of *this match* firing.
-    Rows arrive in the engine's deterministic match order, so a limited stream is a prefix of the unlimited one.
+    match holds, the exact probability of *this match* firing, and the
+    ``document`` key of the shard it matched in (set by a collection's
+    fan-out, ``None`` otherwise).  Rows arrive in the engine's
+    deterministic match order, so a limited stream is a prefix of the
+    unlimited one.
 
     The probability is computed on **first access** (every emitted row
     is already known to be possible): consumers that only group, count
@@ -250,11 +253,14 @@ class QueryRow(_Answer):
     __slots__ = (
         "match",
         "dnf",
+        "document",
         "_events",
         "_cache",
         "_generation",
         "_captured",
         "_probability",
+        "_provenance",
+        "_obs",
     )
 
     def __init__(
@@ -270,6 +276,7 @@ class QueryRow(_Answer):
         self.match = match
         self._kept, self._tree, self._key = kept, None, None
         self.dnf = dnf
+        self.document = None
         self._events = events
         self._cache = cache
         self._generation = events.generation
@@ -279,12 +286,18 @@ class QueryRow(_Answer):
         # probability is first read, and the basis provenance reports.
         self._captured = {event: events.probability(event) for event in dnf.events()}
         self._probability = probability
+        # Set by a session stream: its source's provenance lookup, and
+        # the instrument panel the first pricing is timed into.
+        self._provenance = None
+        self._obs = None
 
     @property
     def probability(self) -> float:
         """Exact probability that this match fires (lazily computed)."""
         p = self._probability
         if p is None:
+            obs = self._obs
+            t0 = perf_counter() if obs is not None else 0.0
             events = self._events
             if events.generation == self._generation:
                 p = dnf_probability(self.dnf, events, cache=self._cache)
@@ -294,14 +307,44 @@ class QueryRow(_Answer):
                 # (no shared cache — its keys belong to live tables).
                 p = dnf_probability(self.dnf, EventTable(self._captured))
             self._probability = p
+            if obs is not None:
+                spent = perf_counter() - t0
+                if obs.metrics.enabled:
+                    obs.metrics.observe("query.probability_seconds", spent)
+                if obs.tracer.enabled:
+                    # Lands inside the query span while the stream is
+                    # being consumed; a no-op if the probability is read
+                    # after the trace closed.
+                    obs.tracer.emit("probability_evaluation", spent)
         return p
 
     def bindings(self) -> dict[str, str | None]:
         """Variable name -> bound text value for this match."""
         return self.match.bindings()
 
+    def explain(self) -> list[dict]:
+        """Provenance: one record per event involved in this row.
+
+        Each record carries the event name, its probability when the
+        row was emitted (the basis :attr:`probability` is priced on, so
+        a later commit that collects the event changes neither), and —
+        when the event was minted by an update committed through the
+        row's warehouse — the originating transaction's audit-log entry
+        (``None`` for a row no session streamed).
+        """
+        captured = self._captured
+        provenance = self._provenance
+        return [
+            {
+                "event": event,
+                "probability": captured[event],
+                "origin": None if provenance is None else provenance(event),
+            }
+            for event in sorted(captured)
+        ]
+
     def __repr__(self) -> str:
-        return f"QueryRow(p={self.probability:.6g}, tree={self.canonical})"
+        return f"Row(p={self.probability:.6g}, tree={self.canonical})"
 
 
 def _consistent_matches(
@@ -365,7 +408,7 @@ def _consistent_matches(
 
 
 def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None):
-    """One :class:`QueryRow` per consistent, *possible* match.
+    """One :class:`Row` per consistent, *possible* match.
 
     With *floor* (a probability) rows are priced eagerly and those
     below it — or at zero — are dropped; without it pricing stays lazy
@@ -385,7 +428,7 @@ def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None)
             if p == 0.0 or p < floor:
                 continue
         kept = kept_nodes(fuzzy.root, match.iter_images())
-        yield QueryRow(match, kept, dnf, events, cache=cache, probability=p)
+        yield Row(match, kept, dnf, events, cache=cache, probability=p)
 
 
 def _capped(rows, limit: int | None):
@@ -400,7 +443,7 @@ def iter_query_rows(
     engine=None,
     limit: int | None = None,
 ):
-    """Lazily evaluate a TPWJ query, yielding one :class:`QueryRow` per
+    """Lazily evaluate a TPWJ query, yielding one :class:`Row` per
     consistent, possible match.
 
     The streaming counterpart of :func:`query_fuzzy_tree`: matching is
@@ -451,7 +494,7 @@ def topk_rows(
     k: int | None = None,
     min_probability: float = 0.0,
     abort=None,
-) -> list[QueryRow]:
+) -> list[Row]:
     """The *k* most probable rows, in decreasing-probability order.
 
     Ties are broken by the deterministic enumeration order, so the

@@ -690,11 +690,13 @@ class ProcessCollection(BaseCollection):
     # Queries (fanned out)
     # ------------------------------------------------------------------
 
-    def _shard_results(self, pattern, keys, options, what, seed):
+    def _shard_results(self, pattern, keys, options, what, seed, abort):
         """:class:`FanoutResultSet`'s hook: one QUERY frame per worker
         owning some of *keys*, each a task on the collection's pool,
         ``(key, items)`` yielded in sorted key order.  A worker whose
         batch fails retryably degrades to per-key replica failover.
+        *abort* does not cross the process boundary: a worker's
+        enumeration runs to its end, and the merge polls the hook.
 
         The payload is always ``{"pattern", "keys", "options"}`` —
         *options* in its :meth:`QueryOptions.to_json` wire form, so

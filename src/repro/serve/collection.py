@@ -59,7 +59,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.api.options import QueryOptions
-from repro.api.results import BaseResultSet, resolve_query
+from repro.api.results import BaseResultSet, _check_abort, resolve_query
 from repro.api.session import Session, connect
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.core.update import UpdateReport
@@ -194,15 +194,20 @@ class FanoutResultSet(BaseResultSet):
     refinements, each returning a new set).  The one merge both
     collection engines share: the collection supplies each shard's
     items through its ``_shard_results(pattern, keys, options, what,
-    seed)`` hook — ``(key, items)`` pairs in sorted key order, *what*
-    one of ``"rows"``, ``"answers"``, ``"estimates"`` — and this class
-    owns everything above it.  Rows carry their shard's key as
+    seed, abort)`` hook — ``(key, items)`` pairs in sorted key order,
+    *what* one of ``"rows"``, ``"answers"``, ``"estimates"`` — and this
+    class owns everything above it.  Rows carry their shard's key as
     ``row.document`` and stream in deterministic (shard, row) order:
     shards in sorted key order, each shard's rows in its engine's
     deterministic match order.  The limit is pushed into every shard (a
     shard can contribute at most n of the first n rows) and
     short-circuits the fan-out: once n rows have been emitted the hook
     is closed, which cancels shard work that has not started.
+
+    A :meth:`stream`'s *abort* hook reaches each thread shard's own row
+    stream, so a cancel stops shard enumeration at its next row; a
+    process shard's enumeration runs in its worker, beyond the hook's
+    reach, so there the merge polls it between rows.
     """
 
     __slots__ = ("_collection", "_keys")
@@ -219,7 +224,7 @@ class FanoutResultSet(BaseResultSet):
     def _summary(self) -> str:
         return f"{str(self._pattern)!r}, {len(self._keys)} shards"
 
-    def _shards(self, what: str, seed: int = 0, **overrides):
+    def _shards(self, what: str, seed: int = 0, abort=None, **overrides):
         """The collection's hook for this query (``limit(0)`` runs
         nothing).  The routing field stays at this layer and the
         pattern travels compiled — shards get the rest of the options.
@@ -227,7 +232,7 @@ class FanoutResultSet(BaseResultSet):
         if self._options.limit != 0:
             options = self._options.replace(document=None, pattern=None, **overrides)
             yield from self._collection._shard_results(
-                self._pattern, self._keys, options, what, seed
+                self._pattern, self._keys, options, what, seed, abort
             )
 
     def _by_probability(self, shards) -> list[tuple[str, object]]:
@@ -246,19 +251,30 @@ class FanoutResultSet(BaseResultSet):
         return [(key, item) for _p, key, _rank, item in merged[: self._options.limit]]
 
     def __iter__(self):
+        return self.stream()
+
+    def stream(self, *, abort=None):
+        """The merged rows as a closeable iterator, optionally cancellable.
+
+        *abort* is a zero-argument callable, as for
+        :meth:`~repro.api.results.ResultSet.stream`: it is polled
+        between merged rows and passed to every shard (see the class
+        docs), and once it returns true the stream raises
+        :class:`~repro.errors.QueryCancelledError`.  Closing the stream
+        closes the fan-out.
+        """
         limit = self._options.limit
-        with closing(self._shards("rows")) as shards:
+        with closing(self._shards("rows", abort=abort)) as shards:
             if self._options.order == "probability":
-                for _key, row in self._by_probability(shards):
-                    yield row
-                return
-            emitted = 0
-            for _key, rows in shards:
-                for row in rows:
-                    yield row
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
+                merged = (row for _key, row in self._by_probability(shards))
+            else:
+                merged = (row for _key, rows in shards for row in rows)
+            for emitted, row in enumerate(merged, 1):
+                if abort is not None:
+                    _check_abort(abort)
+                yield row
+                if limit is not None and emitted >= limit:
+                    return
 
     def answers(self) -> list[tuple[str, object]]:
         """Per-shard ranked answers as ``(document key, FuzzyAnswer)``.
@@ -634,9 +650,11 @@ class Collection(BaseCollection):
             return session.update_many(transactions, confidence=confidence)
         return [session.update(*transactions, confidence)]
 
-    def _shard_results(self, pattern, keys, options, what, seed):
+    def _shard_results(self, pattern, keys, options, what, seed, abort):
         """:class:`FanoutResultSet`'s hook: one pool task per shard
         (bounded concurrency), ``(key, items)`` yielded in *keys* order.
+        *abort* (or None) is passed into each shard's row stream, so a
+        cancel stops every running shard at its next row.
 
         Closing the generator — limit hit, consumer abandoned the
         iterator, deadline cancel — cancels the tasks the executor has
@@ -660,7 +678,7 @@ class Collection(BaseCollection):
                 return [], 0.0
             results = session.query(pattern, options=options)
             if what == "rows":
-                items = results.all()
+                items = list(results.stream(abort=abort))
                 for row in items:
                     row.document = key
             elif what == "answers":

@@ -23,9 +23,13 @@ Two contracts matter to callers:
 
 Query execution is deadline-aware: :meth:`Application.query` runs on a
 pool worker with an *abort* callable threaded into the row stream
-(:meth:`ResultSet.stream`), so a deadline flipped by the event loop
-cancels the underlying streamed iteration at the next row boundary and
-the iteration pin drains before the 504 goes out.
+(:meth:`ResultSet.stream` or :meth:`FanoutResultSet.stream` — one row
+path for both targets), so a deadline flipped by the event loop
+cancels the underlying streamed iteration at the next row boundary —
+on a thread collection inside every shard — and the iteration pins
+drain before the 504 goes out.  A process collection's shards run
+their enumeration in worker processes the hook cannot reach; there it
+is polled between merged rows.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ def canonical_json(payload) -> bytes:
 def encode_row(row) -> dict:
     """One streamed row as a JSON-ready record.
 
-    Works for session rows, fan-out rows (whose ``document`` is the
-    key of the shard the row matched in) and bare core rows.  Reading
+    Works for every row — a fan-out row's ``document`` is the key of
+    the shard it matched in, and is left out when ``None``.  Reading
     ``probability`` here forces the lazy computation on the worker
     thread — never on the event loop.
     """
@@ -83,9 +87,8 @@ def encode_row(row) -> dict:
         "tree": row.canonical,
         "bindings": row.bindings(),
     }
-    document = getattr(row, "document", None)
-    if document is not None:
-        record["document"] = document
+    if row.document is not None:
+        record["document"] = row.document
     return record
 
 
@@ -268,33 +271,18 @@ class Application:
             document = options.document
             if document is not None and document not in self._target:
                 raise BadRequest(f"no document {document!r} in the collection")
-            results = self._target.query(options.pattern, options=options)
-            if options.is_estimate:
-                pairs = results.estimate()
-                return estimate_response_body(
-                    [encode_estimate_row(e, document=key) for key, e in pairs]
-                )
-            rows = []
-            # The fan-out iterator is a generator: closing() guarantees
-            # the short-circuit finally (abandon flag + future cancel)
-            # runs even when the abort hook fires mid-merge.
-            with closing(iter(results)) as stream:
-                for row in stream:
-                    rows.append(encode_row(row))
-                    if abort is not None and abort():
-                        raise QueryCancelledError(
-                            "query cancelled by its abort hook"
-                        )
-            return query_response_body(rows)
-
-        if options.document is not None:
+        elif options.document is not None:
             raise BadRequest("field 'document' only applies to collections")
         results = self._target.query(options=options)
         if options.is_estimate:
-            return estimate_response_body(
-                [encode_estimate_row(e) for e in results.estimate()]
-            )
-        with results.stream(abort=abort) as stream:
+            if self._is_collection:
+                rows = [encode_estimate_row(e, key) for key, e in results.estimate()]
+            else:
+                rows = [encode_estimate_row(e) for e in results.estimate()]
+            return estimate_response_body(rows)
+        # closing(): an abort or an encode error still closes the stream,
+        # which releases its pin or the fan-out's shard tasks.
+        with closing(results.stream(abort=abort)) as stream:
             rows = [encode_row(row) for row in stream]
         return query_response_body(rows)
 

@@ -26,10 +26,14 @@ Production concerns, each load-bearing:
 * **Per-request deadlines cancel real work.**  Every ``/query``
   carries a deadline (server default, per-request ``timeout_ms``
   override).  The worker polls it at every row boundary through the
-  stream's abort hook (:meth:`ResultSet.stream`), so a past-deadline
-  request closes its row stream — iteration pins drain to zero — and
-  the client gets a structured ``504``.  An event-loop backstop
-  (deadline + grace) answers even if a single row wedges the worker.
+  stream's abort hook (:meth:`ResultSet.stream`,
+  :meth:`FanoutResultSet.stream`), so a past-deadline request closes
+  its row stream — iteration pins drain to zero — and the client gets
+  a structured ``504``.  On a thread collection the hook reaches every
+  shard's own stream; a process collection's workers run their
+  enumeration out of its reach, so there it is polled at the merge.
+  An event-loop backstop (deadline + grace) answers even if a single
+  row wedges the worker.
 * **HTTP keep-alive with an idle timeout.**  Connections persist
   across requests; one idle past ``idle_timeout`` is closed.
 * **Graceful drain.**  SIGTERM (wired by the CLI) stops accepting,

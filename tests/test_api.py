@@ -644,6 +644,32 @@ class TestErrorsAndShims:
         module = importlib.import_module(name)
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
+    def test_one_row_record(self, session, tmp_path):
+        # Every in-process stream yields the one row class; the core
+        # name QueryRow is gone, not aliased.
+        from repro.core.query import iter_query_rows
+
+        assert repro.Row is repro.api.Row is repro.core.Row
+        assert not hasattr(repro, "QueryRow")
+        assert "QueryRow" not in repro.core.__all__
+        _populate(session)
+        query = "//person { name }"
+        with session.snapshot() as snapshot:
+            snapshot_row = snapshot.query(query).first()
+        with repro.connect_collection(tmp_path / "coll", create=True) as collection:
+            collection.create_document("d1", root="directory")
+            collection.update("d1", _person_tx("Alice", 0.9))
+            fanout_row = collection.query(query).first()
+        rows = [
+            session.query(query).first(),
+            snapshot_row,
+            session.query(query).order_by_probability().limit(1).first(),
+            fanout_row,
+            next(iter_query_rows(session.document, parse_pattern(query))),
+        ]
+        assert [type(row) for row in rows] == [repro.Row] * len(rows)
+        assert fanout_row.document == "d1" and rows[0].document is None
+
     def test_version_is_2(self):
         assert repro.__version__.startswith("2.")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import random
 import threading
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.errors import QueryCancelledError, ReproError
+from repro.obs.metrics import process_registry
 from repro.serve.http import (
     Application,
     BadRequest,
@@ -593,6 +596,41 @@ class TestDeadlines:
             lambda: session.stats()["read_sessions"] == 0,
             message="iteration pin was not released after the 504",
         )
+
+    def test_fanout_cancel_stops_thread_shards(self, tmp_path):
+        # Each shard's join has 35 716 matches (500 B children over 7
+        # values); the abort hook turns true on its 5th call, and must
+        # reach the shards' own streams rather than wait at the merge.
+        def document():
+            children = [FuzzyNode("B", value=f"v{i % 7}") for i in range(500)]
+            return FuzzyTree(FuzzyNode("A", children=children), repro.EventTable({}))
+
+        calls = itertools.count(1)
+
+        class Cancel:
+            @staticmethod
+            def is_set():
+                return next(calls) >= 5
+
+        with repro.connect_collection(
+            tmp_path / "coll", create=True, workers=2
+        ) as collection:
+            for key in ("d1", "d2"):
+                collection.create_document(key, document=document())
+            before = process_registry.counter("core.query.matches")
+            with pytest.raises(QueryCancelledError):
+                Application(collection).query(
+                    {"pattern": "/A { B[$x], B[$x] }"}, None, Cancel()
+                )
+            enumerated = process_registry.counter("core.query.matches") - before
+            assert enumerated < 35_716 // 100
+            _wait_until(
+                lambda: all(
+                    info["read_sessions"] == 0
+                    for info in collection.stats()["documents"].values()
+                ),
+                message="a cancelled shard kept its iteration pin",
+            )
 
     def test_bad_timeout_ms_is_400(self, served_session):
         _, handle = served_session

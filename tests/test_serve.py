@@ -9,8 +9,10 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.errors import WarehouseError
 from repro.serve import Collection, SessionPool, connect_collection
+from repro.serve.collection import BaseCollection
 from repro.serve.pool import default_workers
 
 
@@ -240,7 +242,25 @@ class TestCollectionStats:
         assert info["totals"]["read_sessions"] == 0
 
 
+def _two_b_document() -> FuzzyTree:
+    """``A`` with two ``B`` children under independent 0.5 events: the
+    answer ``A(B)`` has probability 0.75, either match alone 0.5."""
+    events = repro.EventTable({"w1": 0.5, "w2": 0.5})
+    children = [FuzzyNode("B", condition=repro.Condition.of(e)) for e in events]
+    return FuzzyTree(FuzzyNode("A", children=children), events)
+
+
 class TestServeCli:
+    @pytest.fixture
+    def two_b_stores(self, tmp_path):
+        """The same document as a warehouse and as a collection's ``d1``."""
+        warehouse = tmp_path / "wh"
+        repro.connect(warehouse, create=True, document=_two_b_document()).close()
+        collection = tmp_path / "coll"
+        with repro.connect_collection(collection, create=True) as opened:
+            opened.create_document("d1", document=_two_b_document())
+        return str(warehouse), str(collection)
+
     @pytest.fixture
     def cli_collection(self, tmp_path):
         path = tmp_path / "cli-coll"
@@ -277,6 +297,48 @@ class TestServeCli:
             line for line in capsys.readouterr().out.splitlines() if line.strip()
         ]
         assert len(lines) == 1 and lines[0].startswith("a1")
+
+    def test_answer_limit_slices_the_ranking_on_both_targets(
+        self, two_b_stores, capsys
+    ):
+        # --limit must not cut the rows the answers are priced from.
+        warehouse, collection = two_b_stores
+        assert main(["query", warehouse, "/A { B }", "--limit", "1"]) == 0
+        assert capsys.readouterr().out == "0.750000  A(B)\n"
+        assert main(["query", collection, "/A { B }", "--limit", "1"]) == 0
+        assert capsys.readouterr().out == "d1  0.750000  A(B)\n"
+
+    def test_no_planner_runs_the_fixed_plan_on_a_collection(
+        self, cli_collection, monkeypatch, capsys
+    ):
+        built = []
+        query = BaseCollection.query
+
+        def spy(self, *args, **kwargs):
+            built.append(query(self, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(BaseCollection, "query", spy)
+        assert main(["query", str(cli_collection), "//email", "--no-planner"]) == 0
+        assert [results.options.plan for results in built] == ["fixed"]
+        assert "a1  " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("xml", [False, True])
+    def test_estimate_output_matches_warehouse(self, two_b_stores, capsys, xml):
+        warehouse, collection = two_b_stores
+        flags = ["--estimate"] + (["--xml"] if xml else [])
+        assert main(["query", warehouse, "/A { B }", *flags]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        assert main(["query", collection, "/A { B }", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "samples" in expected[0]
+        if xml:
+            assert lines[0].startswith("<!-- d1: P = ")
+            lines[0] = lines[0].replace("<!-- d1: ", "<!-- ", 1)
+        else:
+            assert all(line.startswith("d1  ") for line in lines)
+            lines = [line.removeprefix("d1  ") for line in lines]
+        assert lines == expected
 
     def test_update_requires_doc_key(self, cli_collection, tmp_path, capsys):
         tx = tmp_path / "tx.xml"
