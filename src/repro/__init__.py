@@ -121,7 +121,6 @@ from repro.pworlds import (
 )
 from repro.serve import (
     Collection,
-    FanoutResultSet,
     ProcessCollection,
     SessionPool,
     connect_collection,
@@ -162,7 +161,6 @@ __all__ = [
     # serving layer (collections)
     "connect_collection",
     "Collection",
-    "FanoutResultSet",
     "ProcessCollection",
     "SessionPool",
     # errors

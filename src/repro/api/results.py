@@ -1,26 +1,29 @@
-"""Lazy result sets for session queries.
+"""Lazy result sets: one class for every query target.
 
-A :class:`ResultSet` is a *description* of a query against a session or
-snapshot — nothing runs until it is iterated.  Iteration streams
-:class:`~repro.core.query.Row` objects — the one in-process row record
-— through the engine's streaming protocol
-(:meth:`~repro.engine.QueryEngine.iter_matches`): the cost-based plan
-comes from the source's plan cache, matches are pulled one at a time,
-and :meth:`limit` pushes early termination into the backtracking join —
-a top-k query stops the enumeration after k rows instead of
-materializing everything and slicing.
+A :class:`ResultSet` describes a query — target, compiled pattern, one
+frozen :class:`~repro.api.options.QueryOptions` and, on a collection,
+the document keys — and runs nothing until it is consumed.  Every
+target answers through one hook, ``target._shard_results(pattern, keys,
+options, what, seed, abort)``, which yields ``(key, items)`` per shard
+in sorted key order (*what*: ``"rows"``, ``"answers"`` or
+``"estimates"``); the result set owns the one merge above it.  A session
+or snapshot is the one-shard case, keyed ``None``
+(:func:`session_results`); a collection fans out across its documents.
+Every item carries its shard key as ``document`` (``None`` on a session).
 
-Rows are per-match (exact probability that *that match* fires, its
-answer tree, variable bindings, and provenance resolved through the
-session the stream ran on).  :meth:`ResultSet.answers` folds the
-stream back into the classic probability-ranked, per-answer-tree
-aggregation of :func:`~repro.core.query.query_fuzzy_tree`.
+A session streams :class:`~repro.core.query.Row` objects — per match:
+its exact probability, answer tree, bindings and provenance — through
+the engine's streaming protocol: the plan comes from the plan cache,
+matches are pulled one at a time, and :meth:`ResultSet.limit` pushes
+early termination into the backtracking join.  :meth:`ResultSet.answers`
+folds them into the probability-ranked, per-answer-tree aggregation of
+:func:`~repro.core.query.query_fuzzy_tree`.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
+from contextlib import closing
 from time import perf_counter
 
 from repro.api.builders import compile_pattern
@@ -80,41 +83,64 @@ def resolve_query(query, options=None, keys=None, *, planner: bool = True):
     )
 
 
-class BaseResultSet:
-    """What every result set shares: a compiled pattern, one frozen
-    :class:`~repro.api.options.QueryOptions`, the refinements over it
-    and the materializers over ``iter()``.
+def session_query(source, query, options, planner: bool) -> "ResultSet":
+    """The result set of a session or snapshot ``query()`` call.
 
-    A result set is immutable — every refinement returns a new one
-    (subclasses say how through :meth:`_with_options`); the values are
-    validated by :class:`QueryOptions` itself.
+    A session serves one document, so the ``document`` routing field is
+    refused here rather than ignored."""
+    source._check_open()
+    pattern, options, keys = resolve_query(query, options, planner=planner)
+    if keys is not None:
+        raise QueryError(
+            "options.document only applies to collections: a session "
+            "serves one document"
+        )
+    return ResultSet(source, pattern, options)
+
+
+class ResultSet:
+    """A lazy, re-iterable query over a session, snapshot or collection.
+
+    Each consumption re-executes the query against the target's current
+    state (snapshots pin theirs, so re-iteration there is stable).  A
+    result set is immutable: each refinement returns a new one over new
+    frozen options.  Across a collection, rows stream in deterministic
+    (shard, row) order — shards in sorted key order, each shard's rows
+    in its match order — and the limit, pushed into every shard,
+    short-circuits the fan-out: once n rows have been emitted the hook
+    is closed, which cancels shard work that has not started.
     """
 
-    __slots__ = ("_pattern", "_options")
+    __slots__ = ("_target", "_pattern", "_options", "_keys")
 
-    def _with_options(self, options: QueryOptions):
-        raise NotImplementedError
-
-    def _summary(self) -> str:
-        return repr(str(self._pattern))
+    def __init__(self, target, pattern, options: QueryOptions, keys=None) -> None:
+        self._target = target
+        self._pattern = pattern
+        self._options = options
+        self._keys = keys
 
     @property
     def options(self) -> QueryOptions:
         """The frozen execution envelope this set describes."""
         return self._options
 
-    def _refined(self, field: str, value):
+    # ------------------------------------------------------------------
+    # Refinements
+    # ------------------------------------------------------------------
+
+    def _refined(self, field: str, value) -> "ResultSet":
         """A copy with ``options.<field> = value``; :class:`QueryOptions`
         validates the value (``None`` would *unset* the field, which is
         not a refinement)."""
         if value is None:
             raise QueryError(f"{field} needs a value, got None")
         try:
-            return self._with_options(self._options.replace(**{field: value}))
+            options = self._options.replace(**{field: value})
         except QueryOptionsError as exc:
             raise QueryError(f"{field} {exc.errors[0]['message']}") from None
+        return ResultSet(self._target, self._pattern, options, self._keys)
 
-    def limit(self, n: int):
+    def limit(self, n: int) -> "ResultSet":
         """At most *n* rows, computed by early termination.
 
         The cap is pushed into the engine's streaming protocol: the
@@ -132,7 +158,7 @@ class BaseResultSet:
         current = self._options.limit
         return refined if current is None or n < current else self
 
-    def order_by_probability(self):
+    def order_by_probability(self) -> "ResultSet":
         """Rows in decreasing-probability order, ties in document order.
 
         With a :meth:`limit` this executes as branch-and-bound top-k:
@@ -146,7 +172,7 @@ class BaseResultSet:
         """
         return self._refined("order", "probability")
 
-    def min_probability(self, p):
+    def min_probability(self, p) -> "ResultSet":
         """Only rows with probability >= *p*.
 
         The threshold is pushed into the join: partial matches whose
@@ -157,85 +183,98 @@ class BaseResultSet:
         current = self._options.min_probability
         return refined if current is None or p > current else self
 
+    # ------------------------------------------------------------------
+    # Consumption
+    # ------------------------------------------------------------------
+
+    def _shards(self, what: str, seed: int = 0, abort=None, **overrides):
+        """The target's hook for this query (``limit(0)`` runs nothing:
+        no pin, no engine view, no shard task).  Closing this generator
+        closes the hook."""
+        if self._options.limit != 0:
+            options = self._options.replace(**overrides) if overrides else self._options
+            yield from self._target._shard_results(
+                self._pattern, self._keys, options, what, seed, abort
+            )
+
+    def _by_probability(self, shards) -> list:
+        """The shards' items by decreasing probability, capped.
+
+        A barrier: every shard reports first.  Each shard already
+        ranked its own items (ties in its emission order), so sorting
+        on ``(-probability, key, rank)`` reproduces exactly the order a
+        single session over the union would produce."""
+        merged = [
+            (-item.probability, key, rank, item)
+            for key, items in shards
+            for rank, item in enumerate(items)
+        ]
+        merged.sort(key=lambda entry: entry[:3])
+        return [item for _p, _key, _rank, item in merged[: self._options.limit]]
+
+    def _merged_rows(self, abort):
+        """The one row merge: shard after shard in document order, or
+        the probability merge; the limit and *abort* apply between
+        merged rows."""
+        limit = self._options.limit
+        with closing(self._shards("rows", abort=abort)) as shards:
+            if self._options.order == "probability":
+                merged = self._by_probability(shards)
+            else:
+                merged = (row for _key, rows in shards for row in rows)
+            for emitted, row in enumerate(merged, 1):
+                if abort is not None:
+                    _check_abort(abort)
+                yield row
+                if limit is not None and emitted >= limit:
+                    return
+
+    def __iter__(self) -> "RowStream":
+        return self.stream()
+
+    def stream(self, *, abort=None) -> "RowStream":
+        """The rows as a closeable :class:`RowStream`, optionally
+        cancellable.
+
+        *abort*, when given, is a zero-argument callable polled before
+        every row is computed (so it may be flipped from another thread
+        — a deadline timer, a disconnect watcher).  Once it returns
+        true the enumeration stops, the stream is closed and it raises
+        :class:`~repro.errors.QueryCancelledError` — the serving
+        layer's per-request deadline path.  It reaches a session's and
+        each thread shard's row stream; a process shard enumerates in
+        its worker, beyond its reach, so the merge polls it between rows.
+        """
+        return RowStream(self._merged_rows(abort))
+
     def all(self) -> list:
         """Materialize every row (honoring :meth:`limit`)."""
         return list(self)
 
     def first(self):
         """The first row, computed without enumerating the rest."""
-        stream = iter(self.limit(1))
-        try:
+        with self.limit(1).stream() as stream:
             return next(stream, None)
-        finally:
-            # Close explicitly so pins and shard tasks are released
-            # now, not whenever the abandoned iterator is collected.
-            stream.close()
 
     def count(self) -> int:
         """Number of rows (honoring :meth:`limit`)."""
         return sum(1 for _ in self)
 
-    def __repr__(self) -> str:
-        extras = self._options.to_json()
-        extras.pop("pattern", None)
-        rendered = "".join(f", {k}={v!r}" for k, v in sorted(extras.items()))
-        return f"{type(self).__name__}({self._summary()}{rendered})"
+    def answers(self) -> list[FuzzyAnswer]:
+        """Classic aggregation: rows grouped per answer tree, ranked.
 
-
-class ResultSet(BaseResultSet):
-    """A lazy, re-iterable stream of query rows.
-
-    Each ``iter()`` re-executes the query against the source's current
-    document (snapshots pin theirs, so re-iteration there is stable);
-    repeated executions hit the source's plan cache.  The refinements
-    (:meth:`limit`, :meth:`order_by_probability`,
-    :meth:`min_probability`) are sugar over the set's frozen
-    :class:`~repro.api.options.QueryOptions`, the same object every
-    serving layer threads through unchanged.
-    """
-
-    __slots__ = ("_source",)
-
-    def __init__(self, source, pattern, options: QueryOptions) -> None:
-        self._source = source
-        self._pattern = pattern
-        self._options = options
-
-    def _with_options(self, options: QueryOptions) -> "ResultSet":
-        return ResultSet(self._source, self._pattern, options)
-
-    # ------------------------------------------------------------------
-    # Consumption
-    # ------------------------------------------------------------------
-
-    def __iter__(self) -> "RowStream":
-        # Iteration over a *live* session pins the current document
-        # generation for its whole duration: a commit landing between
-        # two rows copies-on-write instead of mutating the tree this
-        # iterator is walking.  (Snapshots are already pinned; their
-        # release callback is None.)  The pin is taken here — the
-        # RowStream owns it and guarantees release on exhaustion,
-        # close(), context-manager exit, or garbage collection of an
-        # abandoned iterator (weakref finalizer).
-        return self.stream()
-
-    def stream(self, *, abort=None) -> "RowStream":
-        """An explicit :class:`RowStream`, optionally cancellable.
-
-        *abort*, when given, is a zero-argument callable polled before
-        every row is computed (so it may be flipped from another thread
-        — a deadline timer, a disconnect watcher).  Once it returns
-        true the enumeration stops before doing any further work, the
-        iteration pin is released, and the stream raises
-        :class:`~repro.errors.QueryCancelledError` — the serving
-        layer's per-request deadline path.
-
-        ``limit(0)`` short-circuits to an empty stream without building
-        the engine view or opening an iteration pin.
+        Matches inducing the same answer tree are merged (their
+        conditions disjoined) and the aggregates ranked by decreasing
+        probability — :func:`~repro.core.query.query_fuzzy_tree`'s
+        result when no limit is set; with a limit, the aggregation
+        covers the streamed prefix only.  Aggregation never crosses
+        shards: each document has its own independent event table, so
+        a collection returns each shard's ranked answers in sorted key
+        order.  (Thread collections only: answer aggregates do not
+        cross the process boundary.)
         """
-        if self._options.limit == 0:
-            return RowStream.empty()
-        return RowStream(self._source, self._pattern, self._options, abort)
+        with closing(self._shards("answers")) as shards:
+            return [answer for _key, answers in shards for answer in answers]
 
     def estimate(
         self,
@@ -260,93 +299,108 @@ class ResultSet(BaseResultSet):
         neither is set anywhere); *seed* fixes the sampler so every
         layer pricing the same groups returns identical estimates.
         Estimates honor ``min_probability`` (as a filter on the
-        estimated value) and come back sorted by decreasing
-        probability, ties by canonical form.
-        """
-        opts = self._options
-        if epsilon is None:
-            epsilon = opts.epsilon
-        if deadline_ms is None:
-            deadline_ms = opts.deadline_ms
-        if opts.limit == 0:
-            return []
-        fuzzy, engine, config, release, obs = self._source._iter_context()
-        engine = engine if opts.use_planner else None
-        try:
-            rows = iter_query_rows(
-                fuzzy, self._pattern, config, engine=engine, limit=opts.limit
-            )
-            groups = group_by_key((row.canonical, row, row.dnf.terms) for row in rows)
-            estimates = estimate_answers(
-                [(row.tree, Dnf(terms)) for _key, row, terms in groups],
-                fuzzy.events,
-                epsilon=epsilon,
-                deadline=None if deadline_ms is None else deadline_ms / 1000.0,
-                rng=random.Random(seed),
-            )
-        finally:
-            if release is not None:
-                release()
-        if opts.min_probability is not None:
-            floor = opts.min_probability
-            estimates = [e for e in estimates if e.probability >= floor]
-        return estimates
-
-    def answers(self) -> list[FuzzyAnswer]:
-        """Classic aggregation: rows grouped per answer tree, ranked.
-
-        Matches inducing the same answer tree are merged (their
-        conditions disjoined) and the aggregates ranked by decreasing
-        probability — :func:`~repro.core.query.query_fuzzy_tree`'s
-        result when no limit is set; with a limit, the aggregation
-        covers the streamed prefix only.
+        estimated value) and come back by decreasing probability, ties
+        by shard key, then canonical form; each shard samples its own
+        event table, and the merged list is capped at the limit.
         """
         options = self._options
-        if options.limit == 0:
-            return []
-        fuzzy, engine, config, release, obs = self._source._iter_context()
-        tracing = obs is not None and obs.tracer.enabled
-        metrics = obs is not None and obs.metrics.enabled
-        engine = engine if options.use_planner else None
-        span = (
-            obs.tracer.start("query", pattern=self._pattern, aggregate=True)
-            if tracing
-            else None
-        )
-        t0 = perf_counter()
-        answers: list[FuzzyAnswer] | None = None
-        try:
-            if options.limit is None and not options.is_bounded:
-                # No cap: group matches directly — no row is ever built
-                # and each answer group is priced exactly once.
-                answers = query_fuzzy_tree(
-                    fuzzy, self._pattern, config, engine=engine
-                )
-            else:
-                # Aggregate exactly the rows the stream would emit
-                # (limited prefix / top-k / thresholded enumeration).
-                answers = group_rows(
-                    _row_iter(fuzzy, engine, config, self._pattern, options, None),
-                    fuzzy.events,
-                    cache=engine.shannon if engine is not None else None,
-                )
-            return answers
-        finally:
-            if release is not None:
-                release()
-            if span is not None:
-                if answers is not None:
-                    span.attributes["rows"] = len(answers)
-                obs.tracer.finish(span)
-            if metrics:
-                _record_query_metrics(
-                    obs,
-                    self._pattern,
-                    perf_counter() - t0,
-                    len(answers) if answers is not None else 0,
-                    span,
-                    engine,
-                )
+        overrides = {
+            "epsilon": options.epsilon if epsilon is None else epsilon,
+            "deadline_ms": options.deadline_ms if deadline_ms is None else deadline_ms,
+        }
+        with closing(self._shards("estimates", seed, **overrides)) as shards:
+            return self._by_probability(shards)
+
+    def __repr__(self) -> str:
+        extras = self._options.to_json()
+        extras.pop("pattern", None)
+        rendered = "".join(f", {k}={v!r}" for k, v in sorted(extras.items()))
+        shards = "" if self._keys is None else f", {len(self._keys)} shards"
+        return f"ResultSet({str(self._pattern)!r}{shards}{rendered})"
+
+
+# ----------------------------------------------------------------------
+# The one-shard hook of a session or snapshot
+# ----------------------------------------------------------------------
+
+
+def session_results(source, pattern, keys, options, what, seed, abort):
+    """``_shard_results`` of a session or snapshot: ``(None, items)``.
+
+    The one shard is the source's document, pinned from the first pull
+    until this generator is closed (a snapshot is pinned already).  Rows
+    stream lazily; answers and estimates are computed under the pin.
+    *keys* is unused — a session serves one document.
+    """
+    fuzzy, engine, config, release, obs = source._iter_context()
+    engine = engine if options.use_planner else None
+    try:
+        if what == "rows":
+            rows = _stream_rows(
+                source._provenance, fuzzy, engine, config, pattern, options, obs, abort
+            )
+            try:
+                yield None, rows
+            finally:
+                # Close before the pin goes: an abandoned or cancelled
+                # stream must not keep its generator's frame alive.
+                rows.close()
+        elif what == "answers":
+            yield None, _answers(fuzzy, engine, config, pattern, options, obs)
+        else:
+            yield None, _estimates(fuzzy, engine, config, pattern, options, seed)
+    finally:
+        if release is not None:
+            release()
+
+
+def _answers(fuzzy, engine, config, pattern, options, obs) -> list[FuzzyAnswer]:
+    """The session's ranked answers (see :meth:`ResultSet.answers`)."""
+    tracing = obs is not None and obs.tracer.enabled
+    metrics = obs is not None and obs.metrics.enabled
+    span = obs.tracer.start("query", pattern=pattern, aggregate=True) if tracing else None
+    t0 = perf_counter()
+    answers: list[FuzzyAnswer] | None = None
+    try:
+        if options.limit is None and not options.is_bounded:
+            # No cap: group matches directly — no row is ever built
+            # and each answer group is priced exactly once.
+            answers = query_fuzzy_tree(fuzzy, pattern, config, engine=engine)
+        else:
+            # Aggregate exactly the rows the stream would emit
+            # (limited prefix / top-k / thresholded enumeration).
+            answers = group_rows(
+                _row_iter(fuzzy, engine, config, pattern, options, None),
+                fuzzy.events,
+                cache=engine.shannon if engine is not None else None,
+            )
+        return answers
+    finally:
+        if span is not None:
+            if answers is not None:
+                span.attributes["rows"] = len(answers)
+            obs.tracer.finish(span)
+        if metrics:
+            count = len(answers) if answers is not None else 0
+            _record_query_metrics(obs, pattern, perf_counter() - t0, count, span, engine)
+
+
+def _estimates(fuzzy, engine, config, pattern, options, seed) -> list[AnswerEstimate]:
+    """The session's anytime estimates (see :meth:`ResultSet.estimate`)."""
+    rows = iter_query_rows(fuzzy, pattern, config, engine=engine, limit=options.limit)
+    groups = group_by_key((row.canonical, row, row.dnf.terms) for row in rows)
+    deadline_ms = options.deadline_ms
+    estimates = estimate_answers(
+        [(row.tree, Dnf(terms)) for _key, row, terms in groups],
+        fuzzy.events,
+        epsilon=options.epsilon,
+        deadline=None if deadline_ms is None else deadline_ms / 1000.0,
+        rng=random.Random(seed),
+    )
+    floor = options.min_probability
+    if floor is not None:
+        estimates = [e for e in estimates if e.probability >= floor]
+    return estimates
 
 
 def _plan_text(engine, pattern) -> str | None:
@@ -376,12 +430,6 @@ def _record_query_metrics(obs, pattern, duration, rows, span, engine) -> None:
             phases=span.phase_seconds() if span is not None else None,
             plan=_plan_text(engine, pattern),
         )
-
-
-def _no_rows():
-    """The generator behind :meth:`RowStream.empty` (closeable, done)."""
-    return
-    yield
 
 
 def _check_abort(abort) -> None:
@@ -432,12 +480,8 @@ def _row_iter(fuzzy, engine, config, pattern, options, abort):
     )
 
 
-def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
-    """The row generator behind a :class:`RowStream`.
-
-    A module-level function (not a method) so the generator holds no
-    reference to the stream object — the stream's weakref finalizer
-    must be able to fire while the generator is still referenced by it.
+def _stream_rows(provenance, fuzzy, engine, config, pattern, options, obs, abort):
+    """A session's row generator (the items of its one shard).
 
     With instrumentation attached the generator opens a ``query`` span
     (the engine's plan-cache / plan-build / view-build emits nest under
@@ -447,10 +491,8 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
     threshold — a slow-log entry.  Fully disabled, the cost is one
     flag check per query (the plain loop below).
     """
-    engine = engine if options.use_planner else None
     tracing = obs is not None and obs.tracer.enabled
     metrics = obs is not None and obs.metrics.enabled
-    provenance = source._provenance
     if not tracing and not metrics:
         if abort is not None:
             _check_abort(abort)
@@ -501,48 +543,20 @@ def _stream_rows(source, fuzzy, engine, config, pattern, options, obs, abort):
 
 
 class RowStream:
-    """One execution of a :class:`ResultSet`: an iterator of
-    :class:`~repro.core.query.Row`.
+    """One execution of a :class:`ResultSet`: a closeable row iterator.
 
-    On a live session the stream owns the iteration pin; it is released
-    exactly once, on whichever comes first:
-
-    * exhaustion (the query ran to completion or hit its limit);
-    * :meth:`close`, explicit or via the stream's own context manager
-      (``with iter(result_set) as stream: ...``);
-    * garbage collection of an abandoned stream (a ``weakref``
-      finalizer, so breaking out of a loop and dropping the iterator
-      can never pin the generation forever).
-
-    Snapshot streams carry no pin (their source holds one for the
-    snapshot's whole lifetime) and close() is a plain generator close.
+    Closing it closes the merge and the target's hook under it — a
+    session's iteration pin is released, a fan-out's pending shard
+    tasks are cancelled — on exhaustion, on an error (cancellation
+    included), on :meth:`close` (or the context manager's exit), and
+    when an abandoned stream's generator is garbage-collected.
     """
 
-    __slots__ = ("_inner", "_finalizer", "__weakref__")
+    __slots__ = ("_inner", "_closed")
 
-    def __init__(self, source, pattern, options, abort=None) -> None:
-        fuzzy, engine, config, release, obs = source._iter_context()
-        # The finalizer calls the pin's release directly — it must not
-        # reference self, or the stream could never become unreachable.
-        self._finalizer = (
-            weakref.finalize(self, release) if release is not None else None
-        )
-        self._inner = _stream_rows(
-            source, fuzzy, engine, config, pattern, options, obs, abort
-        )
-
-    @classmethod
-    def empty(cls) -> "RowStream":
-        """An exhausted stream with no pin and no engine view.
-
-        ``limit(0)`` resolves here: the result is known to be empty, so
-        no document generation is pinned and no query work runs —
-        ``read_sessions`` stays untouched.
-        """
-        stream = object.__new__(cls)
-        stream._finalizer = None
-        stream._inner = _no_rows()
-        return stream
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._closed = False
 
     def __iter__(self) -> "RowStream":
         return self
@@ -558,17 +572,13 @@ class RowStream:
 
     def close(self) -> None:
         """Release the iteration pin and abort the enumeration; idempotent."""
-        finalizer = self._finalizer
-        if finalizer is not None:
-            finalizer()  # idempotent: detaches itself on first call
+        self._closed = True
         self._inner.close()
 
     @property
     def closed(self) -> bool:
-        """True once the stream's pin has been released (live sessions) —
-        snapshot streams, which carry no pin, report False until GC."""
-        finalizer = self._finalizer
-        return finalizer is not None and not finalizer.alive
+        """True once the stream was exhausted, failed or closed."""
+        return self._closed
 
     def __enter__(self) -> "RowStream":
         return self
@@ -577,5 +587,5 @@ class RowStream:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
+        state = "closed" if self._closed else "open"
         return f"RowStream({state})"

@@ -51,7 +51,7 @@ from repro.errors import SessionClosedError, WarehouseError
 from repro.events.table import EventTable
 from repro.tpwj.match import DEFAULT_CONFIG, MatchConfig
 from repro.api.builders import compile_pattern, compile_transaction
-from repro.api.results import ResultSet, resolve_query
+from repro.api.results import ResultSet, session_query, session_results
 from repro.warehouse.warehouse import (
     USE_DEFAULT_OBSERVABILITY,
     CommitPolicy,
@@ -186,11 +186,14 @@ class Session:
         execution envelope (limit, order, ``min_probability``, anytime
         parameters) in one object — the form every serving layer
         threads through unchanged.  *query* may then be omitted: the
-        options' ``pattern`` field is compiled instead.
+        options' ``pattern`` field is compiled instead.  Its
+        ``document`` routing field only applies to collections and
+        raises :class:`~repro.errors.QueryError` here.
         """
-        self._check_open()
-        pattern, options, _keys = resolve_query(query, options, planner=planner)
-        return ResultSet(self, pattern, options)
+        return session_query(self, query, options, planner)
+
+    # The one-shard hook every ResultSet consumes (key None).
+    _shard_results = session_results
 
     def explain(self, query) -> str:
         """The engine's statistics and chosen plan for *query*, rendered."""
@@ -198,12 +201,13 @@ class Session:
         return self._warehouse.explain_plan(compile_pattern(query))
 
     def _iter_context(self):
-        """(document, engine, config, release, obs) for ResultSet iteration.
+        """(document, engine, config, release, obs) for one query.
 
         The document generation is pinned for the iteration's duration
         so a commit landing between two streamed rows copies-on-write
         instead of mutating the tree under the iterator; *release*
-        (called by the ResultSet when iteration ends) unpins it.  *obs*
+        (called by :func:`~repro.api.results.session_results` when the
+        query ends) unpins it.  *obs*
         is the warehouse's instrument panel (or None).
         """
         self._check_open()
@@ -389,9 +393,9 @@ class Snapshot:
         Accepts the same (*query*, *options*) forms as
         :meth:`Session.query`.
         """
-        self._check_open()
-        pattern, options, _keys = resolve_query(query, options, planner=planner)
-        return ResultSet(self, pattern, options)
+        return session_query(self, query, options, planner)
+
+    _shard_results = session_results
 
     def _iter_context(self):
         # Already pinned for the snapshot's whole lifetime — no

@@ -402,8 +402,9 @@ def _query_options(args: argparse.Namespace):
     )
 
 
-def _print_item(item, *, xml: bool, document: str | None) -> None:
+def _print_item(item, *, xml: bool) -> None:
     """One row, answer or estimate, prefixed by its document key if any."""
+    document = item.document
     measure = f"{item.probability:.6f}"
     estimate = isinstance(item, AnswerEstimate)
     if xml:
@@ -441,8 +442,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     streaming = args.stream or options.is_bounded
     if not (estimating or streaming):
         options = options.replace(limit=None)
-    collection = Collection.is_collection(args.path)
-    opener = connect_collection if collection else connect
+    opener = connect_collection if Collection.is_collection(args.path) else connect
     empty = True
     with opener(args.path) as target:
         results = target.query(pattern, options=options)
@@ -452,7 +452,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             with closing(iter(results)) as rows:
                 for row in rows:
                     empty = False
-                    _print_item(row, xml=args.xml, document=row.document)
+                    _print_item(row, xml=args.xml)
         else:
             if estimating:
                 items = results.estimate(
@@ -461,10 +461,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             else:
                 items = results.answers()
             empty = not items
-            if not collection:
-                items = [(None, item) for item in items]
-            for key, item in items[: args.limit]:
-                _print_item(item, xml=args.xml, document=key)
+            for item in items[: args.limit]:
+                _print_item(item, xml=args.xml)
     if empty:
         print("(no answers)")
     return 0

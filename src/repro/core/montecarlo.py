@@ -41,13 +41,15 @@ __all__ = ["AnswerEstimate", "estimate_answers", "estimate_query"]
 
 @dataclass(slots=True)
 class AnswerEstimate:
-    """A sampled answer: tree, estimated probability and standard error."""
+    """A sampled answer: tree, estimated probability and standard error;
+    ``document`` is the collection shard's key (``None`` on a session)."""
 
     tree: Node
     probability: float
     stderr: float
     occurrences: int
     samples: int
+    document: str | None = None
 
 
 def estimate_query(

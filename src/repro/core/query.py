@@ -65,9 +65,11 @@ __all__ = [
 
 class _Answer:
     """Answers and rows: an answer tree's kept nodes, captured under the pin
-    (a later commit may move the live links); tree and key filled on read."""
+    (a later commit may move the live links); tree and key filled on read.
+    ``document`` is the key of the collection shard that produced it
+    (``None`` on a session)."""
 
-    __slots__ = ("_kept", "_tree", "_key")
+    __slots__ = ("_kept", "_tree", "_key", "document")
 
     @property
     def tree(self) -> Node:
@@ -97,12 +99,15 @@ class FuzzyAnswer(_Answer):
         produce this answer.
     probability:
         Exact probability that this answer belongs to the query result.
+    document:
+        The collection shard's key (``None`` on a session).
     """
 
     __slots__ = ("dnf", "probability")
 
     def __init__(self, kept, key: str, dnf: Dnf, probability: float) -> None:
         self._kept, self._tree, self._key = kept, None, key
+        self.document = None
         self.dnf = dnf
         self.probability = probability
 
@@ -253,7 +258,6 @@ class Row(_Answer):
     __slots__ = (
         "match",
         "dnf",
-        "document",
         "_events",
         "_cache",
         "_generation",

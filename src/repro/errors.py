@@ -86,10 +86,13 @@ class QueryCancelledError(QueryError):
     """A streamed query was abandoned by its abort hook before exhaustion.
 
     Raised from inside a :class:`~repro.api.results.RowStream` opened
-    with an *abort* callable (see :meth:`ResultSet.stream`) when that
-    callable returns true between rows — the serving layer's deadline
-    and disconnect cancellation path.  The stream's iteration pin is
-    released before the error propagates.
+    with an *abort* callable (see :meth:`ResultSet.stream`, the one
+    result-set class of sessions, snapshots and both collection
+    engines) when that callable returns true between rows — the
+    serving layer's deadline and disconnect cancellation path.  The
+    stream is closed before the error propagates: a session's
+    iteration pin is released, a fan-out's pending shard tasks are
+    cancelled.
     """
 
 

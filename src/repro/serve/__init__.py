@@ -18,8 +18,9 @@ piece that puts threads on top of the storage and session layers:
   **worker processes** instead (:class:`ProcessCollection`): a
   supervisor routes document keys over a consistent-hash ring to
   processes that each own their shards' warehouses, recover from their
-  own WAL on crash and are respawned automatically — reader throughput
-  scales past the GIL (see :mod:`repro.serve.cluster`).
+  own WAL on crash and are respawned automatically — shard work runs
+  outside this process's GIL, at one IPC round trip per query (see
+  :mod:`repro.serve.cluster`).
 
 Both engines are one front (:class:`~repro.serve.collection.BaseCollection`):
 keys, create, update, query, stats, health and close are written once,
@@ -47,7 +48,6 @@ from repro.serve.cluster import (
 )
 from repro.serve.collection import (
     Collection,
-    FanoutResultSet,
     connect_collection,
 )
 from repro.serve.pool import SessionPool, default_workers
@@ -56,7 +56,6 @@ __all__ = [
     "ChaosMonkey",
     "Collection",
     "ClusterRow",
-    "FanoutResultSet",
     "FaultPlan",
     "HashRing",
     "ProcessCollection",

@@ -4,9 +4,9 @@
 one collection front (:class:`~repro.serve.collection.BaseCollection`,
 which owns keys, create, update, query, stats, health and close): the
 same directory layout and key rule, but every shard lives in a worker
-*process* (:mod:`repro.serve.cluster.worker`) so reader throughput
-scales past the GIL.  The supervisor supplies the front's hooks over
-the pipes and holds no document state at all:
+*process* (:mod:`repro.serve.cluster.worker`), outside the caller's
+GIL and isolated from its faults.  The supervisor supplies the front's
+hooks over the pipes and holds no document state at all:
 
 * a :class:`~repro.serve.cluster.ring.HashRing` routes document keys
   to workers; ring changes (:meth:`add_worker` / :meth:`remove_worker`)
@@ -691,10 +691,11 @@ class ProcessCollection(BaseCollection):
     # ------------------------------------------------------------------
 
     def _shard_results(self, pattern, keys, options, what, seed, abort):
-        """:class:`FanoutResultSet`'s hook: one QUERY frame per worker
-        owning some of *keys*, each a task on the collection's pool,
-        ``(key, items)`` yielded in sorted key order.  A worker whose
-        batch fails retryably degrades to per-key replica failover.
+        """The fan-out hook :class:`~repro.api.results.ResultSet` merges
+        over: one QUERY frame per worker owning some of *keys*, each a
+        task on the collection's pool, ``(key, items)`` yielded in
+        sorted key order.  A worker whose batch fails retryably
+        degrades to per-key replica failover.
         *abort* does not cross the process boundary: a worker's
         enumeration runs to its end, and the merge polls the hook.
 
@@ -723,7 +724,10 @@ class ProcessCollection(BaseCollection):
             obs.metrics.incr("serve.fanout_queries")
         t0 = perf_counter()
         deadline = monotonic() + self._query_deadline
-        payload = {"pattern": str(pattern), "options": options.to_json()}
+        # The routing field stays at this layer and the pattern travels
+        # on its own: workers get the rest of the options.
+        wire = options.replace(document=None, pattern=None).to_json()
+        payload = {"pattern": str(pattern), "options": wire}
         if what == "estimates":
             payload["seed"] = seed
 

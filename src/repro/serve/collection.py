@@ -23,8 +23,9 @@ an engine adds a hook only where its transport differs.  The thread
 :class:`Collection` hosts its shards in this process on one
 :class:`ShardMap`; the process engine
 (:class:`~repro.serve.cluster.ProcessCollection`) hosts them in worker
-processes, each on its own maps.  :class:`FanoutResultSet` is the one
-merge both serve through their ``_shard_results`` hook.
+processes, each on its own maps.  Both return the one
+:class:`~repro.api.results.ResultSet` a session returns, which merges
+their shards through the ``_shard_results`` hook.
 
 On disk a collection is::
 
@@ -44,7 +45,8 @@ same directory opens the same way on both engines.  Within one shard
 every guarantee of :class:`~repro.api.session.Session` holds —
 including snapshot-pinned concurrent readers; across shards the
 documents are independent (separate event tables), which is why query
-results carry their shard key and are never merged across documents.
+results carry their shard key as ``document`` and answers are never
+aggregated across documents.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.api.options import QueryOptions
-from repro.api.results import BaseResultSet, _check_abort, resolve_query
+from repro.api.results import ResultSet, resolve_query
 from repro.api.session import Session, connect
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.core.update import UpdateReport
@@ -71,7 +73,7 @@ from repro.warehouse.warehouse import (
     _resolve_observability,
 )
 
-__all__ = ["BaseCollection", "Collection", "FanoutResultSet", "connect_collection"]
+__all__ = ["BaseCollection", "Collection", "connect_collection"]
 
 _MANIFEST = "collection.json"
 _FORMAT = "repro-collection-v1"
@@ -111,12 +113,15 @@ def connect_collection(
       queries fan out on a shared :class:`~repro.serve.pool.SessionPool`;
     * ``"process"`` — shards live in worker *processes* behind a
       consistent-hash ring (:class:`~repro.serve.cluster.ProcessCollection`),
-      so reader throughput scales past the GIL; *shard_processes* sets
-      the worker count (default: cores, clamped to [2, 8]).  On a
-      single-core host the process engine only adds IPC cost, so the
-      call degrades to thread mode unless *force_processes* is set;
-    * ``"auto"`` — process mode when the machine has ≥ 2 cores, thread
-      mode otherwise.
+      so shard work runs outside this process's GIL and pays an IPC
+      round trip per query; *shard_processes* sets the worker count
+      (default: cores, clamped to [2, 8]).  On a single-core host the
+      process engine only adds IPC cost, so the call degrades to thread
+      mode unless *force_processes* is set;
+    * ``"auto"`` — the engine the committed measurements favour, which
+      is threads: at 2 CPUs process shards read 0.27–0.40× of the
+      thread engine's throughput (E16, 4 × 300 to 8 × 1200 nodes), and
+      no multi-core number yet shows processes winning.
 
     In process mode, *replication_factor* = R keeps a copy of every
     document on its R distinct ring successors: writes are
@@ -153,7 +158,7 @@ def connect_collection(
         raise WarehouseError(f"no collection at {path} (missing {_MANIFEST})")
 
     if mode == "auto":
-        mode = "process" if (os.cpu_count() or 1) >= 2 else "thread"
+        mode = "thread"
     if mode == "process" and not force_processes and (os.cpu_count() or 1) < 2:
         # One core: worker processes would time-slice the same CPU and
         # pay IPC on top — the thread pool is strictly better.
@@ -185,134 +190,6 @@ def connect_collection(
     obs = _resolve_observability(observability)
     session_options.update(match_config=match_config, observability=obs)
     return Collection(path, SessionPool(workers, observability=obs), session_options)
-
-
-class FanoutResultSet(BaseResultSet):
-    """A lazy, re-iterable fan-out query over a collection's shards.
-
-    Immutable like :class:`~repro.api.results.ResultSet` (same
-    refinements, each returning a new set).  The one merge both
-    collection engines share: the collection supplies each shard's
-    items through its ``_shard_results(pattern, keys, options, what,
-    seed, abort)`` hook — ``(key, items)`` pairs in sorted key order,
-    *what* one of ``"rows"``, ``"answers"``, ``"estimates"`` — and this
-    class owns everything above it.  Rows carry their shard's key as
-    ``row.document`` and stream in deterministic (shard, row) order:
-    shards in sorted key order, each shard's rows in its engine's
-    deterministic match order.  The limit is pushed into every shard (a
-    shard can contribute at most n of the first n rows) and
-    short-circuits the fan-out: once n rows have been emitted the hook
-    is closed, which cancels shard work that has not started.
-
-    A :meth:`stream`'s *abort* hook reaches each thread shard's own row
-    stream, so a cancel stops shard enumeration at its next row; a
-    process shard's enumeration runs in its worker, beyond the hook's
-    reach, so there the merge polls it between rows.
-    """
-
-    __slots__ = ("_collection", "_keys")
-
-    def __init__(self, collection, pattern, keys, options: QueryOptions) -> None:
-        self._collection = collection
-        self._pattern = pattern
-        self._keys = keys
-        self._options = options
-
-    def _with_options(self, options: QueryOptions) -> "FanoutResultSet":
-        return FanoutResultSet(self._collection, self._pattern, self._keys, options)
-
-    def _summary(self) -> str:
-        return f"{str(self._pattern)!r}, {len(self._keys)} shards"
-
-    def _shards(self, what: str, seed: int = 0, abort=None, **overrides):
-        """The collection's hook for this query (``limit(0)`` runs
-        nothing).  The routing field stays at this layer and the
-        pattern travels compiled — shards get the rest of the options.
-        Closing this generator closes the hook."""
-        if self._options.limit != 0:
-            options = self._options.replace(document=None, pattern=None, **overrides)
-            yield from self._collection._shard_results(
-                self._pattern, self._keys, options, what, seed, abort
-            )
-
-    def _by_probability(self, shards) -> list[tuple[str, object]]:
-        """``(key, item)`` pairs by decreasing probability, capped.
-
-        A barrier: every shard reports first.  Each shard already
-        ranked its own items (ties in its emission order), so sorting
-        on ``(-probability, key, rank)`` reproduces exactly the order a
-        single session over the union would produce."""
-        merged = [
-            (-item.probability, key, rank, item)
-            for key, items in shards
-            for rank, item in enumerate(items)
-        ]
-        merged.sort(key=lambda entry: entry[:3])
-        return [(key, item) for _p, key, _rank, item in merged[: self._options.limit]]
-
-    def __iter__(self):
-        return self.stream()
-
-    def stream(self, *, abort=None):
-        """The merged rows as a closeable iterator, optionally cancellable.
-
-        *abort* is a zero-argument callable, as for
-        :meth:`~repro.api.results.ResultSet.stream`: it is polled
-        between merged rows and passed to every shard (see the class
-        docs), and once it returns true the stream raises
-        :class:`~repro.errors.QueryCancelledError`.  Closing the stream
-        closes the fan-out.
-        """
-        limit = self._options.limit
-        with closing(self._shards("rows", abort=abort)) as shards:
-            if self._options.order == "probability":
-                merged = (row for _key, row in self._by_probability(shards))
-            else:
-                merged = (row for _key, rows in shards for row in rows)
-            for emitted, row in enumerate(merged, 1):
-                if abort is not None:
-                    _check_abort(abort)
-                yield row
-                if limit is not None and emitted >= limit:
-                    return
-
-    def answers(self) -> list[tuple[str, object]]:
-        """Per-shard ranked answers as ``(document key, FuzzyAnswer)``.
-
-        Aggregation never crosses shards: each document has its own
-        independent event table, so only rows *within* one shard can be
-        disjoined.  Results come back in sorted key order, ranked
-        within each shard; a set limit bounds each shard's streamed
-        prefix.  (Thread collections only: answer aggregates do not
-        cross the process boundary.)
-        """
-        with closing(self._shards("answers")) as shards:
-            return [(key, answer) for key, answers in shards for answer in answers]
-
-    def estimate(
-        self,
-        *,
-        epsilon: float | None = None,
-        deadline_ms: int | None = None,
-        seed: int = 0,
-    ) -> list[tuple[str, object]]:
-        """Anytime Monte-Carlo answers per shard, merged deterministically.
-
-        Fans out :meth:`~repro.api.results.ResultSet.estimate` to every
-        shard (each samples its own event table — estimates, like
-        answers, never cross shards) and returns ``(document key,
-        estimate)`` pairs by decreasing estimated probability, ties by
-        shard key then the shard's own order, capped at the limit.
-        """
-        options = self._options
-        if epsilon is None:
-            epsilon = options.epsilon
-        if deadline_ms is None:
-            deadline_ms = options.deadline_ms
-        with closing(
-            self._shards("estimates", seed, epsilon=epsilon, deadline_ms=deadline_ms)
-        ) as shards:
-            return self._by_probability(shards)
 
 
 def shard_record(info: dict | None, respawns: int = 0) -> dict:
@@ -424,7 +301,8 @@ class BaseCollection:
     An engine supplies hooks only where its transport differs:
     ``_keys()``, ``_create(key, root, document)``, ``_write(key,
     transactions, batch, confidence, fault)`` (one routed commit),
-    ``_shard_results`` (:class:`FanoutResultSet`'s hook, on the pool),
+    ``_shard_results`` (the hook :class:`~repro.api.results.ResultSet`
+    merges over, on the pool),
     ``_stats()`` (per-document stats, engine accounting),
     ``_health(timeout)`` (key → :func:`shard_record`) and
     ``_shutdown()`` (release everything, the pool included; runs once).
@@ -541,16 +419,17 @@ class BaseCollection:
         keys: list[str] | None = None,
         *,
         options: QueryOptions | None = None,
-    ) -> FanoutResultSet:
+    ) -> ResultSet:
         """A lazy fan-out query over every shard (or just *keys*).
 
-        Returns a :class:`FanoutResultSet`; nothing runs until it is
-        iterated.  *options* carries the full execution envelope (and
+        Returns a :class:`~repro.api.results.ResultSet`, the class a
+        session returns; nothing runs until it is consumed.  *options* carries the full execution envelope (and
         may substitute for *query* via its ``pattern`` field); its
         ``document`` field, when set, restricts the fan-out to that one
         shard.  The pattern is compiled once and shared across shards:
         patterns are immutable and every shard engine re-keys matches
-        onto its own plan anyway.  A process collection streams
+        onto its own plan anyway.  Every item carries its shard key as
+        ``document``.  A process collection streams
         :class:`~repro.serve.cluster.ClusterRow` objects, no ``answers()``.
         """
         self._check_open()
@@ -561,7 +440,7 @@ class BaseCollection:
         for key in keys:
             if key not in known:
                 raise self._no_document(key)  # validate early, before the fan-out
-        return FanoutResultSet(self, pattern, keys, options)
+        return ResultSet(self, pattern, options, keys)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -651,9 +530,11 @@ class Collection(BaseCollection):
         return [session.update(*transactions, confidence)]
 
     def _shard_results(self, pattern, keys, options, what, seed, abort):
-        """:class:`FanoutResultSet`'s hook: one pool task per shard
-        (bounded concurrency), ``(key, items)`` yielded in *keys* order.
-        *abort* (or None) is passed into each shard's row stream, so a
+        """The fan-out hook: one pool task per shard (bounded
+        concurrency), ``(key, items)`` yielded in *keys* order, each
+        item's ``document`` set to its key.  A task runs its session's
+        own hook — not ``session.query()``, whose merge would run a
+        second time — and *abort* (or None) is passed into it, so a
         cancel stops every running shard at its next row.
 
         Closing the generator — limit hit, consumer abandoned the
@@ -676,15 +557,12 @@ class Collection(BaseCollection):
             started = perf_counter()
             if abandoned.is_set():
                 return [], 0.0
-            results = session.query(pattern, options=options)
-            if what == "rows":
-                items = list(results.stream(abort=abort))
-                for row in items:
-                    row.document = key
-            elif what == "answers":
-                items = results.answers()
-            else:
-                items = results.estimate(seed=seed)
+            with closing(
+                session._shard_results(pattern, None, options, what, seed, abort)
+            ) as shard:
+                items = [item for _none, found in shard for item in found]
+            for item in items:
+                item.document = key
             return items, perf_counter() - started
 
         if metrics:

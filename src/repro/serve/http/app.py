@@ -23,8 +23,8 @@ Two contracts matter to callers:
 
 Query execution is deadline-aware: :meth:`Application.query` runs on a
 pool worker with an *abort* callable threaded into the row stream
-(:meth:`ResultSet.stream` or :meth:`FanoutResultSet.stream` — one row
-path for both targets), so a deadline flipped by the event loop
+(:meth:`~repro.api.results.ResultSet.stream` — one result-set class and
+one row path for every target), so a deadline flipped by the event loop
 cancels the underlying streamed iteration at the next row boundary —
 on a thread collection inside every shard — and the iteration pins
 drain before the 504 goes out.  A process collection's shards run
@@ -97,12 +97,13 @@ def query_response_body(rows: list[dict]) -> bytes:
     return canonical_json({"count": len(rows), "rows": rows})
 
 
-def encode_estimate_row(estimate, document: str | None = None) -> dict:
+def encode_estimate_row(estimate) -> dict:
     """One anytime Monte-Carlo answer as a JSON-ready record.
 
     Same determinism contract as :func:`encode_row`: a fixed seed
     yields identical samples in-process and behind the wire, so the
-    encoded estimate is byte-identical across layers.
+    encoded estimate is byte-identical across layers; the shard's
+    ``document`` is left out when ``None``.
     """
     record = {
         "probability": estimate.probability,
@@ -111,8 +112,8 @@ def encode_estimate_row(estimate, document: str | None = None) -> dict:
         "occurrences": estimate.occurrences,
         "tree": estimate.tree.canonical(),
     }
-    if document is not None:
-        record["document"] = document
+    if estimate.document is not None:
+        record["document"] = estimate.document
     return record
 
 
@@ -271,15 +272,12 @@ class Application:
             document = options.document
             if document is not None and document not in self._target:
                 raise BadRequest(f"no document {document!r} in the collection")
-        elif options.document is not None:
-            raise BadRequest("field 'document' only applies to collections")
+        # A served session refuses ``document`` itself (QueryError: 400).
         results = self._target.query(options=options)
         if options.is_estimate:
-            if self._is_collection:
-                rows = [encode_estimate_row(e, key) for key, e in results.estimate()]
-            else:
-                rows = [encode_estimate_row(e) for e in results.estimate()]
-            return estimate_response_body(rows)
+            return estimate_response_body(
+                [encode_estimate_row(e) for e in results.estimate()]
+            )
         # closing(): an abort or an encode error still closes the stream,
         # which releases its pin or the fan-out's shard tasks.
         with closing(results.stream(abort=abort)) as stream:

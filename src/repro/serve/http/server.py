@@ -26,8 +26,8 @@ Production concerns, each load-bearing:
 * **Per-request deadlines cancel real work.**  Every ``/query``
   carries a deadline (server default, per-request ``timeout_ms``
   override).  The worker polls it at every row boundary through the
-  stream's abort hook (:meth:`ResultSet.stream`,
-  :meth:`FanoutResultSet.stream`), so a past-deadline request closes
+  stream's abort hook (:meth:`~repro.api.results.ResultSet.stream`,
+  one class for every target), so a past-deadline request closes
   its row stream — iteration pins drain to zero — and the client gets
   a structured ``504``.  On a thread collection the hook reaches every
   shard's own stream; a process collection's workers run their

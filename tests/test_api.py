@@ -491,6 +491,17 @@ class TestSnapshots:
         with pytest.raises(errors.SessionClosedError):
             snapshot.document
 
+    def test_snapshot_stream_reports_closed(self, session):
+        """A snapshot stream holds no pin of its own, yet ``closed``
+        still tells whether it was closed."""
+        _populate(session, ["Alice", "Bob"])
+        with session.snapshot() as snapshot:
+            stream = iter(snapshot.query("//person"))
+            next(stream)
+            assert not stream.closed
+            stream.close()
+            assert stream.closed
+
     def test_snapshot_explain_provenance(self, session):
         _populate(session, ["Alice"], confidence=0.8)
         with session.snapshot() as snapshot:
@@ -669,6 +680,33 @@ class TestErrorsAndShims:
         ]
         assert [type(row) for row in rows] == [repro.Row] * len(rows)
         assert fanout_row.document == "d1" and rows[0].document is None
+
+    def test_document_routing_is_refused_on_a_session(self, session):
+        """``document`` routes a collection query; a session and a
+        snapshot used to ignore it and answer from their one document."""
+        _populate(session, ["Alice"])
+        options = repro.QueryOptions(pattern="//person", document="nope")
+        with pytest.raises(errors.QueryError, match="only applies to collections"):
+            session.query(options=options).all()
+        with session.snapshot() as snapshot:
+            with pytest.raises(errors.QueryError, match="only applies to collections"):
+                snapshot.query(options=options).all()
+
+    def test_one_result_set_class(self, session, tmp_path):
+        # Sessions, snapshots and collections return the one class; the
+        # fan-out subclass and the shared base are gone, not aliased.
+        import repro.api.results
+        import repro.serve.collection
+
+        for module in (repro, repro.serve, repro.serve.collection, repro.api.results):
+            assert not hasattr(module, "FanoutResultSet")
+            assert not hasattr(module, "BaseResultSet")
+        with session.snapshot() as snapshot:
+            snapshot_results = snapshot.query("//person")
+        with repro.connect_collection(tmp_path / "coll", create=True) as collection:
+            collection_results = collection.query("//person")
+        kinds = {type(r) for r in (session.query("//person"), snapshot_results, collection_results)}
+        assert kinds == {repro.ResultSet}
 
     def test_version_is_2(self):
         assert repro.__version__.startswith("2.")

@@ -221,6 +221,19 @@ class TestModeSelection:
             assert isinstance(col, ProcessCollection)
             assert col.query(_PATTERN).count() == len(KEYS) * 3
 
+    def test_auto_picks_threads_on_many_cores(self, tmp_path, monkeypatch):
+        """No committed multi-core number shows process shards winning
+        (at 2 CPUs they read 0.27-0.40x of the thread engine), so
+        ``auto`` serves on threads whatever the core count."""
+        path = _fresh_store(tmp_path / "coll")
+        import repro.serve.collection as collection_module
+
+        monkeypatch.setattr(collection_module.os, "cpu_count", lambda: 8)
+        with connect_collection(
+            path, mode="auto", shard_processes=2, observability=None
+        ) as col:
+            assert type(col) is Collection
+
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(WarehouseError, match="mode"):
             connect_collection(tmp_path / "c", create=True, mode="fibers")
@@ -552,25 +565,25 @@ class TestProcessCollection:
         thread and process engines: same samples, same merge order."""
         with connect_collection(seeded) as threads:
             expected = [
-                (key, e.probability, e.stderr, e.samples, e.tree.canonical())
-                for key, e in threads.query(_PATTERN).estimate(epsilon=0.05)
+                (e.document, e.probability, e.stderr, e.samples, e.tree.canonical())
+                for e in threads.query(_PATTERN).estimate(epsilon=0.05)
             ]
             # A limit smaller than the shard count caps the *merged*
             # pairs on both engines, not each shard's contribution.
             capped = [
-                (key, e.probability, e.tree.canonical())
-                for key, e in threads.query(_PATTERN).limit(3).estimate(epsilon=0.05)
+                (e.document, e.probability, e.tree.canonical())
+                for e in threads.query(_PATTERN).limit(3).estimate(epsilon=0.05)
             ]
         with ProcessCollection(
             seeded, shard_processes=2, observability=None
         ) as cluster:
             got = [
-                (key, e.probability, e.stderr, e.samples, e.tree.canonical())
-                for key, e in cluster.query(_PATTERN).estimate(epsilon=0.05)
+                (e.document, e.probability, e.stderr, e.samples, e.tree.canonical())
+                for e in cluster.query(_PATTERN).estimate(epsilon=0.05)
             ]
             got_capped = [
-                (key, e.probability, e.tree.canonical())
-                for key, e in cluster.query(_PATTERN).limit(3).estimate(epsilon=0.05)
+                (e.document, e.probability, e.tree.canonical())
+                for e in cluster.query(_PATTERN).limit(3).estimate(epsilon=0.05)
             ]
         assert got == expected
         assert len(KEYS) > 3 and len(capped) == 3
@@ -797,6 +810,17 @@ def admin(request, admin_store):
         yield collection
 
 
+@pytest.fixture(scope="module")
+def solo_store(tmp_path_factory):
+    """A collection holding one document, ``solo``, with four emails."""
+    path = tmp_path_factory.mktemp("solo") / "coll"
+    with connect_collection(path, create=True, workers=1) as seed:
+        seed.create_document("solo", root="person")
+        for i, confidence in enumerate((0.6, 0.9, 0.6, 0.75)):
+            seed.update("solo", _insert_email(f"solo{i}@x", confidence))
+    return path
+
+
 def _tree(root) -> list[str]:
     return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
 
@@ -884,6 +908,46 @@ class TestCollectionContract:
                 with pytest.raises(WarehouseError, match="collection is closed"):
                     call()
             collection.close()  # idempotent
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_one_document_collection_reads_like_its_session(self, kind, solo_store):
+        """Rows, top-k, answers (thread engine) and estimates of a
+        one-document collection are its session's, item for item; the
+        shard key in ``document`` is the only difference."""
+        reads = {
+            "all": lambda target: target.query(_PATTERN).all(),
+            "top3": lambda target: target.query(_PATTERN)
+            .order_by_probability()
+            .limit(3)
+            .all(),
+            "estimate": lambda target: target.query(_PATTERN).estimate(seed=0),
+        }
+        if kind == "thread":
+            reads["answers"] = lambda target: target.query(_PATTERN).answers()
+
+        def view(target):
+            items = {name: read(target) for name, read in reads.items()}
+            documents = {item.document for found in items.values() for item in found}
+            return documents, {
+                name: [
+                    (
+                        item.probability,
+                        item.tree.canonical(),
+                        item.bindings() if hasattr(item, "bindings") else None,
+                    )
+                    for item in found
+                ]
+                for name, found in items.items()
+            }
+
+        with repro.connect(solo_store / "solo") as session:
+            session_documents, expected = view(session)
+        with _open_surface(kind, solo_store, "solo") as collection:
+            assert type(collection.query(_PATTERN)) is repro.ResultSet
+            documents, got = view(collection)
+        assert session_documents == {None} and documents == {"solo"}
+        assert all(expected.values()) and got == expected
 
     @pytest.mark.timeout(180)
     @pytest.mark.parametrize("kind", ENGINES)

@@ -215,8 +215,8 @@ class TestQueryByteIdentity:
         assert status == 200
         expected = estimate_response_body(
             [
-                encode_estimate_row(e, document=key)
-                for key, e in collection.query("//email").estimate(
+                encode_estimate_row(e)
+                for e in collection.query("//email").estimate(
                     epsilon=0.05
                 )
             ]
@@ -240,8 +240,8 @@ class TestQueryByteIdentity:
         assert payload["estimate"] is True and payload["count"] == 2
         expected = estimate_response_body(
             [
-                encode_estimate_row(e, document=key)
-                for key, e in collection.query("//email").limit(2).estimate(
+                encode_estimate_row(e)
+                for e in collection.query("//email").limit(2).estimate(
                     epsilon=0.05
                 )
             ]

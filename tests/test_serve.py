@@ -202,11 +202,11 @@ class TestFanOut:
     def test_answers_rank_within_shards(self, collection):
         answers = collection.query("//email").answers()
         assert len(answers) == 9
-        seen_keys = [key for key, _ in answers]
+        seen_keys = [answer.document for answer in answers]
         assert seen_keys == sorted(seen_keys)
         by_key: dict[str, list[float]] = {}
-        for key, answer in answers:
-            by_key.setdefault(key, []).append(answer.probability)
+        for answer in answers:
+            by_key.setdefault(answer.document, []).append(answer.probability)
         for probabilities in by_key.values():
             assert probabilities == sorted(probabilities, reverse=True)
 
