@@ -142,8 +142,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("cluster.respawns", "counter", "Worker processes respawned after death"),
     ("cluster.worker_failures", "counter",
      "Requests failed by a dead/dying worker (retryable)"),
-    ("cluster.migrations", "counter",
-     "Documents migrated between workers on ring changes"),
     ("cluster.ipc_roundtrip_seconds", "histogram",
      "Supervisor-side request/response round trip over the worker pipe"),
     ("cluster.retries", "counter",

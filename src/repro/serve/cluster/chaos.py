@@ -62,8 +62,8 @@ FAULT_KINDS = ("kill", "drop_pipe", "corrupt_frame", "slow")
 @dataclass(frozen=True)
 class Fault:
     """One planned fault: *victim* indexes the sorted list of live
-    workers at apply time (modulo its length, so plans survive ring
-    changes)."""
+    workers at apply time (modulo its length, so a plan still applies
+    while a worker is down)."""
 
     kind: str
     victim: int

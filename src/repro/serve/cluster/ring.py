@@ -1,16 +1,20 @@
 """Consistent-hash ring: document keys → worker names.
 
-The supervisor routes every document key to exactly one worker.  A
-plain ``hash(key) % N`` would reshuffle nearly every key when N
-changes; the consistent-hash ring moves only ~K/N keys when a worker
-joins or leaves, which is what keeps ring changes cheap migrations
-instead of full reshards.
+The supervisor routes every document key to exactly one worker (its
+primary) and, with replication, to the next distinct workers clockwise
+(its replicas).  A process collection's worker set is fixed when it
+opens, so the ring is built once and never changes; it stays a ring
+rather than ``hash(key) % N`` for two reasons:
 
-Each worker contributes :data:`VIRTUAL_POINTS` virtual points (SHA-1 of
-``"name#i"``) on a 2^64 circle; a key routes to the first worker point
-at or past its own hash.  SHA-1 keeps placement stable across
-processes and runs — :func:`hash` is salted per process and would
-reroute everything on restart.
+* placement is stable across processes and runs: SHA-1 of the key, not
+  :func:`hash`, which is salted per process and would reroute every
+  document on restart;
+* placement is balanced: each worker contributes
+  :data:`VIRTUAL_POINTS` virtual points (SHA-1 of ``"name#i"``) on a
+  2^64 circle, and a key routes to the first worker point at or past
+  its own hash.  The same 64-bit SHA-1 point taken modulo 2 splits
+  E19's eight ``cluster_mixed`` documents 6 / 2 across two workers;
+  the ring splits them 4 / 4.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ def _point(data: str) -> int:
 
 
 class HashRing:
-    """An immutable-per-operation consistent-hash ring over worker names.
+    """A consistent-hash ring over worker names.
 
-    Not thread-safe by itself; the supervisor mutates it under its
-    routing lock.
+    Built before a collection serves and only read afterwards, so
+    concurrent lookups need no lock.
     """
 
     __slots__ = ("_nodes", "_points", "_owners")
@@ -66,19 +70,11 @@ class HashRing:
         for i in range(VIRTUAL_POINTS):
             point = _point(f"{node}#{i}")
             # SHA-1 collisions across 64-bit prefixes are effectively
-            # impossible; keep the first owner if one ever happens so
-            # add/remove stay symmetric.
+            # impossible; keep the first owner if one ever happens.
             if point not in self._owners:
                 self._owners[point] = node
                 self._points.append(point)
         self._points.sort()
-
-    def remove(self, node: str) -> None:
-        if node not in self._nodes:
-            raise WarehouseError(f"ring does not contain {node!r}")
-        self._nodes.discard(node)
-        self._points = [p for p in self._points if self._owners[p] != node]
-        self._owners = {p: o for p, o in self._owners.items() if o != node}
 
     def route(self, key: str) -> str:
         """The worker owning *key* (first point clockwise from its hash)."""

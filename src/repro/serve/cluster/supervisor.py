@@ -9,11 +9,10 @@ GIL and isolated from its faults.  The supervisor supplies the front's
 hooks over the pipes and holds no document state at all:
 
 * a :class:`~repro.serve.cluster.ring.HashRing` routes document keys
-  to workers; ring changes (:meth:`add_worker` / :meth:`remove_worker`)
-  migrate only the keys whose owner changed, via RELEASE on the old
-  worker (which folds the shard's WAL into a final snapshot — the
-  pinned-snapshot handoff) followed by ASSIGN on the new one, all
-  under the routing lock so no request can observe a half-moved key;
+  to workers.  The worker set is fixed when the collection opens: the
+  ring and the worker map never change afterwards, so a different
+  ``shard_processes`` means reopening the directory (primaries live at
+  ``<collection>/<key>``; replicas are re-synced at open);
 * a monitor thread watches worker liveness; a dead worker is respawned
   with the same key set and recovers from its own WAL inside
   ``Warehouse.open`` before answering READY.  An in-flight request on
@@ -34,10 +33,9 @@ Writes go to the primary first (the acknowledgement; a failed primary
 write fails the update, retryably) and are then written through to
 every live replica; a replica whose post-apply commit sequence
 diverges from the primary's — or that was unreachable, freshly
-respawned, or newly placed by a ring change — is marked *stale* and
+respawned, or not yet populated at open — is marked *stale* and
 healed by the monitor thread from the primary's folded snapshot
-(SYNC_PULL on the primary, SYNC_PUSH on the replica: the same
-pinned-snapshot handoff ring migrations use).  Reads fan out to
+(SYNC_PULL on the primary, SYNC_PUSH on the replica).  Reads fan out to
 primaries as before, but on :class:`~repro.errors.ShardUnavailableError`
 or :class:`~repro.serve.cluster.wire.WireError` they *fail over*
 per key — fresh replicas first, stale ones as a last resort — and
@@ -246,9 +244,11 @@ class ProcessCollection(BaseCollection):
             self._options["allow_faults"] = True
         self._ctx = multiprocessing.get_context("spawn")
         self._request_ids = itertools.count(1)
-        # The front's lock also guards the ring, the handle map and
-        # every key→worker move.
-        self._ring = HashRing()
+        # The ring and the handle map are fixed once __init__ returns;
+        # the front's lock guards only the per-worker key sets, which
+        # creates grow.
+        names = [f"w{i}" for i in range(shard_processes)]
+        self._ring = HashRing(names)
         self._handles: dict[str, _WorkerHandle] = {}
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
@@ -266,14 +266,14 @@ class ProcessCollection(BaseCollection):
         self._commit_seq: dict[str, int] = {}
         self._replica_seq: dict[tuple[str, str], int] = {}
 
-        names = [f"w{i}" for i in range(shard_processes)]
-        for name in names:
-            self._ring.add(name)
-        assignment = self._ring.assignment(keys)
+        placement = self._ring.placement(keys, replication_factor)
         try:
             for name in names:
                 handle = _WorkerHandle(name)
-                handle.keys = {k for k, owner in assignment.items() if owner == name}
+                handle.keys = {k for k, owners in placement.items() if owners[0] == name}
+                handle.replica_keys = {
+                    k for k, owners in placement.items() if name in owners[1:]
+                }
                 self._spawn(handle)
                 self._handles[name] = handle
         except BaseException:
@@ -282,9 +282,9 @@ class ProcessCollection(BaseCollection):
         self._set_worker_gauge()
         # Populate every replica before serving: the first failover must
         # find copies, not empty directories.
-        with self._lock:
-            new_pairs = self._reassign_replicas_locked()
-        self._mark_stale(new_pairs)
+        self._mark_stale(
+            (key, name) for key, owners in placement.items() for name in owners[1:]
+        )
         self._resync_stale()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-cluster-monitor", daemon=True
@@ -297,10 +297,7 @@ class ProcessCollection(BaseCollection):
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) *handle*'s process; blocks until READY.
-
-        Callers hold either the routing lock (startup, ring changes) or
-        the handle lock (respawn) — never neither.
-        """
+        A respawn holds the handle lock."""
         parent_conn, child_conn = self._ctx.Pipe()
         options = dict(self._options, worker_name=handle.name)
         process = self._ctx.Process(
@@ -333,7 +330,7 @@ class ProcessCollection(BaseCollection):
 
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(_MONITOR_INTERVAL):
-            for handle in list(self._handles.values()):
+            for handle in self._handles.values():
                 process = handle.process
                 if (
                     process is None
@@ -472,7 +469,7 @@ class ProcessCollection(BaseCollection):
             self._check_open()
             if key not in self._all_keys_locked():
                 raise self._no_document(key)
-            return self._ring.successors(key, self._replication)
+        return self._ring.successors(key, self._replication)
 
     def _keys(self) -> set[str]:
         with self._lock:
@@ -535,9 +532,9 @@ class ProcessCollection(BaseCollection):
         """Write *payload* through to each replica; divergence → stale."""
         replica_payload = {**payload, "replica": True}
         for name in replicas:
-            handle = self._handles.get(name)
+            handle = self._handles[name]
             fresh = False
-            if handle is not None and handle.alive:
+            if handle.alive:
                 try:
                     reply = self._request(
                         handle, Verb.UPDATE, replica_payload,
@@ -598,16 +595,9 @@ class ProcessCollection(BaseCollection):
                 placement = self._placement_for(key)
             except WarehouseError:
                 return True  # key or collection gone
-            if name not in placement[1:]:
-                return True  # no longer a replica after a ring change
-            primary = self._handles.get(placement[0])
-            replica = self._handles.get(name)
-            if (
-                primary is None
-                or replica is None
-                or not primary.alive
-                or not replica.alive
-            ):
+            primary = self._handles[placement[0]]
+            replica = self._handles[name]
+            if not primary.alive or not replica.alive:
                 return False  # respawn in progress; heal next tick
             try:
                 pulled = self._request(primary, Verb.SYNC_PULL, {"key": key})
@@ -672,9 +662,8 @@ class ProcessCollection(BaseCollection):
     def _create(self, key: str, root, document) -> None:
         """Create *key* on the worker the ring picks; with replication its
         copies are synced to its replica workers before this returns."""
-        with self._lock:
-            placement = self._ring.successors(key, self._replication)
-            handle = self._handles[placement[0]]
+        placement = self._ring.successors(key, self._replication)
+        handle = self._handles[placement[0]]
         payload: dict = {"key": key, "root": root}
         if document is not None:
             payload["document_xml"] = fuzzy_to_string(document, indent=False)
@@ -712,11 +701,9 @@ class ProcessCollection(BaseCollection):
                 "or open the collection in thread mode"
             )
         self._check_open()
-        with self._lock:
-            by_worker: dict[str, list[str]] = {}
-            for key in set(keys) & self._all_keys_locked():
-                by_worker.setdefault(self._ring.route(key), []).append(key)
-            handles = {name: self._handles[name] for name in by_worker}
+        by_worker: dict[str, list[str]] = {}
+        for key in set(keys) & self._keys():
+            by_worker.setdefault(self._ring.route(key), []).append(key)
         if not by_worker:
             return
         obs = self._obs
@@ -735,7 +722,7 @@ class ProcessCollection(BaseCollection):
             batch = sorted(by_worker[name])
             try:
                 reply = self._request(
-                    handles[name],
+                    self._handles[name],
                     Verb.QUERY,
                     dict(payload, keys=batch),
                     timeout=self._attempt_timeout,
@@ -781,8 +768,8 @@ class ProcessCollection(BaseCollection):
             fresh = [n for n in placement[1:] if (key, n) not in stale]
             lagging = [n for n in placement[1:] if (key, n) in stale]
             for position, name in enumerate([placement[0]] + fresh + lagging):
-                handle = self._handles.get(name)
-                if handle is None or not handle.alive:
+                handle = self._handles[name]
+                if not handle.alive:
                     continue
                 remaining = deadline - monotonic()
                 if remaining <= 0:
@@ -828,122 +815,6 @@ class ProcessCollection(BaseCollection):
             )
 
     # ------------------------------------------------------------------
-    # Ring changes
-    # ------------------------------------------------------------------
-
-    def add_worker(self) -> str:
-        """Grow the ring by one worker; migrates only re-routed keys.
-
-        Returns the new worker's name.  Migration holds the routing
-        lock: RELEASE folds each moving shard's WAL into a final
-        snapshot on the old worker, ASSIGN opens that snapshot on the
-        new one — a committed update can never be left behind.  Replica
-        placement is recomputed afterwards and new copies are synced
-        before returning.
-        """
-        with self._lock:
-            self._check_open()
-            index = 0
-            while f"w{index}" in self._handles:
-                index += 1
-            name = f"w{index}"
-            current = self._all_keys_locked()
-            before = self._ring.assignment(current)
-            self._ring.add(name)
-            after = self._ring.assignment(current)
-            moving = {k for k in current if before[k] != after[k]}
-            handle = _WorkerHandle(name)
-            try:
-                self._spawn(handle)
-            except BaseException:
-                self._ring.remove(name)
-                raise
-            self._handles[name] = handle
-            self._migrate_locked(moving, after)
-            new_pairs = self._reassign_replicas_locked()
-            self._set_worker_gauge()
-        self._mark_stale(new_pairs)
-        self._resync_stale()
-        return name
-
-    def remove_worker(self, name: str) -> None:
-        """Shrink the ring: migrate the worker's keys away, drain it."""
-        with self._lock:
-            self._check_open()
-            if name not in self._handles:
-                raise WarehouseError(f"no worker {name!r}")
-            if len(self._handles) == 1:
-                raise WarehouseError("cannot remove the last worker")
-            handle = self._handles[name]
-            moving = set(handle.keys)
-            self._ring.remove(name)
-            after = self._ring.assignment(moving)
-            self._migrate_locked(moving, after)
-            handle.draining = True
-            del self._handles[name]
-            new_pairs = self._reassign_replicas_locked()
-            self._set_worker_gauge()
-        with self._stale_lock:
-            self._stale = {(k, n) for k, n in self._stale if n != name}
-        self._replica_seq = {
-            (k, n): seq for (k, n), seq in self._replica_seq.items() if n != name
-        }
-        self._mark_stale(new_pairs)
-        self._drain(handle)
-        self._resync_stale()
-
-    def _migrate_locked(self, moving: set, assignment: dict[str, str]) -> None:
-        """Move each key in *moving* to its new owner (routing lock held)."""
-        obs = self._obs
-        for key in sorted(moving):
-            source = None
-            for handle in self._handles.values():
-                if key in handle.keys:
-                    source = handle
-                    break
-            target = self._handles[assignment[key]]
-            if source is target or source is None:
-                continue
-            self._request(source, Verb.RELEASE, {"key": key})
-            source.keys.discard(key)
-            self._request(target, Verb.ASSIGN, {"key": key})
-            target.keys.add(key)
-            if obs is not None:
-                obs.metrics.incr("cluster.migrations")
-
-    def _reassign_replicas_locked(self) -> list[tuple[str, str]]:
-        """Recompute every worker's replica set from the current ring
-        (routing lock held).  Copies that moved away are released on
-        their old worker; returns the (key, worker) pairs that need a
-        fresh sync."""
-        if self._replication <= 1:
-            for handle in self._handles.values():
-                handle.replica_keys = set()
-            return []
-        placement = self._ring.placement(
-            self._all_keys_locked(), self._replication
-        )
-        new_pairs: list[tuple[str, str]] = []
-        for name, handle in self._handles.items():
-            wanted = {k for k, owners in placement.items() if name in owners[1:]}
-            dropped = handle.replica_keys - wanted
-            added = wanted - handle.replica_keys
-            handle.replica_keys = wanted
-            for key in sorted(dropped):
-                self._replica_seq.pop((key, name), None)
-                with self._stale_lock:
-                    self._stale.discard((key, name))
-                if handle.alive:
-                    try:
-                        self._request(
-                            handle, Verb.RELEASE, {"key": key, "replica": True}
-                        )
-                    except (ShardUnavailableError, WireError):
-                        pass  # the copy dies with the worker either way
-            new_pairs.extend((key, name) for key in sorted(added))
-        return new_pairs
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -952,13 +823,11 @@ class ProcessCollection(BaseCollection):
         reply is None when the worker is down or does not answer."""
         polled = []
         for handle, info in self._worker_snapshot():
-            if handle.draining:
-                continue  # left the ring mid-call: its shards answer elsewhere
             reply = None
             if handle.alive:
                 try:
                     reply = self._request(handle, verb, {}, timeout=timeout)
-                except ShardUnavailableError:
+                except (ShardUnavailableError, WireError):
                     info["alive"] = False
             polled.append((handle, info, reply))
         return polled
@@ -996,9 +865,8 @@ class ProcessCollection(BaseCollection):
         return shards
 
     def _worker_snapshot(self) -> list[tuple[_WorkerHandle, dict]]:
-        """``(handle, accounting)`` per worker, name-ordered, copied under
-        the routing lock: a concurrent ring change must not tear an
-        introspection call."""
+        """``(handle, accounting)`` per worker, name-ordered; the key sets
+        are copied under the lock a concurrent create takes."""
         with self._lock:
             return [
                 (

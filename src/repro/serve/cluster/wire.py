@@ -73,8 +73,6 @@ class Verb(IntEnum):
     STATS = 4
     HEALTH = 5
     DRAIN = 6
-    ASSIGN = 7
-    RELEASE = 8
     SYNC_PULL = 9
     SYNC_PUSH = 10
     # responses / lifecycle

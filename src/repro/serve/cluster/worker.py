@@ -189,17 +189,6 @@ class _Worker:
     def handle_health(self, payload: dict) -> dict:
         return {"shards": self.shards.health()}
 
-    def handle_assign(self, payload: dict) -> dict:
-        self.shards.open(payload["key"])
-        return {"key": payload["key"]}
-
-    def handle_release(self, payload: dict) -> dict:
-        # A released primary folds into its handoff snapshot and stays on
-        # disk; a released replica copy is deleted.
-        replica = bool(payload.get("replica"))
-        (self.replicas if replica else self.shards).release(payload["key"], remove=replica)
-        return {"key": payload["key"]}
-
     def handle_sync_pull(self, payload: dict) -> dict:
         """Fold the primary shard's WAL and ship the snapshot files.
 
@@ -225,7 +214,7 @@ class _Worker:
         for name in files:
             if name not in SYNC_FILES:
                 raise WarehouseError(f"unexpected sync file {name!r}")
-        self.replicas.release(key, remove=True)
+        self.replicas.remove(key)
         directory = self.replicas.directory(key)
         directory.mkdir(parents=True)
         for name, data in files.items():
@@ -240,8 +229,6 @@ _HANDLERS = {
     Verb.CREATE: _Worker.handle_create,
     Verb.STATS: _Worker.handle_stats,
     Verb.HEALTH: _Worker.handle_health,
-    Verb.ASSIGN: _Worker.handle_assign,
-    Verb.RELEASE: _Worker.handle_release,
     Verb.SYNC_PULL: _Worker.handle_sync_pull,
     Verb.SYNC_PUSH: _Worker.handle_sync_push,
 }

@@ -263,16 +263,13 @@ class ShardMap:
         with self._lock:
             return sorted(self._sessions)
 
-    def release(self, key: str, *, remove: bool = False) -> None:
-        """Close *key*'s session (``compact_on_close`` folds its WAL into
-        the final snapshot a migration target opens without replay);
-        with *remove*, delete its directory too."""
+    def remove(self, key: str) -> None:
+        """Close *key*'s session, if open, and delete its directory."""
         with self._lock:
             session = self._sessions.pop(key, None)
         if session is not None:
             session.close()
-        if remove:
-            shutil.rmtree(self.directory(key), ignore_errors=True)
+        shutil.rmtree(self.directory(key), ignore_errors=True)
 
     def _items(self) -> list[tuple[str, Session]]:
         with self._lock:

@@ -3,15 +3,15 @@
 The process tests spawn real worker processes (``spawn`` start method)
 and exercise the cluster guarantees end to end: thread/process row
 parity, acknowledged-commit durability across ``kill -9``, supervisor
-respawn with WAL recovery, pinned-snapshot ring migration, and the
-single-core degradation to the thread engine.  Everything carries a
-``timeout`` mark so a wedged pipe fails fast on CI instead of hanging
-the runner.
+respawn with WAL recovery, and the single-core degradation to the
+thread engine.  Everything carries a ``timeout`` mark so a wedged pipe
+fails fast on CI instead of hanging the runner.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import shutil
 import struct
 import threading
@@ -26,6 +26,7 @@ import repro
 from repro.errors import QueryError, ShardUnavailableError, UpdateError, WarehouseError
 from repro.obs import Observability
 from repro.serve import Collection, ProcessCollection, connect_collection
+from repro.serve.cluster.chaos import ChaosTransport
 from repro.serve.cluster.worker import REPLICA_DIR, _Worker
 from repro.serve.collection import ShardMap
 from repro.serve.cluster.ring import HashRing
@@ -171,20 +172,10 @@ class TestHashRing:
         # Every moved key moved TO the new node, never between old ones.
         assert all(after[k] == "w3" for k in keys if before[k] != after[k])
 
-    def test_remove_restores_prior_routing(self):
-        keys = [f"doc{i}" for i in range(300)]
-        ring = HashRing(["w0", "w1"])
-        before = ring.assignment(keys)
-        ring.add("w2")
-        ring.remove("w2")
-        assert ring.assignment(keys) == before
-
     def test_errors(self):
         ring = HashRing(["w0"])
         with pytest.raises(WarehouseError):
             ring.add("w0")
-        with pytest.raises(WarehouseError):
-            ring.remove("w9")
         with pytest.raises(WarehouseError):
             HashRing().route("doc")
 
@@ -661,31 +652,32 @@ class TestProcessCollection:
 
     @pytest.mark.timeout(180)
     @pytest.mark.parametrize("verb", [Verb.STATS, Verb.HEALTH], ids=["stats", "health"])
-    def test_stats_and_health_survive_a_concurrent_ring_change(self, seeded, verb):
-        """A worker removed while an introspection call is polling the
-        others must not tear it (was: ``KeyError: 'w2'``)."""
+    def test_stats_and_health_survive_a_damaged_reply(self, seeded, verb):
+        """A worker reply that fails its checksum reports that worker's
+        shards down for one poll instead of raising ``WireError``; the
+        pipe stays in step, so the next poll reads every shard alive."""
         with ProcessCollection(
-            seeded, shard_processes=3, observability=None
+            seeded, shard_processes=2, observability=None
         ) as cluster:
-            send = cluster._request
-            removed = []
-
-            def racing(handle, request_verb, payload, timeout=None):
-                if request_verb is verb and not removed:
-                    removed.append("w2")
-                    cluster.remove_worker("w2")
-                return send(handle, request_verb, payload, timeout)
-
-            cluster._request = racing
+            handle = cluster._handles["w0"]
+            with handle.lock:
+                handle.transport = ChaosTransport(handle.transport, random.Random(7))
+                handle.transport.arm_corrupt()
+            damaged = set(cluster.workers()["w0"]["keys"])
+            assert damaged
             if verb is Verb.STATS:
-                stats = cluster.stats()
-                assert stats["document_count"] == len(KEYS)
-                assert sorted(stats["cluster"]["workers"]) == ["w0", "w1"]
+                workers = cluster.stats()["cluster"]["workers"]
+                assert workers["w0"]["alive"] is False
+                assert workers["w1"]["alive"] is True
             else:
-                health = cluster.health()
-                assert set(health["shards"]) == set(KEYS)
-                assert all(shard["alive"] for shard in health["shards"].values())
-            assert removed == ["w2"]
+                shards = cluster.health()["shards"]
+                assert set(shards) == set(KEYS)
+                assert {k for k, s in shards.items() if not s["alive"]} == damaged
+            health = cluster.health()
+            assert set(health["shards"]) == set(KEYS)
+            for shard in health["shards"].values():
+                assert shard["alive"] is True
+                assert shard["respawns"] == 0
 
 
 class TestCrashRecovery:
@@ -747,45 +739,6 @@ class TestCrashRecovery:
             )
             assert report.applied  # no kill: faults need fault_injection=True
 
-
-class TestRingChanges:
-    @pytest.mark.timeout(300)
-    def test_add_and_remove_worker_migrates_without_loss(self, tmp_path):
-        path = tmp_path / "coll"
-        _seed_collection(path)
-        with ProcessCollection(
-            path, shard_processes=2, observability=None
-        ) as cluster:
-            before = {
-                (row.document, row.bindings()["e"])
-                for row in cluster.query(_PATTERN)
-            }
-            name = cluster.add_worker()
-            assert len(cluster.workers()) == 3
-            after_add = {
-                (row.document, row.bindings()["e"])
-                for row in cluster.query(_PATTERN)
-            }
-            assert after_add == before
-            # Writes against migrated shards land on their new owners.
-            cluster.update("dave", _insert_email("moved@x"))
-            cluster.remove_worker(name)
-            assert len(cluster.workers()) == 2
-            final = {
-                (row.document, row.bindings()["e"])
-                for row in cluster.query(_PATTERN)
-            }
-            assert before | {("dave", "moved@x")} == final
-
-    @pytest.mark.timeout(180)
-    def test_cannot_remove_last_worker(self, tmp_path):
-        path = tmp_path / "coll"
-        _seed_collection(path)
-        with ProcessCollection(
-            path, shard_processes=1, observability=None
-        ) as cluster:
-            with pytest.raises(WarehouseError, match="last worker"):
-                cluster.remove_worker("w0")
 
 # ----------------------------------------------------------------------
 # One collection front over both engines

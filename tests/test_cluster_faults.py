@@ -87,6 +87,15 @@ def _emails(cluster, key: str) -> list[str]:
     )
 
 
+def _layout(cluster) -> tuple[dict, dict]:
+    """Every worker's key sets and every key's placement."""
+    workers = {
+        name: (info["keys"], info["replica_keys"])
+        for name, info in cluster.workers().items()
+    }
+    return workers, {key: cluster.replicas_of(key) for key in cluster.keys()}
+
+
 @pytest.fixture(scope="module")
 def replicated_cluster(tmp_path_factory):
     """One shared R=2 cluster: spawning three interpreters per test
@@ -226,20 +235,6 @@ class TestReplicaPlacement:
     def test_factor_above_cluster_size_degrades(self):
         ring = HashRing(["w0", "w1"])
         assert sorted(ring.successors("doc", 5)) == ["w0", "w1"]
-
-    def test_placement_survives_unrelated_ring_change(self):
-        # Removing a worker must not reshuffle replica sets of keys it
-        # never served — same consistency property as primary routing.
-        ring = HashRing(["w0", "w1", "w2", "w3"])
-        before = ring.placement([f"doc{i}" for i in range(200)], 2)
-        ring.remove("w3")
-        after = ring.placement([f"doc{i}" for i in range(200)], 2)
-        changed = sum(1 for k in before if before[k] != after[k])
-        untouched = sum(
-            1 for k in before if "w3" not in before[k] and before[k] != after[k]
-        )
-        assert changed < 200  # only a fraction moved at all
-        assert untouched == 0
 
 
 # ----------------------------------------------------------------------
@@ -410,15 +405,19 @@ class TestFaultPlan:
 class TestReplication:
     def test_replica_sets_cover_every_key(self, replicated_cluster):
         cluster = replicated_cluster
+        ring = HashRing(["w0", "w1", "w2"])
         for key in KEYS:
             placement = cluster.replicas_of(key)
             assert len(placement) == 2
             assert len(set(placement)) == 2
+            # The worker set is fixed at open: placement is the ring's.
+            assert placement == ring.successors(key, 2)
 
     def test_acked_write_survives_primary_kill(self, replicated_cluster):
         cluster = replicated_cluster
         key = "bob"
         placement = cluster.replicas_of(key)
+        layout = _layout(cluster)
         cluster.update(key, _insert_email("bob-acked@x"))
         cluster.await_replication(60.0)
         kill_worker(cluster, placement[0])
@@ -427,6 +426,8 @@ class TestReplication:
         _wait_workers_alive(cluster)
         cluster.await_replication(60.0)
         assert "bob-acked@x" in _emails(cluster, key)
+        # A respawn restarts the same worker: nothing is re-placed.
+        assert _layout(cluster) == layout
 
     def test_commit_window_divergence_heals(self, replicated_cluster):
         """after_commit: the primary's WAL has the commit, no replica
