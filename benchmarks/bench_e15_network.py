@@ -18,7 +18,11 @@ cancel the underlying row stream.  This experiment prices the wire:
   omission fix).  Two rates against a deliberately small server
   (``workers=2, queue_depth=4``): a light rate well under capacity,
   and an overload rate beyond it, where admission control must shed
-  with 429 instead of letting the queue grow without bound.
+  with 429 instead of letting the queue grow without bound.  Both
+  derive from that server's own capacity, measured first by a short
+  closed loop of the open-loop sender fleet; the overload rate is
+  twice it, and a sender fleet that cannot offer 1.2x it fails the
+  run as client-bound instead of passing it.
 
 Correctness while timing: for every query pattern the HTTP response
 body must be **byte-identical** to encoding the same rows through the
@@ -87,6 +91,10 @@ QUICK_REPEATS = 2
 #: The deliberately small E15b server: capacity = 2 + 4 = 6 in-flight.
 OPEN_WORKERS = 2
 OPEN_QUEUE_DEPTH = 4
+#: The overload rate, as a multiple of the small server's measured
+#: capacity, and the least multiple the senders must actually offer.
+OVERLOAD_FACTOR = 2.0
+MIN_OFFERED_FACTOR = 1.2
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +247,53 @@ def run_closed_loop(base: Path, sizes, repeats: int, per_client: int):
 # ----------------------------------------------------------------------
 
 
+def _capacity(port: int, patterns, duration: float) -> float:
+    """Requests per second the server answers with 200 while the
+    ``OPEN_SENDERS`` fleet keeps it saturated (a closed loop: each
+    sender sends again as soon as its reply lands; 429s are counted
+    out, not treated as errors)."""
+    served = 0
+    unexpected: list = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(OPEN_SENDERS + 1)
+    deadline = 0.0  # set before the barrier releases the senders
+
+    def sender(k: int) -> None:
+        nonlocal served
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        ok = 0
+        try:
+            barrier.wait()
+            i = k
+            while time.perf_counter() < deadline:
+                status, _ = _http_query(conn, patterns[i % len(patterns)], TOP_K)
+                i += 1
+                if status == 200:
+                    ok += 1
+                elif status != 429:
+                    unexpected.append(status)
+        except Exception as exc:  # pragma: no cover - failure path
+            unexpected.append(repr(exc))
+        finally:
+            conn.close()
+        with lock:
+            served += ok
+
+    threads = [
+        threading.Thread(target=sender, args=(k,)) for k in range(OPEN_SENDERS)
+    ]
+    for thread in threads:
+        thread.start()
+    start = time.perf_counter()
+    deadline = start + duration
+    barrier.wait()
+    for thread in threads:
+        thread.join()
+    wall = time.perf_counter() - start
+    assert not unexpected, unexpected
+    return served / wall
+
+
 def _open_loop(port: int, patterns, offered_qps: float, duration: float):
     """Fixed-schedule arrivals; latency from the *scheduled* time.
 
@@ -298,34 +353,44 @@ def _open_loop(port: int, patterns, offered_qps: float, duration: float):
     return (len(ok) + shed) / wall, sorted(ok), shed, len(ok)
 
 
-def run_open_loop(base: Path, sizes, closed_by_nodes: dict, duration: float):
+def run_open_loop(base: Path, sizes, duration: float):
     """E15b rows: [nodes, rate, offered qps, ok, shed, p50 ms, p99 ms].
 
-    Rates derive from E15a's measured capacity, scaled to the small
-    server (``OPEN_WORKERS`` of E15a's 4 workers): *light* sits well
-    under it, *overload* well past it, both capped so the Python-side
-    sender fleet on a tiny CI runner can actually offer the schedule.
+    Rates derive from the small server's own capacity, measured by
+    :func:`_capacity` against it: *light* sits well under it (capped so
+    the run stays short), *overload* at ``OVERLOAD_FACTOR`` times it,
+    re-measured right before the overload run.  An overload schedule
+    the senders offer at less than ``MIN_OFFERED_FACTOR`` times the
+    capacity is client-bound: it cannot show shedding, so the run fails.
     """
     table_rows = []
     results = []
     for n_nodes in sizes:
-        capacity_guess = closed_by_nodes[n_nodes] * (OPEN_WORKERS / 4.0)
-        rates = (
-            ("light", min(0.4 * capacity_guess, 150.0)),
-            ("overload", min(3.0 * capacity_guess, 600.0)),
-        )
         session, patterns = build_session(base, n_nodes)
         try:
             with ServerThread(
                 session, workers=OPEN_WORKERS, queue_depth=OPEN_QUEUE_DEPTH
             ) as handle:
-                for rate_name, offered in rates:
+                for rate_name in ("light", "overload"):
+                    capacity = _capacity(handle.port, patterns, duration)
+                    offered = (
+                        min(0.4 * capacity, 150.0)
+                        if rate_name == "light"
+                        else OVERLOAD_FACTOR * capacity
+                    )
                     achieved, ranked, shed, n_ok = _open_loop(
                         handle.port, patterns, offered, duration
                     )
+                    if rate_name == "overload" and achieved < MIN_OFFERED_FACTOR * capacity:
+                        raise AssertionError(
+                            f"client-bound: the senders offered {achieved:.0f} qps, "
+                            f"under {MIN_OFFERED_FACTOR}x the server's measured "
+                            f"capacity of {capacity:.0f} qps"
+                        )
                     record = {
                         "nodes": n_nodes,
                         "rate": rate_name,
+                        "capacity_qps": capacity,
                         "offered_qps": offered,
                         "achieved_qps": achieved,
                         "ok": n_ok,
@@ -399,8 +464,7 @@ def _run_all(base: Path, sizes, repeats: int, quick: bool):
     per_client = 30 if quick else 120
     duration = 1.5 if quick else 4.0
     closed_rows, closed_json = run_closed_loop(base, sizes, repeats, per_client)
-    closed_by_nodes = {r["nodes"]: r["qps"] for r in closed_json}
-    open_rows, open_json = run_open_loop(base, sizes, closed_by_nodes, duration)
+    open_rows, open_json = run_open_loop(base, sizes, duration)
     payload = {
         "experiment": "E15",
         "quick": quick,

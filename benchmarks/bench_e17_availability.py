@@ -60,12 +60,8 @@ except ImportError:  # script mode: run outside pytest's rootdir sys.path
         return f"{value:.{digits}g}"
 
 from repro.serve import connect_collection
-from repro.serve.cluster import (
-    FaultPlan,
-    ChaosMonkey,
-    ProcessCollection,
-    call_with_retry,
-)
+from repro.serve.cluster import ProcessCollection, call_with_retry
+from repro.serve.cluster.chaos import ChaosMonkey, FaultPlan
 import repro
 
 OUT_DIR = Path(__file__).parent / "out"

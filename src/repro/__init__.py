@@ -62,22 +62,10 @@ from repro.core import (
     estimate_query,
     from_possible_worlds,
     iter_query_rows,
-    match_condition,
     simplify,
     to_possible_worlds,
 )
-from repro.engine import (
-    AncestorConditionIndex,
-    Plan,
-    PlanCache,
-    QueryEngine,
-    ShannonCache,
-    StatsDelta,
-    TreeStats,
-    build_plan,
-    collect_stats,
-    execute_plan,
-)
+from repro.engine import Plan, QueryEngine
 from repro.errors import (
     EventError,
     InconsistentConditionError,
@@ -101,7 +89,6 @@ from repro.events import (
     Dnf,
     EventTable,
     Literal,
-    complement_as_disjoint_conditions,
     dnf_probability,
 )
 from repro.obs import (
@@ -189,7 +176,6 @@ __all__ = [
     "EventTable",
     "Dnf",
     "dnf_probability",
-    "complement_as_disjoint_conditions",
     # possible worlds
     "PossibleWorlds",
     "World",
@@ -217,24 +203,15 @@ __all__ = [
     "from_possible_worlds",
     "FuzzyAnswer",
     "iter_query_rows",
-    "match_condition",
     "UpdateReport",
     "SimplifyReport",
     "simplify",
     "ALL_RULES",
     "AnswerEstimate",
     "estimate_query",
-    # engine
+    # engine (its internals live at repro.engine)
     "QueryEngine",
-    "AncestorConditionIndex",
-    "ShannonCache",
     "Plan",
-    "PlanCache",
-    "TreeStats",
-    "StatsDelta",
-    "collect_stats",
-    "build_plan",
-    "execute_plan",
     # observability
     "Observability",
     "MetricsRegistry",

@@ -1,19 +1,8 @@
-"""Document measurements — substrate S10 (slide 19).
+"""The hot-path counters of the complexity analysis (slide 19).
 
-The hot-path counters of the complexity analysis live on
-:data:`repro.obs.metrics.process_registry`.
+They live on :data:`repro.obs.metrics.process_registry`;
+:mod:`repro.analysis.instrumentation` is the façade older callers read
+them through.
 """
 
-from repro.analysis.metrics import (
-    FuzzyStats,
-    distribution_entropy,
-    fuzzy_stats,
-    tree_stats,
-)
-
-__all__ = [
-    "FuzzyStats",
-    "fuzzy_stats",
-    "tree_stats",
-    "distribution_entropy",
-]
+__all__: list[str] = []

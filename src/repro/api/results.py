@@ -33,7 +33,6 @@ from repro.core.query import (
     FuzzyAnswer,
     Row,
     group_by_key,
-    group_rows,
     iter_bounded_rows,
     iter_query_rows,
     query_fuzzy_tree,
@@ -151,8 +150,10 @@ class ResultSet:
         limited stream is a prefix of the unlimited one (same plan,
         same deterministic order); combined with
         :meth:`order_by_probability` it is top-k, executed as
-        branch-and-bound inside the join.  Chaining keeps the smallest
-        limit.
+        branch-and-bound inside the join.  On :meth:`answers` and
+        :meth:`estimate` the cap applies to the exactly priced list
+        instead: every match is still grouped.  Chaining keeps the
+        smallest limit.
         """
         refined = self._refined("limit", n)
         current = self._options.limit
@@ -176,7 +177,9 @@ class ResultSet:
         """Only rows with probability >= *p*.
 
         The threshold is pushed into the join: partial matches whose
-        upper bound is already below *p* are pruned.  Chaining keeps
+        upper bound is already below *p* are pruned.  On
+        :meth:`answers` and :meth:`estimate` it keeps the answers whose
+        probability over all their matches is >= *p*.  Chaining keeps
         the strictest threshold.
         """
         refined = self._refined("min_probability", p)
@@ -211,6 +214,21 @@ class ResultSet:
         ]
         merged.sort(key=lambda entry: entry[:3])
         return [item for _p, _key, _rank, item in merged[: self._options.limit]]
+
+    def _ranked(self, shards, by_probability: bool) -> list:
+        """Answers or estimates, each shard's full ranking filtered by
+        ``min_probability``, then merged — by probability, or shard
+        after shard — and capped: exactly a prefix of the unlimited,
+        filtered list."""
+        floor = self._options.min_probability
+        if floor is not None:
+            shards = (
+                (key, [item for item in items if item.probability >= floor])
+                for key, items in shards
+            )
+        if by_probability:
+            return self._by_probability(shards)
+        return [item for _key, items in shards for item in items][: self._options.limit]
 
     def _merged_rows(self, abort):
         """The one row merge: shard after shard in document order, or
@@ -266,15 +284,19 @@ class ResultSet:
         Matches inducing the same answer tree are merged (their
         conditions disjoined) and the aggregates ranked by decreasing
         probability — :func:`~repro.core.query.query_fuzzy_tree`'s
-        result when no limit is set; with a limit, the aggregation
-        covers the streamed prefix only.  Aggregation never crosses
-        shards: each document has its own independent event table, so
-        a collection returns each shard's ranked answers in sorted key
-        order.  (Thread collections only: answer aggregates do not
-        cross the process boundary.)
+        result.  Every answer is priced exactly over *all* its matches,
+        whatever the refinements: ``min_probability(p)`` keeps the
+        answers of probability >= *p*, ``limit(n)`` the first *n* of
+        that list, and ``order_by_probability().limit(k)`` the *k* most
+        probable.  Aggregation never crosses shards: each document has
+        its own independent event table, so a collection returns each
+        shard's ranked answers in sorted key order (merged by
+        probability under :meth:`order_by_probability`).  (Thread
+        collections only: answer aggregates do not cross the process
+        boundary.)
         """
         with closing(self._shards("answers")) as shards:
-            return [answer for _key, answers in shards for answer in answers]
+            return self._ranked(shards, self._options.order == "probability")
 
     def estimate(
         self,
@@ -298,10 +320,11 @@ class ResultSet:
         Arguments default to the set's options (``epsilon=0.05`` when
         neither is set anywhere); *seed* fixes the sampler so every
         layer pricing the same groups returns identical estimates.
-        Estimates honor ``min_probability`` (as a filter on the
-        estimated value) and come back by decreasing probability, ties
-        by shard key, then canonical form; each shard samples its own
-        event table, and the merged list is capped at the limit.
+        Every match is grouped, whatever the limit.  Estimates honor
+        ``min_probability`` (as a filter on the estimated value) and
+        come back by decreasing probability, ties by shard key, then
+        canonical form; each shard samples its own event table, and the
+        merged list is capped at the limit.
         """
         options = self._options
         overrides = {
@@ -309,7 +332,7 @@ class ResultSet:
             "deadline_ms": options.deadline_ms if deadline_ms is None else deadline_ms,
         }
         with closing(self._shards("estimates", seed, **overrides)) as shards:
-            return self._by_probability(shards)
+            return self._ranked(shards, True)
 
     def __repr__(self) -> str:
         extras = self._options.to_json()
@@ -346,7 +369,7 @@ def session_results(source, pattern, keys, options, what, seed, abort):
                 # stream must not keep its generator's frame alive.
                 rows.close()
         elif what == "answers":
-            yield None, _answers(fuzzy, engine, config, pattern, options, obs)
+            yield None, _answers(fuzzy, engine, config, pattern, obs)
         else:
             yield None, _estimates(fuzzy, engine, config, pattern, options, seed)
     finally:
@@ -354,7 +377,7 @@ def session_results(source, pattern, keys, options, what, seed, abort):
             release()
 
 
-def _answers(fuzzy, engine, config, pattern, options, obs) -> list[FuzzyAnswer]:
+def _answers(fuzzy, engine, config, pattern, obs) -> list[FuzzyAnswer]:
     """The session's ranked answers (see :meth:`ResultSet.answers`)."""
     tracing = obs is not None and obs.tracer.enabled
     metrics = obs is not None and obs.metrics.enabled
@@ -362,18 +385,9 @@ def _answers(fuzzy, engine, config, pattern, options, obs) -> list[FuzzyAnswer]:
     t0 = perf_counter()
     answers: list[FuzzyAnswer] | None = None
     try:
-        if options.limit is None and not options.is_bounded:
-            # No cap: group matches directly — no row is ever built
-            # and each answer group is priced exactly once.
-            answers = query_fuzzy_tree(fuzzy, pattern, config, engine=engine)
-        else:
-            # Aggregate exactly the rows the stream would emit
-            # (limited prefix / top-k / thresholded enumeration).
-            answers = group_rows(
-                _row_iter(fuzzy, engine, config, pattern, options, None),
-                fuzzy.events,
-                cache=engine.shannon if engine is not None else None,
-            )
+        # Group every match — no row is ever built and each answer
+        # group is priced exactly once; the result set filters and caps.
+        answers = query_fuzzy_tree(fuzzy, pattern, config, engine=engine)
         return answers
     finally:
         if span is not None:
@@ -387,20 +401,16 @@ def _answers(fuzzy, engine, config, pattern, options, obs) -> list[FuzzyAnswer]:
 
 def _estimates(fuzzy, engine, config, pattern, options, seed) -> list[AnswerEstimate]:
     """The session's anytime estimates (see :meth:`ResultSet.estimate`)."""
-    rows = iter_query_rows(fuzzy, pattern, config, engine=engine, limit=options.limit)
+    rows = iter_query_rows(fuzzy, pattern, config, engine=engine)
     groups = group_by_key((row.canonical, row, row.dnf.terms) for row in rows)
     deadline_ms = options.deadline_ms
-    estimates = estimate_answers(
+    return estimate_answers(
         [(row.tree, Dnf(terms)) for _key, row, terms in groups],
         fuzzy.events,
         epsilon=options.epsilon,
         deadline=None if deadline_ms is None else deadline_ms / 1000.0,
         rng=random.Random(seed),
     )
-    floor = options.min_probability
-    if floor is not None:
-        estimates = [e for e in estimates if e.probability >= floor]
-    return estimates
 
 
 def _plan_text(engine, pattern) -> str | None:

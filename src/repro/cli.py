@@ -429,8 +429,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     or by descending probability under ``--top-k`` — with the limit
     pushed into the engine (``--stream``, ``--top-k``, a positive
     ``--min-probability``); and otherwise ranked answers, where
-    ``--limit`` slices the ranking and stays out of the query (a
-    limited ``answers()`` would price only a row prefix).  A collection
+    ``--limit`` keeps the first answers of the ranking.  A collection
     prefixes each line with its document key and never aggregates
     across documents.
     """
@@ -440,8 +439,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         args.estimate or args.epsilon is not None or args.deadline_ms is not None
     )
     streaming = args.stream or options.is_bounded
-    if not (estimating or streaming):
-        options = options.replace(limit=None)
     opener = connect_collection if Collection.is_collection(args.path) else connect
     empty = True
     with opener(args.path) as target:
@@ -461,7 +458,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             else:
                 items = results.answers()
             empty = not items
-            for item in items[: args.limit]:
+            for item in items:
                 _print_item(item, xml=args.xml)
     if empty:
         print("(no answers)")

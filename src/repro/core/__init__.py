@@ -9,12 +9,6 @@
 * :func:`estimate_query` — Monte-Carlo approximation.
 """
 
-from repro.core.aggregates import (
-    expected_answers,
-    expected_matches,
-    match_count_distribution,
-    probability_at_least,
-)
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
 from repro.core.montecarlo import AnswerEstimate, estimate_answers, estimate_query
 from repro.core.query import (
@@ -54,8 +48,4 @@ __all__ = [
     "estimate_answers",
     "estimate_query",
     "match_conditions",
-    "expected_matches",
-    "expected_answers",
-    "match_count_distribution",
-    "probability_at_least",
 ]

@@ -68,31 +68,6 @@ class FuzzyNode(Node):
         suffix, condition = Node._pretty_suffix(self), self._condition
         return suffix if condition.is_true else f"{suffix}  [{condition.pretty()}]"
 
-    # ------------------------------------------------------------------
-    # Fuzzy-specific helpers
-    # ------------------------------------------------------------------
-
-    def path_condition(self) -> Condition:
-        """Conjunction of this node's and all its ancestors' conditions.
-
-        This is the exact existence condition of the node: it is present
-        in a world iff the whole conjunction holds.  Raises
-        :class:`~repro.errors.InconsistentConditionError` when the node
-        can never exist; use ``path_condition_or_none`` to probe.
-        """
-        combined = self._condition
-        for ancestor in self.ancestors():
-            combined = combined.conjoin(ancestor.condition)  # type: ignore[attr-defined]
-        return combined
-
-    def path_condition_or_none(self) -> Condition | None:
-        """Like :meth:`path_condition` but None when inconsistent."""
-        literals = set(self._condition.literals)
-        for ancestor in self.ancestors():
-            literals |= ancestor.condition.literals  # type: ignore[attr-defined]
-        combined = Condition(literals, allow_inconsistent=True)
-        return combined if combined.is_consistent else None
-
     @staticmethod
     def from_plain(node: Node, condition: Condition = TRUE) -> "FuzzyNode":
         """Deep-convert a plain tree; *condition* guards the new root only."""

@@ -356,8 +356,8 @@ def _consistent_matches(
 ):
     """Yield ``(match, disjoint conditions)`` for every consistent match.
 
-    The one loop behind every evaluation in this module (and
-    :mod:`repro.core.aggregates`): slide 13's definition, run once.
+    The one loop behind every evaluation in this module: slide 13's
+    definition, run once.
 
     * Negated subpatterns are handled through conditions, not
       structure (their presence varies across worlds), so matching runs

@@ -72,7 +72,6 @@ from repro.engine.executor import (
     _Intervals,
     _WriterWalk,
     ProbabilityBound,
-    execute_plan,
     iter_plan,
     iter_rekeyed,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "DocumentStats",
     "collect_stats",
     "build_plan",
-    "execute_plan",
     "iter_plan",
     "iter_rekeyed",
     "pattern_fingerprint",

@@ -46,10 +46,6 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def get(self, fingerprint: str, stats_version: int) -> Plan | None:
         """The cached plan for the key, refreshing its LRU position."""
         key = (fingerprint, stats_version)

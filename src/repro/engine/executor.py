@@ -53,7 +53,6 @@ from repro.tpwj.pattern import PatternNode
 from repro.trees.node import Node
 
 __all__ = [
-    "execute_plan",
     "iter_plan",
     "iter_rekeyed",
     "LabelIndexScan",
@@ -429,11 +428,6 @@ class ProbabilityBound:
         self._stack: list = []
         self._product = 1.0
 
-    @property
-    def current(self) -> float:
-        """The bound for the literals bound so far."""
-        return self._product
-
     def bind(self, node) -> float:
         """Fold *node*'s closed condition in; returns the new bound."""
         seen = self._seen
@@ -677,17 +671,3 @@ def iter_plan(
         matches = islice(matches, runtime.max_matches)
     yield from matches
 
-
-def execute_plan(
-    plan: Plan,
-    root: Node,
-    runtime: MatchConfig = DEFAULT_CONFIG,
-    *,
-    intervals: _Intervals | None = None,
-) -> list[Match]:
-    """Run *plan* against the tree at *root*, returning all matches.
-
-    Materializing wrapper around :func:`iter_plan` for callers that
-    need the full match list (updates, the equivalence tests).
-    """
-    return list(iter_plan(plan, root, runtime, intervals=intervals))

@@ -3,19 +3,19 @@
 Slide 12 of the paper shows a fuzzy tree alongside a table ``w1: 0.8,
 w2: 0.7``.  :class:`EventTable` is that table: a mapping from event
 names to independent probabilities, plus the bookkeeping the update
-engine needs (allocation of fresh events for update confidences) and
-the probability computations for conjunctive conditions.
+engine needs (allocation of fresh events for update confidences).
+Conditions are priced by :func:`repro.events.dnf.dnf_probability`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from repro.errors import EventError, InvalidProbabilityError, UnknownEventError
 from repro.events.condition import Condition
-from repro.events.literal import Literal, check_event_name
+from repro.events.literal import check_event_name
 
 __all__ = ["EventTable"]
 
@@ -155,23 +155,6 @@ class EventTable:
     def items(self) -> Iterator[tuple[str, float]]:
         return iter(self._probabilities.items())
 
-    # ------------------------------------------------------------------
-    # Probability computations
-    # ------------------------------------------------------------------
-
-    def literal_probability(self, literal: Literal) -> float:
-        p = self.probability(literal.event)
-        return p if literal.positive else 1.0 - p
-
-    def condition_probability(self, condition: Condition) -> float:
-        """P(conjunction) — product over literals (events are independent)."""
-        if not condition.is_consistent:
-            return 0.0
-        result = 1.0
-        for literal in condition.literals:
-            result *= self.literal_probability(literal)
-        return result
-
     def check_condition(self, condition: Condition) -> None:
         """Raise :class:`UnknownEventError` if a literal uses an unknown event."""
         for event in condition.events():
@@ -201,19 +184,6 @@ class EventTable:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self._probabilities)
-
-    def restrict_to(self, names: Iterable[str]) -> "EventTable":
-        """A copy containing only the given events (must all exist)."""
-        keep = set(names)
-        clone = EventTable()
-        for name, probability in self._probabilities.items():
-            if name in keep:
-                clone._probabilities[name] = probability
-                keep.discard(name)
-        if keep:
-            raise UnknownEventError(sorted(keep)[0])
-        clone._fresh_counter = self._fresh_counter
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventTable):

@@ -101,16 +101,6 @@ class Span:
         children.append(child)
         return child
 
-    def find(self, name: str) -> "Span | None":
-        """First descendant (depth-first) named *name*; None if absent."""
-        for child in self.children:
-            if child.name == name:
-                return child
-            found = child.find(name)
-            if found is not None:
-                return found
-        return None
-
     def phase_seconds(self) -> dict[str, float]:
         """Direct children folded to {name: total seconds}."""
         phases: dict[str, float] = {}

@@ -119,20 +119,5 @@ class PossibleWorlds:
                 return False
         return True
 
-    def difference_report(
-        self, other: "PossibleWorlds", tolerance: float = 1e-9
-    ) -> list[str]:
-        """Human-readable per-tree probability differences (for test output)."""
-        lines: list[str] = []
-        keys = sorted(set(self._by_canonical) | set(other._by_canonical))
-        for key in keys:
-            mine = self._by_canonical.get(key)
-            theirs = other._by_canonical.get(key)
-            p_mine = mine.probability if mine else 0.0
-            p_theirs = theirs.probability if theirs else 0.0
-            if abs(p_mine - p_theirs) > tolerance:
-                lines.append(f"{key}: {p_mine:.9f} vs {p_theirs:.9f}")
-        return lines
-
     def __repr__(self) -> str:
         return f"PossibleWorlds({len(self._worlds)} worlds, total={self.total_probability():.6g})"

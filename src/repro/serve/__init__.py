@@ -39,9 +39,7 @@ under one document-key rule, and both fan out on a :class:`SessionPool`.
 """
 
 from repro.serve.cluster import (
-    ChaosMonkey,
     ClusterRow,
-    FaultPlan,
     HashRing,
     ProcessCollection,
     RetryPolicy,
@@ -53,10 +51,8 @@ from repro.serve.collection import (
 from repro.serve.pool import SessionPool, default_workers
 
 __all__ = [
-    "ChaosMonkey",
     "Collection",
     "ClusterRow",
-    "FaultPlan",
     "HashRing",
     "ProcessCollection",
     "RetryPolicy",

@@ -6,18 +6,11 @@ document keys over a consistent-hash ring to worker processes, each
 owning its shards' warehouses and recovering from its own WAL on crash.
 With ``replication_factor=R`` every document also lives on R−1 replica
 workers: writes are acknowledged by the primary and written through,
-reads fail over between copies with budgeted retries (:mod:`.retry`),
-and :mod:`.chaos` provides the seeded fault harness that proves it.
+reads fail over between copies with budgeted retries (:mod:`.retry`).
+:mod:`repro.serve.cluster.chaos` is the seeded fault harness that
+proves it; it is imported on its own, never by ``import repro``.
 """
 
-from repro.serve.cluster.chaos import (
-    FAULT_KINDS,
-    ChaosMonkey,
-    ChaosTransport,
-    Fault,
-    FaultPlan,
-    kill_worker,
-)
 from repro.serve.cluster.retry import (
     DEFAULT_POLICY,
     RetryPolicy,
@@ -40,14 +33,9 @@ from repro.serve.cluster.wire import (
 from repro.serve.cluster.worker import worker_main
 
 __all__ = [
-    "ChaosMonkey",
-    "ChaosTransport",
     "ClusterRow",
     "DEFAULT_POLICY",
-    "FAULT_KINDS",
     "FRAME_FORMAT_VERSION",
-    "Fault",
-    "FaultPlan",
     "HashRing",
     "PipeTransport",
     "ProcessCollection",
@@ -58,6 +46,5 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "is_retryable",
-    "kill_worker",
     "worker_main",
 ]

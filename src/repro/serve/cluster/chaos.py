@@ -165,18 +165,8 @@ class ChaosTransport:
             raw = bytes(flipped)
         return decode_frame(raw)
 
-    def recv_bytes(self, timeout: float | None = None) -> bytes:
-        return self._inner.recv_bytes(timeout)
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self._inner.poll(timeout)
-
     def close(self) -> None:
         self._inner.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._inner.closed
 
 
 def kill_worker(collection, name: str) -> None:

@@ -246,12 +246,5 @@ class PipeTransport:
     def recv(self, timeout: float | None = None) -> tuple[Verb, int, object]:
         return decode_frame(self.recv_bytes(timeout))
 
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self._conn.poll(timeout)
-
     def close(self) -> None:
         self._conn.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._conn.closed

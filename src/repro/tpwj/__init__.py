@@ -18,11 +18,6 @@ from repro.tpwj.match import (
 from repro.tpwj.parser import format_pattern, parse_pattern
 from repro.tpwj.pattern import Pattern, PatternNode
 from repro.tpwj.result import answer_tree, distinct_answers
-from repro.tpwj.xpath import (
-    root_images_via_elementtree,
-    to_elementtree_xpath,
-    to_xpath,
-)
 
 __all__ = [
     "Pattern",
@@ -36,7 +31,4 @@ __all__ = [
     "DEFAULT_CONFIG",
     "answer_tree",
     "distinct_answers",
-    "to_xpath",
-    "to_elementtree_xpath",
-    "root_images_via_elementtree",
 ]

@@ -17,7 +17,6 @@ wide node nor a deep document costs more than the answer itself.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable
 
 from repro.errors import TreeError
@@ -26,13 +25,6 @@ from repro.trees.node import Node
 __all__ = [
     "minimal_subtree",
     "restrict",
-    "label_counts",
-    "label_index",
-    "find_all",
-    "find_first",
-    "lowest_common_ancestor",
-    "same_tree",
-    "multiset_equal",
     "node_path",
     "node_at_path",
 ]
@@ -174,57 +166,6 @@ def _fold(root: Node, combine: Callable):
 
     _walk(root, None, leave)
     return values[0]
-
-
-def label_counts(root: Node) -> Counter:
-    """Multiset of labels in the subtree (used by workload stats)."""
-    return Counter(node.label for node in root.iter())
-
-
-def label_index(root: Node) -> dict[str, list[Node]]:
-    """Map label -> nodes with that label, in pre-order.
-
-    The TPWJ matcher uses this to enumerate candidates per pattern node
-    instead of scanning the whole document for every pattern node.
-    """
-    index: dict[str, list[Node]] = {}
-    for node in root.iter():
-        index.setdefault(node.label, []).append(node)
-    return index
-
-
-def find_all(root: Node, label: str) -> list[Node]:
-    """All nodes of the subtree with the given label, in pre-order."""
-    return [node for node in root.iter() if node.label == label]
-
-
-def find_first(root: Node, label: str) -> Node | None:
-    """First node (pre-order) with the given label, or None."""
-    for node in root.iter():
-        if node.label == label:
-            return node
-    return None
-
-
-def lowest_common_ancestor(first: Node, second: Node) -> Node:
-    """LCA of two nodes of the same tree."""
-    seen = {id(node) for node in first.ancestors(include_self=True)}
-    for node in second.ancestors(include_self=True):
-        if id(node) in seen:
-            return node
-    raise TreeError("nodes do not belong to the same tree")
-
-
-def same_tree(first: Node, second: Node) -> bool:
-    """True when both nodes belong to the same tree instance."""
-    return first.root() is second.root()
-
-
-def multiset_equal(first: Iterable[Node], second: Iterable[Node]) -> bool:
-    """Compare two collections of trees as multisets (unordered equality)."""
-    return Counter(node.canonical() for node in first) == Counter(
-        node.canonical() for node in second
-    )
 
 
 def node_path(node: Node) -> tuple[int, ...]:

@@ -113,10 +113,6 @@ class Node:
     def is_leaf(self) -> bool:
         return not self._children
 
-    @property
-    def is_root(self) -> bool:
-        return self._parent is None
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -9,11 +9,10 @@ reproducible from its seed.
 from __future__ import annotations
 
 import random
-import string
 
 from repro.trees.node import Node
 
-__all__ = ["RandomTreeConfig", "random_tree", "random_labels"]
+__all__ = ["RandomTreeConfig", "random_tree"]
 
 
 class RandomTreeConfig:
@@ -100,15 +99,3 @@ def _grow(rng: random.Random, config: RandomTreeConfig) -> Node:
         if config.values and rng.random() < config.value_probability:
             leaf.value = rng.choice(config.values)
     return root
-
-
-def random_labels(rng: random.Random, count: int, length: int = 3) -> list[str]:
-    """Generate *count* distinct random uppercase labels."""
-    seen: set[str] = set()
-    labels: list[str] = []
-    while len(labels) < count:
-        label = "".join(rng.choice(string.ascii_uppercase) for _ in range(length))
-        if label not in seen:
-            seen.add(label)
-            labels.append(label)
-    return labels

@@ -63,7 +63,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
-from repro.analysis.metrics import fuzzy_stats
 from repro.obs import default_observability
 from repro.core.fuzzy_tree import FuzzyTree
 from repro.engine import QueryEngine, StatsDelta
@@ -190,10 +189,6 @@ class DocumentPin:
         self.sequence = sequence
         self._warehouse = warehouse
 
-    @property
-    def released(self) -> bool:
-        return self._warehouse is None
-
     def release(self) -> None:
         """Unpin; idempotent and thread-safe.  The warehouse stops
         copy-on-write for this generation once its last pin is gone."""
@@ -204,9 +199,28 @@ class DocumentPin:
             warehouse._release_pin(self)
 
     def __repr__(self) -> str:
-        state = "released" if self.released else f"seq={self.sequence}"
+        state = "released" if self._warehouse is None else f"seq={self.sequence}"
         return f"DocumentPin({state})"
 
+
+def _document_stats(fuzzy: FuzzyTree) -> dict[str, int]:
+    """Measure a fuzzy document: nodes, height, events, condition sizes."""
+    literals = max_condition = conditioned = 0
+    for node in fuzzy.iter_nodes():
+        size = len(node.condition)
+        literals += size
+        max_condition = max(max_condition, size)
+        if size:
+            conditioned += 1
+    return {
+        "nodes": fuzzy.size(),
+        "height": fuzzy.root.height(),
+        "declared_events": len(fuzzy.events),
+        "used_events": len(fuzzy.used_events()),
+        "condition_literals": literals,
+        "max_condition_size": max_condition,
+        "conditioned_nodes": conditioned,
+    }
 
 class Warehouse:
     """A durable, lockable store for one fuzzy document."""
@@ -490,7 +504,7 @@ class Warehouse:
         """
         pin = self.pin()  # also checks the handle is open
         try:
-            info = fuzzy_stats(pin.document).as_dict()
+            info = _document_stats(pin.document)
             with self._write_lock:
                 self._check_open()
                 info["sequence"] = self._sequence

@@ -386,3 +386,13 @@ def to_string(element: ET.Element, indent: bool) -> str:
     if indent:
         ET.indent(element)
     return ET.tostring(element, encoding="unicode")
+
+
+def path_condition_or_none(node) -> Condition | None:
+    """The conjunction of *node*'s and its ancestors' conditions — its
+    existence condition — or None when inconsistent."""
+    literals = set(node.condition.literals)
+    for ancestor in node.ancestors():
+        literals |= ancestor.condition.literals
+    combined = Condition(literals, allow_inconsistent=True)
+    return combined if combined.is_consistent else None

@@ -8,7 +8,10 @@ code it exercises) may touch the library's own deprecated shims.
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,7 +58,28 @@ _PACKAGES = sorted(
     ".".join(("repro", *init.parent.relative_to(_SOURCE_ROOT).parts))
     for init in _SOURCE_ROOT.rglob("__init__.py")
 )
-_DELETED_MODULES = ["repro.prxml", "repro.trees.schema", "repro.analysis.complexity"]
+_DELETED_MODULES = [
+    "repro.prxml",
+    "repro.trees.schema",
+    "repro.analysis.complexity",
+    "repro.analysis.metrics",
+    "repro.core.aggregates",
+    "repro.tpwj.xpath",
+]
+#: Engine and model internals: importable from their subpackages, not
+#: re-exported by the package's front door.
+_INTERNAL_NAMES = [
+    "AncestorConditionIndex",
+    "ShannonCache",
+    "PlanCache",
+    "build_plan",
+    "execute_plan",
+    "complement_as_disjoint_conditions",
+    "match_condition",
+    "StatsDelta",
+    "TreeStats",
+    "collect_stats",
+]
 
 
 def _populate(session: Session, names=("Alice", "Bob", "Carol"), confidence=0.9):
@@ -654,6 +678,24 @@ class TestErrorsAndShims:
             return
         module = importlib.import_module(name)
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+    def test_front_door_leaves_internals_to_subpackages(self):
+        assert [n for n in _INTERNAL_NAMES if n in repro.__all__ or hasattr(repro, n)] == []
+        assert not hasattr(repro.engine, "execute_plan")
+
+    def test_import_loads_no_test_harness(self):
+        # The chaos harness and the deleted test-only modules stay out
+        # of every process that imports the package (cluster workers too).
+        probe = (
+            "import sys, repro; print(sorted(m for m in ("
+            "'repro.serve.cluster.chaos', 'repro.tpwj.xpath', "
+            "'repro.core.aggregates') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(_SOURCE_ROOT.parent)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_one_row_record(self, session, tmp_path):
         # Every in-process stream yields the one row class; the core

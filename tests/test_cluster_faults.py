@@ -2,7 +2,7 @@
 
 The process tests spawn real worker processes and kill them for real
 (SIGKILL, dropped pipes, corrupted frames, injected slowness) — driven
-by the seeded :class:`~repro.serve.cluster.FaultPlan` so every run
+by the seeded :class:`~repro.serve.cluster.chaos.FaultPlan` so every run
 replays the same schedule.  The invariants under test are the
 availability contract of ``replication_factor=2``:
 
@@ -27,15 +27,12 @@ import repro
 from repro.errors import ShardUnavailableError, WarehouseError
 from repro.serve import connect_collection
 from repro.serve.cluster import (
-    ChaosMonkey,
-    FaultPlan,
     ProcessCollection,
     RetryPolicy,
     call_with_retry,
     is_retryable,
-    kill_worker,
 )
-from repro.serve.cluster.chaos import Fault
+from repro.serve.cluster.chaos import ChaosMonkey, Fault, FaultPlan, kill_worker
 from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.wire import (
     FRAME_FORMAT_VERSION,

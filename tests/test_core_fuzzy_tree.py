@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError, TreeError, UnknownEventError
 from repro import Condition, EventTable, FuzzyNode, FuzzyTree
+from repro.engine import AncestorConditionIndex
 from repro.trees import Node, tree
 
 
@@ -37,22 +38,24 @@ class TestFuzzyNode:
         second = FuzzyNode("A", condition=Condition.of("!w2", "w1"))
         assert first.canonical() == second.canonical()
 
+    def test_path_condition(self):
+        # A node's existence condition: its own and its ancestors' literals.
+        child = FuzzyNode("C", condition=Condition.of("w2"))
+        root = FuzzyNode("A", children=[FuzzyNode("B", condition=Condition.of("w1"), children=[child])])
+        closed = AncestorConditionIndex.build(root).closed_condition(child)
+        assert closed == Condition.of("w1", "w2")
+
+    def test_path_condition_or_none_detects_conflict(self):
+        child = FuzzyNode("C", condition=Condition.of("!w1"))
+        root = FuzzyNode("A", children=[FuzzyNode("B", condition=Condition.of("w1"), children=[child])])
+        assert not AncestorConditionIndex.build(root).closed_condition(child).is_consistent
+
     def test_from_plain(self):
         plain = tree("A", tree("B", "x"))
         fuzzy = FuzzyNode.from_plain(plain, condition=Condition.of("w1"))
         assert fuzzy.condition == Condition.of("w1")
         assert fuzzy.children[0].condition.is_true
         assert fuzzy.children[0].value == "x"
-
-    def test_path_condition(self):
-        child = FuzzyNode("C", condition=Condition.of("w2"))
-        FuzzyNode("A", children=[FuzzyNode("B", condition=Condition.of("w1"), children=[child])])
-        assert child.path_condition() == Condition.of("w1", "w2")
-
-    def test_path_condition_or_none_detects_conflict(self):
-        child = FuzzyNode("C", condition=Condition.of("!w1"))
-        FuzzyNode("A", children=[FuzzyNode("B", condition=Condition.of("w1"), children=[child])])
-        assert child.path_condition_or_none() is None
 
     def test_pretty_shows_conditions(self):
         node = FuzzyNode("A", children=[FuzzyNode("B", condition=Condition.of("w1"))])

@@ -23,13 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    MatchConfig,
-    build_plan,
-    collect_stats,
-    execute_plan,
-    find_matches,
-)
+from repro import MatchConfig, find_matches
+from repro.engine import build_plan, collect_stats, iter_plan
 from repro.tpwj.parser import parse_pattern
 from repro.errors import QueryError
 from repro.tpwj.pattern import Pattern, PatternNode
@@ -87,7 +82,7 @@ def assert_every_shape_agrees(pattern, root, expected: list[tuple[int, ...]]) ->
         auto = find_matches(pattern, root, config, plan="auto")
         assert match_keys(auto, pattern) == set(expected)
         assert len(auto) == len(expected)
-        built = execute_plan(plan, root, config)
+        built = list(iter_plan(plan, root, config))
         assert match_keys(built, pattern) == set(expected)
         assert len(built) == len(expected)
 
@@ -140,7 +135,7 @@ def test_explicit_plan_equals_naive_matcher(seed):
             assert positions[id(node.parent)] < positions[id(node)]
     expected = set(reference_keys(pattern, doc.root))
     for config in TOGGLES:
-        planned = execute_plan(plan, doc.root, config)
+        planned = list(iter_plan(plan, doc.root, config))
         assert match_keys(planned, pattern) == expected
         assert len(planned) == len(expected)
 

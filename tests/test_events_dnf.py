@@ -167,7 +167,7 @@ class TestComplementDecomposition:
         table = EventTable({"a": 0.2, "b": 0.9})
         conditions = [Condition.of("a"), Condition.of("b")]
         pieces = complement_as_disjoint_conditions(conditions)
-        total = sum(table.condition_probability(p) for p in pieces)
+        total = sum(dnf_probability([p], table) for p in pieces)
         assert total == pytest.approx(1.0 - dnf_probability(conditions, table))
 
     def test_fixed_order_is_respected(self):

@@ -7,7 +7,7 @@ from repro.errors import (
     InvalidProbabilityError,
     UnknownEventError,
 )
-from repro.events import Condition, EventTable, Literal
+from repro.events import Condition, EventTable, Literal, dnf_probability
 
 
 class TestDeclaration:
@@ -77,29 +77,31 @@ class TestRemoval:
 
 
 class TestProbabilities:
+    """A condition is priced as a one-term DNF against its table."""
+
     def test_literal_probability(self):
         table = EventTable({"w1": 0.8})
-        assert table.literal_probability(Literal("w1")) == pytest.approx(0.8)
-        assert table.literal_probability(Literal("w1", False)) == pytest.approx(0.2)
+        assert dnf_probability([Condition.of("w1")], table) == pytest.approx(0.8)
+        assert dnf_probability([Condition.of("!w1")], table) == pytest.approx(0.2)
 
     def test_condition_probability_is_product(self):
         table = EventTable({"w1": 0.8, "w2": 0.7})
         cond = Condition.of("w1", "!w2")
-        assert table.condition_probability(cond) == pytest.approx(0.8 * 0.3)
+        assert dnf_probability([cond], table) == pytest.approx(0.8 * 0.3)
 
     def test_true_condition_has_probability_one(self):
-        assert EventTable().condition_probability(Condition()) == 1.0
+        assert dnf_probability([Condition()], EventTable()) == 1.0
 
     def test_inconsistent_condition_has_probability_zero(self):
         table = EventTable({"w1": 0.5})
         cond = Condition(
             [Literal("w1"), Literal("w1", False)], allow_inconsistent=True
         )
-        assert table.condition_probability(cond) == 0.0
+        assert dnf_probability([cond], table) == 0.0
 
     def test_unknown_event_raises(self):
         with pytest.raises(UnknownEventError):
-            EventTable().condition_probability(Condition.of("w1"))
+            dnf_probability([Condition.of("w1")], EventTable())
 
     def test_check_condition(self):
         table = EventTable({"w1": 0.5})
@@ -120,15 +122,6 @@ class TestCopies:
         table.fresh(0.5)
         copy = table.copy()
         assert copy.fresh(0.5) == table.fresh(0.5)
-
-    def test_restrict_to(self):
-        table = EventTable({"a": 0.1, "b": 0.2, "c": 0.3})
-        small = table.restrict_to(["a", "c"])
-        assert small.names() == ("a", "c")
-
-    def test_restrict_to_unknown_rejected(self):
-        with pytest.raises(UnknownEventError):
-            EventTable({"a": 0.1}).restrict_to(["a", "zz"])
 
     def test_as_dict_and_equality(self):
         table = EventTable({"a": 0.1})

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro import Condition, EventTable, FuzzyNode, FuzzyTree
 from repro.core.montecarlo import estimate_query
 from repro.core.update import apply_update
-from repro.core.aggregates import expected_matches
 from repro.core.query import (
     _AncestorWalk,
     group_rows,
@@ -34,6 +33,7 @@ from repro.obs import default_observability
 from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
 from repro.trees import RandomTreeConfig
+import reference_trees as ref
 from repro.workloads import (
     FuzzyWorkloadConfig,
     random_fuzzy_tree,
@@ -310,7 +310,7 @@ class TestAncestorConditionIndex:
         index = AncestorConditionIndex.build(fuzzy.root)
         for node in fuzzy.iter_nodes():
             closed = index.closed_condition(node)
-            expected = node.path_condition_or_none()
+            expected = ref.path_condition_or_none(node)
             if expected is None:
                 assert not closed.is_consistent
             else:
@@ -332,7 +332,7 @@ class TestAncestorConditionIndex:
             assert patched is index  # patched in place, not rebuilt
             for node in fuzzy.iter_nodes():
                 closed = patched.closed_condition(node)
-                expected = node.path_condition_or_none()
+                expected = ref.path_condition_or_none(node)
                 if expected is None:
                     assert not closed.is_consistent
                 else:
@@ -474,11 +474,6 @@ class TestOneRowPath:
         assert [_row_key(row) for row in bounded] == [
             key for key in keys if key[2] >= floor
         ]
-
-        # Linearity of expectation over the same per-match pieces.
-        assert expected_matches(fuzzy, pattern) == pytest.approx(
-            sum(key[2] for key in keys), abs=1e-12
-        )
 
     @given(seed=seeds)
     @relaxed

@@ -290,25 +290,6 @@ def test_negated_query_commutes_with_semantics(seed):
         assert abs(via_fuzzy[key] - probability) < 1e-9
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seeds)
-def test_aggregate_distribution_commutes(seed):
-    from repro.core import match_count_distribution
-    from repro.tpwj import find_matches
-
-    rng = random.Random(seed)
-    doc = random_fuzzy_tree(rng, SMALL_DOCS)
-    pattern = random_query_for(rng, doc.root, max_nodes=3)
-    distribution = match_count_distribution(doc, pattern)
-    brute: dict[int, float] = {}
-    for world in to_possible_worlds(doc):
-        count = len(find_matches(pattern, world.tree))
-        brute[count] = brute.get(count, 0.0) + world.probability
-    keys = set(distribution) | set(brute)
-    for key in keys:
-        assert abs(distribution.get(key, 0.0) - brute.get(key, 0.0)) < 1e-9
-
-
 @relaxed
 @given(seeds)
 def test_xupdate_roundtrip_preserves_transaction(seed):

@@ -78,14 +78,6 @@ class TestDistribution:
         other = PossibleWorlds([(tree("A", tree("C")), 1.0)])
         assert not slide9_worlds().same_distribution(other)
 
-    def test_difference_report_lists_mismatches(self):
-        other = PossibleWorlds([(tree("A", tree("C")), 1.0)])
-        report = slide9_worlds().difference_report(other)
-        assert report and any("A(C)" in line for line in report)
-
-    def test_difference_report_empty_when_equal(self):
-        assert slide9_worlds().difference_report(slide9_worlds()) == []
-
 
 class TestQuerySemantics:
     def test_answer_probability_is_membership_mass(self):

@@ -28,8 +28,8 @@ from repro import (
     InsertOperation,
     Session,
     UpdateTransaction,
-    collect_stats,
 )
+from repro.engine import collect_stats
 from repro.tpwj.parser import parse_pattern
 from repro.errors import UpdateError, WarehouseCorruptError, WarehouseLockedError
 from repro.trees import tree

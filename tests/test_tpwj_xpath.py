@@ -1,5 +1,5 @@
-"""Tests for TPWJ -> XPath compilation (repro.tpwj.xpath), including the
-cross-validation of the native matcher against ElementTree."""
+"""The native matcher cross-validated against ElementTree, an
+independent engine, through the XPath subset it accepts."""
 
 import random
 
@@ -7,44 +7,8 @@ import pytest
 
 from repro.errors import QueryError
 from repro.tpwj import find_matches, parse_pattern
-from repro.tpwj.xpath import (
-    root_images_via_elementtree,
-    to_elementtree_xpath,
-    to_xpath,
-)
 from repro.trees import tree
-
-
-class TestFullXPath:
-    @pytest.mark.parametrize(
-        "pattern_text,expected",
-        [
-            ("A", "//A"),
-            ("/A", "/A"),
-            ("A { B }", "//A[B]"),
-            ("A { //B }", "//A[.//B]"),
-            ('A[="v"]', "//A[. = 'v']"),
-            ('A { B[="x"], C }', "//A[B[. = 'x']][C]"),
-            ("A { B { C } }", "//A[B[C]]"),
-            ("* { B }", "//*[B]"),
-            ("A { !C }", "//A[not(C)]"),
-            ("A { !//C { D } }", "//A[not(.//C[D])]"),
-        ],
-    )
-    def test_compilation(self, pattern_text, expected):
-        assert to_xpath(parse_pattern(pattern_text)) == expected
-
-    def test_join_rejected(self):
-        with pytest.raises(QueryError, match="join"):
-            to_xpath(parse_pattern("A { B[$x], C[$x] }"))
-
-    def test_single_quote_literal(self):
-        pattern = parse_pattern('A[="it\'s"]')
-        assert '"' in to_xpath(pattern)
-
-    def test_both_quotes_literal_uses_concat(self):
-        pattern = parse_pattern('A[="mix \'x\' \\"y\\""]')
-        assert to_xpath(pattern).count("concat(") == 1
+from reference_xpath import root_images_via_elementtree, to_elementtree_xpath
 
 
 class TestElementTreeSubset:

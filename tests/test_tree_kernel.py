@@ -18,7 +18,6 @@ from repro.core.update import apply_update
 from repro.errors import ReproError
 from repro.events.literal import Literal
 from repro.tpwj.parser import parse_pattern
-from repro.trees import from_spec, to_spec
 from repro.trees.random import RandomTreeConfig
 from repro.updates.operations import DeleteOperation, InsertOperation
 from repro.updates.transaction import TransactionBatch, UpdateTransaction
@@ -101,8 +100,6 @@ class TestAgainstRecursiveReferences:
         condition = Condition.of("w") if rng.random() < 0.5 else Condition()
         converted = FuzzyNode.from_plain(plain, condition)
         assert ref.canonical(converted) == ref.canonical(ref.from_plain(plain, condition))
-        assert to_spec(plain) == to_spec(ref.clone(plain))
-        assert ref.canonical(from_spec(to_spec(plain))) == ref.canonical(plain)
 
     @SETTINGS
     @given(documents())

@@ -9,19 +9,17 @@ from repro.errors import TreeError
 from repro.events.condition import Condition
 from repro.trees import (
     Node,
-    find_all,
-    find_first,
-    label_counts,
-    label_index,
-    lowest_common_ancestor,
     minimal_subtree,
-    multiset_equal,
     node_at_path,
     node_path,
     restrict,
-    same_tree,
     tree,
 )
+
+
+def find_first(root, label):
+    """First node of *root*'s subtree (pre-order) labelled *label*."""
+    return next((node for node in root.iter() if node.label == label), None)
 
 
 @pytest.fixture
@@ -235,43 +233,6 @@ class TestFastPathsStayFast:
         assert answer.canonical() == "R(P(T='t'))"
 
 
-class TestSearchHelpers:
-    def test_find_all_in_preorder(self, doc):
-        assert [n.value for n in find_all(doc, "C")] == ["bar", "baz"]
-
-    def test_find_first_and_missing(self, doc):
-        assert find_first(doc, "E").label == "E"
-        assert find_first(doc, "Z") is None
-
-    def test_label_index_covers_every_node(self, doc):
-        index = label_index(doc)
-        assert sum(len(nodes) for nodes in index.values()) == doc.size()
-        assert len(index["C"]) == 2
-
-    def test_label_counts(self, doc):
-        counts = label_counts(doc)
-        assert counts["C"] == 2 and counts["A"] == 1
-
-
-class TestLca:
-    def test_siblings(self, doc):
-        first, second = find_all(doc, "C")
-        assert lowest_common_ancestor(first, second).label == "E"
-
-    def test_ancestor_descendant(self, doc):
-        d = find_first(doc, "D")
-        g = find_first(doc, "G")
-        assert lowest_common_ancestor(d, g) is d
-
-    def test_self(self, doc):
-        b = find_first(doc, "B")
-        assert lowest_common_ancestor(b, b) is b
-
-    def test_different_trees_rejected(self, doc):
-        with pytest.raises(TreeError):
-            lowest_common_ancestor(doc, tree("X"))
-
-
 class TestPaths:
     def test_roundtrip_for_every_node(self, doc):
         for node in doc.iter():
@@ -284,17 +245,3 @@ class TestPaths:
         with pytest.raises(TreeError):
             node_at_path(doc, (9, 9))
 
-
-class TestComparators:
-    def test_same_tree(self, doc):
-        b = find_first(doc, "B")
-        assert same_tree(b, doc)
-        assert not same_tree(b, tree("X"))
-
-    def test_multiset_equal_ignores_order(self):
-        first = [tree("A"), tree("B")]
-        second = [tree("B"), tree("A")]
-        assert multiset_equal(first, second)
-
-    def test_multiset_equal_counts_duplicates(self):
-        assert not multiset_equal([tree("A")], [tree("A"), tree("A")])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TreeError
-from repro.trees import Node, from_spec, to_spec, tree
+from repro.trees import tree
 
 
 class TestTreeLiteral:
@@ -31,34 +31,3 @@ class TestTreeLiteral:
         with pytest.raises(TreeError):
             tree("A", 42)  # type: ignore[arg-type]
 
-
-class TestSpecs:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "A",
-            ("A", "foo"),
-            ("A", ["B", ("C", "bar")]),
-            ("A", [("B", ["C"]), "D"]),
-        ],
-    )
-    def test_roundtrip(self, spec):
-        assert to_spec(from_spec(spec)) == spec
-
-    def test_none_payload_means_leaf(self):
-        node = from_spec(("A", None))
-        assert node.is_leaf and node.value is None
-
-    def test_matches_literal_builder(self):
-        via_spec = from_spec(("A", [("B", "x"), "C"]))
-        via_literal = tree("A", tree("B", "x"), tree("C"))
-        assert via_spec.equals(via_literal)
-
-    @pytest.mark.parametrize("bad", [42, ("A",), ("A", 42), (1, "x"), ["A"]])
-    def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(TreeError, match="invalid tree spec"):
-            from_spec(bad)
-
-    def test_to_spec_of_internal_node(self):
-        node = Node("A", children=[Node("B")])
-        assert to_spec(node) == ("A", ["B"])

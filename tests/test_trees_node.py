@@ -12,7 +12,7 @@ class TestConstruction:
         assert node.label == "A"
         assert node.value is None
         assert node.children == ()
-        assert node.is_leaf and node.is_root
+        assert node.is_leaf and node.parent is None
 
     def test_with_value(self):
         node = Node("B", value="foo")

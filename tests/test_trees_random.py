@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.trees import RandomTreeConfig, random_labels, random_tree
+from repro.trees import RandomTreeConfig, random_tree
 
 
 class TestRandomTree:
@@ -72,13 +72,3 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             RandomTreeConfig(labels=())
 
-
-class TestRandomLabels:
-    def test_count_and_uniqueness(self):
-        labels = random_labels(random.Random(0), 25)
-        assert len(labels) == 25
-        assert len(set(labels)) == 25
-
-    def test_length(self):
-        labels = random_labels(random.Random(0), 5, length=7)
-        assert all(len(label) == 7 for label in labels)
