@@ -161,13 +161,6 @@ class QueryOptions:
         return self.epsilon is not None or self.deadline_ms is not None
 
     @property
-    def is_bounded(self) -> bool:
-        """True when execution needs the probability-bounded join."""
-        return self.order == "probability" or (
-            self.min_probability is not None and self.min_probability > 0.0
-        )
-
-    @property
     def use_planner(self) -> bool:
         return self.plan != "fixed"
 

@@ -12,18 +12,26 @@ or snapshot is the one-shard case, keyed ``None``
 Every item carries its shard key as ``document`` (``None`` on a session).
 
 A session streams :class:`~repro.core.query.Row` objects — per match:
-its exact probability, answer tree, bindings and provenance — through
-the engine's streaming protocol: the plan comes from the plan cache,
-matches are pulled one at a time, and :meth:`ResultSet.limit` pushes
-early termination into the backtracking join.  :meth:`ResultSet.answers`
-folds them into the probability-ranked, per-answer-tree aggregation of
-:func:`~repro.core.query.query_fuzzy_tree`.
+its exact probability, answer tree, bindings and provenance — from the
+one row routine, :func:`~repro.core.query.iter_query_rows`, through the
+engine's streaming protocol: the plan comes from the plan cache,
+matches are pulled one at a time, :meth:`ResultSet.limit` pushes early
+termination into the backtracking join, and
+:meth:`ResultSet.min_probability` / :meth:`ResultSet.order_by_probability`
+push a threshold or a branch-and-bound top-k into it.
+:meth:`ResultSet.answers` is the probability-ranked, per-answer-tree
+aggregation of :func:`~repro.core.query.query_fuzzy_tree` over every
+match, and :meth:`ResultSet.estimate` prices the same groups by
+sampling.  Rows, answers and estimates reach the instrument panel
+through one wrapper (:func:`_observed`): one ``query`` span, latency,
+count and slow-log entry per shard query.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import closing
+from functools import partial
 from time import perf_counter
 
 from repro.api.builders import compile_pattern
@@ -33,10 +41,8 @@ from repro.core.query import (
     FuzzyAnswer,
     Row,
     group_by_key,
-    iter_bounded_rows,
     iter_query_rows,
     query_fuzzy_tree,
-    topk_rows,
 )
 from repro.errors import QueryCancelledError, QueryError
 from repro.events.dnf import Dnf
@@ -241,8 +247,10 @@ class ResultSet:
             else:
                 merged = (row for _key, rows in shards for row in rows)
             for emitted, row in enumerate(merged, 1):
-                if abort is not None:
-                    _check_abort(abort)
+                # The shards poll *abort* per match; polling here too
+                # reaches a process shard, which enumerates beyond it.
+                if abort is not None and abort():
+                    raise QueryCancelledError("query cancelled by its abort hook")
                 yield row
                 if limit is not None and emitted >= limit:
                     return
@@ -352,51 +360,40 @@ def session_results(source, pattern, keys, options, what, seed, abort):
 
     The one shard is the source's document, pinned from the first pull
     until this generator is closed (a snapshot is pinned already).  Rows
-    stream lazily; answers and estimates are computed under the pin.
-    *keys* is unused — a session serves one document.
+    come from the one row routine,
+    :func:`~repro.core.query.iter_query_rows`, with the options' limit,
+    threshold and order; answers group every match (no row is ever
+    built, each answer is priced exactly once, and the result set
+    filters and caps).  All three kinds of item stream lazily through
+    :func:`_observed`.  *keys* is unused — a session serves one document.
     """
     fuzzy, engine, config, release, obs = source._iter_context()
     engine = engine if options.use_planner else None
+    if what == "rows":
+        run = partial(
+            iter_query_rows,
+            fuzzy,
+            pattern,
+            config,
+            engine=engine,
+            limit=options.limit,
+            min_probability=options.min_probability or 0.0,
+            by_probability=options.order == "probability",
+            abort=abort,
+        )
+    elif what == "answers":
+        run = partial(query_fuzzy_tree, fuzzy, pattern, config, engine=engine)
+    else:
+        run = partial(_estimates, fuzzy, engine, config, pattern, options, seed)
+    items = _observed(run, what == "rows", source._provenance, pattern, engine, obs)
     try:
-        if what == "rows":
-            rows = _stream_rows(
-                source._provenance, fuzzy, engine, config, pattern, options, obs, abort
-            )
-            try:
-                yield None, rows
-            finally:
-                # Close before the pin goes: an abandoned or cancelled
-                # stream must not keep its generator's frame alive.
-                rows.close()
-        elif what == "answers":
-            yield None, _answers(fuzzy, engine, config, pattern, obs)
-        else:
-            yield None, _estimates(fuzzy, engine, config, pattern, options, seed)
+        yield None, items
     finally:
+        # Close before the pin goes: an abandoned or cancelled stream
+        # must not keep its generator's frame alive.
+        items.close()
         if release is not None:
             release()
-
-
-def _answers(fuzzy, engine, config, pattern, obs) -> list[FuzzyAnswer]:
-    """The session's ranked answers (see :meth:`ResultSet.answers`)."""
-    tracing = obs is not None and obs.tracer.enabled
-    metrics = obs is not None and obs.metrics.enabled
-    span = obs.tracer.start("query", pattern=pattern, aggregate=True) if tracing else None
-    t0 = perf_counter()
-    answers: list[FuzzyAnswer] | None = None
-    try:
-        # Group every match — no row is ever built and each answer
-        # group is priced exactly once; the result set filters and caps.
-        answers = query_fuzzy_tree(fuzzy, pattern, config, engine=engine)
-        return answers
-    finally:
-        if span is not None:
-            if answers is not None:
-                span.attributes["rows"] = len(answers)
-            obs.tracer.finish(span)
-        if metrics:
-            count = len(answers) if answers is not None else 0
-            _record_query_metrics(obs, pattern, perf_counter() - t0, count, span, engine)
 
 
 def _estimates(fuzzy, engine, config, pattern, options, seed) -> list[AnswerEstimate]:
@@ -425,131 +422,66 @@ def _plan_text(engine, pattern) -> str | None:
         return None
 
 
-def _record_query_metrics(obs, pattern, duration, rows, span, engine) -> None:
-    """Fold one finished query into counters, histogram and slow log."""
-    registry = obs.metrics
-    registry.incr("api.queries")
-    registry.observe("api.query_seconds", duration)
-    slowlog = obs.slowlog
-    if slowlog.should_record(duration):
-        registry.incr("api.slow_queries")
-        slowlog.record(
-            str(pattern),
-            duration,
-            rows,
-            phases=span.phase_seconds() if span is not None else None,
-            plan=_plan_text(engine, pattern),
-        )
+def _observed(run, rows, provenance, pattern, engine, obs):
+    """One query's items — rows, answers or estimates — in the panel.
 
-
-def _check_abort(abort) -> None:
-    """Raise :class:`QueryCancelledError` once *abort* returns true.
-
-    Polled between rows — before the next row's enumeration and
-    probability work starts — so a flipped deadline flag stops the
-    stream at the next row boundary, not after another full match.
-    """
-    if abort():
-        raise QueryCancelledError("query cancelled by its abort hook")
-
-
-def _row_iter(fuzzy, engine, config, pattern, options, abort):
-    """The :class:`~repro.core.query.Row` iterator for *options*.
-
-    Dispatches on the options' shape: probability order runs the
-    branch-and-bound top-k (eager — the sort key is the exact
-    probability), a bare ``min_probability`` runs the thresholded
-    document-order enumeration, and the default is the plain lazy
-    stream.  *abort* is threaded into the eager path (the generator
-    paths poll it between pulls in :func:`_stream_rows`).
-    """
-    min_p = options.min_probability if options.min_probability is not None else 0.0
-    if options.order == "probability":
-        return iter(
-            topk_rows(
-                fuzzy,
-                pattern,
-                config,
-                engine=engine,
-                k=options.limit,
-                min_probability=min_p,
-                abort=abort,
-            )
-        )
-    if min_p > 0.0:
-        return iter_bounded_rows(
-            fuzzy,
-            pattern,
-            config,
-            engine=engine,
-            min_probability=min_p,
-            limit=options.limit,
-        )
-    return iter_query_rows(
-        fuzzy, pattern, config, engine=engine, limit=options.limit
-    )
-
-
-def _stream_rows(provenance, fuzzy, engine, config, pattern, options, obs, abort):
-    """A session's row generator (the items of its one shard).
-
-    With instrumentation attached the generator opens a ``query`` span
-    (the engine's plan-cache / plan-build / view-build emits nest under
-    it), accumulates per-pull enumeration time into one
-    ``match_enumeration`` child, and on exhaustion *or* early close
-    records first-row/total latencies, row counts and — past the
-    threshold — a slow-log entry.  Fully disabled, the cost is one
-    flag check per query (the plain loop below).
+    ``run()`` produces the items inside a ``query`` span, where the
+    engine's plan and view emits and the core layers' phases nest
+    (answers and estimates carry ``aggregate=True``).  Each row pull is
+    timed into one ``match_enumeration`` child, and each row gets the
+    source's provenance lookup and the panel its first pricing is timed
+    into.  On exhaustion *or* early close the span gets the item count,
+    and the metrics the first-item and total latencies, the query and
+    row counts and — past the threshold — a slow-log entry.
     """
     tracing = obs is not None and obs.tracer.enabled
     metrics = obs is not None and obs.metrics.enabled
-    if not tracing and not metrics:
-        if abort is not None:
-            _check_abort(abort)
-        for row in _row_iter(fuzzy, engine, config, pattern, options, abort):
-            row._provenance = provenance
-            yield row
-            if abort is not None:
-                _check_abort(abort)
-        return
-
-    registry = obs.metrics
-    # The pattern rides along as an object: render_span/as_dict
-    # stringify it only when a human actually reads the trace.
-    span = obs.tracer.start("query", pattern=pattern) if tracing else None
-    rows = 0
-    t0 = perf_counter()
+    panel = obs if tracing or metrics else None
+    span = None
+    if tracing:
+        # The pattern rides along as an object: render_span/as_dict
+        # stringify it only when a human actually reads the trace.
+        extra = {} if rows else {"aggregate": True}
+        span = obs.tracer.start("query", pattern=pattern, **extra)
+    timed = span is not None and rows
+    count = 0
+    t0 = t_pull = perf_counter()
     try:
-        stream = _row_iter(fuzzy, engine, config, pattern, options, abort)
-        while True:
-            if abort is not None:
-                _check_abort(abort)
-            t_pull = perf_counter()
-            try:
-                row = next(stream)
-            except StopIteration:
-                if span is not None:
-                    span.record("match_enumeration", perf_counter() - t_pull)
-                break
-            pulled = perf_counter() - t_pull
-            if span is not None:
-                span.record("match_enumeration", pulled)
-            if metrics and rows == 0:
-                registry.observe("api.first_row_seconds", perf_counter() - t0)
-            rows += 1
-            row._provenance = provenance
-            # The row's first pricing is timed into this panel.
-            row._obs = obs
-            yield row
+        for item in run():
+            if timed:
+                span.record("match_enumeration", perf_counter() - t_pull)
+            if metrics and count == 0:
+                obs.metrics.observe("api.first_row_seconds", perf_counter() - t0)
+            count += 1
+            if rows:
+                item._provenance = provenance
+                item._obs = panel
+            yield item
+            if timed:
+                t_pull = perf_counter()
+        if timed:
+            span.record("match_enumeration", perf_counter() - t_pull)
     finally:
         duration = perf_counter() - t0
         if span is not None:
-            span.attributes["rows"] = rows
+            span.attributes["rows"] = count
             obs.tracer.finish(span)
         if metrics:
-            if rows:
-                registry.incr("api.rows_streamed", rows)
-            _record_query_metrics(obs, pattern, duration, rows, span, engine)
+            registry = obs.metrics
+            registry.incr("api.queries")
+            if rows and count:
+                registry.incr("api.rows_streamed", count)
+            registry.observe("api.query_seconds", duration)
+            slowlog = obs.slowlog
+            if slowlog.should_record(duration):
+                registry.incr("api.slow_queries")
+                slowlog.record(
+                    str(pattern),
+                    duration,
+                    count,
+                    phases=span.phase_seconds() if span is not None else None,
+                    plan=_plan_text(engine, pattern),
+                )
 
 
 class RowStream:

@@ -7,7 +7,8 @@ architecture::
     python -m repro init WH --root directory          # create a store
     python -m repro init WH --document doc.xml        # ... or from XML
     python -m repro query WH '/directory { person { name, email } }'
-    python -m repro query WH '//person' --stream --limit 5   # lazy top-k rows
+    python -m repro query WH '//person' --stream --limit 5   # first 5 rows, lazily
+    python -m repro query WH '//person' --top-k 3     # the 3 most probable answers
     python -m repro explain WH '//person { name[$n] }'  # show the query plan
     python -m repro update WH --xupdate tx.xml --confidence 0.85
     python -m repro simplify WH
@@ -130,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="top_k",
-        help="the k most probable answers, branch-and-bound pruned "
-        "(rows print in descending probability)",
+        help="the k most probable answers (with --stream: the k most "
+        "probable rows, branch-and-bound pruned in the join)",
     )
     query.add_argument(
         "--min-probability",
         type=float,
         default=None,
         dest="min_probability",
-        help="only answers with probability >= P (the threshold is "
-        "pushed into the join as a pruning bound)",
+        help="only answers with probability >= P (with --stream: rows, "
+        "the threshold pushed into the join as a pruning bound)",
     )
     query.add_argument(
         "--estimate",
@@ -425,25 +426,24 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """Query a warehouse, or fan out across a collection's documents.
 
     Three modes, the same on both targets: estimates (``--estimate``,
-    ``--epsilon``, ``--deadline-ms``); rows, lazily in match order —
-    or by descending probability under ``--top-k`` — with the limit
-    pushed into the engine (``--stream``, ``--top-k``, a positive
-    ``--min-probability``); and otherwise ranked answers, where
-    ``--limit`` keeps the first answers of the ranking.  A collection
-    prefixes each line with its document key and never aggregates
-    across documents.
+    ``--epsilon``, ``--deadline-ms``); rows under ``--stream``, lazily
+    in match order — or by descending probability under ``--top-k`` —
+    with the limit and threshold pushed into the engine; and otherwise
+    ranked answers, each priced over all its matches, where
+    ``--min-probability`` filters and ``--limit`` / ``--top-k`` keep
+    the first / most probable answers.  A collection prefixes each line
+    with its document key and never aggregates across documents.
     """
     pattern = _parse_pattern_arg(args.pattern)
     options = _query_options(args)
     estimating = (
         args.estimate or args.epsilon is not None or args.deadline_ms is not None
     )
-    streaming = args.stream or options.is_bounded
     opener = connect_collection if Collection.is_collection(args.path) else connect
     empty = True
     with opener(args.path) as target:
         results = target.query(pattern, options=options)
-        if streaming and not estimating:
+        if args.stream and not estimating:
             # closing(): a BrokenPipeError (| head) or Ctrl-C must still
             # release the stream's pin (or close the fan-out) first.
             with closing(iter(results)) as rows:

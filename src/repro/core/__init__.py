@@ -15,12 +15,10 @@ from repro.core.query import (
     FuzzyAnswer,
     Row,
     group_rows,
-    iter_bounded_rows,
     iter_query_rows,
     match_condition,
     match_conditions,
     query_fuzzy_tree,
-    topk_rows,
 )
 from repro.core.semantics import from_possible_worlds, to_possible_worlds
 from repro.core.simplify import ALL_RULES, SimplifyReport, simplify
@@ -35,8 +33,6 @@ __all__ = [
     "Row",
     "query_fuzzy_tree",
     "iter_query_rows",
-    "iter_bounded_rows",
-    "topk_rows",
     "group_rows",
     "match_condition",
     "UpdateReport",

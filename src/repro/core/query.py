@@ -55,8 +55,6 @@ __all__ = [
     "Row",
     "query_fuzzy_tree",
     "iter_query_rows",
-    "iter_bounded_rows",
-    "topk_rows",
     "group_rows",
     "match_condition",
     "match_conditions",
@@ -351,9 +349,7 @@ class Row(_Answer):
         return f"Row(p={self.probability:.6g}, tree={self.canonical})"
 
 
-def _consistent_matches(
-    fuzzy, pattern, config, engine, *, plan=None, prune=None, abort=None
-):
+def _consistent_matches(fuzzy, pattern, config, engine, *, prune=None, abort=None):
     """Yield ``(match, disjoint conditions)`` for every consistent match.
 
     The one loop behind every evaluation in this module: slide 13's
@@ -374,9 +370,9 @@ def _consistent_matches(
       ancestor-condition index and ``prune(upper)`` decides, from the
       upper bound alone, whether a branch can still contribute.
     * Without an engine (the E9 ablation baseline) ``find_matches``
-      runs the same operators on a throw-away walk — under the fixed
-      pre-order plan of *config* unless *plan* says otherwise — and
-      *prune* is ignored: same matches, no pruning.
+      runs the same operators on a throw-away walk under the fixed
+      pre-order plan of *config*, and *prune* is ignored: same matches,
+      no pruning.
 
     *abort* is the serving layers' cancellation hook, polled once per
     enumerated match.  Matches whose conjunction is inconsistent (they
@@ -386,7 +382,7 @@ def _consistent_matches(
         config = replace(config, honor_negation=False)
     if engine is None:
         index = _AncestorWalk
-        matches = find_matches(pattern, fuzzy.root, config, plan=plan)
+        matches = find_matches(pattern, fuzzy.root, config)
     else:
         index = engine.condition_index(fuzzy.root)
         bound = None
@@ -435,10 +431,6 @@ def _rows(fuzzy, pattern, config, engine, *, floor=None, prune=None, abort=None)
         yield Row(match, kept, dnf, events, cache=cache, probability=p)
 
 
-def _capped(rows, limit: int | None):
-    return rows if limit is None else islice(rows, max(limit, 0))
-
-
 def iter_query_rows(
     fuzzy: FuzzyTree,
     pattern: Pattern,
@@ -446,95 +438,72 @@ def iter_query_rows(
     *,
     engine=None,
     limit: int | None = None,
-):
-    """Lazily evaluate a TPWJ query, yielding one :class:`Row` per
-    consistent, possible match.
-
-    The streaming counterpart of :func:`query_fuzzy_tree`: matching is
-    pulled one match at a time through *engine*'s streaming protocol
-    when given (materialized by ``find_matches``' fixed pre-order plan
-    otherwise), each match's condition is
-    computed immediately — through the engine's ancestor-condition
-    index when available — and iteration stops after *limit* emitted
-    rows, aborting the remaining backtracking.  Matches that can fire
-    in no world (inconsistent conditions or zero probability) are
-    skipped and do not count against *limit*; row probabilities are
-    computed lazily on first access.
-    """
-    return _capped(_rows(fuzzy, pattern, config, engine), limit)
-
-
-def iter_bounded_rows(
-    fuzzy: FuzzyTree,
-    pattern: Pattern,
-    config: MatchConfig = DEFAULT_CONFIG,
-    *,
-    engine=None,
     min_probability: float = 0.0,
-    limit: int | None = None,
-):
-    """Document-order rows with ``probability >= min_probability``.
-
-    Like :func:`iter_query_rows` but the threshold is pushed *into*
-    the join: engine-backed, a partial assignment whose probability
-    upper bound is already below *min_probability* is pruned without
-    ever being completed.  Rows are priced eagerly (the threshold needs
-    the exact value); *limit* counts qualifying rows only.
-    """
-
-    def prune(upper: float) -> bool:
-        return upper < min_probability
-
-    rows = _rows(fuzzy, pattern, config, engine, floor=min_probability, prune=prune)
-    return _capped(rows, limit)
-
-
-def topk_rows(
-    fuzzy: FuzzyTree,
-    pattern: Pattern,
-    config: MatchConfig = DEFAULT_CONFIG,
-    *,
-    engine=None,
-    k: int | None = None,
-    min_probability: float = 0.0,
+    by_probability: bool = False,
     abort=None,
-) -> list[Row]:
-    """The *k* most probable rows, in decreasing-probability order.
+):
+    """Evaluate a TPWJ query, yielding one :class:`Row` per consistent,
+    possible match: the one row routine of every row consumer.
 
-    Ties are broken by the deterministic enumeration order, so the
-    result equals the first *k* entries of the stable sort of the full
-    enumeration by decreasing probability (the property the tests pin).
+    By default rows stream lazily in the engine's deterministic match
+    order: matching is pulled one match at a time through *engine*'s
+    streaming protocol when given (materialized by ``find_matches``'
+    fixed pre-order plan otherwise), each match's condition is computed
+    immediately — through the engine's ancestor-condition index when
+    available — and iteration stops after *limit* emitted rows,
+    aborting the remaining backtracking.  Matches that can fire in no
+    world (inconsistent conditions or zero probability) are skipped and
+    do not count against *limit*; row probabilities are computed lazily
+    on first access.
 
-    Engine-backed, this runs as branch-and-bound inside the
-    backtracking join: each partial assignment's closed conditions give
-    an O(1) upper bound on any completion's probability, and a branch
-    is cut when that bound cannot beat the current k-th best in the
-    admission heap (or falls below *min_probability*).  Cutting at
-    ``upper == kth-best`` is safe: a completion could at best *tie*,
-    and later enumeration order loses ties.
+    A positive *min_probability* keeps the rows with ``probability >=
+    min_probability``, and the threshold is pushed *into* the join:
+    engine-backed, a partial assignment whose probability upper bound is
+    already below it is pruned without ever being completed.  Rows are
+    then priced eagerly (the threshold needs the exact value), and
+    *limit* counts qualifying rows only.
 
-    Rows are priced eagerly (their exact probability is the sort key),
-    through the engine's shared Shannon memo when available.  *abort*
-    is the serving layers' cancellation hook, polled once per
+    *by_probability* returns the *limit* most probable rows (all of
+    them without a limit), in decreasing-probability order, ties broken
+    by the enumeration order: exactly the first *limit* entries of the
+    stable sort of the full enumeration.  Engine-backed, this runs as
+    branch-and-bound inside the backtracking join: each partial
+    assignment's closed conditions give an O(1) upper bound on any
+    completion's probability, and a branch is cut when that bound
+    cannot beat the current k-th best in the admission heap (or falls
+    below *min_probability*).  Cutting at ``upper == kth-best`` is
+    safe: a completion could at best *tie*, and later enumeration order
+    loses ties.  The whole enumeration runs when this is called.
+
+    *abort* is the serving layers' cancellation hook, polled once per
     enumerated match.
     """
-    if k is not None and k <= 0:
-        return []
+    if limit is not None and limit <= 0:
+        return iter(())
     heap: list = []  # (probability, -emission_index, row): root = evictee
 
     def prune(upper: float) -> bool:
         if upper < min_probability:
             return True
-        return k is not None and len(heap) == k and upper <= heap[0][0]
+        return by_probability and len(heap) == limit and upper <= heap[0][0]
 
+    bounded = by_probability or min_probability > 0.0
     rows = _rows(
-        fuzzy, pattern, config, engine, floor=min_probability, prune=prune, abort=abort
+        fuzzy,
+        pattern,
+        config,
+        engine,
+        floor=min_probability if bounded else None,
+        prune=prune if bounded else None,
+        abort=abort,
     )
+    if not by_probability:
+        return rows if limit is None else islice(rows, limit)
     for emitted, row in enumerate(rows):
         entry = (row.probability, -emitted, row)
-        if k is None:
+        if limit is None:
             heap.append(entry)
-        elif len(heap) < k:
+        elif len(heap) < limit:
             heapq.heappush(heap, entry)
         else:
             # On a probability tie the fresh entry's later emission
@@ -542,7 +511,7 @@ def topk_rows(
             # exactly the stable-sort tie rule.
             heapq.heappushpop(heap, entry)
     heap.sort(key=lambda entry: (-entry[0], -entry[1]))
-    return [row for _, _, row in heap]
+    return iter([row for _, _, row in heap])
 
 
 def group_by_key(entries) -> list[tuple[str, object, list[Condition]]]:
@@ -594,7 +563,6 @@ def query_fuzzy_tree(
     pattern: Pattern,
     config: MatchConfig = DEFAULT_CONFIG,
     *,
-    plan=None,
     engine=None,
 ) -> list[FuzzyAnswer]:
     """Evaluate a TPWJ query on a fuzzy tree without enumerating worlds.
@@ -606,10 +574,10 @@ def query_fuzzy_tree(
     Matching can be routed through the cost-based engine: *engine* (a
     :class:`~repro.engine.QueryEngine` bound to this document — the
     warehouse passes its own, reusing cached plans and the document
-    walk) or *plan* (``"auto"`` / a prebuilt plan, forwarded to
-    :func:`~repro.tpwj.match.find_matches`).  The grouped-and-sorted
-    answers are identical on every path; the engine path additionally
-    reuses the ancestor-condition index and the shared Shannon memo.
+    walk); without one ``find_matches``' fixed pre-order plan runs.  The
+    grouped-and-sorted answers are identical on both paths; the engine
+    path additionally reuses the ancestor-condition index and the shared
+    Shannon memo.
     """
     # Phase boundaries for the warehouse's instrument panel: one
     # match_enumeration emit for the whole enumerate-and-group loop,
@@ -621,9 +589,7 @@ def query_fuzzy_tree(
     root = fuzzy.root
     groups = group_by_key(
         (kept_canonical(kept), kept, conditions)
-        for match, conditions in _consistent_matches(
-            fuzzy, pattern, config, engine, plan=plan
-        )
+        for match, conditions in _consistent_matches(fuzzy, pattern, config, engine)
         for kept in (kept_nodes(root, match.iter_images()),)
     )
     if tracing:

@@ -74,10 +74,6 @@ class PlanCache:
         for _ in range(evictions):
             process_registry.incr("engine.plan_cache_evictions")
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {

@@ -100,7 +100,7 @@ METRIC_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("api.queries", "counter", "Query executions started through the api layer"),
     ("api.rows_streamed", "counter", "Rows streamed through session result sets"),
     ("api.first_row_seconds", "histogram",
-     "Latency from iteration start to the first streamed row"),
+     "Latency from query start to its first row, answer or estimate"),
     ("api.query_seconds", "histogram",
      "Latency from iteration start to stream exhaustion/close"),
     ("api.slow_queries", "counter", "Queries captured by the slow-query log"),

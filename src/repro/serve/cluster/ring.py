@@ -51,10 +51,6 @@ class HashRing:
         for node in nodes:
             self.add(node)
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -103,10 +99,6 @@ class HashRing:
                 if len(owners) == wanted:
                     break
         return owners
-
-    def assignment(self, keys) -> dict[str, str]:
-        """Route many keys at once: ``{key: worker name}``."""
-        return {key: self.route(key) for key in keys}
 
     def placement(self, keys, n: int) -> dict[str, list[str]]:
         """Replica placement for many keys: ``{key: [primary, *replicas]}``."""

@@ -193,11 +193,6 @@ class WriteAheadLog:
                 )
         return keep, torn
 
-    def depth(self, after_sequence: int) -> int:
-        """Number of records replay would apply past *after_sequence*."""
-        records, _torn = self.records()
-        return sum(1 for r in records if r["sequence"] > after_sequence)
-
     def size_bytes(self) -> int:
         try:
             return self.path.stat().st_size

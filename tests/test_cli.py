@@ -2,10 +2,15 @@
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.xmlio import fuzzy_to_string, transaction_to_string
 from repro import (
+    Condition,
     DeleteOperation,
+    EventTable,
+    FuzzyNode,
+    FuzzyTree,
     InsertOperation,
     UpdateTransaction,
 )
@@ -82,6 +87,41 @@ class TestQuery:
         assert main(["query", str(store), "//D", "--no-planner"]) == 0
         out = capsys.readouterr().out
         assert "0.700000" in out and "A(C(D))" in out
+
+
+@pytest.fixture
+def two_b_store(tmp_path):
+    """``A`` with two ``B`` children under independent 0.5 events: the
+    answer ``A(B)`` has probability 0.75, either match alone 0.5."""
+    events = EventTable({"w1": 0.5, "w2": 0.5})
+    children = [FuzzyNode("B", condition=Condition.of(e)) for e in events]
+    path = tmp_path / "two-b"
+    repro.connect(
+        path, create=True, document=FuzzyTree(FuzzyNode("A", children=children), events)
+    ).close()
+    return str(path)
+
+
+class TestRefinedQuery:
+    """``--top-k`` and ``--min-probability`` refine answers, each priced
+    over all its matches; ``--stream`` alone switches to per-match rows."""
+
+    def test_min_probability_keeps_answers_above_it(self, two_b_store, capsys):
+        flags = ["--min-probability", "0.6"]
+        assert main(["query", two_b_store, "/A { B }", *flags]) == 0
+        assert capsys.readouterr().out == "0.750000  A(B)\n"
+
+    def test_top_k_ranks_answers(self, two_b_store, capsys):
+        assert main(["query", two_b_store, "/A { B }", "--top-k", "1"]) == 0
+        assert capsys.readouterr().out == "0.750000  A(B)\n"
+
+    def test_stream_refines_rows(self, two_b_store, capsys):
+        flags = ["--stream", "--top-k", "1"]
+        assert main(["query", two_b_store, "/A { B }", *flags]) == 0
+        assert capsys.readouterr().out == "0.500000  A(B)\n"
+        flags = ["--stream", "--min-probability", "0.6"]
+        assert main(["query", two_b_store, "/A { B }", *flags]) == 0
+        assert capsys.readouterr().out == "(no answers)\n"
 
 
 class TestExplain:

@@ -395,15 +395,19 @@ class TestExport:
 # ----------------------------------------------------------------------
 
 
-def _populated_session(path, panel):
-    session = repro.connect(
-        path, create=True, root="directory", observability=panel
-    )
-    session.update(
+def _insert_person():
+    return (
         repro.update(repro.pattern("directory", variable="d", anchored=True))
         .insert("d", repro.tree("person", repro.tree("name", "Alice")))
         .confidence(0.9)
     )
+
+
+def _populated_session(path, panel):
+    session = repro.connect(
+        path, create=True, root="directory", observability=panel
+    )
+    session.update(_insert_person())
     return session
 
 
@@ -458,6 +462,36 @@ class TestSessionWiring:
         )
         assert panel.tracer.recent() == []
         assert len(panel.slowlog) == 0
+
+    @pytest.mark.parametrize("target", ["session", "collection"])
+    def test_estimate_reaches_the_panel_like_answers(self, tmp_path, target):
+        # One estimate() counts one query and leaves one ``query`` trace
+        # carrying what an answers() trace carries.
+        panel = Observability()
+        if target == "session":
+            opened = _populated_session(tmp_path / "wh", panel)
+        else:
+            opened = repro.connect_collection(
+                tmp_path / "coll", create=True, observability=panel
+            )
+            opened.create_document("d1", root="directory")
+            opened.update("d1", _insert_person())
+
+        def query_traces():
+            return [t for t in panel.tracer.recent() if t.name == "query"]
+
+        with opened:
+            opened.query("//person").answers()
+            answered = query_traces()[-1]
+            before = panel.metrics.counter("api.queries")
+            traced = len(query_traces())
+            estimates = opened.query("//person").estimate(seed=3)
+        assert len(estimates) == 1
+        assert panel.metrics.counter("api.queries") == before + 1
+        assert len(query_traces()) == traced + 1
+        estimated = query_traces()[-1]
+        assert estimated.as_dict()["attributes"] == answered.as_dict()["attributes"]
+        assert estimated.attributes["rows"] == 1
 
     def test_stats_refreshes_document_gauges(self, tmp_path):
         panel = Observability()

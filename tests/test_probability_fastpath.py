@@ -10,6 +10,8 @@ with the possible-worlds semantics the property tests already pin.
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,11 +23,9 @@ from repro.core.update import apply_update
 from repro.core.query import (
     _AncestorWalk,
     group_rows,
-    iter_bounded_rows,
     iter_query_rows,
     match_conditions,
     query_fuzzy_tree,
-    topk_rows,
 )
 from repro.engine import AncestorConditionIndex, QueryEngine, StatsDelta
 from repro.events import Dnf, Literal, ShannonCache, dnf_probability
@@ -460,20 +460,49 @@ class TestOneRowPath:
             [a.probability for a in folded], abs=1e-12
         )
 
-        # Top-k == prefix of the stable sort by decreasing probability.
-        ranked = sorted(keys, key=lambda key: -key[2])
-        for k in (None, 1, 2, len(keys) + 1):
-            top = topk_rows(fuzzy, pattern, engine=engine, k=k)
-            assert [_row_key(row) for row in top] == ranked[:k]
+        # Every refinement together == the full enumeration, filtered
+        # by the threshold, stable-sorted by decreasing probability
+        # when ordered, then sliced.
+        for floor in (0.0, 0.2, 0.5):
+            kept = [key for key in keys if key[2] >= floor]
+            for by_probability in (False, True):
+                expected = (
+                    sorted(kept, key=lambda key: -key[2]) if by_probability else kept
+                )
+                for limit in (None, 0, 1, 2, len(keys) + 1):
+                    refined = iter_query_rows(
+                        fuzzy,
+                        pattern,
+                        engine=engine,
+                        limit=limit,
+                        min_probability=floor,
+                        by_probability=by_probability,
+                    )
+                    assert [_row_key(row) for row in refined] == expected[:limit]
 
-        # Threshold == filter of the document-order stream.
-        floor = rng.choice([0.0, 0.2, 0.5])
-        bounded = iter_bounded_rows(
-            fuzzy, pattern, engine=engine, min_probability=floor
-        )
-        assert [_row_key(row) for row in bounded] == [
-            key for key in keys if key[2] >= floor
-        ]
+    @given(seed=seeds, floor=st.sampled_from([0.0, 0.2, 0.5]), k=st.integers(1, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_session_top_k_with_a_threshold(self, seed, floor, k):
+        # The same refinement through a session's result set: the top k
+        # of the rows at or above the threshold.
+        import repro
+
+        rng = random.Random(seed)
+        fuzzy = random_fuzzy_tree(rng, SMALL_DOCS)
+        pattern = random_query_for(rng, fuzzy.root)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "wh"
+            with repro.connect(path, create=True, document=fuzzy) as session:
+                keys = [_row_key(row) for row in session.query(pattern)]
+                refined = (
+                    session.query(pattern)
+                    .min_probability(floor)
+                    .order_by_probability()
+                    .limit(k)
+                )
+                got = [_row_key(row) for row in refined]
+        kept = [key for key in keys if key[2] >= floor]
+        assert got == sorted(kept, key=lambda key: -key[2])[:k]
 
     @given(seed=seeds)
     @relaxed

@@ -295,11 +295,11 @@ class TestWriteAheadLog:
 
     def test_depth(self, tmp_path):
         wal = self._wal(tmp_path)
-        assert wal.depth(0) == 0
+        assert len(wal.replayable(0)[0]) == 0
         wal.append("update", 2, {})
         wal.append("update", 3, {})
-        assert wal.depth(1) == 2
-        assert wal.depth(2) == 1
+        assert len(wal.replayable(1)[0]) == 2
+        assert len(wal.replayable(2)[0]) == 1
 
 
 class TestLockPidReuse:
