@@ -230,7 +230,7 @@ def _apply_deletions(
         children_before = len(parent.children)
         target.detach()
         if walk is not None:
-            walk.detach(target)
+            walk.detach(target, parent)
         if delta is not None:
             delta.record_subtree_removed(target, target_depth)
         for piece in pieces:

@@ -4,16 +4,14 @@ The one place matches are enumerated: :func:`iter_plan` runs under every
 caller — planned queries, update-target location and WAL replay (the
 fixed pre-order plan, on the walk their writer keeps current), and
 (through ``find_matches(plan=None)``) the possible-worlds oracle and
-Monte-Carlo sampling.  The work is split into explicit operators so a
-plan can pick and order them:
+Monte-Carlo sampling.  An execution has two halves:
 
-* :class:`LabelIndexScan` / :class:`FullScan` — produce the per-pattern-
-  node candidate lists (one document pass builds the label index,
-  shared by every scan, and commits patch it in place — see
-  :class:`_Intervals`);
-* :class:`SemiJoinPrune` — the bottom-up structural semi-join: a
-  candidate survives only when every required pattern child still has a
-  candidate in the right axis relation;
+* :func:`_prepare` — the per-pattern-node candidate lists: the label
+  index (or full) scan, the anchored filter, then the bottom-up
+  structural semi-join (a candidate survives only when every required
+  pattern child still has a candidate in the right axis relation).  A
+  long-lived walk (:class:`_Intervals`) keeps them per planned plan,
+  with the join's indexes, across the commits that leave them be;
 * :class:`BacktrackJoin` — enumerate homomorphisms over the plan's
   visit order, checking join variables eagerly or at the end as the
   plan decided.
@@ -44,9 +42,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import islice
+from operator import lt
 from time import sleep as _sleep
 
-from repro.engine.planner import Plan
+from repro.engine.planner import _FIXED_FINGERPRINT, Plan
 from repro.obs.metrics import process_registry
 from repro.tpwj.match import DEFAULT_CONFIG, Match, MatchConfig, find_embeddings
 from repro.tpwj.pattern import PatternNode
@@ -55,9 +54,6 @@ from repro.trees.node import Node
 __all__ = [
     "iter_plan",
     "iter_rekeyed",
-    "LabelIndexScan",
-    "FullScan",
-    "SemiJoinPrune",
     "BacktrackJoin",
     "ProbabilityBound",
 ]
@@ -88,6 +84,8 @@ _GAP = 1 << 16
 #: An attached subtree takes this fraction (1/_SHARE) of the free gap
 #: it lands in, leaving the rest for later siblings.
 _SHARE = 16
+#: Prepared executions a walk keeps, oldest dropped first (= plan cache).
+_PREPARED = 128
 
 
 class _Intervals:
@@ -115,6 +113,10 @@ class _Intervals:
     document order.  When a gap is too small for the subtree the walk
     turns :attr:`stale` and ignores further patches; its owner rebuilds.
 
+    It also keeps each planned plan's execution state (:meth:`prepared`):
+    a patch drops those whose labels meet the subtree's or its parent's
+    (leaf status may flip), and wildcard ones; no survivor is renumbered.
+
     *yield_every*, when set, cooperatively yields the GIL every that
     many visited nodes (``time.sleep(0)``): the serving layer builds
     walks on reader threads, and an uninterruptible O(n) pass would
@@ -124,7 +126,7 @@ class _Intervals:
     single-threaded callers.
     """
 
-    __slots__ = ("enter", "exit", "all_nodes", "label_index", "stale")
+    __slots__ = ("enter", "exit", "all_nodes", "label_index", "stale", "_prepared")
 
     def __init__(self, root: Node, observer=None, yield_every: int | None = None) -> None:
         self.enter: dict[int, int] = {}
@@ -132,6 +134,8 @@ class _Intervals:
         self.all_nodes: list[Node] = []
         self.label_index: dict[str, list[Node]] = {}
         self.stale = False
+        #: (plan fingerprint, semi-join on) -> the plan's _Prepared state.
+        self._prepared: dict[tuple[str, bool], _Prepared] = {}
         self._number(root, 0, _GAP, self.all_nodes, self.label_index, observer, yield_every)
 
     def _number(
@@ -224,10 +228,12 @@ class _Intervals:
                 index[label] = group
             else:
                 self._splice(bucket, group)
+        self._touch({*groups, parent.label})
 
-    def detach(self, subtree: Node) -> None:
-        """Drop *subtree*, just detached from a node of this walk: its
-        contiguous slice of the node list and of each label bucket."""
+    def detach(self, subtree: Node, parent: Node) -> None:
+        """Drop *subtree*, just detached from *parent*, a node of this
+        walk: its contiguous slice of the node list and of each label
+        bucket."""
         if self.stale:
             return
         enter, exit_ = self.enter, self.exit
@@ -239,7 +245,8 @@ class _Intervals:
         removed = nodes[lo:hi]
         del nodes[lo:hi]
         index = self.label_index
-        for label in {node.label for node in removed}:
+        labels = {node.label for node in removed}
+        for label in labels:
             bucket = index[label]
             lo = bisect_left(bucket, first, key=key)
             del bucket[lo : bisect_left(bucket, last, lo, key=key)]
@@ -247,6 +254,34 @@ class _Intervals:
                 del index[label]
         for node in removed:
             del enter[id(node)], exit_[id(node)]
+        labels.add(parent.label)
+        self._touch(labels)
+
+    def prepared(self, plan: Plan, root: Node) -> _Prepared:
+        """*plan*'s prepared execution on this walk of *root*: kept from an
+        earlier one (re-keyed once onto a re-plan's pattern), or prepared
+        now and kept.  Readers of a frozen walk race here harmlessly: each
+        entry is built locally and published at once (the last one stays)."""
+        prepared = self._prepared
+        key = (plan.fingerprint, plan.use_semijoin_pruning)
+        entry = prepared.get(key)
+        if entry is None:
+            entry = prepared[key] = _prepare(plan, root, self)
+            for old in list(prepared)[: len(prepared) - _PREPARED]:
+                prepared.pop(old, None)
+        elif entry.pattern is not plan.pattern:
+            entry = prepared[key] = entry.rekeyed(plan.pattern)
+        return entry
+
+    def _touch(self, labels: set[str]) -> None:
+        """Drop the entries a patch touching *labels* may have changed."""
+        prepared = self._prepared
+        for key in list(prepared):
+            entry = prepared.get(key)
+            if entry is not None and (
+                entry.labels is None or not entry.labels.isdisjoint(labels)
+            ):
+                prepared.pop(key, None)
 
     def _key(self, node: Node) -> int:
         return self.enter[id(node)]
@@ -290,9 +325,9 @@ class _WriterWalk:
         if self.current is not None:
             self.current.attach(subtree)
 
-    def detach(self, subtree: Node) -> None:
+    def detach(self, subtree: Node, parent: Node) -> None:
         if self.current is not None:
-            self.current.detach(subtree)
+            self.current.detach(subtree, parent)
 
 
 def _local_filter(
@@ -315,83 +350,101 @@ def _local_filter(
     ]
 
 
-class LabelIndexScan:
-    """Candidate production off the label -> nodes index of the walk."""
+class _Prepared:
+    """One plan's execution state on one walk, a function of the pattern
+    and the document alone: the final candidate lists (None when one
+    emptied), the ``engine.actual_candidates`` / ``match.semijoin_pruned``
+    totals every execution adds (None: not counted), and the join's
+    indexes, each built on first use and published whole."""
 
-    def __init__(self, intervals: _Intervals) -> None:
-        self._index = intervals.label_index
-        self._all = intervals.all_nodes
+    __slots__ = (
+        "pattern", "labels", "join_groups", "candidates", "actual", "pruned",
+        "positions", "by_parent",
+    )
 
-    def scan(self, pattern_node: PatternNode, join_vars: dict) -> list[Node]:
-        if pattern_node.label is not None:
-            base = self._index.get(pattern_node.label, [])
+    def __init__(self, pattern, labels: frozenset[str] | None, join_groups: dict) -> None:
+        self.pattern = pattern
+        self.labels = labels  # the positive nodes'; None: a wildcard
+        self.join_groups = join_groups
+        self.candidates: dict[PatternNode, list[Node]] | None = None
+        self.actual: int | None = None
+        self.pruned: int | None = None
+        #: Per descendant-edge node, its candidates' pre-order numbers;
+        #: per child-edge node, its candidates grouped by ``id(parent)``.
+        self.positions: dict[PatternNode, list[int]] = {}
+        self.by_parent: dict[PatternNode, dict[int, list[Node]]] = {}
+
+    def rekeyed(self, pattern) -> _Prepared:
+        """This state keyed by *pattern*'s nodes: a structurally
+        identical pattern, whose positive nodes correspond by position."""
+        keys = dict(zip(self.pattern.positive_nodes(), pattern.positive_nodes()))
+        entry = _Prepared(pattern, self.labels, pattern.join_variables())
+        entry.actual, entry.pruned = self.actual, self.pruned
+        if self.candidates is not None:
+            entry.candidates = {keys[p]: c for p, c in self.candidates.items()}
+        entry.positions = {keys[p]: v for p, v in list(self.positions.items())}
+        entry.by_parent = {keys[p]: v for p, v in list(self.by_parent.items())}
+        return entry
+
+
+def _prepare(plan: Plan, root: Node, intervals: _Intervals | None) -> _Prepared:
+    """*plan*'s candidate lists on the walk *intervals* of *root*: the
+    scan, the anchored filter, then the bottom-up semi-join when the
+    plan asks for it.  Without a walk, the root probe of
+    :func:`iter_plan`."""
+    pattern = plan.pattern
+    join_vars = pattern.join_variables()
+    positive = pattern.positive_nodes()
+    labels = {pattern_node.label for pattern_node in positive}
+    entry = _Prepared(pattern, None if None in labels else frozenset(labels), join_vars)
+    if intervals is None:
+        probed = _local_filter(pattern.root, [root], join_vars)
+        if probed:
+            entry.actual, entry.candidates = 1, {pattern.root: probed}
+        return entry
+    index, everything = intervals.label_index, intervals.all_nodes
+    candidates: dict[PatternNode, list[Node]] = {}
+    entry.actual = 0
+    for pattern_node in positive:
+        if plan.use_label_index and pattern_node.label is not None:
+            base = index.get(pattern_node.label, [])
         else:
-            base = self._all
-        kept = _local_filter(pattern_node, base, join_vars)
-        process_registry.incr("engine.actual_candidates", len(kept))
-        return kept
+            base = everything
+        kept = candidates[pattern_node] = _local_filter(pattern_node, base, join_vars)
+        entry.actual += len(kept)
+        if not kept:
+            return entry
 
+    if pattern.anchored:
+        candidates[pattern.root] = [n for n in candidates[pattern.root] if n is root]
+        if not candidates[pattern.root]:
+            return entry
 
-class FullScan:
-    """Candidate production by filtering the whole document per node."""
-
-    def __init__(self, intervals: _Intervals) -> None:
-        self._all = intervals.all_nodes
-
-    def scan(self, pattern_node: PatternNode, join_vars: dict) -> list[Node]:
-        kept = _local_filter(pattern_node, self._all, join_vars)
-        process_registry.incr("engine.actual_candidates", len(kept))
-        return kept
-
-
-class SemiJoinPrune:
-    """Bottom-up structural pruning of the candidate lists."""
-
-    def __init__(self, intervals: _Intervals) -> None:
-        self._intervals = intervals
-
-    def prune(
-        self,
-        positive_nodes: list[PatternNode],
-        candidates: dict[PatternNode, list[Node]],
-    ) -> bool:
-        """Prune in place; False when a candidate list empties."""
-        for pattern_node in reversed(positive_nodes):
-            required = [c for c in pattern_node.children if not c.negated]
-            if not required:
+    if plan.use_semijoin_pruning:
+        # Children come later in pre-order, so their lists are final when
+        # their parent is pruned: a descendant edge's positions are kept.
+        positions = entry.positions
+        for pattern_node in reversed(positive):
+            tests = []
+            for child in pattern_node.children:
+                if child.negated:
+                    continue
+                if child.descendant:  # lo < hi: a descendant in range
+                    numbers = positions[child] = intervals.positions(candidates[child])
+                    tests.append(lambda n, p=numbers: lt(*intervals.descendant_range(n, p)))
+                else:
+                    parent_ids = {id(c.parent) for c in candidates[child]}
+                    tests.append(lambda n, ids=parent_ids: id(n) in ids)
+            if not tests:
                 continue
-            # Children come later in pre-order, so their lists are final.
-            tests = [self._axis_test(child, candidates[child]) for child in required]
-            survivors = [
-                data_node
-                for data_node in candidates[pattern_node]
-                if all(test(data_node) for test in tests)
-            ]
-            process_registry.incr(
-                "match.semijoin_pruned",
-                len(candidates[pattern_node]) - len(survivors),
-            )
+            listed = candidates[pattern_node]
+            survivors = [n for n in listed if all(test(n) for test in tests)]
+            entry.pruned = (entry.pruned or 0) + len(listed) - len(survivors)
             if not survivors:
-                return False
+                return entry
             candidates[pattern_node] = survivors
-        return True
-
-    def _axis_test(self, pattern_child: PatternNode, child_candidates: list[Node]):
-        """Predicate: does a data node have a candidate of *pattern_child*
-        in the right axis relation?  A descendant edge is a range lookup
-        over the candidates' pre-order numbers, a child edge one set
-        lookup against the candidates' parent ids."""
-        if pattern_child.descendant:
-            intervals = self._intervals
-            positions = intervals.positions(child_candidates)
-
-            def has_descendant(data_node: Node) -> bool:
-                lo, hi = intervals.descendant_range(data_node, positions)
-                return lo < hi
-
-            return has_descendant
-        parent_ids = {id(c.parent) for c in child_candidates}
-        return lambda data_node: id(data_node) in parent_ids
+    entry.candidates = candidates
+    return entry
 
 
 class ProbabilityBound:
@@ -470,25 +523,12 @@ class BacktrackJoin:
     """
 
     def __init__(
-        self,
-        plan: Plan,
-        intervals: _Intervals | None,
-        candidates: dict[PatternNode, list[Node]],
-        runtime: MatchConfig,
-        join_groups: dict[str, list[PatternNode]],
+        self, plan: Plan, intervals: _Intervals | None, prepared: _Prepared, runtime: MatchConfig
     ) -> None:
-        self._plan = plan
-        self._intervals = intervals
-        self._candidates = candidates
-        self._runtime = runtime
-        #: ``plan.pattern.join_variables()`` — the scans already needed it.
-        self._join_groups = join_groups
-        #: Child-edge pattern node -> its candidates grouped by
-        #: ``id(parent)`` in candidate order, built on first use.
-        self._by_parent: dict[PatternNode, dict[int, list[Node]]] = {}
-        #: Descendant-edge pattern node -> its candidates' pre-order
-        #: numbers, built on first use.
-        self._positions: dict[PatternNode, list[int]] = {}
+        self._plan, self._intervals, self._runtime = plan, intervals, runtime
+        self._prepared = prepared
+        self._candidates = prepared.candidates
+        self._join_groups = prepared.join_groups
 
     def iter_matches(self, *, bound=None, prune=None) -> Iterator[Match]:
         """Lazily yield matches in the plan's deterministic visit order.
@@ -570,19 +610,20 @@ class BacktrackJoin:
         if parent is None:
             return candidates
         anchor = mapping[parent]
+        prepared = self._prepared
         if pattern_node.descendant:
-            positions = self._positions.get(pattern_node)
+            positions = prepared.positions.get(pattern_node)
             if positions is None:
-                positions = self._positions[pattern_node] = self._intervals.positions(
-                    candidates
-                )
+                positions = self._intervals.positions(candidates)
+                prepared.positions[pattern_node] = positions
             lo, hi = self._intervals.descendant_range(anchor, positions)
             return candidates[lo:hi]
-        by_parent = self._by_parent.get(pattern_node)
+        by_parent = prepared.by_parent.get(pattern_node)
         if by_parent is None:
-            by_parent = self._by_parent[pattern_node] = {}
+            by_parent = {}  # built whole, then published: readers share it
             for c in candidates:
                 by_parent.setdefault(id(c.parent), []).append(c)
+            prepared.by_parent[pattern_node] = by_parent
         return by_parent.get(id(anchor), [])
 
     def _joins_ok(self, mapping: dict[PatternNode, Node]) -> bool:
@@ -610,64 +651,41 @@ def iter_plan(
 ) -> Iterator[Match]:
     """Run *plan* against the tree at *root*, streaming matches lazily.
 
-    This is the engine's streaming protocol: the candidate scans and the
-    optional semi-join prepass run when iteration starts, then matches
-    are yielded one at a time from the backtracking join.  A consumer
-    that stops pulling (top-k queries) aborts the enumeration early —
-    no wasted backtracking below the last match it asked for.
+    This is the engine's streaming protocol: the preparation runs when
+    iteration starts, then the backtracking join yields matches one at
+    a time, so a consumer that stops pulling aborts the enumeration.
 
     *runtime* supplies the semantic knobs (``max_matches`` — applied
     here as a hard cap — and ``honor_negation``); the strategy toggles
     come from the plan.  *intervals* lets a long-lived caller
     (:class:`~repro.engine.QueryEngine`) reuse the document walk across
-    executions; it must have been built for *root* in its current state.
-    Without it a throw-away walk is made — except for an anchored
-    single-node pattern, which needs none.
+    executions and keep a planned plan's preparation; it must have been
+    built for *root* in its current state.  Without it a throw-away walk
+    is made — except for an anchored single-node pattern, which needs none.
     *bound*/*prune* switch on probability-bounded enumeration — see
     :meth:`BacktrackJoin.iter_matches`.
     """
     process_registry.incr("engine.plans_executed")
-    pattern = plan.pattern
-    join_vars = pattern.join_variables()
-    candidates: dict[PatternNode, list[Node]] = {}
-
-    if intervals is None and _probes_root(plan):
+    if intervals is not None and plan.fingerprint != _FIXED_FINGERPRINT:
+        prepared = intervals.prepared(plan, root)
+    else:
         # An anchored single-node pattern can only map to the document
         # root — the shape of root-targeted updates, hence of most WAL
-        # records: a constant-time probe, no walk.  The join below never
+        # records: a constant-time probe, no walk.  The join never
         # consults the walk for a parentless pattern node.
-        probed = _local_filter(pattern.root, [root], join_vars)
-        if not probed:
-            return
-        process_registry.incr("engine.actual_candidates")
-        candidates[pattern.root] = probed
-    else:
-        if intervals is None:
+        if intervals is None and not _probes_root(plan):
             intervals = _Intervals(root)
-        positive = pattern.positive_nodes()
-        scan = (
-            LabelIndexScan(intervals) if plan.use_label_index else FullScan(intervals)
-        )
-        for pattern_node in positive:
-            kept = scan.scan(pattern_node, join_vars)
-            if not kept:
-                return
-            candidates[pattern_node] = kept
+        prepared = _prepare(plan, root, intervals)
+    if prepared.actual is not None:
+        process_registry.incr("engine.actual_candidates", prepared.actual)
+    if prepared.pruned is not None:
+        process_registry.incr("match.semijoin_pruned", prepared.pruned)
+    if prepared.candidates is None:
+        return
 
-        if pattern.anchored:
-            anchored = [n for n in candidates[pattern.root] if n is root]
-            if not anchored:
-                return
-            candidates[pattern.root] = anchored
-
-        if plan.use_semijoin_pruning:
-            if not SemiJoinPrune(intervals).prune(positive, candidates):
-                return
-
-    matches = BacktrackJoin(
-        plan, intervals, candidates, runtime, join_vars
-    ).iter_matches(bound=bound, prune=prune)
+    matches = BacktrackJoin(plan, intervals, prepared, runtime).iter_matches(
+        bound=bound, prune=prune
+    )
     if runtime.max_matches is not None:
         matches = islice(matches, runtime.max_matches)
     yield from matches
-

@@ -59,6 +59,10 @@ BOUNDED_COST_DISCOUNT = 0.5
 #: probability bound anyway.
 BOUNDED_SEMIJOIN_FACTOR = 2.0
 
+#: Every fixed plan's fingerprint: it names no pattern, so the executor
+#: prepares a fixed plan per execution instead of keeping it on a walk.
+_FIXED_FINGERPRINT = "[fixed pre-order]"
+
 
 def pattern_fingerprint(pattern: Pattern) -> str:
     """A deterministic key identifying a pattern up to text syntax.
@@ -319,5 +323,5 @@ def fixed_plan(pattern: Pattern, config: MatchConfig) -> Plan:
         estimated_cost=0.0,
         baseline_cost=0.0,
         stats_version=0,
-        fingerprint="[fixed pre-order]",
+        fingerprint=_FIXED_FINGERPRINT,
     )

@@ -32,6 +32,7 @@ import threading
 import pytest
 
 import repro
+from repro import EventTable, FuzzyNode, FuzzyTree
 from repro.core.query import iter_query_rows, query_fuzzy_tree
 from repro.errors import UpdateError
 from repro.tpwj.parser import parse_pattern
@@ -225,10 +226,14 @@ class TestWalkPatchedUnderReaders:
 
     @staticmethod
     def _rows(rows) -> list:
-        return sorted(
+        return sorted(TestWalkPatchedUnderReaders._rows_in_order(rows))
+
+    @staticmethod
+    def _rows_in_order(rows) -> list:
+        return [
             (row.canonical, tuple(id(n) for n in row.match.iter_images()), row.probability)
             for row in rows
-        )
+        ]
 
     def _check(self, snap) -> None:
         """The snapshot's rows equal a fresh-walk evaluation of its
@@ -323,6 +328,66 @@ class TestWalkPatchedUnderReaders:
         assert session.stats()["read_sessions"] == 0
         with session.snapshot() as snap:
             self._check(snap)
+
+
+class TestPreparedUnderReaders:
+    """Readers of one pinned generation share its walk, and with it each
+    plan's prepared execution: they prepare it, and fill its join
+    indexes, concurrently."""
+
+    QUERY = "//person { name, //name }"
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("cold", ["plan", "indexes"])
+    def test_eight_readers_start_one_cold_plan(self, tmp_path, cold):
+        persons, readers = 400, 8
+        root = FuzzyNode("directory")
+        for i in range(persons):
+            root.add_child(FuzzyNode("person")).add_child(FuzzyNode("name", value=f"p{i}"))
+        rows_of = TestWalkPatchedUnderReaders._rows_in_order
+        errors: list = []
+        results: list = [None] * readers
+        document = FuzzyTree(root, EventTable())
+        with repro.connect(tmp_path / "wh", create=True, document=document) as session:
+            engine = session._warehouse.engine
+            with session.snapshot() as snap:
+                assert snap.query("//name").limit(1).all()  # the walk, not the plan
+                walk = engine._current_walk(snap.document.root)
+                if cold == "indexes":  # one shared entry, its indexes unbuilt
+                    plan = engine.plan_for(parse_pattern(self.QUERY))
+                    assert not walk.prepared(plan, snap.document.root).by_parent
+                started = threading.Barrier(readers)
+
+                def reader(k: int) -> None:
+                    try:
+                        started.wait()
+                        results[k] = rows_of(snap.query(self.QUERY).all())
+                    except Exception as exc:  # pragma: no cover - failure path
+                        errors.append((k, repr(exc)))
+
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # interleave the preparations
+                try:
+                    threads = [threading.Thread(target=reader, args=(k,)) for k in range(readers)]
+                    _run_threads(threads, errors)
+                finally:
+                    sys.setswitchinterval(interval)
+                serial = rows_of(snap.query(self.QUERY).all())
+                assert len(serial) == persons
+                assert all(rows == serial for rows in results)
+                # The engine-free path visits in pre-order: compare image sets.
+                fresh = rows_of(iter_query_rows(snap.document, parse_pattern(self.QUERY)))
+                assert sorted((c, sorted(ids), p) for c, ids, p in serial) == sorted(
+                    (c, sorted(ids), p) for c, ids, p in fresh
+                )
+                entries = list(walk._prepared.values())
+                assert entries
+                for entry in entries:
+                    for node, groups in entry.by_parent.items():
+                        listed = [id(c) for group in groups.values() for c in group]
+                        assert sorted(listed) == sorted(map(id, entry.candidates[node]))
+                    for node, positions in entry.positions.items():
+                        assert positions == walk.positions(entry.candidates[node])
 
 
 class TestPinAccounting:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import repro
 from repro import find_matches
 from repro.core.fuzzy_tree import FuzzyNode, FuzzyTree
-from repro.engine import executor
+from repro.engine import QueryEngine, executor
 from repro.engine.planner import fixed_plan
 from repro.errors import UpdateError
 from repro.events import Condition, EventTable
@@ -158,6 +159,63 @@ def assert_walk_is_fresh(walk, root) -> None:
         ]
 
 
+#: Planned probes kept on the live walk across commits: a wildcard, a
+#: child edge, a descendant edge, a join variable, a value test, an
+#: anchored root and a negated child — then the same shapes over the
+#: labels only some commits add (random inserts draw D, E, F), so that
+#: many states outlive a commit.
+PREPARED_PATTERNS = [
+    "//* { //A }",
+    "//A { B }",
+    "//B { //C }",
+    "//A { B [$x], //C [$x] }",
+    '//A { //B [="foo"] }',
+    "/R { A { //B } }",
+    "//A { C, !B }",
+    "//D { E }",
+    "//E { //F }",
+    "//D { E [$x], //F [$x] }",
+    '//E { //D [="foo"] }',
+    "//N { M, !B }",
+    "//L1 { //L3 }",
+    "//G { H }",
+    "//G { K }",
+]
+
+
+def _match_ids(engine, pattern, root) -> list[list[int]]:
+    return [_ids(m.iter_images()) for m in engine.iter_matches(pattern, root=root)]
+
+
+def assert_prepared_are_fresh(engine, walk, root) -> None:
+    """Every execution state *walk* kept through the commits equals a
+    fresh preparation on a fresh walk of *root* (lists by node identity,
+    in order), its join indexes regroup its lists, and the warm engine
+    matches like a fresh one, in the same order."""
+    fresh = executor._Intervals(root)
+    for (_, semijoin), entry in list(walk._prepared.items()):
+        config = replace(DEFAULT_CONFIG, use_semijoin_pruning=semijoin)
+        expected = executor._prepare(fixed_plan(entry.pattern, config), root, fresh)
+        assert entry.labels == expected.labels
+        assert (entry.actual, entry.pruned) == (expected.actual, expected.pruned)
+        if expected.candidates is None:
+            assert entry.candidates is None
+            continue
+        assert {p: _ids(c) for p, c in entry.candidates.items()} == {
+            p: _ids(c) for p, c in expected.candidates.items()
+        }
+        for node, positions in entry.positions.items():
+            assert positions == walk.positions(entry.candidates[node])
+        for node, groups in entry.by_parent.items():
+            assert sorted(_ids(c for group in groups.values() for c in group)) == sorted(
+                _ids(entry.candidates[node])
+            )
+    cold = QueryEngine(lambda: root)
+    for text in PREPARED_PATTERNS:
+        pattern = parse_pattern(text)
+        assert _match_ids(engine, pattern, root) == _match_ids(cold, pattern, root), text
+
+
 def _fuzzy_document(rng: random.Random) -> FuzzyTree:
     """R over 12–24 nodes labelled from A, B, C, every third conditioned."""
     events = EventTable({"e1": 0.6, "e2": 0.3})
@@ -220,11 +278,25 @@ def _gap_exhaustion(rng: random.Random, document) -> list:
     return [_tx("/R[$r]", [InsertOperation("r", Node("E"))], 1.0)] * 130
 
 
+def _leaf_flip(rng: random.Random, document) -> list:
+    """Certain updates that add G { H } (and a K beside it), then turn G
+    into a leaf and back: only G's leaf status tells the ``//G { K }``
+    state to go when its H child leaves."""
+    shelves = [n for n in document.root.iter() if n.label == "G"]
+    if not shelves:
+        add = [InsertOperation("r", Node("G", children=[Node("H")])), InsertOperation("r", Node("K"))]
+        return [_tx("/R[$r]", add, 1.0)]
+    if shelves[0].children:
+        return [_tx("//G { H [$h] }", [DeleteOperation("h")], 1.0)]
+    return [_tx("//G [$g]", [InsertOperation("g", Node("H"))], 1.0)]
+
+
 OPS = {
     "update": lambda rng, document: [random_update_for(rng, document)],
     "nested_deletion": _nested_deletion,
     "chained_batch": _chained_batch,
     "gap_exhaustion": _gap_exhaustion,
+    "leaf_flip": _leaf_flip,
     "rejected_batch": lambda rng, document: [
         _tx("//*[$x]", [InsertOperation("x", Node("N"))]),
         _tx("/R[$r]", [DeleteOperation("r")]),
@@ -239,7 +311,8 @@ OPS = {
 )
 def test_patched_walk_equals_a_fresh_walk_after_every_commit(seed, ops):
     """Commits patch the live view's walk at every attach and detach;
-    after each, it must equal a fresh walk of the new document."""
+    after each, it must equal a fresh walk of the new document, and the
+    execution states it kept must equal fresh preparations."""
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as path:
         wh = Warehouse.create(Path(path) / "wh", _fuzzy_document(rng))
@@ -248,6 +321,8 @@ def test_patched_walk_equals_a_fresh_walk_after_every_commit(seed, ops):
             for op in ops:
                 root = wh.document.root
                 kept = engine._intervals_for(root)  # the walk commits patch
+                for text in PREPARED_PATTERNS:  # ... and the states it keeps
+                    list(engine.iter_matches(parse_pattern(text), root=root))
                 members = OPS[op](rng, wh.document)
                 if op == "rejected_batch":
                     with pytest.raises(UpdateError):
@@ -260,6 +335,7 @@ def test_patched_walk_equals_a_fresh_walk_after_every_commit(seed, ops):
                     assert walk is kept  # patched, not rebuilt
                 if walk is not None:
                     assert_walk_is_fresh(walk, root)
+                    assert_prepared_are_fresh(engine, walk, root)
                 if root.size() > 200:
                     break  # survivor copies compound: keep the check cheap
         finally:

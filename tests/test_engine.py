@@ -25,6 +25,7 @@ from repro.engine import (
     collect_stats,
     pattern_fingerprint,
 )
+from repro.engine.planner import _FIXED_FINGERPRINT
 from repro.engine.cardinality import (
     axis_selectivity,
     estimate_candidates,
@@ -572,6 +573,22 @@ def walk_builds(monkeypatch) -> list:
     return built
 
 
+@pytest.fixture
+def preparations(monkeypatch) -> list:
+    """The fingerprint of every planned plan prepared while the test
+    runs (fixed plans — update location — are left out)."""
+    prepared: list = []
+    prepare = executor._prepare
+
+    def counting(plan, *args, **kwargs):
+        if plan.fingerprint != _FIXED_FINGERPRINT:
+            prepared.append(plan.fingerprint)
+        return prepare(plan, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "_prepare", counting)
+    return prepared
+
+
 class TestOneWalkPerGeneration:
     """Updates locate their targets on the live view's walk and commits
     patch it, so neither an insert nor the query after it walks the
@@ -586,6 +603,50 @@ class TestOneWalkPerGeneration:
                 assert len(session.query("//slot { note }").all()) == serial + 1
         exhausted = sum(getattr(walk, "stale", False) for walk in walk_builds)
         assert 1 <= len(walk_builds) <= 1 + exhausted
+
+    def test_commits_keep_the_preparations_they_do_not_touch(
+        self, tmp_path, walk_builds, preparations
+    ):
+        """A slot insert touches ``slot`` (the parent) and ``note``: a
+        plan over neither is prepared once per walk, one naming either
+        after every insert."""
+        untouched, noted, slotted = "//A { B, //C }", "//slot { note }", "//slot { id }"
+        with repro.connect(tmp_path / "wh", create=True, document=_slot_document()) as session:
+            for serial in range(30):
+                assert session.update(_slot_insert(serial)).applied
+                for text in (untouched, noted, slotted, untouched):
+                    assert session.query(text).limit(5).all()
+        counts = {
+            text: preparations.count(pattern_fingerprint(parse_pattern(text)))
+            for text in (untouched, noted, slotted)
+        }
+        assert 1 <= counts[untouched] <= len(walk_builds)
+        assert counts[noted] == counts[slotted] == 30
+
+    def test_an_insert_under_a_leaf_drops_the_entries_naming_it(
+        self, tmp_path, preparations
+    ):
+        """``shelf`` turns from leaf to inner node under an unrelated
+        label: the plans naming ``shelf`` prepare again, the other not."""
+        shelf, box = "//shelf", "//box { item }"
+        root = FuzzyNode(
+            "R", children=[FuzzyNode("shelf"), FuzzyNode("box", children=[FuzzyNode("item")])]
+        )
+        insert = compile_transaction(
+            repro.update(repro.pattern("shelf", variable="s"))
+            .insert("s", repro.tree("note", "n"))
+            .confidence(1.0)
+        )
+        with repro.connect(
+            tmp_path / "wh", create=True, document=FuzzyTree(root, EventTable())
+        ) as session:
+            for text in (shelf, box, shelf, box):
+                assert len(session.query(text).all()) == 1
+            assert session.update(insert).applied
+            for text in (shelf, box):
+                assert len(session.query(text).all()) == 1
+        fingerprints = [pattern_fingerprint(parse_pattern(t)) for t in (shelf, box)]
+        assert preparations == fingerprints + fingerprints[:1]
 
     def test_replaying_reopen_builds_one_walk(self, tmp_path, walk_builds):
         policy = CommitPolicy(snapshot_every=100, compact_on_close=False)
