@@ -29,10 +29,12 @@ A change that failed a larger share of its operations than the parent
 gets neither ``gain`` nor ``within bound`` on any metric: its figures
 are ``unresolved`` (or ``outside bound``).
 
-After the pairs, one traced pass (``--trace 1``) per side at the first
-pair's seed gives a parent → change table of the manifest's
-``per_layer`` metrics: where the end-to-end change came from.  These
-are single shots, printed for reading, never given a verdict.
+After the pairs, three traced passes (``--trace 1``) per side, at the
+first three pairs' seeds and alternating which side goes first, give a
+parent → change table of the manifest's ``per_layer`` metrics, each the
+median of a side's passes: where the end-to-end change came from.  A
+single traced shot moves a serving layer by more than many changes do;
+the medians are printed for reading, never given a verdict.
 
 Usage::
 
@@ -61,6 +63,8 @@ __all__ = ["verdict", "layer_table", "main"]
 #: The gain rule's minimum series and win fraction.
 MIN_PAIRS = 10
 MIN_WIN_FRACTION = 0.9
+#: Traced passes per side behind the per-layer table.
+TRACED_PASSES = 3
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -118,17 +122,28 @@ def verdict(
     return "unresolved"
 
 
-def layer_table(per_layer: list[dict], parent: dict, change: dict) -> list[str]:
-    """Markdown lines comparing one traced pass per side over the
-    manifest's *per_layer* metrics; a value a side lacks is left blank."""
+def layer_table(per_layer: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
+    """Markdown lines comparing the traced passes of each side over the
+    manifest's *per_layer* metrics, a side's value being the median of
+    the passes that measured it; a value no pass of a side has is left
+    blank."""
     lines = ["| metric | unit | parent | change | change |", "|---|---|---|---|---|"]
     for spec in per_layer:
         name = spec["name"]
-        p, c = (side["metrics"].get(name, {}).get("value") for side in (parent, change))
+        p, c = (_median_of(side, name) for side in (parent, change))
         delta = f"{(c - p) / p:+.1%}" if p and c is not None else ""
         shown = ("" if v is None else f"{v:.6g}" for v in (p, c))
         lines.append(f"| {name} | {spec['unit']} | {' | '.join(shown)} | {delta} |")
     return lines
+
+
+def _median_of(passes: list[dict], name: str) -> float | None:
+    values = [
+        value
+        for result in passes
+        if (value := result["metrics"].get(name, {}).get("value")) is not None
+    ]
+    return statistics.median(values) if values else None
 
 
 def run_once(
@@ -194,14 +209,15 @@ def main(argv=None) -> int:
                 f"failed={result.get('failed')}/{result.get('attempted')} {values}",
                 flush=True,
             )
-    traced = {
-        side: run_once(sides[side], args.workload, args.first_seed, seconds, trace=1)
-        for side in ("parent", "change")
-    }
-    for side, result in traced.items():
-        print(f"traced seed {args.first_seed} {side}: correct={result['correct']}", flush=True)
+    traced: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(TRACED_PASSES):
+        seed = args.first_seed + k
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            result = run_once(sides[side], args.workload, seed, seconds, trace=1)
+            traced[side].append(result)
+            print(f"traced seed {seed} {side}: correct={result['correct']}", flush=True)
 
-    ok = all(r["correct"] for side in (*runs.values(), traced.values()) for r in side)
+    ok = all(r["correct"] for side in (*runs.values(), *traced.values()) for r in side)
     totals = {side: failure_totals(rs) for side, rs in runs.items()}
     shares = tuple(f / a if a else 1.0 for f, a in (totals["parent"], totals["change"]))
     print(f"\n## {args.workload}: {args.pairs} alternating pairs, {seconds} s runs\n")
@@ -222,9 +238,10 @@ def main(argv=None) -> int:
             f"| {wins(p, c, spec['better'])}/{len(p)} "
             f"| {verdict(p, c, spec['better'], spec['bound'], shares)} |"
         )
+    last = args.first_seed + TRACED_PASSES - 1
     print(
-        f"\n## {args.workload}: per layer, one traced pass per side at seed "
-        f"{args.first_seed} (single shots, no verdict)\n"
+        f"\n## {args.workload}: per layer, median of {TRACED_PASSES} traced passes "
+        f"per side at seeds {args.first_seed}–{last} (no verdict)\n"
     )
     for line in layer_table(manifest["per_layer"], traced["parent"], traced["change"]):
         print(line)

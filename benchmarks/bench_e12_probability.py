@@ -55,7 +55,7 @@ except ImportError:  # script mode: run outside pytest's rootdir sys.path
 from repro.core.fuzzy_tree import FuzzyNode
 from repro.core.query import match_conditions
 from repro.core.update import apply_update
-from repro.engine import QueryEngine, StatsDelta
+from repro.engine import QueryEngine
 from repro.events import Condition, Dnf, dnf_probability
 from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
@@ -127,9 +127,9 @@ def build_document(n_nodes: int, churn: int, seed: int = 7):
             f'//item[$t="v{k}"] }}'
         )
         transaction = UpdateTransaction(query, [DeleteOperation("t")], 0.8)
-        delta = StatsDelta()
-        apply_update(document, transaction, delta=delta)
-        engine.apply_delta(delta)
+        with engine.mutating() as walk:
+            apply_update(document, transaction, walk=walk)
+        engine.commit(walk)
     return document, engine
 
 

@@ -7,7 +7,8 @@ hook profiles every thread of every process, spawned cluster workers
 included, and appends each first-seen code object under ``src/repro``
 to a per-pid file.  Every ``def`` (found with ``ast``) that no process
 entered, and that ``reach_allowlist.txt`` does not name, is printed and
-fails the run.  Quick modes rewrite ``benchmarks/out``: run it in a
+fails the run; so does, before anything runs, an allowlist line that
+names no ``def``.  Quick modes rewrite ``benchmarks/out``: run it in a
 scratch copy of the tree.
 
     python benchmarks/reach.py
@@ -72,6 +73,15 @@ def definitions():
 
 
 def main() -> int:
+    allowed = {
+        line.split("#")[0].strip() for line in (ROOT / "benchmarks" / "reach_allowlist.txt").open()
+    } - {""}
+    defs = definitions()
+    stale = sorted(allowed - set(defs.values()))
+    for name in stale:
+        print("allowlisted, but no such def:", name)
+    if stale:
+        return 1
     with tempfile.TemporaryDirectory() as hits:
         Path(hits, "sitecustomize.py").write_text(HOOK % {"src": str(SRC), "out": hits})
         env_path = f"{hits}:{ROOT / 'src'}"
@@ -86,10 +96,6 @@ def main() -> int:
             for hit in Path(hits).glob("*.hits")
             for path, line in (entry.rsplit(":", 1) for entry in hit.read_text().split())
         }
-    allowed = {
-        line.split("#")[0].strip() for line in (ROOT / "benchmarks" / "reach_allowlist.txt").open()
-    } - {""}
-    defs = definitions()
     unreached = sorted(name for key, name in defs.items() if key not in reached)
     missing = [name for name in unreached if name not in allowed]
     print(f"reach: {len(defs) - len(unreached)} of {len(defs)} functions reached, "

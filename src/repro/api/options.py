@@ -35,7 +35,7 @@ __all__ = ["QueryOptions", "QueryOptionsError", "ORDERS", "PLANS"]
 #: Row orderings: the engine's deterministic match order, or decreasing
 #: probability (ties broken by that same match order).
 ORDERS = ("document", "probability")
-#: Plan selection: the cost-based planner, or the fixed pre-order plan
+#: Plan selection: the planner, or the fixed pre-order plan
 #: of the handle's ``MatchConfig`` (the E9 ablation baseline).
 PLANS = ("auto", "fixed")
 
@@ -133,7 +133,7 @@ class QueryOptions:
         Collection shard key to restrict the query to (collections
         only).
     plan:
-        ``"auto"`` (cost-based planner) or ``"fixed"`` (the ablation
+        ``"auto"`` (the planner) or ``"fixed"`` (the ablation
         baseline matcher).
     """
 

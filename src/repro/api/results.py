@@ -14,7 +14,7 @@ Every item carries its shard key as ``document`` (``None`` on a session).
 A session streams :class:`~repro.core.query.Row` objects — per match:
 its exact probability, answer tree, bindings and provenance — from the
 one row routine, :func:`~repro.core.query.iter_query_rows`, through the
-engine's streaming protocol: the plan comes from the plan cache,
+engine's streaming protocol: the plan is the one the document walk keeps,
 matches are pulled one at a time, :meth:`ResultSet.limit` pushes early
 termination into the backtracking join, and
 :meth:`ResultSet.min_probability` / :meth:`ResultSet.order_by_probability`

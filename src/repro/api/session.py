@@ -18,7 +18,7 @@ one module's handle on that service::
 * queries accept strings, :class:`~repro.tpwj.pattern.Pattern` objects
   or :class:`~repro.api.builders.PatternBuilder` DSL chains, and return
   lazy :class:`~repro.api.results.ResultSet` streams evaluated through
-  the warehouse's cost-based planner and plan cache;
+  the warehouse's planner and the plans its document walks keep;
 * updates accept :class:`UpdateTransaction`, XUpdate strings or
   :class:`~repro.api.builders.UpdateBuilder` chains;
 * :meth:`Session.snapshot` opens a snapshot-isolated read view: the
@@ -175,7 +175,7 @@ class Session:
         """A lazy result stream for *query* (string, Pattern or builder).
 
         Nothing runs until the result set is iterated; iteration goes
-        through the warehouse's cost-based planner and plan cache, and
+        through the warehouse's planner and the plans its walks keep, and
         ``.limit(n)`` streams — see :class:`ResultSet`.
         ``planner=False`` runs the same operators under the fixed
         pre-order plan the handle's ``MatchConfig`` spells out, on a
@@ -196,7 +196,7 @@ class Session:
     _shard_results = session_results
 
     def explain(self, query) -> str:
-        """The engine's statistics and chosen plan for *query*, rendered."""
+        """The engine's chosen plan for *query*, with its candidate counts, rendered."""
         self._check_open()
         return self._warehouse.explain_plan(compile_pattern(query))
 
@@ -361,7 +361,7 @@ class Snapshot:
     Queries stream lazily exactly like session queries, but against the
     pinned document generation: commits made after the pin — by this
     session or any writer on the same handle — are invisible here.
-    Evaluation shares the warehouse engine (plan cache, Shannon memo);
+    Evaluation shares the warehouse engine (Shannon memo);
     the engine keeps a frozen per-root walk and condition index for the
     pinned generation, dropped when the last pin on it is released.
     """

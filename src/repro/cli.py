@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--no-planner",
         action="store_true",
-        help="bypass the cost-based planner and its caches (fixed pre-order plan)",
+        help="bypass the planner and its kept plans (fixed pre-order plan)",
     )
     query.add_argument(
         "--top-k",
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     explain = commands.add_parser(
-        "explain", help="show the engine's plan and cost estimates for a query"
+        "explain", help="show the engine's plan and candidate counts for a query"
     )
     explain.add_argument("path", type=Path)
     explain.add_argument("pattern", help="TPWJ text syntax")

@@ -366,7 +366,7 @@ def _consistent_matches(fuzzy, pattern, config, engine, *, prune=None, abort=Non
       new root against the pinned tree would tear the read.  With
       *prune* the engine runs its branch-and-bound join: partial
       assignments are priced through a
-      :class:`~repro.engine.executor.ProbabilityBound` over the
+      :class:`~repro.engine.conditions.ProbabilityBound` over the
       ancestor-condition index and ``prune(upper)`` decides, from the
       upper bound alone, whether a branch can still contribute.
     * Without an engine (the E9 ablation baseline) ``find_matches``
@@ -387,7 +387,7 @@ def _consistent_matches(fuzzy, pattern, config, engine, *, prune=None, abort=Non
         index = engine.condition_index(fuzzy.root)
         bound = None
         if prune is not None:
-            from repro.engine.executor import ProbabilityBound
+            from repro.engine.conditions import ProbabilityBound
 
             bound = ProbabilityBound(index.closed_condition, fuzzy.events.probability)
         matches = engine.iter_matches(
@@ -571,10 +571,10 @@ def query_fuzzy_tree(
     by canonical form), mirroring the normalized possible-worlds
     result.
 
-    Matching can be routed through the cost-based engine: *engine* (a
+    Matching can be routed through the planning engine: *engine* (a
     :class:`~repro.engine.QueryEngine` bound to this document — the
-    warehouse passes its own, reusing cached plans and the document
-    walk); without one ``find_matches``' fixed pre-order plan runs.  The
+    warehouse passes its own, reusing the document walk and the plans
+    it keeps); without one ``find_matches``' fixed pre-order plan runs.  The
     grouped-and-sorted answers are identical on both paths; the engine
     path additionally reuses the ancestor-condition index and the shared
     Shannon memo.

@@ -65,7 +65,6 @@ def apply_update(
     fuzzy: FuzzyTree,
     transaction,
     config: MatchConfig = DEFAULT_CONFIG,
-    delta=None,
     walk=None,
 ) -> UpdateReport:
     """Apply a probabilistic update transaction to *fuzzy*, in place.
@@ -75,12 +74,6 @@ def apply_update(
     mirroring the possible-worlds semantics where unselected worlds keep
     their probability and a 0-confidence update never applies.
 
-    *delta*, when given, is a recorder with the
-    :class:`~repro.engine.stats.StatsDelta` interface; every structural
-    mutation (subtree attached/detached, child-count transition) is
-    reported to it so callers can maintain document statistics without
-    re-walking the tree.
-
     Targets are located under the fixed pre-order plan *config* spells
     out, so matches — hence inserted-sibling order, survivor-copy order
     and the confidence event minted — are deterministic.  By default
@@ -88,7 +81,9 @@ def apply_update(
     the writer's handle on the walk of ``fuzzy.root`` (see
     :class:`~repro.engine.executor._WriterWalk`): the plan runs on it,
     and every subtree attached or detached is reported to it as it
-    happens, so the same walk serves the next locate and the next query.
+    happens, so the same walk serves the next locate and the next query,
+    and the handle's ordered record of those subtrees is what the
+    engine's commit hook patches its per-node indexes from.
     """
     # Imported here: the engine builds on the core package.
     from repro.engine.executor import iter_plan
@@ -150,8 +145,8 @@ def apply_update(
         confidence_literal = Literal(name, True)
         report.confidence_event = name
 
-    _apply_insertions(transaction, match_infos, confidence_literal, report, delta, walk)
-    _apply_deletions(transaction, match_infos, confidence_literal, report, delta, walk)
+    _apply_insertions(transaction, match_infos, confidence_literal, report, walk)
+    _apply_deletions(transaction, match_infos, confidence_literal, report, walk)
     report.applied = True
     return report
 
@@ -165,7 +160,6 @@ def _apply_insertions(
     match_infos: list[tuple],
     confidence_literal: Literal | None,
     report: UpdateReport,
-    delta=None,
     walk=None,
 ) -> None:
     for match, gamma in match_infos:
@@ -179,16 +173,9 @@ def _apply_insertions(
                 continue
             condition = _with_confidence(gamma, confidence_literal)
             subtree = FuzzyNode.from_plain(op.subtree, condition=condition)
-            children_before = len(anchor.children)
             anchor.add_child(subtree)
             if walk is not None:
                 walk.attach(subtree)
-            if delta is not None:
-                anchor_depth = anchor.depth()
-                delta.record_subtree_added(subtree, anchor_depth + 1)
-                delta.record_child_count_change(
-                    anchor.label, children_before, children_before + 1
-                )
             report.inserted_subtrees += 1
             report.inserted_nodes += subtree.size()
 
@@ -198,7 +185,6 @@ def _apply_deletions(
     match_infos: list[tuple],
     confidence_literal: Literal | None,
     report: UpdateReport,
-    delta=None,
     walk=None,
 ) -> None:
     # Group full deletion conditions (γm ∧ w) per target node.
@@ -226,13 +212,9 @@ def _apply_deletions(
         parent = target.parent
         assert parent is not None  # apply_update rejected root deletions
         pieces = complement_as_disjoint_conditions(deletion_conditions)
-        target_depth = target.depth()
-        children_before = len(parent.children)
         target.detach()
         if walk is not None:
             walk.detach(target, parent)
-        if delta is not None:
-            delta.record_subtree_removed(target, target_depth)
         for piece in pieces:
             combined = Condition(
                 target.condition.literals | piece.literals, allow_inconsistent=True
@@ -244,11 +226,5 @@ def _apply_deletions(
             parent.add_child(copy)
             if walk is not None:
                 walk.attach(copy)
-            if delta is not None:
-                delta.record_subtree_added(copy, target_depth)
             report.survivor_copies += 1
             report.survivor_nodes += copy.size()
-        if delta is not None:
-            delta.record_child_count_change(
-                parent.label, children_before, len(parent.children)
-            )

@@ -5,20 +5,20 @@ Every match in the system is enumerated by this subsystem's operators.
 :class:`~repro.tpwj.match.MatchConfig` spells out (pre-order visit,
 hand-set ablation toggles, a throw-away document walk), and updates run
 that plan on the walk their writer keeps current; the rest of
-this package chooses the strategy *per query* from data statistics, the
-way a database optimizer does:
+this package chooses the strategy *per query* from the document itself,
+the way a database optimizer does — except that its inputs are exact:
 
-* :mod:`repro.engine.stats` — one-pass document statistics with
-  versioned invalidation;
-* :mod:`repro.engine.cardinality` — selectivity and cardinality
-  estimates for pattern nodes, axes and value joins;
-* :mod:`repro.engine.planner` — cost-based choice of visit order and
-  physical operators, producing an explainable :class:`Plan` (and
+* :mod:`repro.engine.planner` — the choice of visit order and physical
+  operators from the exact candidate lists a document walk prepared,
+  producing an explainable :class:`Plan` (and
   :func:`~repro.engine.planner.fixed_plan`, the toggle-driven one);
-* :mod:`repro.engine.executor` — the physical operators that run any
-  plan and return ordinary :class:`~repro.tpwj.match.Match` objects;
-* :mod:`repro.engine.cache` — an LRU plan cache keyed by
-  (pattern fingerprint, statistics version).
+* :mod:`repro.engine.executor` — the document walk, which keeps each
+  query's plan together with its preparation, and the physical
+  operators that run any plan and return ordinary
+  :class:`~repro.tpwj.match.Match` objects;
+* :mod:`repro.engine.conditions` — the ancestor-condition index the
+  probability path reads, and the probability bound a top-k join
+  prices partial matches with.
 
 :class:`QueryEngine` ties them together for a long-lived document (the
 warehouse holds one per open handle); the one-shot path is
@@ -30,19 +30,19 @@ A :class:`QueryEngine` may be shared by many reader threads and one
 writer thread (the single-writer / multi-reader shape of the
 warehouse).  Every mutable structure is protected:
 
-* planning, statistics maintenance and walk/index construction happen
-  under the engine's internal re-entrant lock;
-* the :class:`~repro.engine.cache.PlanCache` and the
-  :class:`~repro.events.dnf.ShannonCache` carry their own internal
-  locks (they are hit from outside the engine lock);
-* the document walk (interval numbering + label index) and the
-  ancestor-condition index are **per-root views**: immutable once
-  built for a pinned (frozen) generation, so match enumeration and
-  condition lookups run lock-free after the initial, locked
-  construction.  Only the *live* root's view is ever patched, under
-  the lock: the writer patches its walk at every subtree a commit
-  attaches or detaches (:meth:`QueryEngine.mutating`), and the commit
-  delta patches its condition index (:meth:`QueryEngine.apply_delta`).
+* commit bookkeeping and walk/index installation happen under the
+  engine's internal re-entrant lock;
+* the :class:`~repro.events.dnf.ShannonCache` carries its own internal
+  lock (it is hit from outside the engine lock);
+* the document walk (interval numbering + label index + kept plans)
+  and the ancestor-condition index are **per-root views**: immutable
+  once built for a pinned (frozen) generation, apart from kept entries,
+  each published whole, so match enumeration and condition lookups run
+  lock-free after the initial, locked construction.  Only the *live*
+  root's view is ever patched, under the lock: the writer patches its
+  walk at every subtree a commit attaches or detaches
+  (:meth:`QueryEngine.mutating`), and the commit hook patches its
+  condition index from the same records (:meth:`QueryEngine.commit`).
   One walk thus serves a document generation across its commits.
 
 Pinned generations are frozen by the warehouse's copy-on-write
@@ -60,23 +60,9 @@ from contextlib import contextmanager
 from time import perf_counter
 
 from repro.core.fuzzy_tree import FuzzyNode
-from repro.engine.cache import PlanCache
-from repro.engine.cardinality import (
-    axis_selectivity,
-    estimate_candidates,
-    estimate_enumeration_cost,
-    join_selectivity,
-)
-from repro.engine.conditions import AncestorConditionIndex
-from repro.engine.executor import (
-    _Intervals,
-    _WriterWalk,
-    ProbabilityBound,
-    iter_plan,
-    iter_rekeyed,
-)
+from repro.engine.conditions import AncestorConditionIndex, ProbabilityBound
+from repro.engine.executor import _Intervals, _WriterWalk, iter_plan, iter_rekeyed
 from repro.engine.planner import Plan, PlanStep, build_plan, pattern_fingerprint
-from repro.engine.stats import DocumentStats, StatsDelta, TreeStats, collect_stats
 from repro.events.dnf import ShannonCache
 from repro.tpwj.match import DEFAULT_CONFIG, Match, MatchConfig
 from repro.tpwj.pattern import Pattern
@@ -88,20 +74,11 @@ __all__ = [
     "ProbabilityBound",
     "Plan",
     "PlanStep",
-    "PlanCache",
     "ShannonCache",
-    "TreeStats",
-    "StatsDelta",
-    "DocumentStats",
-    "collect_stats",
     "build_plan",
     "iter_plan",
     "iter_rekeyed",
     "pattern_fingerprint",
-    "estimate_candidates",
-    "estimate_enumeration_cost",
-    "axis_selectivity",
-    "join_selectivity",
 ]
 
 
@@ -115,26 +92,25 @@ class _RootView:
     condition).
     """
 
-    __slots__ = ("root", "version", "intervals", "conditions")
+    __slots__ = ("root", "commits", "intervals", "conditions")
 
     def __init__(self, root: Node) -> None:
         self.root = root
-        #: Statistics version the walk was built at — only meaningful
-        #: for the *live* root (frozen roots never change again).
-        self.version: int | None = None
+        #: The engine's commit count when the walk was built — only
+        #: meaningful for the *live* root (frozen roots never change).
+        self.commits: int | None = None
         self.intervals: _Intervals | None = None
         self.conditions: AncestorConditionIndex | None = None
 
 
 class QueryEngine:
-    """Planner + plan cache bound to one (mutable) document.
+    """Planner, document walks and condition indexes for one (mutable)
+    document.
 
     Parameters
     ----------
     root_provider:
         Zero-argument callable returning the document's current root.
-    cache_capacity:
-        Maximum number of cached plans (LRU eviction beyond it).
     max_root_views:
         Maximum number of per-root walk/index views kept at once (the
         live root plus recently used pinned generations).  Views for
@@ -143,22 +119,19 @@ class QueryEngine:
         never release.
     observability:
         Optional :class:`~repro.obs.Observability` panel: planning and
-        view construction then emit phase spans (``plan_cache_lookup``,
-        ``plan_build``, ``view_build``, ``stats_delta``,
-        ``condition_index_patch``) into the active trace and latency
-        histograms into the registry.  ``None`` (the default for
-        standalone engines) attaches nothing and pays nothing.
+        view construction then emit phase spans (``plan_build``,
+        ``view_build``, ``condition_index_patch``) into the active trace
+        and latency histograms into the registry.  ``None`` (the
+        default for standalone engines) attaches nothing and pays
+        nothing.
     """
 
     def __init__(
         self,
         root_provider: Callable[[], Node],
-        cache_capacity: int = 128,
         max_root_views: int = 8,
         observability=None,
     ) -> None:
-        self.stats = DocumentStats(root_provider)
-        self.cache = PlanCache(cache_capacity)
         # Shared Shannon-expansion memo for every probability this
         # engine's queries compute.  Entries are keyed by the event
         # table's probability generation, so structural commits need
@@ -166,9 +139,9 @@ class QueryEngine:
         # across queries until a probability actually changes.
         self.shannon = ShannonCache()
         self._root_provider = root_provider
-        # Serializes planning, statistics maintenance and per-root view
-        # construction.  Match enumeration itself runs outside the lock
-        # on the immutable Plan/_Intervals objects it captured.
+        # Serializes commit bookkeeping and per-root view installation.
+        # Planning and match enumeration run outside the lock on the
+        # walk they captured.
         self._lock = threading.RLock()
         # Per-root executor views, keyed by root identity (see
         # _RootView for why entries hold the root strongly).  Insertion
@@ -176,9 +149,9 @@ class QueryEngine:
         self._views: OrderedDict[int, _RootView] = OrderedDict()
         self._max_root_views = max(1, max_root_views)
         self._obs = observability
-        # The live walk the last mutating() block kept current, until
-        # apply_delta stamps it with the commit's statistics version.
-        self._maintained: _Intervals | None = None
+        # Bumped by every commit that changed the document and by every
+        # invalidation: a live walk built at another count is not served.
+        self._commits = 0
 
     @property
     def observability(self):
@@ -194,94 +167,79 @@ class QueryEngine:
         """Hold the engine lock across an in-place document mutation.
 
         The warehouse wraps every mutation of the live tree in this
-        guard: a concurrent reader whose statistics snapshot was
-        dropped (``invalidate`` or a non-maintainable delta) recollects
-        by walking the provider's *live* root under the engine lock,
-        and without the guard that walk would race the mutation and
-        cache torn statistics.  Lock ordering stays acyclic: writers
-        take write lock → engine lock; readers take the engine lock
-        alone (their snapshot pins are acquired before any engine
-        work).
+        guard, so that :meth:`plan_for`, which walks the provider's
+        *live* root under the engine lock, never reads a tree
+        mid-mutation.  Lock ordering stays acyclic: writers take write
+        lock → engine lock; readers take the engine lock alone (their
+        snapshot pins are acquired before any engine work).
 
         The guard yields the writer's handle on the live root's walk
         (a :class:`~repro.engine.executor._WriterWalk`): the mutation
         locates its targets on it and reports every subtree it attaches
-        or detaches as it happens, so :meth:`apply_delta` keeps the
-        patched walk for the next query instead of dropping it.  A
-        mutation that does not report (``simplify``) must commit with a
-        ``None`` delta.  Readers never see a walk mid-patch: the live
-        root is pinned only under the warehouse's write lock, and a
-        pinned generation is cloned before it is mutated.
+        or detaches as it happens, so the patched walk — with the
+        entries it keeps — serves the next query.  Hand the handle to
+        :meth:`commit` once the mutation is durable; a mutation that
+        does not report (``simplify``) commits with ``None``.  Readers
+        never see a walk mid-patch: the live root is pinned only under
+        the warehouse's write lock, and a pinned generation is cloned
+        before it is mutated.
         """
         with self._lock:
             live = self._root_provider()
-            walk = _WriterWalk(
+            yield _WriterWalk(
                 live, self._current_walk(live), lambda: self._intervals_for(live)
             )
-            yield walk
-            self._maintained = walk.current
 
     def invalidate(self) -> None:
-        """Tell the engine the document changed (stats version bump).
+        """Tell the engine the document changed behind its back.
 
-        Cached plans for older versions stop being served immediately
-        (the version is part of the cache key) and age out by LRU.  The
-        per-root views and the Shannon memo are dropped too: an
-        untracked mutation may have rewritten conditions or event
-        probabilities behind the engine's back.
+        The per-root views — walks with their kept plans, condition
+        indexes — and the Shannon memo are dropped: an untracked
+        mutation may have rewritten conditions or event probabilities.
         """
         with self._lock:
-            self.stats.invalidate()
+            self._commits += 1
             self._views.clear()
-            self._maintained = None
             self.shannon.clear()
 
-    def apply_delta(self, delta: StatsDelta | None) -> None:
-        """Fold a commit's structural delta into the engine state.
+    def commit(self, writer: _WriterWalk | None) -> None:
+        """Fold a committed mutation, recorded by *writer* (the handle
+        :meth:`mutating` yielded), into the engine state.
 
-        The statistics adjust in place (no full re-walk) and the
-        version bumps only when the document actually changed, so plans
-        cached for an untouched document keep being served.  Only the
-        **live** root's view is touched: the walk the writer patched
-        through the commit (see :meth:`mutating`) is kept and stamped
-        with the new version — any other walk, or one whose free gaps
-        ran out, is dropped — and its ancestor-condition index is
-        *patched* from the delta's subtree records rather than rebuilt
-        (updates only attach/detach subtrees — kept nodes keep their
-        conditions).  Views of pinned generations are frozen by the
-        copy-on-write contract and stay valid as they are.  The Shannon
-        memo survives as-is: its entries are keyed by the event table's
-        probability generation, which structural deltas cannot change.
-        ``None`` degrades to a full :meth:`invalidate`.
+        A mutation that changed nothing keeps everything.  Otherwise the
+        commit count bumps and only the **live** root's view is touched:
+        the walk the writer patched is kept — any other walk, or one
+        whose free gaps ran out, is dropped — and its ancestor-condition
+        index is *patched* from the writer's ordered subtree records
+        rather than rebuilt (updates only attach/detach subtrees — kept
+        nodes keep their conditions).  Views of pinned generations are
+        frozen by the copy-on-write contract and stay valid as they are.
+        The Shannon memo survives as-is: its entries are keyed by the
+        event table's probability generation, which structural changes
+        cannot change.  ``None`` degrades to a full :meth:`invalidate`.
         """
-        if delta is None:
+        if writer is None:
             self.invalidate()
+            return
+        if not writer.changes:
             return
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         with self._lock:
-            maintained, self._maintained = self._maintained, None
-            t0 = perf_counter() if tracing else 0.0
-            self.stats.apply_delta(delta)
-            if tracing:
-                obs.tracer.emit("stats_delta", perf_counter() - t0)
-            if delta.is_empty:
-                return
+            self._commits += 1
             live = self._root_provider()
             view = self._views.get(id(live))
             if view is not None and view.root is live:
                 walk = view.intervals
-                if walk is not None and walk is maintained and not walk.stale:
-                    view.version = self.stats.version
+                if walk is not None and walk is writer.current and not walk.stale:
+                    view.commits = self._commits
                 else:
-                    view.intervals = view.version = None
+                    view.intervals = view.commits = None
                 if view.conditions is not None:
-                    t1 = perf_counter() if tracing else 0.0
-                    view.conditions.apply_changes(delta.subtree_changes)
+                    t0 = perf_counter() if tracing else 0.0
+                    view.conditions.apply_changes(writer.changes)
                     if tracing:
-                        obs.tracer.emit(
-                            "condition_index_patch", perf_counter() - t1
-                        )
+                        obs.tracer.emit("condition_index_patch", perf_counter() - t0)
 
     def forget_root(self, root: Node) -> None:
         """Drop the per-root view for *root* (a released pinned generation).
@@ -303,42 +261,31 @@ class QueryEngine:
     # Planning
     # ------------------------------------------------------------------
 
-    def plan_for(self, pattern: Pattern, *, bounded: bool = False) -> Plan:
-        """The cached or freshly built plan for *pattern* on the current stats.
+    def plan_for(self, pattern: Pattern) -> Plan:
+        """The plan the live document's walk keeps for *pattern*, or
+        plans and keeps now.
 
-        Note: a cached plan's :attr:`Plan.pattern` may be a different —
-        structurally identical — object than *pattern*; matches map the
-        *plan's* pattern nodes.  *bounded* requests the plan shape for
-        probability-bounded enumeration (cached under its own
-        fingerprint suffix, so the two shapes never alias).
+        Planned under the engine lock, so a concurrent writer never
+        mutates the live tree under it.  Note: a kept plan's
+        :attr:`Plan.pattern` may be a different — structurally identical
+        — object than *pattern*; matches map the *plan's* pattern nodes.
         """
-        obs = self._obs
-        tracing = obs is not None and obs.tracer.enabled
         with self._lock:
-            fingerprint = pattern_fingerprint(pattern) + (
-                " [bounded]" if bounded else ""
-            )
-            version = self.stats.version
-            t0 = perf_counter() if tracing else 0.0
-            plan = self.cache.get(fingerprint, version)
-            if tracing:
-                obs.tracer.emit(
-                    "plan_cache_lookup",
-                    perf_counter() - t0,
-                    hit=plan is not None,
-                )
-            if plan is None:
-                t1 = perf_counter() if obs is not None else 0.0
-                plan = build_plan(
-                    pattern, self.stats.current(), version, bounded=bounded
-                )
-                self.cache.put(plan)
-                if obs is not None:
-                    built = perf_counter() - t1
-                    if tracing:
-                        obs.tracer.emit("plan_build", built)
-                    obs.metrics.observe("engine.plan_build_seconds", built)
-            return plan
+            live = self._root_provider()
+            return self._prepared(pattern, live, self._intervals_for(live)).plan
+
+    def _prepared(self, pattern: Pattern, root: Node, walk: _Intervals):
+        """*pattern*'s kept entry on *walk* of *root*; a build is timed
+        into the panel (``plan_build``) when one is attached."""
+        return walk.prepared(
+            pattern, root, None if self._obs is None else self._observe_plan_build
+        )
+
+    def _observe_plan_build(self, seconds: float) -> None:
+        obs = self._obs
+        if obs.tracer.enabled:
+            obs.tracer.emit("plan_build", seconds)
+        obs.metrics.observe("engine.plan_build_seconds", seconds)
 
     # ------------------------------------------------------------------
     # Per-root views
@@ -365,16 +312,16 @@ class QueryEngine:
     def _current_walk(self, root: Node) -> _Intervals | None:
         """*root*'s registered walk if it is still valid, else None;
         caller holds the lock.  No stale walk is valid; the live root's
-        must also carry the current statistics version, which
-        :meth:`apply_delta` stamps on a walk the writer kept current.
-        Walks of pinned generations are frozen and valid forever."""
+        must also carry the current commit count, which :meth:`commit`
+        stamps on a walk the writer kept current.  Walks of pinned
+        generations are frozen and valid forever."""
         view = self._views.get(id(root))
         if view is None or view.root is not root:
             return None
         walk = view.intervals
         if walk is None or walk.stale:
             return None
-        if root is self._root_provider() and view.version != self.stats.version:
+        if root is self._root_provider() and view.commits != self._commits:
             return None
         return walk
 
@@ -386,17 +333,18 @@ class QueryEngine:
         missing fuses the index construction into the same single pass.
 
         The O(n) construction runs **outside** the engine lock so a
-        writer's ``apply_delta`` never queues behind a reader's
-        rebuild — the tail-latency killer of the serving shape.  This
-        is safe because the engine's callers always evaluate a root
-        they hold a snapshot pin on (or run single-threaded): the tree
-        being walked is frozen by the warehouse's copy-on-write
-        contract for as long as the pin lives.  Two racing builders do
-        duplicate work; installation under the lock is idempotent.
+        writer's commit never queues behind a reader's rebuild — the
+        tail-latency killer of the serving shape.  This is safe because
+        the engine's callers always evaluate a root they hold a
+        snapshot pin on (or run single-threaded, or hold the lock, as
+        :meth:`plan_for` does): the tree being walked is frozen by the
+        warehouse's copy-on-write contract for as long as the pin
+        lives.  Two racing builders do duplicate work; installation
+        under the lock is idempotent.
         """
         with self._lock:
             view = self._view(root)
-            version = self.stats.version
+            commits = self._commits
             walk = self._current_walk(root)
             if walk is not None:
                 return walk
@@ -419,12 +367,12 @@ class QueryEngine:
         with self._lock:
             view = self._view(root)  # may have been evicted meanwhile
             view.intervals = intervals
-            # If the root was live when we sampled the version and a
+            # If the root was live when we sampled the count and a
             # commit landed during the build, copy-on-write made it a
             # frozen generation (roots never become live again), so the
-            # sampled version is only consulted while it is still
+            # sampled count is only consulted while it is still
             # accurate.
-            view.version = version
+            view.commits = commits
             if index is not None and view.conditions is None:
                 view.conditions = index
             return intervals
@@ -474,44 +422,39 @@ class QueryEngine:
         bound: ProbabilityBound | None = None,
         prune=None,
     ) -> "Iterator[Match]":
-        """Plan (with caching) and stream matches for *pattern* lazily.
+        """Plan (or reuse the kept plan) and stream matches for *pattern*.
 
-        The streaming protocol end to end: the plan comes from the
-        cache (or is built and cached), execution yields matches one at
-        a time (a consumer that stops pulling — top-k — aborts the
-        backtracking; the config's ``max_matches`` additionally caps
-        it).  Yielded matches are keyed by *pattern*'s own nodes even
-        when the plan was cached from an earlier, structurally
-        identical pattern object.
+        The streaming protocol end to end: the walk serves the plan and
+        the preparation it keeps for *pattern*'s fingerprint (or plans
+        and keeps them now), execution yields matches one at a time (a
+        consumer that stops pulling — top-k — aborts the backtracking;
+        the config's ``max_matches`` additionally caps it).  Yielded
+        matches are keyed by *pattern*'s own nodes even when the plan
+        was kept from an earlier, structurally identical pattern object.
 
         *root*, when given, evaluates against that root object instead
         of the provider's current one — this is how pinned snapshot
         readers stay on their frozen generation while the live document
-        moves on.  Planning and walk construction happen under the
-        engine lock; the enumeration itself runs lock-free on the
-        captured immutable plan and walk.
+        moves on.  Walk installation happens under the engine lock;
+        planning and enumeration run lock-free on the captured walk.
 
         *bound* and *prune* (always together) switch on the
         probability-bounded join: every candidate binding is priced via
         ``bound.bind`` and skipped when ``prune(upper)`` says the
-        branch cannot contribute.  Bounded runs use the bounded plan
-        shape (discounted cost model, separate cache entry).
+        branch cannot contribute.  Bounded runs share the plain plan.
         """
-        pruning = bound is not None and prune is not None
-        with self._lock:
-            plan = self.plan_for(pattern, bounded=pruning)
-            if root is None:
+        if root is None:
+            with self._lock:
                 root = self._root_provider()
         intervals = self._intervals_for(root)
-        if pruning:
-            matches = iter_plan(
-                plan, root, config, intervals=intervals, bound=bound, prune=prune
-            )
-        else:
-            matches = iter_plan(plan, root, config, intervals=intervals)
-        # plan_for keyed the cache by this pattern's fingerprint, so
-        # the shapes are identical; re-key onto the caller's nodes.
-        yield from iter_rekeyed(plan, pattern, matches)
+        entry = self._prepared(pattern, root, intervals)
+        matches = iter_plan(
+            entry.plan, root, config, intervals=intervals, prepared=entry,
+            bound=bound, prune=prune,
+        )
+        # The walk keyed the entry by this pattern's fingerprint, so the
+        # shapes are identical; re-key onto the caller's nodes.
+        yield from iter_rekeyed(entry.plan, pattern, matches)
 
     def find_matches(
         self,
@@ -519,28 +462,18 @@ class QueryEngine:
         config: MatchConfig = DEFAULT_CONFIG,
         root: Node | None = None,
     ) -> list[Match]:
-        """Plan (with caching) and execute *pattern* on the current document.
+        """Plan (or reuse the kept plan) and execute *pattern* on the
+        current document.
 
         The returned matches are keyed by *pattern*'s own nodes even
-        when the plan was cached from an earlier, structurally
-        identical pattern object.
+        when the plan was kept from an earlier, structurally identical
+        pattern object.
         """
         return list(self.iter_matches(pattern, config, root=root))
 
     def explain(self, pattern: Pattern) -> str:
-        """Human-readable plan plus the statistics that priced it."""
-        with self._lock:
-            plan = self.plan_for(pattern)
-            stats = self.stats.current()
-        lines = ["statistics:"]
-        for key, value in stats.as_dict().items():
-            lines.append(f"  {key}: {value}")
-        lines.append(plan.explain())
-        cache = self.cache.stats()
-        lines.append(
-            f"plan cache: {cache['entries']}/{cache['capacity']} entries, "
-            f"{cache['hits']} hits, {cache['misses']} misses"
-        )
+        """Human-readable plan, with the candidate counts that chose it."""
+        lines = [self.plan_for(pattern).explain()]
         shannon = self.shannon.stats()
         lines.append(
             f"shannon cache: {shannon['entries']}/{shannon['capacity']} entries, "
@@ -549,4 +482,4 @@ class QueryEngine:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"QueryEngine(stats={self.stats!r}, cache={self.cache!r})"
+        return f"QueryEngine({len(self._views)} views, {self._commits} commits)"

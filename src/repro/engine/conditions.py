@@ -14,21 +14,25 @@ over the frozenset union of its own and all ancestors' literals — so
 precomputed frozensets.  Closed conditions are built during the
 engine's single document walk (the :class:`~repro.engine.executor._Intervals`
 traversal calls :meth:`observe` per node) and **patched incrementally**
-from commit deltas: every structural mutation the warehouse commits is
-recorded as attached/detached subtrees in the
-:class:`~repro.engine.stats.StatsDelta`, and since updates never mutate
-a *kept* node's condition in place (deletions detach the target and
-attach fresh survivor copies), patching the touched subtrees keeps the
-whole index exact without a re-walk.  Untracked mutations must drop the
-index (``QueryEngine.invalidate`` does), exactly as they must drop
-statistics and cached plans.
+at every commit: the writer's walk handle
+(:class:`~repro.engine.executor._WriterWalk`) records each subtree the
+warehouse attaches or detaches, in order, and since updates never
+mutate a *kept* node's condition in place (deletions detach the target
+and attach fresh survivor copies), patching the touched subtrees keeps
+the whole index exact without a re-walk.  Untracked mutations must drop
+the index (``QueryEngine.invalidate`` does), exactly as they must drop
+the walks and the plans they keep.
 
 Entries are keyed by node identity.  Removal patches pop the detached
-subtree's ids while the delta still holds the nodes alive, so a later
+subtree's ids while the record still holds the nodes alive, so a later
 id reuse can never be served a stale closure.  Sharing keeps the index
 light: a node whose own condition is empty *shares* its parent's closed
 condition object, so sparse condition densities store few distinct
 conditions.
+
+:class:`ProbabilityBound` folds those closures into an upper bound on
+a partial match's probability, which the backtracking join of a top-k
+or thresholded query prunes with.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from repro.core.fuzzy_tree import FuzzyNode
 from repro.events.condition import Condition
 
-__all__ = ["AncestorConditionIndex"]
+__all__ = ["AncestorConditionIndex", "ProbabilityBound"]
 
 
 class AncestorConditionIndex:
@@ -148,3 +152,63 @@ def _extend(base: Condition | None, condition: Condition) -> Condition:
     if condition.is_true:
         return base  # shared object: sparse conditions stay O(1)
     return Condition(base.literals | condition.literals, allow_inconsistent=True)
+
+
+class ProbabilityBound:
+    """Incremental upper bound on a partial match's probability.
+
+    A match fires only in worlds satisfying the conjunction of its
+    mapped nodes' *closed* conditions (node + ancestors — the
+    ancestor-condition index gives each closure in O(1)).  Over the
+    distinct literals bound so far, the product of per-literal
+    probabilities is that conjunction's exact probability when it is
+    consistent, and a (positive) overestimate when it is not — either
+    way an **upper bound** on anything the partial assignment can grow
+    into, because extending the assignment only conjoins more literals
+    and conjunction never raises probability.  (Negated subpatterns
+    only lower the true probability further, so the bound stays valid
+    for them too.)
+
+    :meth:`bind`/:meth:`unbind` mirror the backtracking join's
+    assign/retract: each bind multiplies in the probabilities of the
+    closure's *new* literals and pushes an undo record; unbind restores
+    the previous product exactly (a stack restore, not a division — a
+    zero-probability literal would otherwise poison the product
+    forever).
+    """
+
+    __slots__ = ("_lookup", "_probability", "_seen", "_stack", "_product")
+
+    def __init__(self, closed_condition, event_probability) -> None:
+        #: node -> interned closed Condition (the index's lookup).
+        self._lookup = closed_condition
+        #: event name -> probability (the event table's lookup).
+        self._probability = event_probability
+        self._seen: set = set()
+        self._stack: list = []
+        self._product = 1.0
+
+    def bind(self, node) -> float:
+        """Fold *node*'s closed condition in; returns the new bound."""
+        seen = self._seen
+        product = self._product
+        added: list = []
+        probability = self._probability
+        for literal in self._lookup(node).literals:
+            if literal in seen:
+                continue
+            seen.add(literal)
+            added.append(literal)
+            p = probability(literal.event)
+            product *= p if literal.positive else 1.0 - p
+        self._stack.append((self._product, added))
+        self._product = product
+        return product
+
+    def unbind(self) -> None:
+        """Undo the most recent :meth:`bind` exactly."""
+        product, added = self._stack.pop()
+        seen = self._seen
+        for literal in added:
+            seen.discard(literal)
+        self._product = product

@@ -10,8 +10,10 @@ Monte-Carlo sampling.  An execution has two halves:
   index (or full) scan, the anchored filter, then the bottom-up
   structural semi-join (a candidate survives only when every required
   pattern child still has a candidate in the right axis relation).  A
-  long-lived walk (:class:`_Intervals`) keeps them per planned plan,
-  with the join's indexes, across the commits that leave them be;
+  long-lived walk (:class:`_Intervals`) keeps, per pattern, the lists
+  together with the plan chosen from their exact sizes
+  (:func:`_planned`) and the join's indexes, across the commits that
+  leave them be;
 * :class:`BacktrackJoin` — enumerate homomorphisms over the plan's
   visit order, checking join variables eagerly or at the end as the
   plan decided.
@@ -43,9 +45,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import islice
 from operator import lt
-from time import sleep as _sleep
+from time import perf_counter, sleep as _sleep
 
-from repro.engine.planner import _FIXED_FINGERPRINT, Plan
+from repro.engine.planner import Plan, pattern_fingerprint, plan_prepared, semijoin_pays
 from repro.obs.metrics import process_registry
 from repro.tpwj.match import DEFAULT_CONFIG, Match, MatchConfig, find_embeddings
 from repro.tpwj.pattern import PatternNode
@@ -55,14 +57,13 @@ __all__ = [
     "iter_plan",
     "iter_rekeyed",
     "BacktrackJoin",
-    "ProbabilityBound",
 ]
 
 
 def iter_rekeyed(plan: Plan, pattern, matches) -> Iterator[Match]:
     """Re-key *matches* from the plan's pattern nodes onto *pattern*'s.
 
-    A cached plan may carry a different — structurally identical —
+    A kept plan may carry a different — structurally identical —
     pattern object than the caller's; after this, ``match[caller_node]``
     works, translated on read through one node table shared by the whole
     query.  Pass-through when the plan was built for *pattern* itself.
@@ -84,7 +85,7 @@ _GAP = 1 << 16
 #: An attached subtree takes this fraction (1/_SHARE) of the free gap
 #: it lands in, leaving the rest for later siblings.
 _SHARE = 16
-#: Prepared executions a walk keeps, oldest dropped first (= plan cache).
+#: Planned entries a walk keeps, the least recently used dropped first.
 _PREPARED = 128
 
 
@@ -113,9 +114,10 @@ class _Intervals:
     document order.  When a gap is too small for the subtree the walk
     turns :attr:`stale` and ignores further patches; its owner rebuilds.
 
-    It also keeps each planned plan's execution state (:meth:`prepared`):
-    a patch drops those whose labels meet the subtree's or its parent's
-    (leaf status may flip), and wildcard ones; no survivor is renumbered.
+    It also keeps, per pattern, the plan and its preparation
+    (:meth:`prepared`): a patch drops those whose labels meet the
+    subtree's or its parent's (leaf status may flip), and wildcard ones;
+    no survivor is renumbered.
 
     *yield_every*, when set, cooperatively yields the GIL every that
     many visited nodes (``time.sleep(0)``): the serving layer builds
@@ -134,8 +136,9 @@ class _Intervals:
         self.all_nodes: list[Node] = []
         self.label_index: dict[str, list[Node]] = {}
         self.stale = False
-        #: (plan fingerprint, semi-join on) -> the plan's _Prepared state.
-        self._prepared: dict[tuple[str, bool], _Prepared] = {}
+        #: Pattern fingerprint -> its planned _Prepared entry, least
+        #: recently used first.
+        self._prepared: dict[str, _Prepared] = {}
         self._number(root, 0, _GAP, self.all_nodes, self.label_index, observer, yield_every)
 
     def _number(
@@ -257,20 +260,29 @@ class _Intervals:
         labels.add(parent.label)
         self._touch(labels)
 
-    def prepared(self, plan: Plan, root: Node) -> _Prepared:
-        """*plan*'s prepared execution on this walk of *root*: kept from an
-        earlier one (re-keyed once onto a re-plan's pattern), or prepared
-        now and kept.  Readers of a frozen walk race here harmlessly: each
-        entry is built locally and published at once (the last one stays)."""
+    def prepared(self, pattern, root: Node, observe=None) -> _Prepared:
+        """*pattern*'s planned entry on this walk of *root* (its plan is
+        ``.plan``): kept from an earlier query of the same fingerprint and
+        refreshed as the most recently used, or planned now — *observe*,
+        if given, gets the seconds it took — and kept, dropping the least
+        recently used beyond :data:`_PREPARED`.  Readers of a frozen walk
+        race here harmlessly: each entry is built locally and published
+        whole (the last one stays)."""
         prepared = self._prepared
-        key = (plan.fingerprint, plan.use_semijoin_pruning)
-        entry = prepared.get(key)
-        if entry is None:
-            entry = prepared[key] = _prepare(plan, root, self)
-            for old in list(prepared)[: len(prepared) - _PREPARED]:
-                prepared.pop(old, None)
-        elif entry.pattern is not plan.pattern:
-            entry = prepared[key] = entry.rekeyed(plan.pattern)
+        key = pattern_fingerprint(pattern)
+        entry = prepared.pop(key, None)
+        if entry is not None:
+            prepared[key] = entry
+            process_registry.incr("engine.plan_cache_hits")
+            return entry
+        process_registry.incr("engine.plan_cache_misses")
+        t0 = perf_counter() if observe is not None else 0.0
+        entry = prepared[key] = _planned(pattern, root, self)
+        if observe is not None:
+            observe(perf_counter() - t0)
+        for old in list(prepared)[: max(0, len(prepared) - _PREPARED)]:
+            if prepared.pop(old, None) is not None:
+                process_registry.incr("engine.plan_cache_evictions")
         return entry
 
     def _touch(self, labels: set[str]) -> None:
@@ -294,21 +306,27 @@ class _Intervals:
 
 
 class _WriterWalk:
-    """A writer's handle on the walk of the document it mutates.
+    """A writer's handle on the walk of the document it mutates, and the
+    one recorder of what the mutation changed.
 
     The mutation locates its targets on :meth:`for_plan` and reports
     every subtree it attaches or detaches, at the moment it does, to
     :meth:`attach` / :meth:`detach`, which patch :attr:`current` in
-    place.  The walk is built on first need by *build* (by default a
-    fresh walk of *root*) and rebuilt once it turns stale; until then
-    there is nothing to patch — the build reads the tree as it is.
+    place and append to :attr:`changes`.  The walk is built on first
+    need by *build* (by default a fresh walk of *root*) and rebuilt once
+    it turns stale; until then there is nothing to patch — the build
+    reads the tree as it is.
     """
 
-    __slots__ = ("current", "_build")
+    __slots__ = ("current", "changes", "_build")
 
     def __init__(self, root: Node, current: _Intervals | None = None, build=None) -> None:
         #: The walk kept current so far, or None before the first build.
         self.current = current
+        #: Ordered ("add"/"remove", subtree root) records.  Holding the
+        #: detached roots keeps their node identities alive until the
+        #: commit hook has patched them out of the per-node indexes.
+        self.changes: list[tuple[str, Node]] = []
         self._build = build if build is not None else lambda: _Intervals(root)
 
     def for_plan(self, plan: Plan) -> _Intervals | None:
@@ -322,10 +340,12 @@ class _WriterWalk:
         return walk
 
     def attach(self, subtree: Node) -> None:
+        self.changes.append(("add", subtree))
         if self.current is not None:
             self.current.attach(subtree)
 
     def detach(self, subtree: Node, parent: Node) -> None:
+        self.changes.append(("remove", subtree))
         if self.current is not None:
             self.current.detach(subtree, parent)
 
@@ -351,15 +371,17 @@ def _local_filter(
 
 
 class _Prepared:
-    """One plan's execution state on one walk, a function of the pattern
-    and the document alone: the final candidate lists (None when one
-    emptied), the ``engine.actual_candidates`` / ``match.semijoin_pruned``
-    totals every execution adds (None: not counted), and the join's
-    indexes, each built on first use and published whole."""
+    """One pattern's execution state on one walk, a function of the
+    pattern and the document alone: the final candidate lists (None when
+    one emptied), the ``engine.actual_candidates`` /
+    ``match.semijoin_pruned`` totals every execution adds (None: not
+    counted), the join's indexes, each built on first use and published
+    whole, and — for an entry a walk keeps — the plan chosen from these
+    lists (:func:`_planned`)."""
 
     __slots__ = (
         "pattern", "labels", "join_groups", "candidates", "actual", "pruned",
-        "positions", "by_parent",
+        "positions", "by_parent", "plan",
     )
 
     def __init__(self, pattern, labels: frozenset[str] | None, join_groups: dict) -> None:
@@ -373,26 +395,23 @@ class _Prepared:
         #: per child-edge node, its candidates grouped by ``id(parent)``.
         self.positions: dict[PatternNode, list[int]] = {}
         self.by_parent: dict[PatternNode, dict[int, list[Node]]] = {}
+        self.plan: Plan | None = None
 
-    def rekeyed(self, pattern) -> _Prepared:
-        """This state keyed by *pattern*'s nodes: a structurally
-        identical pattern, whose positive nodes correspond by position."""
-        keys = dict(zip(self.pattern.positive_nodes(), pattern.positive_nodes()))
-        entry = _Prepared(pattern, self.labels, pattern.join_variables())
-        entry.actual, entry.pruned = self.actual, self.pruned
-        if self.candidates is not None:
-            entry.candidates = {keys[p]: c for p, c in self.candidates.items()}
-        entry.positions = {keys[p]: v for p, v in list(self.positions.items())}
-        entry.by_parent = {keys[p]: v for p, v in list(self.by_parent.items())}
-        return entry
+    def positions_of(self, pattern_node: PatternNode, intervals: _Intervals) -> list[int]:
+        """The pre-order numbers of *pattern_node*'s final candidates."""
+        positions = self.positions.get(pattern_node)
+        if positions is None:
+            positions = intervals.positions(self.candidates[pattern_node])
+            self.positions[pattern_node] = positions
+        return positions
 
 
-def _prepare(plan: Plan, root: Node, intervals: _Intervals | None) -> _Prepared:
-    """*plan*'s candidate lists on the walk *intervals* of *root*: the
-    scan, the anchored filter, then the bottom-up semi-join when the
-    plan asks for it.  Without a walk, the root probe of
-    :func:`iter_plan`."""
-    pattern = plan.pattern
+def _scan(pattern, root: Node, intervals: _Intervals | None, use_label_index: bool):
+    """*pattern*'s candidate lists on the walk *intervals* of *root*: the
+    label index (or full) scan and local filter, then the anchored
+    filter; without a walk, the root probe of :func:`iter_plan`.
+    Returns the entry (its ``candidates`` None when a list emptied) and
+    the lists scanned so far, by pattern node."""
     join_vars = pattern.join_variables()
     positive = pattern.positive_nodes()
     labels = {pattern_node.label for pattern_node in positive}
@@ -401,110 +420,78 @@ def _prepare(plan: Plan, root: Node, intervals: _Intervals | None) -> _Prepared:
         probed = _local_filter(pattern.root, [root], join_vars)
         if probed:
             entry.actual, entry.candidates = 1, {pattern.root: probed}
-        return entry
+        return entry, {pattern.root: probed}
     index, everything = intervals.label_index, intervals.all_nodes
     candidates: dict[PatternNode, list[Node]] = {}
     entry.actual = 0
     for pattern_node in positive:
-        if plan.use_label_index and pattern_node.label is not None:
+        if use_label_index and pattern_node.label is not None:
             base = index.get(pattern_node.label, [])
         else:
             base = everything
         kept = candidates[pattern_node] = _local_filter(pattern_node, base, join_vars)
         entry.actual += len(kept)
         if not kept:
-            return entry
+            return entry, candidates
 
     if pattern.anchored:
         candidates[pattern.root] = [n for n in candidates[pattern.root] if n is root]
         if not candidates[pattern.root]:
-            return entry
-
-    if plan.use_semijoin_pruning:
-        # Children come later in pre-order, so their lists are final when
-        # their parent is pruned: a descendant edge's positions are kept.
-        positions = entry.positions
-        for pattern_node in reversed(positive):
-            tests = []
-            for child in pattern_node.children:
-                if child.negated:
-                    continue
-                if child.descendant:  # lo < hi: a descendant in range
-                    numbers = positions[child] = intervals.positions(candidates[child])
-                    tests.append(lambda n, p=numbers: lt(*intervals.descendant_range(n, p)))
-                else:
-                    parent_ids = {id(c.parent) for c in candidates[child]}
-                    tests.append(lambda n, ids=parent_ids: id(n) in ids)
-            if not tests:
-                continue
-            listed = candidates[pattern_node]
-            survivors = [n for n in listed if all(test(n) for test in tests)]
-            entry.pruned = (entry.pruned or 0) + len(listed) - len(survivors)
-            if not survivors:
-                return entry
-            candidates[pattern_node] = survivors
+            return entry, candidates
     entry.candidates = candidates
+    return entry, candidates
+
+
+def _semijoin(entry: _Prepared, intervals: _Intervals) -> None:
+    """Prune *entry*'s lists bottom-up: a candidate survives only when
+    every required pattern child keeps a candidate in the right axis
+    relation to it.  Sets ``candidates`` to None when a list empties."""
+    candidates = entry.candidates
+    # Children come later in pre-order, so their lists are final when
+    # their parent is pruned: a descendant edge's positions are kept.
+    for pattern_node in reversed(entry.pattern.positive_nodes()):
+        tests = []
+        for child in pattern_node.children:
+            if child.negated:
+                continue
+            if child.descendant:  # lo < hi: a descendant in range
+                numbers = entry.positions_of(child, intervals)
+                tests.append(lambda n, p=numbers: lt(*intervals.descendant_range(n, p)))
+            else:
+                parent_ids = {id(c.parent) for c in candidates[child]}
+                tests.append(lambda n, ids=parent_ids: id(n) in ids)
+        if not tests:
+            continue
+        listed = candidates[pattern_node]
+        survivors = [n for n in listed if all(test(n) for test in tests)]
+        entry.pruned = (entry.pruned or 0) + len(listed) - len(survivors)
+        if not survivors:
+            entry.candidates = None
+            return
+        candidates[pattern_node] = survivors
+
+
+def _prepare(plan: Plan, root: Node, intervals: _Intervals | None) -> _Prepared:
+    """The candidate lists the toggles of *plan* ask for, on the walk
+    *intervals* of *root* (None: the root probe)."""
+    entry, _ = _scan(plan.pattern, root, intervals, plan.use_label_index)
+    if entry.candidates is not None and plan.use_semijoin_pruning:
+        _semijoin(entry, intervals)
     return entry
 
 
-class ProbabilityBound:
-    """Incremental upper bound on a partial match's probability.
-
-    A match fires only in worlds satisfying the conjunction of its
-    mapped nodes' *closed* conditions (node + ancestors — the
-    ancestor-condition index gives each closure in O(1)).  Over the
-    distinct literals bound so far, the product of per-literal
-    probabilities is that conjunction's exact probability when it is
-    consistent, and a (positive) overestimate when it is not — either
-    way an **upper bound** on anything the partial assignment can grow
-    into, because extending the assignment only conjoins more literals
-    and conjunction never raises probability.  (Negated subpatterns
-    only lower the true probability further, so the bound stays valid
-    for them too.)
-
-    :meth:`bind`/:meth:`unbind` mirror the backtracking join's
-    assign/retract: each bind multiplies in the probabilities of the
-    closure's *new* literals and pushes an undo record; unbind restores
-    the previous product exactly (a stack restore, not a division — a
-    zero-probability literal would otherwise poison the product
-    forever).
-    """
-
-    __slots__ = ("_lookup", "_probability", "_seen", "_stack", "_product")
-
-    def __init__(self, closed_condition, event_probability) -> None:
-        #: node -> interned closed Condition (the index's lookup).
-        self._lookup = closed_condition
-        #: event name -> probability (the event table's lookup).
-        self._probability = event_probability
-        self._seen: set = set()
-        self._stack: list = []
-        self._product = 1.0
-
-    def bind(self, node) -> float:
-        """Fold *node*'s closed condition in; returns the new bound."""
-        seen = self._seen
-        product = self._product
-        added: list = []
-        probability = self._probability
-        for literal in self._lookup(node).literals:
-            if literal in seen:
-                continue
-            seen.add(literal)
-            added.append(literal)
-            p = probability(literal.event)
-            product *= p if literal.positive else 1.0 - p
-        self._stack.append((self._product, added))
-        self._product = product
-        return product
-
-    def unbind(self) -> None:
-        """Undo the most recent :meth:`bind` exactly."""
-        product, added = self._stack.pop()
-        seen = self._seen
-        for literal in added:
-            seen.discard(literal)
-        self._product = product
+def _planned(pattern, root: Node, walk: _Intervals) -> _Prepared:
+    """*pattern*'s entry for a walk to keep: its label-index scan and
+    filters, the semi-join when the exact list sizes say it pays, then
+    the plan chosen from the resulting lists
+    (:func:`~repro.engine.planner.plan_prepared`)."""
+    entry, scanned = _scan(pattern, root, walk, True)
+    sizes = [len(nodes) for nodes in scanned.values()]
+    semijoin = entry.candidates is not None and semijoin_pays(sizes)
+    if semijoin:
+        _semijoin(entry, walk)
+    entry.plan = plan_prepared(pattern, entry, walk, sizes, semijoin)
+    return entry
 
 
 class BacktrackJoin:
@@ -612,10 +599,7 @@ class BacktrackJoin:
         anchor = mapping[parent]
         prepared = self._prepared
         if pattern_node.descendant:
-            positions = prepared.positions.get(pattern_node)
-            if positions is None:
-                positions = self._intervals.positions(candidates)
-                prepared.positions[pattern_node] = positions
+            positions = prepared.positions_of(pattern_node, self._intervals)
             lo, hi = self._intervals.descendant_range(anchor, positions)
             return candidates[lo:hi]
         by_parent = prepared.by_parent.get(pattern_node)
@@ -646,7 +630,8 @@ def iter_plan(
     runtime: MatchConfig = DEFAULT_CONFIG,
     *,
     intervals: _Intervals | None = None,
-    bound: ProbabilityBound | None = None,
+    prepared: _Prepared | None = None,
+    bound=None,
     prune=None,
 ) -> Iterator[Match]:
     """Run *plan* against the tree at *root*, streaming matches lazily.
@@ -657,18 +642,17 @@ def iter_plan(
 
     *runtime* supplies the semantic knobs (``max_matches`` — applied
     here as a hard cap — and ``honor_negation``); the strategy toggles
-    come from the plan.  *intervals* lets a long-lived caller
-    (:class:`~repro.engine.QueryEngine`) reuse the document walk across
-    executions and keep a planned plan's preparation; it must have been
-    built for *root* in its current state.  Without it a throw-away walk
-    is made — except for an anchored single-node pattern, which needs none.
-    *bound*/*prune* switch on probability-bounded enumeration — see
-    :meth:`BacktrackJoin.iter_matches`.
+    come from the plan.  *intervals* lets a long-lived caller reuse the
+    document walk across executions; it must have been built for *root*
+    in its current state.  Without it a throw-away walk is made —
+    except for an anchored single-node pattern, which needs none.
+    *prepared*, with *intervals*, is the walk's kept entry whose plan
+    *plan* is (:meth:`_Intervals.prepared`): its lists and indexes are
+    used as they are.  *bound*/*prune* switch on probability-bounded
+    enumeration — see :meth:`BacktrackJoin.iter_matches`.
     """
     process_registry.incr("engine.plans_executed")
-    if intervals is not None and plan.fingerprint != _FIXED_FINGERPRINT:
-        prepared = intervals.prepared(plan, root)
-    else:
+    if prepared is None:
         # An anchored single-node pattern can only map to the document
         # root — the shape of root-targeted updates, hence of most WAL
         # records: a constant-time probe, no walk.  The join never

@@ -1,28 +1,31 @@
-"""Planning for TPWJ evaluation: cost-based, or fixed from the toggles.
+"""Planning for TPWJ evaluation: from the walk's exact counts, or fixed.
 
 A :class:`Plan` fixes, ahead of execution, every strategy decision the
 one executor (:mod:`repro.engine.executor`) takes:
 
 * the **visit order** of the pattern nodes — any topological order of
   the pattern tree is legal (a node's parent must be bound before the
-  node); the planner picks greedily by expected option count, so
-  selective nodes (rare labels, value tests, second occurrences of a
-  join variable) bind early and cut the backtracking tree high up;
+  node); the planner picks greedily by the number of options a node
+  has under one bound parent, so selective nodes (rare labels, value
+  tests, second occurrences of a join variable) bind early and cut the
+  backtracking tree high up;
 * the **scan operator** — label-index scan versus full document scan
   per pattern node;
 * whether the **structural semi-join prune** pays for itself (its cost
-  is linear in the candidate sets; on tiny candidate sets the pass
-  costs more than the enumeration it saves);
+  is linear in the candidate lists; on tiny lists the pass costs more
+  than the enumeration it saves);
 * where **join checks** run — eagerly during enumeration when the
   pattern has join variables, at the end otherwise.
 
-Two planners produce one: :func:`build_plan` chooses all four from
-document statistics, :func:`fixed_plan` copies them from a
-:class:`~repro.tpwj.match.MatchConfig` (pre-order visit, the caller's
-toggles) — what ``find_matches(plan=None)`` / ``planner=False`` run.
+Two planners produce one.  :func:`plan_prepared` chooses all four from
+the exact candidate lists a document walk prepared for the pattern
+(:func:`build_plan` runs it on a fresh walk); :func:`fixed_plan` copies
+them from a :class:`~repro.tpwj.match.MatchConfig` (pre-order visit,
+the caller's toggles) — what ``find_matches(plan=None)`` /
+``planner=False`` run.
 
 Plans are explainable: :meth:`Plan.explain` renders the decisions with
-the estimates that drove them, and ``repro explain`` surfaces it on the
+the counts that drove them, and ``repro explain`` surfaces it on the
 command line.
 """
 
@@ -30,13 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.cardinality import (
-    axis_selectivity,
-    estimate_candidates,
-    estimate_enumeration_cost,
-    join_selectivity,
-)
-from repro.engine.stats import TreeStats
 from repro.obs.metrics import process_registry
 from repro.tpwj.match import MatchConfig
 from repro.tpwj.parser import format_pattern
@@ -44,24 +40,9 @@ from repro.tpwj.pattern import Pattern, PatternNode
 
 __all__ = ["Plan", "PlanStep", "build_plan", "fixed_plan", "pattern_fingerprint"]
 
-#: Below this estimated total candidate volume the semi-join prepass
-#: costs more than the enumeration it could save.
-SEMIJOIN_THRESHOLD = 32.0
-
-#: How much of the enumeration a probability-bounded join is expected
-#: to skip: branch-and-bound cuts assignments whose upper bound cannot
-#: beat the admission threshold, so the expected visited fraction of
-#: the backtracking tree is modelled as this constant.
-BOUNDED_COST_DISCOUNT = 0.5
-#: Under a bounded join the semi-join prepass must clear a higher bar:
-#: its full linear pass over the candidate sets is paid up front, while
-#: much of the enumeration it would have saved is pruned by the
-#: probability bound anyway.
-BOUNDED_SEMIJOIN_FACTOR = 2.0
-
-#: Every fixed plan's fingerprint: it names no pattern, so the executor
-#: prepares a fixed plan per execution instead of keeping it on a walk.
-_FIXED_FINGERPRINT = "[fixed pre-order]"
+#: Below this total candidate volume the semi-join prepass costs more
+#: than the enumeration it could save.
+SEMIJOIN_THRESHOLD = 32
 
 
 def pattern_fingerprint(pattern: Pattern) -> str:
@@ -76,12 +57,19 @@ def pattern_fingerprint(pattern: Pattern) -> str:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One pattern node in the visit order, with its pricing."""
+    """One pattern node in the visit order, with the counts that placed it.
+
+    *candidates* is the length of the node's candidate list (None: not
+    scanned, because an earlier list came out empty); *options* is the
+    average number of candidates under one candidate of the node's
+    parent, divided by the join variable's distinct values when the
+    variable is bound earlier (None for fixed plans).
+    """
 
     node: PatternNode
     scan: str  # "label-index" | "full-scan"
-    estimated_candidates: float
-    estimated_options: float  # after axis + join selectivity
+    candidates: int | None = None
+    options: float | None = None
 
     def describe(self) -> str:
         label = self.node.label if self.node.label is not None else "*"
@@ -91,11 +79,13 @@ class PlanStep:
         if self.node.value is not None:
             bits.append(f'="{self.node.value}"')
         axis = "//" if self.node.descendant and self.node.parent is not None else ""
-        return (
-            f"{axis}{' '.join(bits)}  [{self.scan}]  "
-            f"est. candidates={self.estimated_candidates:.1f}  "
-            f"est. options={self.estimated_options:.2f}"
-        )
+        text = f"{axis}{' '.join(bits)}  [{self.scan}]"
+        if self.candidates is None:
+            return text + "  not scanned"
+        text += f"  candidates={self.candidates}"
+        if self.options is not None:
+            text += f"  options={self.options:.2f}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -112,9 +102,6 @@ class Plan:
     use_label_index: bool
     use_semijoin_pruning: bool
     early_join_check: bool
-    estimated_cost: float
-    baseline_cost: float  # cost of the naive pre-order visit order
-    stats_version: int
     fingerprint: str
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
@@ -126,9 +113,6 @@ class Plan:
         """Multi-line human-readable rendering of the plan."""
         lines = [
             f"plan for {self.fingerprint}",
-            f"  stats version: {self.stats_version}",
-            f"  estimated cost: {self.estimated_cost:.2f}"
-            f"  (naive pre-order: {self.baseline_cost:.2f})",
             "  operators:",
             f"    semi-join prune: {'on' if self.use_semijoin_pruning else 'off'}",
             f"    join check: {'early' if self.early_join_check else 'final'}",
@@ -143,157 +127,149 @@ class Plan:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"Plan({self.fingerprint!r}, {len(self.steps)} steps, "
-            f"cost={self.estimated_cost:.2f})"
-        )
+        return f"Plan({self.fingerprint!r}, {len(self.steps)} steps)"
 
 
-def build_plan(
-    pattern: Pattern,
-    stats: TreeStats,
-    stats_version: int = 0,
-    *,
-    bounded: bool = False,
+def build_plan(pattern: Pattern, root) -> Plan:
+    """The plan :func:`plan_prepared` chooses for *pattern* on a fresh
+    walk of the tree at *root*."""
+    # Imported here: the executor builds on this module.
+    from repro.engine.executor import _Intervals, _planned
+
+    return _planned(pattern, root, _Intervals(root)).plan
+
+
+def semijoin_pays(sizes: list[int]) -> bool:
+    """Whether the semi-join prepass pays on candidate lists of *sizes*:
+    more than one list, and a total volume of at least
+    :data:`SEMIJOIN_THRESHOLD`."""
+    return len(sizes) > 1 and sum(sizes) >= SEMIJOIN_THRESHOLD
+
+
+def plan_prepared(
+    pattern: Pattern, prepared, walk, sizes: list[int], semijoin: bool
 ) -> Plan:
-    """Choose a visit order and operator set for *pattern* given *stats*.
+    """Choose the visit order and operators for *pattern* from its exact
+    candidate lists, *prepared* on *walk*.
 
-    *bounded* prices the plan for probability-bounded enumeration
-    (top-k / ``min_probability``): the branch-and-bound prune inside
-    the join is expected to skip a large share of the backtracking
-    tree, so enumeration cost is discounted and the semi-join prepass —
-    whose up-front pass competes with savings the prune captures anyway
-    — must clear a higher candidate-volume bar.  Bounded plans carry a
-    distinct fingerprint so the plan cache never serves one shape for
-    the other.
+    *sizes* are the list lengths the *semijoin* decision was taken on
+    (scan, local and anchored filters applied, see
+    :func:`semijoin_pays`); *prepared* holds the lists the join will
+    read, pruned by the semi-join when it paid.  For each node the greedy order reads the
+    average number of its candidates under one candidate of its parent
+    (see :func:`_per_parent`) and divides it by the distinct values of
+    its join variable once that variable is bound.
     """
     process_registry.incr("engine.plans_built")
-    join_vars = set(pattern.join_variables())
+    join_vars = pattern.join_variables()
+    positive = pattern.positive_nodes()
+    candidates = prepared.candidates
     reasons: list[str] = []
 
-    # ------------------------------------------------------------------
-    # Visit order: greedy over the frontier (root, then children of
-    # already-placed nodes), cheapest expected option count first.
-    # ------------------------------------------------------------------
-    order: list[PatternNode] = [pattern.root]
-    frontier = [c for c in pattern.root.children if not c.negated]
-    bound_vars = {pattern.root.variable} if pattern.root.variable in join_vars else set()
+    if candidates is None:
+        # A list came out empty: there is nothing to join, in any order.
+        order = positive
+        options: dict[PatternNode, float] = {}
+        reasons.append("no match: a candidate list came out empty")
+    else:
+        options = {
+            node: _per_parent(node, prepared, walk) for node in positive[1:]
+        }
+        distinct = {
+            node: len({n.value for n in candidates[node]})
+            for node in positive
+            if node.variable in join_vars
+        }
+        bound = {pattern.root.variable} & join_vars.keys()
 
-    def expected_options(node: PatternNode) -> float:
-        options = estimate_candidates(node, stats, join_vars)
-        options *= axis_selectivity(node, stats)
-        if node.variable in join_vars and node.variable in bound_vars:
-            options *= join_selectivity(node, stats)
-        return options
+        def expected(node: PatternNode) -> float:
+            if node.variable in bound:
+                return options[node] / distinct[node]
+            return options[node]
 
-    while frontier:
-        frontier.sort(key=expected_options)
-        chosen = frontier.pop(0)
-        order.append(chosen)
-        if chosen.variable in join_vars:
-            bound_vars.add(chosen.variable)
-        frontier.extend(c for c in chosen.children if not c.negated)
+        # Greedy over the frontier (root, then children of placed nodes),
+        # fewest expected options first; ties keep declaration order.
+        order = [pattern.root]
+        frontier = [c for c in pattern.root.children if not c.negated]
+        while frontier:
+            frontier.sort(key=expected)
+            chosen = frontier.pop(0)
+            options[chosen] = expected(chosen)
+            order.append(chosen)
+            if chosen.variable in join_vars:
+                bound.add(chosen.variable)
+            frontier.extend(c for c in chosen.children if not c.negated)
+        if order != positive:
+            reasons.append(
+                "reordered visit sequence: fewest options per bound parent first"
+            )
 
-    estimated_cost = estimate_enumeration_cost(
-        pattern, order, stats, pattern.anchored
-    )
-    baseline_order = pattern.positive_nodes()
-    baseline_cost = estimate_enumeration_cost(
-        pattern, baseline_order, stats, pattern.anchored
-    )
-    if order != baseline_order:
-        reasons.append(
-            f"reordered visit sequence: est. cost {estimated_cost:.2f} "
-            f"vs pre-order {baseline_cost:.2f}"
-        )
-
-    # ------------------------------------------------------------------
-    # Operator choices.
-    # ------------------------------------------------------------------
-    labelled = [n for n in order if n.label is not None]
-    use_label_index = bool(labelled)
+    use_label_index = any(node.label is not None for node in positive)
     if use_label_index:
+        labelled = sum(node.label is not None for node in positive)
         reasons.append(
-            f"label-index scan: {len(labelled)}/{len(order)} pattern nodes "
+            f"label-index scan: {labelled}/{len(positive)} pattern nodes "
             "carry a label test"
         )
     else:
         reasons.append("full scan: every pattern node is a wildcard")
 
-    total_candidates = sum(
-        estimate_candidates(node, stats, join_vars) for node in order
-    )
-    semijoin_threshold = SEMIJOIN_THRESHOLD * (
-        BOUNDED_SEMIJOIN_FACTOR if bounded else 1.0
-    )
-    use_semijoin_pruning = (
-        len(order) > 1 and total_candidates >= semijoin_threshold
-    )
-    if use_semijoin_pruning:
+    volume = sum(sizes)
+    if semijoin:
         reasons.append(
-            f"semi-join prune: est. candidate volume {total_candidates:.0f} "
-            f">= threshold {semijoin_threshold:.0f}"
+            f"semi-join prune: candidate volume {volume} >= threshold "
+            f"{SEMIJOIN_THRESHOLD} ({prepared.pruned or 0} pruned)"
         )
-    elif len(order) <= 1:
+    elif len(positive) <= 1:
         reasons.append("no semi-join prune: single pattern node")
     else:
         reasons.append(
-            f"no semi-join prune: est. candidate volume {total_candidates:.0f} "
-            f"below threshold {semijoin_threshold:.0f}"
-        )
-    if bounded:
-        estimated_cost *= BOUNDED_COST_DISCOUNT
-        baseline_cost *= BOUNDED_COST_DISCOUNT
-        reasons.append(
-            "bounded enumeration: probability branch-and-bound prunes the "
-            f"join (cost x{BOUNDED_COST_DISCOUNT}, semi-join threshold "
-            f"x{BOUNDED_SEMIJOIN_FACTOR:.0f})"
+            f"no semi-join prune: candidate volume {volume} below threshold "
+            f"{SEMIJOIN_THRESHOLD}"
         )
 
-    early_join_check = bool(join_vars)
     if join_vars:
         names = ", ".join(f"${v}" for v in sorted(join_vars))
         reasons.append(f"early join check: join variables {names}")
     else:
         reasons.append("no join variables: join check elided")
 
-    steps = []
-    seen_vars: set[str] = set()
-    for node in order:
-        candidates = estimate_candidates(node, stats, join_vars)
-        process_registry.incr("engine.estimated_candidates", candidates)
-        options = candidates * axis_selectivity(node, stats)
-        if node.variable in join_vars:
-            if node.variable in seen_vars:
-                options *= join_selectivity(node, stats)
-            seen_vars.add(node.variable)
-        scan = (
-            "label-index"
-            if use_label_index and node.label is not None
-            else "full-scan"
+    counted = dict(zip(positive, sizes))
+    steps = tuple(
+        PlanStep(
+            node,
+            "label-index" if use_label_index and node.label is not None else "full-scan",
+            len(candidates[node]) if candidates is not None else counted.get(node),
+            options.get(node),
         )
-        steps.append(
-            PlanStep(
-                node=node,
-                scan=scan,
-                estimated_candidates=candidates,
-                estimated_options=options,
-            )
-        )
-
+        for node in order
+    )
     return Plan(
         pattern=pattern,
-        steps=tuple(steps),
+        steps=steps,
         use_label_index=use_label_index,
-        use_semijoin_pruning=use_semijoin_pruning,
-        early_join_check=early_join_check,
-        estimated_cost=estimated_cost,
-        baseline_cost=baseline_cost,
-        stats_version=stats_version,
-        fingerprint=pattern_fingerprint(pattern)
-        + (" [bounded]" if bounded else ""),
+        use_semijoin_pruning=semijoin,
+        early_join_check=bool(join_vars),
+        fingerprint=pattern_fingerprint(pattern),
         reasons=tuple(reasons),
     )
+
+
+def _per_parent(node: PatternNode, prepared, walk) -> float:
+    """The average number of *node*'s candidates under one candidate of
+    its parent: pre-order ranges (the join's own) for a descendant edge,
+    a count of the candidates whose parent is listed for a child edge."""
+    parents = prepared.candidates[node.parent]
+    if node.descendant:
+        positions = prepared.positions_of(node, walk)
+        under = 0
+        for parent in parents:
+            lo, hi = walk.descendant_range(parent, positions)
+            under += hi - lo
+    else:
+        listed = {id(parent) for parent in parents}
+        under = sum(id(c.parent) in listed for c in prepared.candidates[node])
+    return under / len(parents)
 
 
 def fixed_plan(pattern: Pattern, config: MatchConfig) -> Plan:
@@ -302,26 +278,18 @@ def fixed_plan(pattern: Pattern, config: MatchConfig) -> Plan:
     Declaration pre-order visit (so matches come out in document order,
     the order ``max_matches`` truncation — hence WAL replay — depends
     on) and the operators named by *config*'s three strategy toggles.
-    Nothing is estimated or formatted: Monte-Carlo builds one of these
+    Nothing is counted or formatted: Monte-Carlo builds one of these
     per sampled world, every update one per transaction.
     """
     indexed = config.use_label_index
     return Plan(
         pattern=pattern,
         steps=tuple(
-            PlanStep(
-                node,
-                "label-index" if indexed and node.label is not None else "full-scan",
-                0.0,
-                0.0,
-            )
+            PlanStep(node, "label-index" if indexed and node.label is not None else "full-scan")
             for node in pattern.positive_nodes()
         ),
         use_label_index=indexed,
         use_semijoin_pruning=config.use_semijoin_pruning,
         early_join_check=config.early_join_check,
-        estimated_cost=0.0,
-        baseline_cost=0.0,
-        stats_version=0,
-        fingerprint=_FIXED_FINGERPRINT,
+        fingerprint="[fixed pre-order]",
     )

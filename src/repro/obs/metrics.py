@@ -8,7 +8,7 @@ O(log buckets) and the registry never stores per-sample data, no matter
 how long the process serves.
 
 :data:`process_registry` is the one registry of the process.  The hot
-paths — matcher, planner, plan cache, statistics, fuzzy query, the
+paths — matcher, planner, document walks, fuzzy query, the
 possible-worlds semantics — count into it (``match.assignments``,
 ``engine.plan_cache_hits``, ``core.query.matches``, …), and
 :func:`repro.obs.default_observability` builds the shared panel on it,
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: Default latency bucket upper bounds, in seconds: log-spaced from
-#: 50 µs to 10 s, wide enough for a plan-cache lookup and a compaction
+#: 50 µs to 10 s, wide enough for a plan build and a compaction
 #: alike.  Observations past the last bound land in the overflow
 #: (+Inf) bucket.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -65,19 +65,15 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: that has not exercised them yet.  ``kind`` is the Prometheus type.
 METRIC_CATALOG: tuple[tuple[str, str, str], ...] = (
     # engine
-    ("engine.plan_cache_hits", "counter", "Plan cache hits"),
-    ("engine.plan_cache_misses", "counter", "Plan cache misses"),
-    ("engine.plan_cache_evictions", "counter", "Plan cache LRU evictions"),
-    ("engine.plans_built", "counter", "Plans built by the cost-based planner"),
+    ("engine.plan_cache_hits", "counter", "Queries served a plan a document walk kept"),
+    ("engine.plan_cache_misses", "counter", "Queries a document walk had no kept plan for"),
+    ("engine.plan_cache_evictions", "counter",
+     "Kept plans a document walk dropped as least recently used"),
+    ("engine.plans_built", "counter", "Plans chosen from a walk's exact candidate counts"),
     ("engine.plans_executed", "counter", "Plan executions, fixed plans included"),
-    ("engine.estimated_candidates", "counter", "Candidates the planner estimated"),
     ("engine.actual_candidates", "counter", "Candidates the executor's scans kept"),
-    ("engine.stats_collected", "counter", "Full document statistics walks"),
-    ("engine.stats_invalidated", "counter", "Document statistics invalidations"),
-    ("engine.stats_delta_noop", "counter", "Empty commit deltas (statistics kept)"),
-    ("engine.stats_delta_applied", "counter", "Commit deltas applied in place"),
-    ("engine.stats_delta_recollected", "counter", "Commit deltas forcing a re-walk"),
-    ("engine.plan_build_seconds", "histogram", "Time to build one query plan"),
+    ("engine.plan_build_seconds", "histogram",
+     "Time to prepare and plan one query on a document walk"),
     ("engine.view_build_seconds", "histogram",
      "Time to build a per-root document walk (+ condition index)"),
     # match enumeration (the backtracking join)

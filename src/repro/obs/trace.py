@@ -1,7 +1,7 @@
 """Hierarchical span tracing with a bounded ring buffer of traces.
 
 A :class:`Span` is one timed phase of work; spans nest (a ``query``
-span contains ``plan_cache_lookup``, ``view_build``,
+span contains ``view_build``, ``plan_build``,
 ``match_enumeration``, …) and completed **root** spans land in the
 tracer's ring buffer (``deque(maxlen=capacity)``) — the process keeps
 the last N traces, nothing more, however long it serves.

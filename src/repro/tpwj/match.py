@@ -122,7 +122,7 @@ DEFAULT_CONFIG = MatchConfig()
 
 
 class Match:
-    """One embedding of a pattern into a data tree.  Under a plan cached
+    """One embedding of a pattern into a data tree.  Under a plan kept
     for another pattern object, ``_keys`` maps *pattern*'s nodes onto the
     mapping's (:func:`~repro.engine.executor.iter_rekeyed`)."""
 
@@ -194,25 +194,25 @@ def find_matches(
     candidate data nodes, pattern children in declaration order).
     Updates run the same plan on the walk their writer keeps current
     (:func:`~repro.core.update.apply_update`'s *walk*), with the same
-    matches in the same order.  ``plan="auto"`` plans by cost: statistics
-    are collected, a plan is built and executed; *config* then only
+    matches in the same order.  ``plan="auto"`` plans from a fresh
+    document walk: the candidate lists are prepared, a plan is chosen
+    from their exact sizes and run on them; *config* then only
     supplies the runtime semantics (``max_matches``,
     ``honor_negation``).  Passing a prebuilt
-    :class:`~repro.engine.planner.Plan` executes it directly (the
-    warehouse does this through its plan cache); match order then
-    follows the plan's visit order.
+    :class:`~repro.engine.planner.Plan` executes it directly; match
+    order then follows the plan's visit order.
     """
     # Imported here: the engine builds on this module.
-    from repro.engine.executor import iter_plan, iter_rekeyed
-    from repro.engine.planner import Plan, build_plan, fixed_plan, pattern_fingerprint
+    from repro.engine.executor import _Intervals, _planned, iter_plan, iter_rekeyed
+    from repro.engine.planner import Plan, fixed_plan, pattern_fingerprint
 
     if plan is None:
         return list(iter_plan(fixed_plan(pattern, config), root, config))
     if plan == "auto":
-        from repro.engine.stats import collect_stats
-
-        plan = build_plan(pattern, collect_stats(root))
-    elif not isinstance(plan, Plan):
+        walk = _Intervals(root)
+        entry = _planned(pattern, root, walk)
+        return list(iter_plan(entry.plan, root, config, intervals=walk, prepared=entry))
+    if not isinstance(plan, Plan):
         raise QueryError(f"plan must be None, 'auto' or a Plan, got {plan!r}")
     if plan.pattern is not pattern and plan.fingerprint != pattern_fingerprint(
         pattern

@@ -65,7 +65,7 @@ from time import perf_counter
 
 from repro.obs import default_observability
 from repro.core.fuzzy_tree import FuzzyTree
-from repro.engine import QueryEngine, StatsDelta
+from repro.engine import QueryEngine
 from repro.engine.executor import _WriterWalk
 from repro.core.simplify import SimplifyReport, simplify
 from repro.core.update import UpdateReport, apply_update
@@ -263,11 +263,11 @@ class Warehouse:
         # the process-global default unless the caller scoped one per
         # warehouse, or None for no panel.
         self._obs = _resolve_observability(observability)
-        # Cost-based query engine: plans are cached per (pattern
-        # fingerprint, stats version); commits feed their structural
-        # delta to the engine, which maintains the statistics in place
-        # and bumps the version only when the document really changed —
-        # so queries between (and across no-op) commits reuse plans.
+        # Query engine: the live document's walk keeps each query's plan
+        # with its preparation; commits hand the engine the writer's
+        # record of the subtrees they attached and detached, so queries
+        # between (and across no-op) commits reuse the plans a commit
+        # did not touch.
         self._engine = QueryEngine(
             lambda: self._document.root, observability=self._obs
         )
@@ -416,7 +416,7 @@ class Warehouse:
 
     @property
     def engine(self) -> QueryEngine:
-        """The warehouse's cost-based query engine (stats + plan cache)."""
+        """The warehouse's query engine (walks, kept plans, condition indexes)."""
         self._check_open()
         return self._engine
 
@@ -426,7 +426,7 @@ class Warehouse:
         return self._obs
 
     def explain_plan(self, pattern: str | Pattern) -> str:
-        """The engine's statistics and chosen plan for *pattern*, rendered."""
+        """The engine's chosen plan for *pattern*, with its candidate counts, rendered."""
         self._check_open()
         if isinstance(pattern, str):
             pattern = parse_pattern(pattern)
@@ -622,12 +622,9 @@ class Warehouse:
         attributes = {"transactions": len(members)} if kind == "batch" else {}
         with self._committing(kind, **attributes):
             texts = [transaction_to_string(t, indent=False) for t in members]
-            delta = StatsDelta()
             config = self._match_config
-            outcomes = self._apply_in_place(
-                lambda walk: _apply_members(
-                    self._document, members, texts, config, delta, walk
-                )
+            outcomes, writer = self._apply_in_place(
+                lambda walk: _apply_members(self._document, members, texts, config, walk)
             )
             events = [report.confidence_event for _, _, report in outcomes]
             if kind == "update":
@@ -643,7 +640,7 @@ class Warehouse:
             # handle opened with.
             wal_payload["max_matches"] = config.max_matches
             wal_payload["honor_negation"] = config.honor_negation
-            self._commit(kind, _audit_entry(kind, outcomes), wal_payload, delta)
+            self._commit(kind, _audit_entry(kind, outcomes), wal_payload, writer)
             factor = self._auto_simplify_factor
             grown = factor is not None and self._document.size() > factor * self._baseline_size
         if grown:
@@ -659,7 +656,7 @@ class Warehouse:
         always a fresh snapshot — a natural compaction point.
         """
         with self._committing("simplify"):
-            report = self._apply_in_place(lambda _: simplify(self._document))
+            report, _ = self._apply_in_place(lambda _: simplify(self._document))
             self._commit(
                 "simplify",
                 {
@@ -741,19 +738,19 @@ class Warehouse:
         """Run an in-place mutation of the live document, after
         copy-on-write has detached any pinned readers from it; *mutate*
         gets the writer's handle on the live walk (see
-        :meth:`QueryEngine.mutating`)."""
+        :meth:`QueryEngine.mutating`).  Returns *mutate*'s result and
+        the handle, which recorded what a reporting mutation changed."""
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         t0 = perf_counter() if tracing else 0.0
         self._detach_pinned_readers()
         # The engine guard serializes the mutation against a concurrent
-        # reader's statistics recollection, which walks the live root
-        # (see QueryEngine.mutating).
+        # plan_for, which walks the live root (see QueryEngine.mutating).
         with self._engine.mutating() as walk:
             result = mutate(walk)
         if tracing:
             obs.tracer.emit("apply", perf_counter() - t0)
-        return result
+        return result, walk
 
     def _detach_pinned_readers(self) -> None:
         """Copy-on-write: clone the live document if snapshot pins hold it.
@@ -761,11 +758,11 @@ class Warehouse:
         Mutations edit the document in place, so a pinned reader would
         otherwise observe writes mid-iteration.  Swapping the live
         document for a clone *before* mutating leaves every pin's tree
-        and event table frozen.  The clone is structurally identical,
-        so the engine's statistics (and cached plans) stay valid; the
-        new root's document walk is built by the first locate or query
-        that needs it.  Pins taken after the swap see the
-        new generation — one clone per pinned generation, not per write.
+        and event table frozen.  The new root's document walk, with the
+        plans it keeps, is built by the first locate or query that needs
+        it; the old root's stays with the pinned readers.  Pins taken
+        after the swap see the new generation — one clone per pinned
+        generation, not per write.
         """
         with self._pins_lock:
             if self._pin_counts.get(id(self._document), 0):
@@ -776,7 +773,7 @@ class Warehouse:
         kind: str,
         payload: dict,
         wal_payload: dict | None = None,
-        delta: StatsDelta | None = None,
+        writer=None,
     ) -> None:
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
@@ -816,7 +813,7 @@ class Warehouse:
             obs.metrics.incr(f"warehouse.commits.{kind}")
             obs.metrics.observe("warehouse.commit_seconds", perf_counter() - t_commit)
             self._observe_gauges(obs)
-        self._engine.apply_delta(delta)
+        self._engine.commit(writer)
 
     def _write_snapshot(self) -> None:
         obs = self._obs
@@ -885,7 +882,7 @@ _AUDIT_COUNTS = ("matches", "applied", "inserted_nodes", "survivor_copies")
 
 
 def _apply_members(
-    document: FuzzyTree, members, texts, match_config: MatchConfig, delta=None, walk=None
+    document: FuzzyTree, members, texts, match_config: MatchConfig, walk=None
 ) -> list[tuple]:
     """Apply *members* (whose XUpdate serializations are *texts*) to
     *document* in order: the one place a commit, live or replayed,
@@ -896,7 +893,7 @@ def _apply_members(
         (
             text,
             transaction.confidence,
-            apply_update(document, transaction, match_config, delta, walk),
+            apply_update(document, transaction, match_config, walk=walk),
         )
         for transaction, text in zip(members, texts)
     ]
@@ -942,10 +939,10 @@ def _recover(storage: Storage, match_config: MatchConfig, obs) -> tuple:
         wal.discard_torn_tail()
     t_replay = perf_counter() if obs is not None else 0.0
     walk = _WriterWalk(document.root)  # one walk for every record, built lazily
-    replayed = [
-        (record, _replay_record(document, record, match_config, walk))
-        for record in records
-    ]
+    replayed = []
+    for record in records:
+        replayed.append((record, _replay_record(document, record, match_config, walk)))
+        walk.changes.clear()  # unread: the recovering handle's engine starts fresh
     if obs is not None:
         obs.metrics.observe("warehouse.recovery_seconds", perf_counter() - t_replay)
         if records:

@@ -90,7 +90,7 @@ def test_layer_table_compares_one_traced_pass_per_side_in_manifest_order():
 
     parent = run(engine_match_us=2190.0, engine_matches_per_query=21, engine_view_rebuild_us=0.0)
     change = run(engine_match_us=219.0, engine_matches_per_query=21)
-    assert layer_table(per_layer, parent, change) == [
+    assert layer_table(per_layer, [parent], [change]) == [
         "| metric | unit | parent | change | change |",
         "|---|---|---|---|---|",
         "| engine.match_us | us | 2190 | 219 | -90.0% |",
@@ -99,6 +99,19 @@ def test_layer_table_compares_one_traced_pass_per_side_in_manifest_order():
         "| engine.view_rebuild_us | us | 0 |  |  |",  # no ratio from 0 or a blank
     ]
     # A failed pass carries no metrics at all.
-    assert layer_table(per_layer[:1], {"metrics": {}}, change)[-1] == (
+    assert layer_table(per_layer[:1], [{"metrics": {}}], [change])[-1] == (
         "| engine.match_us | us |  | 219 |  |"
+    )
+
+
+def test_layer_table_reads_the_median_of_each_sides_traced_passes():
+    per_layer = [{"name": "engine.match_us", "unit": "us"}]
+
+    def run(value):
+        return {"metrics": {} if value is None else {"engine.match_us": {"value": value}}}
+
+    parent = [run(79.0), run(67.9), run(70.0)]
+    change = [run(66.8), run(None), run(79.1)]  # a failed pass is skipped
+    assert layer_table(per_layer, parent, change)[-1] == (
+        "| engine.match_us | us | 70 | 72.95 | +4.2% |"
     )

@@ -3,10 +3,8 @@ the process registry."""
 
 import repro
 from repro import find_matches
-from repro.engine import collect_stats
 from repro.obs.metrics import process_registry
 from repro.tpwj.parser import parse_pattern
-from repro.trees import tree
 
 
 class TestCounters:
@@ -34,12 +32,3 @@ class TestFuzzyStats:
         with repro.connect(tmp_path / "wh", create=True, document=slide12_doc) as session:
             info = session.stats()
         assert info["nodes"] == 4 and "condition_literals" in info
-
-
-class TestTreeStats:
-    def test_counts(self):
-        doc = tree("A", tree("B", "x"), tree("B", "y"), tree("C", tree("D")))
-        stats = collect_stats(doc)
-        assert stats.node_count == 5
-        assert stats.leaf_count == 3
-        assert stats.label_counts == {"A": 1, "B": 2, "C": 1, "D": 1}

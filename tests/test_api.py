@@ -65,20 +65,19 @@ _DELETED_MODULES = [
     "repro.analysis.metrics",
     "repro.core.aggregates",
     "repro.tpwj.xpath",
+    "repro.engine.stats",
+    "repro.engine.cardinality",
+    "repro.engine.cache",
 ]
 #: Engine and model internals: importable from their subpackages, not
 #: re-exported by the package's front door.
 _INTERNAL_NAMES = [
     "AncestorConditionIndex",
     "ShannonCache",
-    "PlanCache",
     "build_plan",
     "execute_plan",
     "complement_as_disjoint_conditions",
     "match_condition",
-    "StatsDelta",
-    "TreeStats",
-    "collect_stats",
 ]
 
 
@@ -329,12 +328,12 @@ class TestResultSet:
 
     def test_limit_hits_the_plan_cache_on_repeat(self, session):
         _populate(session)
-        cache = session.warehouse.engine.cache
         session.query("//person { name }").limit(1).all()
-        misses = cache.misses
+        misses = process_registry.counter("engine.plan_cache_misses")
+        hits = process_registry.counter("engine.plan_cache_hits")
         session.query("//person { name }").limit(2).all()
-        assert cache.misses == misses
-        assert cache.hits >= 1
+        assert process_registry.counter("engine.plan_cache_misses") == misses
+        assert process_registry.counter("engine.plan_cache_hits") >= hits + 1
 
     def test_limit_stops_the_enumeration_early(self, session):
         _populate(session, [f"p{i}" for i in range(12)])
@@ -436,10 +435,11 @@ class TestResultSet:
             pass
         with connect(path, match_config=MatchConfig(max_matches=1)) as session:
             # The handle's cap rides the engine's streaming protocol —
-            # no fixed-matcher fallback, and the plan cache is used.
+            # no fixed-matcher fallback, and the walk keeps the plan.
+            misses = process_registry.counter("engine.plan_cache_misses")
             rows = session.query("//*").all()
             assert len(rows) == 1
-            assert session.warehouse.engine.cache.misses >= 1
+            assert process_registry.counter("engine.plan_cache_misses") >= misses + 1
 
 
 # ----------------------------------------------------------------------

@@ -354,8 +354,8 @@ class TestPreparedUnderReaders:
                 assert snap.query("//name").limit(1).all()  # the walk, not the plan
                 walk = engine._current_walk(snap.document.root)
                 if cold == "indexes":  # one shared entry, its indexes unbuilt
-                    plan = engine.plan_for(parse_pattern(self.QUERY))
-                    assert not walk.prepared(plan, snap.document.root).by_parent
+                    engine.plan_for(parse_pattern(self.QUERY))
+                    assert not walk.prepared(parse_pattern(self.QUERY), snap.document.root).by_parent
                 started = threading.Barrier(readers)
 
                 def reader(k: int) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -193,9 +192,8 @@ def assert_prepared_are_fresh(engine, walk, root) -> None:
     in order), its join indexes regroup its lists, and the warm engine
     matches like a fresh one, in the same order."""
     fresh = executor._Intervals(root)
-    for (_, semijoin), entry in list(walk._prepared.items()):
-        config = replace(DEFAULT_CONFIG, use_semijoin_pruning=semijoin)
-        expected = executor._prepare(fixed_plan(entry.pattern, config), root, fresh)
+    for entry in list(walk._prepared.values()):
+        expected = executor._planned(entry.pattern, root, fresh)
         assert entry.labels == expected.labels
         assert (entry.actual, entry.pruned) == (expected.actual, expected.pruned)
         if expected.candidates is None:
@@ -336,6 +334,87 @@ def test_patched_walk_equals_a_fresh_walk_after_every_commit(seed, ops):
                 if walk is not None:
                     assert_walk_is_fresh(walk, root)
                     assert_prepared_are_fresh(engine, walk, root)
+                if root.size() > 200:
+                    break  # survivor copies compound: keep the check cheap
+        finally:
+            wh.close()
+
+
+def assert_kept_plans_are_fresh(walk, root) -> None:
+    """Each plan *walk* kept equals the plan a fresh walk of *root*
+    chooses for the same pattern: visit order, semi-join decision,
+    join-check placement and candidate lists."""
+    fresh = executor._Intervals(root)
+    for entry in list(walk._prepared.values()):
+        expected = executor._planned(entry.pattern, root, fresh)
+        kept, plan = entry.plan, expected.plan
+        assert kept.order == plan.order, kept.fingerprint
+        assert kept.use_semijoin_pruning == plan.use_semijoin_pruning
+        assert kept.early_join_check == plan.early_join_check
+        assert kept.steps == plan.steps
+        if expected.candidates is None:
+            assert entry.candidates is None
+        else:
+            assert {p: _ids(c) for p, c in entry.candidates.items()} == {
+                p: _ids(c) for p, c in expected.candidates.items()
+            }
+
+
+def _deletion(rng: random.Random, document) -> list:
+    """Delete every node of one label below the root, at confidence 1
+    or below (survivor copies)."""
+    labels = sorted({n.label for n in document.root.iter() if n is not document.root})
+    if not labels:
+        return [_tx("/R[$r]", [InsertOperation("r", Node("A"))])]
+    return [_tx(f"//{rng.choice(labels)}[$x]", [DeleteOperation("x")], rng.choice([0.5, 1.0]))]
+
+
+def _insertion(rng: random.Random, document) -> list:
+    """Insert a small subtree under every node of one unvalued label."""
+    labels = sorted({n.label for n in document.root.iter() if n.value is None})
+    subtree = Node(rng.choice("ABCD"), children=[Node(rng.choice("BCE"))])
+    return [_tx(f"//{rng.choice(labels)}[$x]", [InsertOperation("x", subtree)], rng.choice([0.5, 1.0]))]
+
+
+#: Commits of inserts and deletes: one transaction, or a batch of them.
+EDITS = {
+    "insert": _insertion,
+    "delete": _deletion,
+    "random": lambda rng, document: [random_update_for(rng, document)],
+    "batch": lambda rng, document: [
+        tx for make in (_insertion, _deletion, _insertion) for tx in make(rng, document)
+    ],
+}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.sampled_from(sorted(EDITS)), min_size=1, max_size=6),
+)
+def test_kept_plans_equal_fresh_plans_after_every_commit(seed, edits):
+    """The live walk keeps each query's plan with its preparation across
+    the commits that leave its labels alone; after every commit, single
+    or batched, each kept plan must be the one a fresh walk of the new
+    document would choose."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as path:
+        wh = Warehouse.create(Path(path) / "wh", _fuzzy_document(rng))
+        try:
+            engine = wh.engine
+            for edit in edits:
+                root = wh.document.root
+                for text in PREPARED_PATTERNS:
+                    list(engine.iter_matches(parse_pattern(text), root=root))
+                members = EDITS[edit](rng, wh.document)
+                if len(members) == 1:
+                    wh._commit_update(members[0])
+                else:
+                    wh.update_many(members)
+                root = wh.document.root
+                walk = engine._current_walk(root)
+                if walk is not None:
+                    assert_kept_plans_are_fresh(walk, root)
                 if root.size() > 200:
                     break  # survivor copies compound: keep the check cheap
         finally:

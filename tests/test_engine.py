@@ -1,4 +1,4 @@
-"""Unit tests for the cost-based query engine (repro.engine)."""
+"""Unit tests for the query engine (repro.engine)."""
 
 from __future__ import annotations
 
@@ -10,29 +10,14 @@ import repro
 from repro import EventTable, FuzzyNode, FuzzyTree, Session
 from repro.api.builders import compile_transaction
 from repro.core.update import apply_update
-from repro.tpwj.match import find_matches
+from repro.tpwj.match import MatchConfig, find_matches
 from repro.tpwj.parser import parse_pattern
 from repro.trees.random import RandomTreeConfig
 from repro.warehouse import CommitPolicy, Warehouse
 from repro.workloads.generator import FuzzyWorkloadConfig, random_fuzzy_tree
 from repro.obs.metrics import process_registry
 from repro.engine import executor
-from repro.engine import (
-    DocumentStats,
-    PlanCache,
-    QueryEngine,
-    build_plan,
-    collect_stats,
-    pattern_fingerprint,
-)
-from repro.engine.planner import _FIXED_FINGERPRINT
-from repro.engine.cardinality import (
-    axis_selectivity,
-    estimate_candidates,
-    estimate_enumeration_cost,
-    join_selectivity,
-)
-from repro.tpwj.pattern import PatternNode
+from repro.engine import QueryEngine, build_plan, pattern_fingerprint
 from repro.trees import Node, tree
 
 
@@ -48,101 +33,111 @@ def doc() -> Node:
     )
 
 
+def _counts(plan) -> dict:
+    """Each visited pattern node's label -> its candidate count."""
+    return {step.node.label: step.candidates for step in plan.steps}
+
+
+def _options(plan) -> dict:
+    return {step.node.label: step.options for step in plan.steps}
+
+
 # ----------------------------------------------------------------------
-# Statistics
+# The exact counts a plan reads
 # ----------------------------------------------------------------------
 
 
 class TestStats:
     def test_one_pass_counts(self, doc):
-        stats = collect_stats(doc)
-        assert stats.node_count == 9
-        assert stats.label_counts == {
+        walk = executor._Intervals(doc)
+        assert len(walk.all_nodes) == 9
+        assert {label: len(nodes) for label, nodes in walk.label_index.items()} == {
             "directory": 1,
             "person": 3,
             "name": 3,
             "email": 1,
             "misc": 1,
         }
-        assert stats.leaf_count == 5
-        assert stats.valued_count == 5
-        assert stats.valued_counts == {"name": 3, "email": 1, "misc": 1}
-        assert stats.distinct_values == {"name": 2, "email": 1, "misc": 1}
-        assert stats.distinct_values_total == 3  # ana, bob, a@x
-        assert stats.internal_counts == {"directory": 1, "person": 3}
-        assert stats.max_depth == 2
-        assert stats.max_fanout == 4
+        plan = build_plan(parse_pattern("directory { person { name, email }, misc }"), doc)
+        assert _counts(plan) == {"directory": 1, "person": 3, "name": 3, "email": 1, "misc": 1}
 
     def test_depth_and_fanout_aggregates(self, doc):
-        stats = collect_stats(doc)
-        # sum_depth = number of proper (ancestor, descendant) pairs.
-        assert stats.sum_depth == 4 * 1 + 4 * 2  # 4 at depth 1, 4 at depth 2
-        assert stats.avg_depth == pytest.approx(12 / 9)
-        # 8 edges spread over 4 internal nodes.
-        assert stats.avg_fanout == pytest.approx(2.0)
+        # Options: a node's candidates under one candidate of its parent.
+        below = build_plan(parse_pattern("directory { //name }"), doc)
+        assert _options(below)["name"] == pytest.approx(3.0)
+        child = build_plan(parse_pattern("person { name }"), doc)
+        assert _options(child)["name"] == pytest.approx(1.0)
+        sparse = build_plan(parse_pattern("person { email }"), doc)
+        assert _counts(sparse) == {"person": 3, "email": 1}
+        assert _options(sparse)["email"] == pytest.approx(1 / 3)
 
     def test_as_dict_is_flat(self, doc):
-        info = collect_stats(doc).as_dict()
-        assert info["nodes"] == 9
-        assert info["labels"] == 5
-        assert info["distinct_values"] == 3
+        text = build_plan(parse_pattern("person { name }"), doc).explain()
+        assert "1. person  [label-index]  candidates=3" in text
+        assert "2. name  [label-index]  candidates=3  options=1.00" in text
 
     def test_document_stats_invalidation(self, doc):
-        holder = DocumentStats(lambda: doc)
-        first = holder.current()
-        assert holder.current() is first  # cached
-        assert holder.version == 0
-        doc.add_child(Node("extra"))
-        holder.invalidate()
-        assert holder.version == 1
-        second = holder.current()
+        engine = QueryEngine(lambda: doc)
+        pattern = parse_pattern("person")
+        first = engine.plan_for(pattern)
+        assert engine.plan_for(pattern) is first  # kept on the walk
+        doc.add_child(Node("person"))
+        engine.invalidate()
+        second = engine.plan_for(pattern)
         assert second is not first
-        assert second.node_count == first.node_count + 1
+        assert _counts(second) == {"person": _counts(first)["person"] + 1}
 
 
 # ----------------------------------------------------------------------
-# Cardinality
+# Candidate counts and options
 # ----------------------------------------------------------------------
 
 
 class TestCardinality:
     def test_label_histogram_drives_candidates(self, doc):
-        stats = collect_stats(doc)
-        assert estimate_candidates(PatternNode("person"), stats, set()) == 3.0
-        assert estimate_candidates(PatternNode("nope"), stats, set()) == 0.0
-        assert estimate_candidates(PatternNode(None), stats, set()) == 9.0
+        assert _counts(build_plan(parse_pattern("person"), doc)) == {"person": 3}
+        assert _counts(build_plan(parse_pattern("nope"), doc)) == {"nope": 0}
+        assert _counts(build_plan(parse_pattern("*"), doc)) == {None: 9}
 
     def test_value_test_uses_distinct_values(self, doc):
-        stats = collect_stats(doc)
-        # 3 valued name nodes over 2 distinct values -> 1.5 per value.
-        node = PatternNode("name", value="ana")
-        assert estimate_candidates(node, stats, set()) == pytest.approx(1.5)
+        # Two names carry "ana".
+        assert _counts(build_plan(parse_pattern('name[="ana"]'), doc)) == {"name": 2}
+        # misc binds $x first (1 option against 3 persons); a name then
+        # has 1 option per person, over 2 distinct name values.
+        plan = build_plan(parse_pattern("directory { person { name[$x] }, misc[$x] }"), doc)
+        assert [step.node.label for step in plan.steps] == ["directory", "misc", "person", "name"]
+        assert _options(plan)["name"] == pytest.approx(0.5)
 
     def test_internal_requirement_scales_estimate(self, doc):
-        stats = collect_stats(doc)
-        node = PatternNode("misc", children=[PatternNode("x")])
-        # All misc nodes are leaves: requiring a child kills the estimate.
-        assert estimate_candidates(node, stats, set()) == 0.0
+        # All misc nodes are leaves: requiring a child leaves none.
+        plan = build_plan(parse_pattern("misc { x }"), doc)
+        assert _counts(plan) == {"misc": 0, "x": None}
+        assert "no match: a candidate list came out empty" in plan.reasons
 
     def test_join_variable_requires_valued_nodes(self, doc):
-        stats = collect_stats(doc)
-        node = PatternNode("person", variable="j")
         # No person carries a value, so a join on $j has no candidates.
-        assert estimate_candidates(node, stats, {"j"}) == 0.0
+        plan = build_plan(parse_pattern("directory { person[$j], misc[$j] }"), doc)
+        assert _counts(plan)["person"] == 0
 
     def test_axis_and_join_selectivity_bounds(self, doc):
-        stats = collect_stats(doc)
-        child = PatternNode("name")
-        PatternNode("person", children=[child])
-        assert 0.0 < axis_selectivity(child, stats) <= 1.0
-        assert join_selectivity(PatternNode("name"), stats) == pytest.approx(0.5)
+        plan = build_plan(parse_pattern("directory { person { name[$x] }, misc[$x] }"), doc)
+        for step in plan.steps[1:]:
+            assert 0.0 < step.options <= step.candidates
 
     def test_selective_order_is_cheaper(self, doc):
-        stats = collect_stats(doc)
-        pattern = parse_pattern('directory { person { name[="bob"] } }')
-        pre_order = pattern.positive_nodes()
-        cost = estimate_enumeration_cost(pattern, pre_order, stats, False)
-        assert cost > 0.0
+        pattern = parse_pattern("person { name, email }")
+        plan = build_plan(pattern, doc)
+        assert [step.node.label for step in plan.steps] == ["person", "email", "name"]
+        # Too little volume for the semi-join: only the order differs.
+        config = MatchConfig(use_semijoin_pruning=False)
+        assert not plan.use_semijoin_pruning
+        work = {}
+        for shape in (None, "auto"):
+            process_registry.reset()
+            assert len(find_matches(pattern, doc, config, plan=shape)) == 1
+            work[shape] = process_registry.counter("match.assignments")
+        process_registry.reset()
+        assert work["auto"] < work[None]
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +148,7 @@ class TestCardinality:
 class TestPlanner:
     def test_plan_is_topological_and_complete(self, doc):
         pattern = parse_pattern("directory { person { name[$x] }, misc[$x] }")
-        plan = build_plan(pattern, collect_stats(doc))
+        plan = build_plan(pattern, doc)
         assert set(map(id, plan.order)) == set(map(id, pattern.positive_nodes()))
         positions = {id(n): i for i, n in enumerate(plan.order)}
         for node in plan.order:
@@ -161,26 +156,25 @@ class TestPlanner:
                 assert positions[id(node.parent)] < positions[id(node)]
 
     def test_toggle_choices(self, doc):
-        stats = collect_stats(doc)
         joined = build_plan(
-            parse_pattern("directory { person { name[$x] }, misc[$x] }"), stats
+            parse_pattern("directory { person { name[$x] }, misc[$x] }"), doc
         )
         assert joined.early_join_check
         assert joined.use_label_index
-        plain = build_plan(parse_pattern("person { name }"), stats)
+        plain = build_plan(parse_pattern("person { name }"), doc)
         assert not plain.early_join_check
         # Tiny candidate volume: the prune pass is not worth it.
         assert not plain.use_semijoin_pruning
-        wildcards = build_plan(parse_pattern("* { * }"), stats)
+        wildcards = build_plan(parse_pattern("* { * }"), doc)
         assert not wildcards.use_label_index
 
     def test_explain_mentions_decisions(self, doc):
         pattern = parse_pattern("directory { person { name[$x] }, misc[$x] }")
-        plan = build_plan(pattern, collect_stats(doc), stats_version=7)
+        plan = build_plan(pattern, doc)
         text = plan.explain()
-        assert "stats version: 7" in text
         assert "visit order" in text
-        assert "est. candidates" in text
+        assert "candidates=3" in text
+        assert "reordered visit sequence" in text
         assert "early" in text  # join check placement
 
     def test_fingerprint_identifies_structure(self):
@@ -192,47 +186,55 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
-# Plan cache
+# Kept plans: each walk keeps a plan with its preparation, per pattern
 # ----------------------------------------------------------------------
 
 
 class TestPlanCache:
-    def _plan(self, text: str, doc, version: int = 0):
-        return build_plan(parse_pattern(text), collect_stats(doc), version)
-
     def test_hit_and_miss_accounting(self, doc):
-        cache = PlanCache(capacity=4)
-        plan = self._plan("person { name }", doc)
-        assert cache.get(plan.fingerprint, 0) is None
-        cache.put(plan)
-        assert cache.get(plan.fingerprint, 0) is plan
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+        walk = executor._Intervals(doc)
+        process_registry.reset()
+        entry = walk.prepared(parse_pattern("person { name }"), doc)
+        assert walk.prepared(parse_pattern("person { name }"), doc) is entry
+        assert process_registry.counter("engine.plan_cache_misses") == 1
+        assert process_registry.counter("engine.plan_cache_hits") == 1
+        assert process_registry.counter("engine.plans_built") == 1
+        process_registry.reset()
 
     def test_stats_version_partitions_entries(self, doc):
-        cache = PlanCache(capacity=4)
-        old = self._plan("person { name }", doc, version=0)
-        cache.put(old)
-        # Same query against a newer document state: miss.
-        assert cache.get(old.fingerprint, 1) is None
+        walk = executor._Intervals(doc)
+        pattern = parse_pattern("person { name }")
+        kept = walk.prepared(pattern, doc)
+        untouched = walk.prepared(parse_pattern("misc"), doc)
+        # A patch naming the plan's labels drops its entry: re-planned.
+        walk.attach(doc.add_child(tree("person", tree("name", "cy"))))
+        fresh = walk.prepared(pattern, doc)
+        assert fresh is not kept
+        assert _counts(fresh.plan) == {"person": 4, "name": 4}
+        assert walk.prepared(parse_pattern("misc"), doc) is untouched
 
-    def test_lru_eviction(self, doc):
-        cache = PlanCache(capacity=2)
-        p1 = self._plan("person", doc)
-        p2 = self._plan("name", doc)
-        p3 = self._plan("misc", doc)
-        cache.put(p1)
-        cache.put(p2)
-        assert cache.get(p1.fingerprint, 0) is p1  # refresh p1
-        cache.put(p3)  # evicts p2 (least recently used)
-        assert cache.get(p2.fingerprint, 0) is None
-        assert cache.get(p1.fingerprint, 0) is p1
-        assert cache.get(p3.fingerprint, 0) is p3
-        assert cache.evictions == 1
+    def test_lru_eviction(self, doc, preparations):
+        """A hot pattern queried between more distinct ones than a walk
+        keeps is refreshed on every hit, so it is planned once."""
+        for i in range(1, 200):
+            doc.add_child(tree(f"L{i}", tree("x", f"v{i}")))
+        doc.add_child(tree("L0", tree("x", "v0")))
+        engine = QueryEngine(lambda: doc)
+        hot = parse_pattern("//L0 { x }")
+        for i in range(1, 200):
+            assert len(engine.find_matches(parse_pattern(f"//L{i} {{ x }}"))) == 1
+            assert len(engine.find_matches(hot)) == 1
+        assert preparations.count(pattern_fingerprint(hot)) == 1
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+    def test_capacity_validation(self, doc):
+        walk = executor._Intervals(doc)
+        process_registry.reset()
+        for i in range(executor._PREPARED + 5):
+            walk.prepared(parse_pattern(f"L{i}"), doc)
+        assert len(walk._prepared) == executor._PREPARED
+        assert process_registry.counter("engine.plan_cache_evictions") == 5
+        assert pattern_fingerprint(parse_pattern("L0")) not in walk._prepared
+        process_registry.reset()
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +248,11 @@ class TestQueryEngine:
         pattern = parse_pattern("person { name }")
         first = engine.plan_for(pattern)
         second = engine.plan_for(parse_pattern("person { name }"))
-        assert second is first  # cache hit on an equivalent pattern
+        assert second is first  # kept plan served for an equivalent pattern
         engine.invalidate()
         third = engine.plan_for(pattern)
         assert third is not first
-        assert third.stats_version == 1
+        assert third.steps == first.steps  # same document, same counts
 
     def test_find_matches_through_engine(self, doc):
         engine = QueryEngine(lambda: doc)
@@ -260,11 +262,11 @@ class TestQueryEngine:
     def test_cached_plan_matches_are_keyed_by_callers_pattern(self, doc):
         engine = QueryEngine(lambda: doc)
         first = parse_pattern("person { name[$x] }")
-        engine.find_matches(first)  # populates the plan cache
+        engine.find_matches(first)  # the walk keeps its plan
         second = parse_pattern("person { name[$x] }")
         match = engine.find_matches(second)[0]
         # Indexing with the *caller's* nodes must work despite the
-        # cached plan carrying the first pattern's node objects.
+        # kept plan carrying the first pattern's node objects.
         assert match[second.root].label == "person"
         assert match.pattern is second
         assert match.binding("x") is not None
@@ -345,23 +347,19 @@ class TestQueryEngine:
         engine.find_matches(pattern)
         engine.find_matches(pattern)
         seen = process_registry.snapshot()["counters"]
-        assert seen["engine.stats_collected"] == 1
         assert seen["engine.plans_built"] == 1
         assert seen["engine.plans_executed"] == 2
         assert seen["engine.plan_cache_misses"] == 1
         assert seen["engine.plan_cache_hits"] == 1
-        # Estimated vs actual candidate volume both recorded.
-        assert seen["engine.estimated_candidates"] > 0
         assert seen["engine.actual_candidates"] > 0
         process_registry.reset()
 
     def test_explain_renders_stats_plan_and_cache(self, doc):
         engine = QueryEngine(lambda: doc)
         text = engine.explain(parse_pattern("person { name }"))
-        assert "statistics:" in text
-        assert "nodes: 9" in text
         assert "plan for person { name }" in text
-        assert "plan cache:" in text
+        assert "candidates=3" in text
+        assert "shannon cache:" in text
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +371,9 @@ class TestWarehousePlans:
     def test_repeated_query_hits_the_plan_cache(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             Session(warehouse).query("//D").answers()
-            hits_before = warehouse.engine.cache.hits
+            hits_before = process_registry.counter("engine.plan_cache_hits")
             again = Session(warehouse).query("//D").answers()
-            assert warehouse.engine.cache.hits == hits_before + 1
+            assert process_registry.counter("engine.plan_cache_hits") == hits_before + 1
             assert len(again) == 1
 
     def test_planned_and_fixed_paths_agree(self, tmp_path, slide12_doc):
@@ -388,18 +386,18 @@ class TestWarehousePlans:
 
     def test_commit_invalidates_stats(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            version = warehouse.engine.stats.version
+            before = warehouse.engine.plan_for(parse_pattern("//D"))
             warehouse.simplify()
-            assert warehouse.engine.stats.version == version + 1
-            # A fresh plan is built for the new version (no stale serve).
+            # simplify() reports no subtrees: the engine drops every
+            # walk, and with them the kept plans (no stale serve).
             plan = warehouse.engine.plan_for(parse_pattern("//D"))
-            assert plan.stats_version == version + 1
+            assert plan is not before
 
     def test_explain_plan_from_text(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             text = warehouse.explain_plan("/A { //D }")
             assert "visit order" in text
-            assert "statistics:" in text
+            assert "candidates=1" in text
 
     def test_max_matches_handle_uses_planner(self, tmp_path, slide12_doc):
         from repro.tpwj.match import MatchConfig
@@ -411,11 +409,13 @@ class TestWarehousePlans:
         with Warehouse.open(path, match_config=config) as warehouse:
             # Truncated enumeration goes through the cost-based engine
             # too: the cap is pushed into the streaming protocol, and
-            # the plan cache serves repeats.
+            # the walk's kept plan serves repeats.
+            process_registry.reset()
             assert len(Session(warehouse).query("//D").answers()) == 1
-            assert warehouse.engine.cache.misses == 1
+            assert process_registry.counter("engine.plan_cache_misses") == 1
             Session(warehouse).query("//D").answers()
-            assert warehouse.engine.cache.hits == 1
+            assert process_registry.counter("engine.plan_cache_hits") == 1
+            process_registry.reset()
 
     def test_engine_survives_reopen(self, tmp_path, slide12_doc):
         path = tmp_path / "wh"
@@ -426,7 +426,7 @@ class TestWarehousePlans:
 
 
 # ----------------------------------------------------------------------
-# Incremental statistics maintenance
+# Commits keep the walk, and the plans whose labels they leave alone
 # ----------------------------------------------------------------------
 
 
@@ -439,17 +439,16 @@ class TestIncrementalStats:
         )
 
     def test_update_adjusts_stats_without_recollection(self, tmp_path, slide12_doc):
-        process_registry.reset()
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            warehouse.engine.stats.current()  # one full collection
-            collected_before = process_registry.counter("engine.stats_collected")
+            engine = warehouse.engine
+            engine.plan_for(parse_pattern("//N"))  # builds the live walk
+            walk = engine._current_walk(warehouse.document.root)
             warehouse._commit_update(self._insert_tx())
-            stats = warehouse.engine.stats.current()
-            seen = process_registry.snapshot()["counters"]
-            assert seen["engine.stats_collected"] == collected_before
-            assert seen["engine.stats_delta_applied"] >= 1
-            assert stats == collect_stats(warehouse.document.root)
-        process_registry.reset()
+            root = warehouse.document.root
+            assert engine._current_walk(root) is walk  # patched, not rebuilt
+            plan = engine.plan_for(parse_pattern("//N"))
+            assert _counts(plan) == {"N": 1}
+            assert plan.steps == build_plan(plan.pattern, root).steps
 
     def test_no_op_commit_keeps_version_and_cached_plan(self, tmp_path, slide12_doc):
         from repro import DeleteOperation, UpdateTransaction
@@ -457,67 +456,57 @@ class TestIncrementalStats:
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             pattern = parse_pattern("//D")
             plan_before = warehouse.engine.plan_for(pattern)
-            version = warehouse.engine.stats.version
+            commits = warehouse.engine._commits
             # No Z anywhere: the update matches nothing, changes nothing.
             report = warehouse._commit_update(
                 UpdateTransaction(parse_pattern("Z[$z]"), [DeleteOperation("z")], 1.0)
             )
             assert not report.applied
             assert warehouse.sequence == 2  # the commit still happened
-            assert warehouse.engine.stats.version == version
+            assert warehouse.engine._commits == commits
             assert warehouse.engine.plan_for(pattern) is plan_before
 
     def test_plan_never_stale_after_label_frequency_change(
         self, tmp_path, slide12_doc
     ):
-        """Regression: a commit that changes label frequencies must bump
-        the stats version, so a plan priced on the old frequencies can
+        """Regression: a commit that changes a label's frequency must drop
+        the plans naming the label, so a plan chosen on the old counts can
         never be served for the changed document."""
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
             pattern = parse_pattern("//B")
             plan_before = warehouse.engine.plan_for(pattern)
-            version_before = warehouse.engine.stats.version
-            frequency_before = warehouse.engine.stats.current().label_counts["B"]
+            frequency_before = _counts(plan_before)["B"]
             warehouse._commit_update(self._insert_tx(label="B"))  # B: 1 -> 2
-            assert warehouse.engine.stats.version > version_before
             plan_after = warehouse.engine.plan_for(pattern)
             assert plan_after is not plan_before
-            assert plan_after.stats_version == warehouse.engine.stats.version
-            # The maintained statistics reflect the live document.
-            current = warehouse.engine.stats.current()
-            assert current.label_counts["B"] == frequency_before + 1
-            assert current == collect_stats(warehouse.document.root)
+            assert _counts(plan_after)["B"] == frequency_before + 1
             # The query path serves the fresh plan, not the stale one.
-            assert warehouse.engine.plan_for(pattern).stats_version != version_before
+            assert warehouse.engine.plan_for(pattern) is plan_after
 
     def test_deletion_at_max_depth_falls_back_to_recollection(
         self, tmp_path, slide12_doc
     ):
         from repro import DeleteOperation, UpdateTransaction
 
-        process_registry.reset()
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            warehouse.engine.stats.current()
-            # D is the unique deepest node: its removal may lower
-            # max_depth, which aggregates cannot decide — recollect.
+            pattern = parse_pattern("//C { D }")
+            assert not warehouse.engine.plan_for(pattern).reasons[0].startswith("no match")
+            # D is the unique deepest node; its removal turns C into a
+            # leaf, so the plan is chosen again and finds nothing.
             warehouse._commit_update(
                 UpdateTransaction(parse_pattern("D[$d]"), [DeleteOperation("d")], 1.0)
             )
-            stats = warehouse.engine.stats.current()
-            assert stats == collect_stats(warehouse.document.root)
-            seen = process_registry.snapshot()["counters"]
-            assert seen.get("engine.stats_delta_recollected", 0) >= 1
-        process_registry.reset()
+            plan = warehouse.engine.plan_for(pattern)
+            assert _counts(plan) == {"C": 0, "D": None}
+            assert "no match: a candidate list came out empty" in plan.reasons
 
     def test_batch_commit_feeds_one_delta(self, tmp_path, slide12_doc):
         with Warehouse.create(tmp_path / "wh", slide12_doc) as warehouse:
-            warehouse.engine.stats.current()
-            version = warehouse.engine.stats.version
+            commits = warehouse.engine._commits
             warehouse.update_many([self._insert_tx(), self._insert_tx("M")])
-            assert warehouse.engine.stats.version == version + 1
-            assert warehouse.engine.stats.current() == collect_stats(
-                warehouse.document.root
-            )
+            assert warehouse.engine._commits == commits + 1
+            plan = warehouse.engine.plan_for(parse_pattern("C { N, M }"))
+            assert _counts(plan) == {"C": 1, "N": 1, "M": 1}
 
 
 # ----------------------------------------------------------------------
@@ -575,17 +564,17 @@ def walk_builds(monkeypatch) -> list:
 
 @pytest.fixture
 def preparations(monkeypatch) -> list:
-    """The fingerprint of every planned plan prepared while the test
-    runs (fixed plans — update location — are left out)."""
+    """The fingerprint of every pattern planned and prepared for a walk
+    to keep while the test runs (fixed plans — update location — are
+    left out)."""
     prepared: list = []
-    prepare = executor._prepare
+    planned = executor._planned
 
-    def counting(plan, *args, **kwargs):
-        if plan.fingerprint != _FIXED_FINGERPRINT:
-            prepared.append(plan.fingerprint)
-        return prepare(plan, *args, **kwargs)
+    def counting(pattern, *args, **kwargs):
+        prepared.append(pattern_fingerprint(pattern))
+        return planned(pattern, *args, **kwargs)
 
-    monkeypatch.setattr(executor, "_prepare", counting)
+    monkeypatch.setattr(executor, "_planned", counting)
     return prepared
 
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MatchConfig, find_matches
-from repro.engine import build_plan, collect_stats, iter_plan
+from repro.engine import build_plan, iter_plan
 from repro.tpwj.parser import parse_pattern
 from repro.errors import QueryError
 from repro.tpwj.pattern import Pattern, PatternNode
@@ -76,7 +76,7 @@ def reference_keys(pattern, root) -> list[tuple[int, ...]]:
 
 def assert_every_shape_agrees(pattern, root, expected: list[tuple[int, ...]]) -> None:
     """All plan shapes give *expected*'s set; the fixed plan its order."""
-    plan = build_plan(pattern, collect_stats(root))
+    plan = build_plan(pattern, root)
     for config in TOGGLES:
         assert ordered_keys(find_matches(pattern, root, config), pattern) == expected
         auto = find_matches(pattern, root, config, plan="auto")
@@ -127,7 +127,7 @@ def test_auto_plan_equals_naive_matcher(seed):
 @given(seeds)
 def test_explicit_plan_equals_naive_matcher(seed):
     doc, pattern = make_instance(seed)
-    plan = build_plan(pattern, collect_stats(doc.root))
+    plan = build_plan(pattern, doc.root)
     # The plan's visit order must be topological: parents before children.
     positions = {id(node): i for i, node in enumerate(plan.order)}
     for node in plan.order:
@@ -157,7 +157,7 @@ def test_max_matches_is_honored(seed, limit):
 def test_mismatched_plan_is_rejected():
     """A plan for one query cannot silently run a different query."""
     doc, _ = make_instance(0)
-    other = build_plan(parse_pattern("A { B }"), collect_stats(doc.root))
+    other = build_plan(parse_pattern("A { B }"), doc.root)
     with pytest.raises(QueryError):
         find_matches(parse_pattern("A { C }"), doc.root, plan=other)
 

@@ -11,8 +11,10 @@ engine's hot-path counters and the default panel share — is pinned by
 its catalogue, its concurrent readers and E19's ``counters`` façade.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -607,13 +609,41 @@ class TestProcessRegistry:
             "match.assignments",
             "match.bound_pruned",
             "match.negation_pruned",
-            "engine.stats_collected",
+            "engine.plans_built",
             "semantics.world_classes",
             "pworlds.query.worlds",
             "pworlds.update.selected",
         ):
             assert counters[name] > 0, name
         assert [name for name in counters if not process_registry.help_text(name)] == []
+
+    def test_every_catalogued_metric_is_emitted(self):
+        """The reverse check: each catalogue name is spelled in some
+        ``src/`` module other than the catalogue's own, as a string
+        literal or an f-string family (``warehouse.commits.{kind}``), so
+        no exported family reads zero for want of an emitter."""
+        src = Path(repro.__file__).parent
+        literals: set[str] = set()
+        families: list[re.Pattern] = []
+        for path in src.rglob("*.py"):
+            if path == src / "obs" / "metrics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+                elif isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+                    # A family names its metric prefix literally: "x.y.{z}".
+                    parts = [
+                        re.escape(part.value) if isinstance(part, ast.Constant) else r"\w+"
+                        for part in node.values
+                    ]
+                    families.append(re.compile("".join(parts)))
+        silent = [
+            name
+            for name, _kind, _help in METRIC_CATALOG
+            if name not in literals and not any(f.fullmatch(name) for f in families)
+        ]
+        assert silent == []
 
     def test_default_panel_reset_and_disable_cover_hot_path_counters(self, tmp_path):
         panel = default_observability()

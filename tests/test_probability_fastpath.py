@@ -27,7 +27,7 @@ from repro.core.query import (
     match_conditions,
     query_fuzzy_tree,
 )
-from repro.engine import AncestorConditionIndex, QueryEngine, StatsDelta
+from repro.engine import AncestorConditionIndex, QueryEngine
 from repro.events import Dnf, Literal, ShannonCache, dnf_probability
 from repro.obs import default_observability
 from repro.obs.metrics import process_registry
@@ -251,20 +251,20 @@ class TestProbabilityGenerationInvalidation:
         pattern = parse_pattern("//B")
         answers = query_fuzzy_tree(fuzzy, pattern, engine=engine)
         assert any(a.probability < 1.0 for a in answers)
-        # Structural commit tracked by a delta: memo survives (entries
+        # Structural commit the writer recorded: memo survives (entries
         # are generation-keyed), and repeated evaluation hits it.
         tx = parse_pattern("/A[$r]")
         from repro.trees import tree
         from repro.updates.operations import InsertOperation
         from repro.updates.transaction import UpdateTransaction
 
-        delta = StatsDelta()
-        apply_update(
-            fuzzy,
-            UpdateTransaction(tx, [InsertOperation("r", tree("C"))], 1.0),
-            delta=delta,
-        )
-        engine.apply_delta(delta)
+        with engine.mutating() as walk:
+            apply_update(
+                fuzzy,
+                UpdateTransaction(tx, [InsertOperation("r", tree("C"))], 1.0),
+                walk=walk,
+            )
+        engine.commit(walk)
         hits_before = engine.shannon.hits
         entries_before = len(engine.shannon)
         assert entries_before > 0
@@ -325,9 +325,9 @@ class TestAncestorConditionIndex:
         index = engine.condition_index()
         assert index is not None
         for _ in range(3):
-            delta = StatsDelta()
-            apply_update(fuzzy, random_update_for(rng, fuzzy), delta=delta)
-            engine.apply_delta(delta)
+            with engine.mutating() as walk:
+                apply_update(fuzzy, random_update_for(rng, fuzzy), walk=walk)
+            engine.commit(walk)
             patched = engine.condition_index()
             assert patched is index  # patched in place, not rebuilt
             for node in fuzzy.iter_nodes():
@@ -389,9 +389,9 @@ class TestFastPathEquivalence:
         fuzzy = random_fuzzy_tree(rng, SMALL_DOCS)
         engine = _engine_for(fuzzy)
         for _ in range(3):
-            delta = StatsDelta()
-            apply_update(fuzzy, random_update_for(rng, fuzzy), delta=delta)
-            engine.apply_delta(delta)
+            with engine.mutating() as walk:
+                apply_update(fuzzy, random_update_for(rng, fuzzy), walk=walk)
+            engine.commit(walk)
             pattern = random_query_for(rng, fuzzy.root)
             fast = query_fuzzy_tree(fuzzy, pattern, engine=engine)
             slow = query_fuzzy_tree(fuzzy, pattern)

@@ -29,7 +29,6 @@ from repro import (
     Session,
     UpdateTransaction,
 )
-from repro.engine import collect_stats
 from repro.tpwj.parser import parse_pattern
 from repro.errors import UpdateError, WarehouseCorruptError, WarehouseLockedError
 from repro.trees import tree
@@ -408,32 +407,6 @@ def test_replay_is_identical_to_in_memory_application(seed):
             assert recovered.document.root.canonical() == expected
             assert recovered.document.events.as_dict() == expected_events
             assert recovered.sequence == expected_sequence
-
-
-@relaxed
-@given(seeds)
-def test_incremental_stats_equal_fresh_stats_after_every_commit(seed):
-    """The delta-maintained DocumentStats snapshot equals a fresh
-    one-pass collection after every commit (single and batched)."""
-    rng = random.Random(seed)
-    doc = random_fuzzy_tree(rng, SMALL_DOCS)
-    with tempfile.TemporaryDirectory() as tmp:
-        wh = Warehouse.create(Path(tmp) / "wh", doc)
-        wh.engine.stats.current()  # prime the maintained accumulator
-        for _ in range(rng.randint(2, 6)):
-            wh._commit_update(
-                random_update_for(
-                    rng, wh.document, confidence=rng.choice([0.5, 0.9, 1.0])
-                )
-            )
-            assert wh.engine.stats.current() == collect_stats(wh.document.root)
-        members = [
-            random_update_for(rng, wh.document, confidence=1.0)
-            for _ in range(rng.randint(1, 3))
-        ]
-        wh.update_many(members)
-        assert wh.engine.stats.current() == collect_stats(wh.document.root)
-        wh.close()
 
 
 class TestReviewRegressions:

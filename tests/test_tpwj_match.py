@@ -8,7 +8,7 @@ import repro
 from repro.api.builders import compile_transaction
 from repro.core.query import iter_query_rows, query_fuzzy_tree
 from repro.core.update import apply_update
-from repro.engine import QueryEngine, build_plan, collect_stats
+from repro.engine import QueryEngine, build_plan
 from repro.errors import QueryError
 from repro.tpwj import MatchConfig, find_matches, parse_pattern
 from repro.trees import minimal_subtree, restrict, tree
@@ -162,7 +162,7 @@ class TestConfigAblation:
         config = MatchConfig(max_matches=cap)
         for text in ("*", "/A", "/A { !Z }"):
             pattern = parse_pattern(text)
-            chosen = build_plan(pattern, collect_stats(doc)) if plan == "prebuilt" else plan
+            chosen = build_plan(pattern, doc) if plan == "prebuilt" else plan
             assert len(find_matches(pattern, doc, config, plan=chosen)) == cap
 
     def test_deterministic_order(self, doc):
